@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -375,6 +376,7 @@ class GlobalSystem:
         self.references = (1.0, 1.0)   # (p_ref, m_ref), set before solving
 
         self._colors = None
+        self._alg_map = None
 
     # ------------------------------------------------------------------
     # required inputs
@@ -566,50 +568,71 @@ class GlobalSystem:
     # consistent algebraic variables and derived records
     # ------------------------------------------------------------------
 
+    def _algebraic_map(self):
+        """The port/node rows' matrix in (mu, lambda) and its pseudo-inverse.
+
+        Every entry is +-1 and fixed by the topology, so both are built once
+        per system; only the right-hand side depends on z and the inputs.
+        An invertible matrix gets its inverse from the same LU solve the
+        dense Newton path uses: the SVD behind pinv maps about 1 MB more of
+        LAPACK into the process. A singular one (pipes merging at a
+        junction) gets pinv with lstsq's cutoff, max(shape) * eps.
+        """
+        if self._alg_map is None:
+            na = self.n_alg
+            M = np.zeros((na, na))
+            base = self.n_z
+            for k in range(len(self.pipes)):
+                r = self.port_in_row[k] - base
+                M[r, self.mu_p[k] - base] = 1.0
+                M[r, self.lam[self.spec.pipes[k].from_node] - base] = -1.0
+                M[self.port_out_row[k] - base,
+                  self.lam[self.spec.pipes[k].to_node] - base] = 1.0
+            for nd in self.node_order:
+                r = self.node_row[nd.id] - base
+                if nd.kind is NodeKind.SUPPLY:
+                    M[r, self.lam[nd.id] - base] = 1.0
+                elif nd.kind not in COMPRESSOR_KINDS:
+                    for k, isout in self.attached[nd.id]:
+                        if isout:
+                            M[r, self.mu_m[k] - base] = -1.0
+            for b in self.stations:
+                M[b.row_in - base, self.mu_m[b.pipe_up] - base] = -1.0
+                M[b.row_out - base, b.lam_out - base] = 1.0
+            try:
+                P = np.linalg.solve(M, np.eye(na))
+            except np.linalg.LinAlgError:
+                P = np.linalg.pinv(M, na * np.finfo(float).eps)
+            self._alg_map = (M, P)
+        return self._alg_map
+
     def algebraic_solve(self, z, t, inputs, anchor=None):
         """Solve the port/node rows for (mu, lambda) at a frozen state z.
 
-        The rows are linear in the algebraic unknowns; one dense solve gives
-        the coupling-consistent port values used for records and for
-        consistent-state construction. Topologies where the frozen-state
-        rows alone do not pin every unknown (a junction feeding from several
-        pipe outlets splits the flux through the dynamics, not the state)
-        are resolved toward `anchor`: the returned values are the consistent
-        point closest to the anchored algebraic variables.
+        The rows are linear in the algebraic unknowns with a constant matrix;
+        its pseudo-inverse gives the coupling-consistent port values used for
+        records and for consistent-state construction. Topologies where the
+        frozen-state rows alone do not pin every unknown (a junction feeding
+        from several pipe outlets splits the flux through the dynamics, not
+        the state) are resolved toward `anchor`: the returned values are the
+        consistent point closest to the anchored algebraic variables.
         """
         if callable(inputs):
             inputs = inputs(t)
         z = np.asarray(z, float)
         na = self.n_alg
         base = self.n_z
-        M = np.zeros((na, na))
         rhs = np.zeros(na)
-
-        def col(i):
-            return i - base
-
         for k, p in enumerate(self.pipes):
-            rho = z[self.rho_sl[k]]
-            r = self.port_in_row[k] - base
-            M[r, col(self.mu_p[k])] = 1.0
-            M[r, col(self.lam[self.spec.pipes[k].from_node])] = -1.0
-            r = self.port_out_row[k] - base
-            M[r, col(self.lam[self.spec.pipes[k].to_node])] = 1.0
-            rhs[r] = p.outlet_pressure(rho)
+            rhs[self.port_out_row[k] - base] = p.outlet_pressure(z[self.rho_sl[k]])
         for nd in self.node_order:
             r = self.node_row[nd.id] - base
             if nd.kind is NodeKind.SUPPLY:
-                M[r, col(self.lam[nd.id])] = 1.0
                 rhs[r] = inputs[nd.id]
-            elif nd.kind in COMPRESSOR_KINDS:
-                continue
-            else:
-                extraction = inputs[nd.id] if nd.kind is NodeKind.DEMAND else 0.0
-                acc = extraction
+            elif nd.kind not in COMPRESSOR_KINDS:
+                acc = inputs[nd.id] if nd.kind is NodeKind.DEMAND else 0.0
                 for k, isout in self.attached[nd.id]:
-                    if isout:
-                        M[r, col(self.mu_m[k])] = -1.0
-                    else:
+                    if not isout:
                         acc += z[self.mom_sl[k]][0]
                 rhs[r] = acc
         for b in self.stations:
@@ -617,19 +640,13 @@ class GlobalSystem:
             up = self.pipes[b.pipe_up]
             p1L = up.outlet_pressure(z[self.rho_sl[b.pipe_up]])
             m_down = z[self.mom_sl[b.pipe_down]][0]
-            r = b.row_in - base
-            M[r, col(self.mu_m[b.pipe_up])] = -1.0
-            rhs[r] = b.model.inlet_match_factor(sp, p1L) * m_down
-            r = b.row_out - base
-            M[r, col(b.lam_out)] = 1.0
-            rhs[r] = sp * p1L if b.model.framework is Framework.FIXED_RATIO else sp
+            rhs[b.row_in - base] = b.model.inlet_match_factor(sp, p1L) * m_down
+            fixed_ratio = b.model.framework is Framework.FIXED_RATIO
+            rhs[b.row_out - base] = sp * p1L if fixed_ratio else sp
 
-        base = np.zeros(na) if anchor is None else np.asarray(anchor, float)[-na:]
-        try:
-            alg = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(M, rhs - M @ base, rcond=None)[0]
-            alg = base + delta
+        M, P = self._algebraic_map()
+        anchored = np.zeros(na) if anchor is None else np.asarray(anchor, float)[-na:]
+        alg = anchored + P @ (rhs - M @ anchored)
         return np.concatenate([z, alg])
 
     def zdot_consistent(self, x, inputs):
@@ -809,15 +826,33 @@ def fuse_compressors(spec: NetworkSpec, ids=None) -> NetworkSpec:
     return NetworkSpec(spec.gas, nodes, pipes, comps)
 
 
-def color_columns(pattern, n_rows, n_cols):
+class ColumnColoring(NamedTuple):
+    """Column groups for one-sweep finite-difference Jacobians.
+
+    ``groups[c]`` lists the columns of color c (no two share a residual row);
+    ``rows_of_col[j]`` the structural rows of column j. ``rows``, ``cols`` and
+    ``color`` flatten the structural nonzeros column by column (CSC order):
+    entry i sits at (rows[i], cols[i]) and is read from the sweep of color
+    ``color[i]``.
+    """
+
+    groups: list[np.ndarray]
+    rows_of_col: list[np.ndarray]
+    rows: np.ndarray
+    cols: np.ndarray
+    color: np.ndarray
+
+
+def color_columns(pattern, n_rows, n_cols) -> ColumnColoring:
     """Greedy structural coloring: same-color columns share no residual row."""
-    rows_of_col = [[] for _ in range(n_cols)]
-    for r, c in pattern:
-        rows_of_col[c].append(r)
-    rows_of_col = [np.unique(np.array(rs, dtype=int)) for rs in rows_of_col]
+    ent = np.array(pattern, dtype=int).reshape(-1, 2)
+    cols, rows = np.divmod(np.unique(ent[:, 1] * n_rows + ent[:, 0]), n_rows)
+    ptr = np.searchsorted(cols, np.arange(n_cols + 1)).tolist()
+    rows_of_col = [rows[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
     order = sorted(range(n_cols), key=lambda c: -len(rows_of_col[c]))
     colors: list[list[int]] = []
     occupied: list[np.ndarray] = []
+    color_of_col = np.empty(n_cols, dtype=int)
     for c in order:
         rs = rows_of_col[c]
         for ci, occ in enumerate(occupied):
@@ -826,8 +861,11 @@ def color_columns(pattern, n_rows, n_cols):
                 occ[rs] = True
                 break
         else:
+            ci = len(colors)
             occ = np.zeros(n_rows, dtype=bool)
             occ[rs] = True
             occupied.append(occ)
             colors.append([c])
-    return [np.array(sorted(cs), dtype=int) for cs in colors], rows_of_col
+        color_of_col[c] = ci
+    return ColumnColoring([np.array(sorted(cs), dtype=int) for cs in colors],
+                          rows_of_col, rows, cols, color_of_col[cols])

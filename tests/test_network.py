@@ -3,7 +3,7 @@ import pytest
 
 import gasnetsim as gn
 from gasnetsim.compressor import Assumption, Framework
-from gasnetsim.timeloop import _fd_jacobian
+from gasnetsim.timeloop import _fd_jacobian, _fd_jacobian_csc
 
 from conftest import single_pipe_system
 
@@ -178,6 +178,26 @@ class TestJacobianColoring:
         J_color = _fd_jacobian(fun, xp, F0, g.jac_colors(), 1e-7)
         assert np.abs(J_color - J_dense).max() <= 1e-6 * np.abs(J_dense).max()
 
+    @pytest.mark.parametrize("mode", ["steady", "step"])
+    def test_csc_jacobian_equals_colored_dense(self, mode):
+        # the sparse path reads the same sweeps and quotients as the dense
+        # colored Jacobian, so the two agree entry for entry
+        g = gn.assemble(star_network_spec())
+        x = gn.steady_state(g, STAR_INPUTS)
+        if mode == "steady":
+            def fun(v):
+                return g.steady_residual(v, STAR_INPUTS)
+        else:
+            fun = g.make_step_residual(x[: g.n_z], 50.0, STAR_INPUTS)
+        rng = np.random.default_rng(4)
+        xp = x + rng.normal(0.0, 1e-3, g.n) * (1.0 + np.abs(x))
+        F0 = fun(xp)
+        J_csc = _fd_jacobian_csc(fun, xp, F0, g.jac_colors(), 1e-7)
+        assert J_csc.format == "csc"
+        assert J_csc.nnz == g.jac_colors().rows.size
+        assert np.array_equal(J_csc.toarray(),
+                              _fd_jacobian(fun, xp, F0, g.jac_colors(), 1e-7))
+
     @pytest.mark.parametrize("tag", ["fc-av", "fc-am", "fp-av", "fp-am"])
     def test_direct_two_pipe_pattern_is_complete(self, tag, gas):
         from gasnetsim.compressor import CompressorModel
@@ -263,6 +283,34 @@ class TestGeneralTopologies:
         ts = gn.simulate(g, scen, gn.SolverConfig(newton_abs_tol=1e-10))
         split = ts.column("A.out.m") + ts.column("B.out.m") - ts.column("C.in.m")
         assert np.abs(split).max() <= 1e-6 * np.abs(ts.column("C.in.m")).max()
+
+    def test_algebraic_solve_matches_lstsq_reference(self, gas):
+        # reference: the port/node rows read off the residual (linear in the
+        # algebraic unknowns) and solved by lstsq toward the anchor; the
+        # merging junction makes that matrix singular
+        nodes = [gn.Node("s", gn.NodeKind.SUPPLY),
+                 gn.Node("j", gn.NodeKind.JUNCTION),
+                 gn.Node("d", gn.NodeKind.DEMAND)]
+        pipes = [gn.PipeEdge(gn.PipeSpec("A", 60e3, 1.0, 0.002, 8), "s", "j"),
+                 gn.PipeEdge(gn.PipeSpec("B", 60e3, 1.0, 0.008, 8), "s", "j"),
+                 gn.PipeEdge(gn.PipeSpec("C", 40e3, 1.0, 0.004, 8), "j", "d")]
+        cases = [(gn.assemble(gn.NetworkSpec(gas, nodes, pipes, [])),
+                  {"s": 70e5, "d": 260.0}),
+                 (gn.assemble(star_network_spec()), STAR_INPUTS)]
+        for g, inputs in cases:
+            x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
+            na = g.n_alg
+            x0 = np.concatenate([x[: g.n_z], np.zeros(na)])
+            F0 = g.steady_residual(x0, inputs)[g.n_z:]
+            M = np.empty((na, na))
+            for j in range(na):
+                xe = x0.copy()
+                xe[g.n_z + j] = 1.0
+                M[:, j] = g.steady_residual(xe, inputs)[g.n_z:] - F0
+            anchor = x[g.n_z:] * 1.01
+            ref = anchor + np.linalg.lstsq(M, -F0 - M @ anchor, rcond=None)[0]
+            got = g.algebraic_solve(x[: g.n_z], 0.0, inputs, anchor=anchor)[g.n_z:]
+            assert np.allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
     def test_two_supplies(self, gas):
         nodes = [gn.Node("s1", gn.NodeKind.SUPPLY),

@@ -45,6 +45,21 @@ class TestNewton:
             gn.newton_solve(fun, np.array([3.0, -1.0]),
                             gn.SolverConfig(newton_abs_tol=1e-12))
 
+    def test_singular_jacobian_raises_on_sparse_path(self):
+        # the same rank-deficient map above the sparse threshold: SuperLU's
+        # exact-singularity failure surfaces as a factorization error
+        from gasnetsim.network import color_columns
+
+        def fun(x):
+            s = x[0] + x[1]
+            return np.array([s - 1.0, s - 1.0])
+
+        full = color_columns([(r, c) for r in range(2) for c in range(2)], 2, 2)
+        with pytest.raises(gn.FactorizationError):
+            gn.newton_solve(fun, np.array([3.0, -1.0]),
+                            gn.SolverConfig(newton_abs_tol=1e-12, sparse_threshold=1),
+                            colors=full)
+
 
 class TestScaling:
     def test_pressure_row_scaling(self, gas):
@@ -245,12 +260,54 @@ class TestSimulate:
         assert 2.5 <= e_coarse / e_fine <= 6.0
 
     def test_sparse_linear_path_matches_dense(self, gas):
-        pytest.importorskip("scipy")
+        # the splu path against a plain dense Newton kept here as reference:
+        # dense colored FD Jacobian and LAPACK solve, full steps
+        from gasnetsim.timeloop import _fd_jacobian
         g = single_pipe_system(gas, n_cells=16)
         inputs = {"s": 80e5, "d": 250.0}
-        x_dense = gn.steady_state(g, inputs, gn.SolverConfig())
-        x_sparse = gn.steady_state(g, inputs, gn.SolverConfig(sparse_threshold=4))
-        assert np.allclose(x_dense, x_sparse, rtol=1e-8, atol=1e-8)
+        g.references = (80e5, 250.0)
+        scale = g.row_scale()
+        colors = g.jac_colors()
+
+        def fun(v):
+            return g.steady_residual(v, inputs) / scale
+
+        x_ref = g.initial_guess(inputs)
+        for _ in range(20):
+            F = fun(x_ref)
+            if np.abs(F).max() <= 1e-8:
+                break
+            J = _fd_jacobian(fun, x_ref, F, colors, 1e-7)
+            x_ref = x_ref + np.linalg.solve(J, -F)
+        assert np.abs(fun(x_ref)).max() <= 1e-8
+
+        x_sparse = gn.steady_state(g, inputs, gn.SolverConfig(sparse_threshold=4),
+                                   set_references=False)
+        assert np.allclose(x_ref, x_sparse, rtol=1e-8, atol=1e-8)
+
+    def test_sparse_newton_allocates_no_dense_jacobian(self, gas):
+        # above the threshold one Newton solve stays far below the 8 n^2
+        # bytes a dense Jacobian would take
+        import tracemalloc
+
+        import scipy.sparse.linalg  # noqa: F401  (import memory is not the solve's)
+        g = single_pipe_system(gas, n_cells=1100)
+        assert g.n > gn.SolverConfig().sparse_threshold
+        inputs = {"s": 80e5, "d": 250.0}
+        g.references = (80e5, 250.0)
+        scale = g.row_scale()
+        colors = g.jac_colors()
+        x0 = g.initial_guess(inputs)
+
+        tracemalloc.start()
+        try:
+            res = gn.newton_solve(lambda v: g.steady_residual(v, inputs) / scale,
+                                  x0, gn.SolverConfig(), colors=colors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.iterations >= 1
+        assert peak < 0.05 * 8 * g.n ** 2
 
     def test_model_variants_contrast_with_baseline(self):
         # station columns: ratio models scale the pressure, pressure models
