@@ -573,10 +573,8 @@ class GlobalSystem:
 
         Every entry is +-1 and fixed by the topology, so both are built once
         per system; only the right-hand side depends on z and the inputs.
-        An invertible matrix gets its inverse from the same LU solve the
-        dense Newton path uses: the SVD behind pinv maps about 1 MB more of
-        LAPACK into the process. A singular one (pipes merging at a
-        junction) gets pinv with lstsq's cutoff, max(shape) * eps.
+        The cutoff is lstsq's, max(shape) * eps, so a singular matrix (pipes
+        merging at a junction) gets the minimum-norm correction.
         """
         if self._alg_map is None:
             na = self.n_alg
@@ -599,11 +597,7 @@ class GlobalSystem:
             for b in self.stations:
                 M[b.row_in - base, self.mu_m[b.pipe_up] - base] = -1.0
                 M[b.row_out - base, b.lam_out - base] = 1.0
-            try:
-                P = np.linalg.solve(M, np.eye(na))
-            except np.linalg.LinAlgError:
-                P = np.linalg.pinv(M, na * np.finfo(float).eps)
-            self._alg_map = (M, P)
+            self._alg_map = (M, np.linalg.pinv(M, na * np.finfo(float).eps))
         return self._alg_map
 
     def algebraic_solve(self, z, t, inputs, anchor=None):
@@ -833,7 +827,8 @@ class ColumnColoring(NamedTuple):
     ``rows_of_col[j]`` the structural rows of column j. ``rows``, ``cols`` and
     ``color`` flatten the structural nonzeros column by column (CSC order):
     entry i sits at (rows[i], cols[i]) and is read from the sweep of color
-    ``color[i]``.
+    ``color[i]``. Column j's entries are ``indptr[j]:indptr[j + 1]``, so
+    ``(values, rows, indptr)`` is a CSC matrix as it stands.
     """
 
     groups: list[np.ndarray]
@@ -841,14 +836,15 @@ class ColumnColoring(NamedTuple):
     rows: np.ndarray
     cols: np.ndarray
     color: np.ndarray
+    indptr: np.ndarray
 
 
 def color_columns(pattern, n_rows, n_cols) -> ColumnColoring:
     """Greedy structural coloring: same-color columns share no residual row."""
     ent = np.array(pattern, dtype=int).reshape(-1, 2)
     cols, rows = np.divmod(np.unique(ent[:, 1] * n_rows + ent[:, 0]), n_rows)
-    ptr = np.searchsorted(cols, np.arange(n_cols + 1)).tolist()
-    rows_of_col = [rows[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+    indptr = np.searchsorted(cols, np.arange(n_cols + 1))
+    rows_of_col = np.split(rows, indptr[1:-1])
     order = sorted(range(n_cols), key=lambda c: -len(rows_of_col[c]))
     colors: list[list[int]] = []
     occupied: list[np.ndarray] = []
@@ -868,4 +864,4 @@ def color_columns(pattern, n_rows, n_cols) -> ColumnColoring:
             colors.append([c])
         color_of_col[c] = ci
     return ColumnColoring([np.array(sorted(cs), dtype=int) for cs in colors],
-                          rows_of_col, rows, cols, color_of_col[cols])
+                          rows_of_col, rows, cols, color_of_col[cols], indptr)

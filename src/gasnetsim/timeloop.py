@@ -108,7 +108,8 @@ def _fd_jacobian_csc(fun, x, F0, coloring, rel_step):
 
     Same steps and quotients as ``_fd_jacobian``: one sweep per color fills
     a row of ``dF``, then every structural nonzero is read from the sweep of
-    its column's color in one gather.
+    its column's color in one gather. The gather is already in CSC order, so
+    the matrix takes the coloring's index arrays without a sort.
     """
     from scipy.sparse import csc_matrix
 
@@ -119,7 +120,7 @@ def _fd_jacobian_csc(fun, x, F0, coloring, rel_step):
         xp[group] += h[group]
         dF[c] = fun(xp) - F0
     vals = dF[coloring.color, coloring.rows] / h[coloring.cols]
-    return csc_matrix((vals, (coloring.rows, coloring.cols)), shape=(F0.size, x.size))
+    return csc_matrix((vals, coloring.rows, coloring.indptr), shape=(F0.size, x.size))
 
 
 def _newton_step(fun, x, F, colors, cfg):
