@@ -19,7 +19,7 @@ from .formats import (RunReport, Scenario, parse_network, parse_scenario,
 from .gas import EffortField, GasProperties, PipeField, effort, hamiltonian, sound_speed
 from .network import (CompressorStation, GlobalSystem, NetworkSpec, Node,
                       NodeKind, PipeEdge, ValidationReport, assemble,
-                      fuse_compressors, incidence_matrices, residual,
+                      fuse_compressors, incidence_matrices,
                       validate_topology)
 from .pipe import PipeSpec, PipeSystem, discretize_pipe, pipe_rhs, steady_pipe_oracle
 from .timeloop import (NewtonResult, SolverConfig, TimeSeries, bind_inputs,
@@ -40,7 +40,7 @@ __all__ = [
     "bind_inputs", "coupling_matrix", "discretize_pipe", "effort",
     "external_power", "fuse_compressors", "hamiltonian", "incidence_matrices",
     "momentum_jump", "newton_solve", "parse_network", "parse_scenario",
-    "pipe_rhs", "read_timeseries", "residual", "scale_residual",
+    "pipe_rhs", "read_timeseries", "scale_residual",
     "serialize_network", "setpoint_input", "simulate", "sound_speed",
     "station_injection", "steady_pipe_oracle", "steady_state", "step_midpoint",
     "validate_topology", "write_timeseries",

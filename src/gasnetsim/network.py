@@ -26,6 +26,21 @@ All nonlinearity lives in e(z), the friction operator and the
 state-dependent station couplings; the rows are linear in mu and lambda at
 fixed z. The residual is a pure function of its arguments, so concurrent
 evaluations (finite-difference Jacobian columns) are safe.
+
+All pipes' rows come from one vectorized pass over the pipe bank
+(`PipeBank`): flat index and weight arrays built once per system. Cell i of
+a pipe pairs rho_i with the momentum m_i on its inlet-side interface:
+
+    continuity   dx rho_i' + (s_i x[down_i] - m_i)      down = m_(i+1), or
+                 mu_m with s = -1 at the last cell
+    momentum     w_i m_i' + (c^2 rho_i - a_i x[up_i]) + w_i f_i
+                 up = rho_(i-1) with a = c^2, or mu_p with a = 1 at the
+                 inlet, where w = dx/2 (dx elsewhere)
+
+Node rows start at minus their input (zero for junctions) and add
++lambda (supply) or -flux (balances) per link, in attachment order. Inputs
+are resolved once per closure into a vector in `required_inputs` order;
+only the short station loop stays per station.
 """
 
 from __future__ import annotations
@@ -39,7 +54,7 @@ import numpy as np
 from .compressor import (Assumption, CompressorModel, CompressorPortState,
                          Framework, external_power)
 from .errors import ConfigurationError, StateError
-from .gas import GasProperties, PipeField, hamiltonian
+from .gas import GasProperties
 from .pipe import PipeSpec, PipeSystem, discretize_pipe
 
 
@@ -285,6 +300,31 @@ class _StationBinding:
     row_in: int         # momentum-rule row (at the inlet node)
     row_out: int        # pressure-rule row (at the outlet node)
     lam_out: int        # column of the outlet-node potential
+    input: int          # setpoint position in the input vector
+
+
+class PipeBank(NamedTuple):
+    """Flat index and weight arrays over all pipes (layout: module docstring)."""
+
+    rho: np.ndarray         # cell: density column (continuity row)
+    mom: np.ndarray         # cell: momentum column (momentum row)
+    down: np.ndarray        # cell: downstream momentum column
+    down_sign: np.ndarray   # cell: +1, -1 where `down` is mu_m
+    up: np.ndarray          # cell: upstream pressure source column
+    up_scale: np.ndarray    # cell: c^2, 1 where `up` is mu_p
+    prev: np.ndarray        # cell: position of the upstream cell (itself at the inlet)
+    dx: np.ndarray          # cell: continuity weight
+    w: np.ndarray           # cell: momentum weight
+    fric: np.ndarray        # cell: friction coefficient lambda / (2 D)
+    tail: np.ndarray        # pipe: density column of the last cell
+    m_in: np.ndarray        # pipe: inlet momentum column
+    lam_from: np.ndarray    # pipe: inlet node potential column
+    lam_to: np.ndarray      # pipe: outlet node potential column
+    node_rows: np.ndarray   # supply, demand and junction rows ...
+    node_in: np.ndarray     # ... start at minus this input-vector entry
+    link_rows: np.ndarray   # link: adds link_sign * x[link_cols] to its row
+    link_cols: np.ndarray
+    link_sign: np.ndarray
 
 
 class GlobalSystem:
@@ -313,8 +353,8 @@ class GlobalSystem:
             off += 2 * p.n
         self.n_z = off
         P = len(self.pipes)
-        self.mu_p = [self.n_z + 2 * k for k in range(P)]
-        self.mu_m = [self.n_z + 2 * k + 1 for k in range(P)]
+        self.mu_p = self.n_z + 2 * np.arange(P)
+        self.mu_m = self.mu_p + 1
 
         boundary, compressor, internal = _node_classes(spec)
         self.node_order = boundary + compressor + internal
@@ -323,8 +363,8 @@ class GlobalSystem:
         self.n = self.n_z + self.n_alg
 
         # --- row layout ----------------------------------------------
-        self.port_in_row = [self.n_z + 2 * k for k in range(P)]
-        self.port_out_row = [self.n_z + 2 * k + 1 for k in range(P)]
+        self.port_in_row = self.mu_p
+        self.port_out_row = self.mu_m
         self.node_row = {nd.id: self.n_z + 2 * P + i for i, nd in enumerate(self.node_order)}
 
         # energy weights over the differential states
@@ -337,6 +377,7 @@ class GlobalSystem:
             self.attached[pe.to_node].append((k, True))
 
         # --- station bindings ----------------------------------------
+        n_node_inputs = sum(nd.kind in BOUNDARY_KINDS for nd in self.node_order)
         self.stations: list[_StationBinding] = []
         for st in spec.compressors:
             ups = [k for k, isout in self.attached[st.inlet_node] if isout]
@@ -353,20 +394,21 @@ class GlobalSystem:
                 row_in=self.node_row[st.inlet_node],
                 row_out=self.node_row[st.outlet_node],
                 lam_out=self.lam[st.outlet_node],
+                input=n_node_inputs + len(self.stations),
             ))
         station_rows = {b.row_in for b in self.stations} | {b.row_out for b in self.stations}
         for nd in self.node_order:
             if nd.kind in COMPRESSOR_KINDS and self.node_row[nd.id] not in station_rows:
                 raise ConfigurationError(f"compressor node {nd.id!r} has no station rows")
 
+        self.input_ids = [key for key, _ in self.required_inputs()]
+        self.bank = self._build_bank()
+
         # --- row kinds for residual scaling --------------------------
         kind = np.empty(self.n, dtype="U1")
-        for k, p in enumerate(self.pipes):
-            kind[self.rho_sl[k]] = "m"   # mass rows carry momentum-flux units
-            kind[self.mom_sl[k]] = "p"   # momentum rows carry pressure units
-        for k in range(P):
-            kind[self.port_in_row[k]] = "p"
-            kind[self.port_out_row[k]] = "p"
+        kind[self.bank.rho] = "m"   # mass rows carry momentum-flux units
+        # momentum and port rows carry pressure units
+        kind[self.bank.mom] = kind[self.port_in_row] = kind[self.port_out_row] = "p"
         for nd in self.node_order:
             kind[self.node_row[nd.id]] = "p" if nd.kind is NodeKind.SUPPLY else "m"
         for b in self.stations:
@@ -377,6 +419,48 @@ class GlobalSystem:
 
         self._colors = None
         self._alg_map = None
+
+    def _build_bank(self) -> PipeBank:
+        n_cells = np.array([p.n for p in self.pipes])
+        rho = np.concatenate([np.arange(sl.start, sl.stop) for sl in self.rho_sl])
+        mom = rho + np.repeat(n_cells, n_cells)
+        first = np.cumsum(n_cells) - n_cells
+        is_first = np.zeros(rho.size, dtype=bool)
+        is_first[first] = True
+        is_last = np.roll(is_first, -1)
+        prev = np.arange(rho.size) - ~is_first   # a pipe's inlet cell is its own
+        dx = np.repeat([p.dx for p in self.pipes], n_cells)
+        m_in = mom[is_first]
+
+        slot = {key: i for i, (key, kind) in enumerate(self.required_inputs())
+                if kind in ("pressure", "momentum")}
+        zero = len(self.input_ids)   # the trailing 0 of the input vector
+        nodes, links = [], []
+        for nd in self.node_order:
+            r = self.node_row[nd.id]
+            if nd.kind in COMPRESSOR_KINDS:
+                continue
+            nodes.append((r, slot.get(nd.id, zero)))
+            if nd.kind is NodeKind.SUPPLY:
+                links.append((r, self.lam[nd.id], 1))
+            else:
+                links += [(r, self.mu_m[k] if isout else m_in[k], -1)
+                          for k, isout in self.attached[nd.id]]
+        node = np.array(nodes, dtype=int).T
+        link = np.array(links, dtype=int).T
+        return PipeBank(
+            rho=rho, mom=mom,
+            down=np.where(is_last, np.repeat(self.mu_m, n_cells), mom + 1),
+            down_sign=np.where(is_last, -1.0, 1.0),
+            up=np.where(is_first, np.repeat(self.mu_p, n_cells), rho[prev]),
+            up_scale=np.where(is_first, 1.0, self.gas.c2),
+            prev=prev, dx=dx, w=np.where(is_first, 0.5 * dx, dx),
+            fric=np.repeat([p.fric_coef for p in self.pipes], n_cells),
+            tail=rho[is_last], m_in=m_in,
+            lam_from=np.array([self.lam[pe.from_node] for pe in self.spec.pipes]),
+            lam_to=np.array([self.lam[pe.to_node] for pe in self.spec.pipes]),
+            node_rows=node[0], node_in=node[1],
+            link_rows=link[0], link_cols=link[1], link_sign=link[2].astype(float))
 
     # ------------------------------------------------------------------
     # required inputs
@@ -417,68 +501,50 @@ class GlobalSystem:
             inputs = {}
         if callable(inputs):
             inputs = inputs(t)
+        return self._residual_core(x, np.asarray(zdot, dtype=float),
+                                   self._input_vector(inputs))
+
+    def _input_vector(self, inputs):
+        """Sampled inputs in `required_inputs` order, then 0 for junction balances."""
         try:
-            return self._residual_core(x, np.asarray(zdot, dtype=float), inputs)
+            return np.array([inputs[key] for key in self.input_ids] + [0.0], dtype=float)
         except KeyError as exc:
             raise ConfigurationError(f"missing input value for {exc}") from exc
 
-    def _residual_core(self, x, zdot, inputs):
+    def _outlet_pressures(self, x):
+        """Outlet pressure of every pipe, extrapolated from its last two cells."""
+        c2, tail = self.gas.c2, self.bank.tail
+        return 1.5 * (c2 * x[tail]) - 0.5 * (c2 * x[tail - 1])
+
+    def _residual_core(self, x, zdot, u):
+        b, c2 = self.bank, self.gas.c2
         F = np.empty(self.n)
-        for k, p in enumerate(self.pipes):
-            rho = x[self.rho_sl[k]]
-            mom = x[self.mom_sl[k]]
-            mu_p = x[self.mu_p[k]]
-            mu_m = x[self.mu_m[k]]
-            pres = p.c2 * rho
-            dx = p.dx
+        rho, mom = x[b.rho], x[b.mom]
+        pres = c2 * rho
+        F[b.rho] = b.dx * zdot[b.rho] + (b.down_sign * x[b.down] - mom)
+        fric = b.fric * mom * np.abs(mom / (0.5 * (rho[b.prev] + rho)))
+        F[b.mom] = b.w * zdot[b.mom] + (pres - b.up_scale * x[b.up]) + b.w * fric
 
-            m_full = np.empty(p.n + 1)
-            m_full[:-1] = mom
-            m_full[-1] = -mu_m
-            F[self.rho_sl[k]] = dx * zdot[self.rho_sl[k]] + np.diff(m_full)
+        F[self.port_in_row] = x[self.mu_p] - x[b.lam_from]
+        F[self.port_out_row] = self._outlet_pressures(x) - x[b.lam_to]
+        F[b.node_rows] = -u[b.node_in]
+        np.add.at(F, b.link_rows, b.link_sign * x[b.link_cols])
 
-            rows = F[self.mom_sl[k]]
-            fric = p.friction_force(rho, mom)
-            rows[0] = 0.5 * dx * zdot[self.mom_sl[k]][0] + (pres[0] - mu_p) \
-                + 0.5 * dx * fric[0]
-            rows[1:] = dx * zdot[self.mom_sl[k]][1:] + np.diff(pres) + dx * fric[1:]
-
-            F[self.port_in_row[k]] = mu_p - x[self.lam[self.spec.pipes[k].from_node]]
-            F[self.port_out_row[k]] = (1.5 * pres[-1] - 0.5 * pres[-2]) \
-                - x[self.lam[self.spec.pipes[k].to_node]]
-
-        for nd in self.node_order:
-            r = self.node_row[nd.id]
-            if nd.kind is NodeKind.SUPPLY:
-                F[r] = x[self.lam[nd.id]] - inputs[nd.id]
-            elif nd.kind in COMPRESSOR_KINDS:
-                continue  # station rows written below
+        for s in self.stations:
+            sp = u[s.input]
+            tail = b.tail[s.pipe_up]
+            p1L = 1.5 * c2 * x[tail] - 0.5 * c2 * x[tail - 1]
+            factor = s.model.inlet_match_factor(sp, p1L)
+            F[s.row_in] = -x[self.mu_m[s.pipe_up]] - factor * x[b.m_in[s.pipe_down]]
+            if s.model.framework is Framework.FIXED_RATIO:
+                F[s.row_out] = x[s.lam_out] - sp * p1L
             else:
-                extraction = inputs[nd.id] if nd.kind is NodeKind.DEMAND else 0.0
-                acc = -extraction
-                for k, isout in self.attached[nd.id]:
-                    if isout:
-                        acc -= x[self.mu_m[k]]          # + m_L into the node
-                    else:
-                        acc -= x[self.mom_sl[k]][0]     # - m(0) leaving the node
-                F[r] = acc
-
-        for b in self.stations:
-            sp = inputs[b.station.id]
-            up = self.pipes[b.pipe_up]
-            rho_up = x[self.rho_sl[b.pipe_up]]
-            p1L = 1.5 * up.c2 * rho_up[-1] - 0.5 * up.c2 * rho_up[-2]
-            m_down = x[self.mom_sl[b.pipe_down]][0]
-            factor = b.model.inlet_match_factor(sp, p1L)
-            F[b.row_in] = -x[self.mu_m[b.pipe_up]] - factor * m_down
-            if b.model.framework is Framework.FIXED_RATIO:
-                F[b.row_out] = x[b.lam_out] - sp * p1L
-            else:
-                F[b.row_out] = x[b.lam_out] - sp
+                F[s.row_out] = x[s.lam_out] - sp
         return F
 
     def steady_residual(self, x, inputs):
-        return self._residual_core(np.asarray(x, float), np.zeros(self.n_z), inputs)
+        return self._residual_core(np.asarray(x, float), np.zeros(self.n_z),
+                                   self._input_vector(inputs))
 
     def make_step_residual(self, z_prev, dt, inputs_mid):
         """Implicit-midpoint residual in the endpoint/midpoint unknowns.
@@ -489,13 +555,14 @@ class GlobalSystem:
         """
         z_prev = np.asarray(z_prev, float)
         n_z = self.n_z
+        u = self._input_vector(inputs_mid)
 
         def fun(x_new):
             x_eval = x_new.copy()
             z_new = x_new[:n_z]
             x_eval[:n_z] = 0.5 * (z_prev + z_new)
             zdot = (z_new - z_prev) / dt
-            return self._residual_core(x_eval, zdot, inputs_mid)
+            return self._residual_core(x_eval, zdot, u)
 
         return fun
 
@@ -505,53 +572,25 @@ class GlobalSystem:
 
     def _pattern(self):
         """Structural (row, col) couplings of the residual, both solve modes."""
-        ent: list[tuple[int, int]] = []
-        for k, p in enumerate(self.pipes):
-            n = p.n
-            r0 = self.rho_sl[k].start
-            m0 = self.mom_sl[k].start
-            for i in range(n):
-                row = r0 + i
-                ent.append((row, r0 + i))            # d/dt
-                ent.append((row, m0 + i))
-                if i + 1 < n:
-                    ent.append((row, m0 + i + 1))
-                else:
-                    ent.append((row, self.mu_m[k]))
-            ent += [(m0, m0), (m0, r0), (m0, self.mu_p[k])]
-            for j in range(1, n):
-                row = m0 + j
-                ent += [(row, m0 + j), (row, r0 + j - 1), (row, r0 + j)]
-            ent += [(self.port_in_row[k], self.mu_p[k]),
-                    (self.port_in_row[k], self.lam[self.spec.pipes[k].from_node])]
-            ent += [(self.port_out_row[k], r0 + n - 1),
-                    (self.port_out_row[k], r0 + n - 2),
-                    (self.port_out_row[k], self.lam[self.spec.pipes[k].to_node])]
-        for nd in self.node_order:
-            r = self.node_row[nd.id]
-            if nd.kind is NodeKind.SUPPLY:
-                ent.append((r, self.lam[nd.id]))
-            elif nd.kind in COMPRESSOR_KINDS:
-                continue
-            else:
-                for k, isout in self.attached[nd.id]:
-                    if isout:
-                        ent.append((r, self.mu_m[k]))
-                    else:
-                        ent.append((r, self.mom_sl[k].start))
-        for b in self.stations:
-            up = self.pipes[b.pipe_up]
-            last = self.rho_sl[b.pipe_up].start + up.n - 1
-            ent += [(b.row_in, self.mu_m[b.pipe_up]),
-                    (b.row_in, self.mom_sl[b.pipe_down].start)]
-            state_dep = (b.model.framework is Framework.FIXED_PRESSURE
-                         and b.model.assumption is Assumption.CONST_VELOCITY)
-            if state_dep:
-                ent += [(b.row_in, last), (b.row_in, last - 1)]
-            ent.append((b.row_out, b.lam_out))
-            if b.model.framework is Framework.FIXED_RATIO:
-                ent += [(b.row_out, last), (b.row_out, last - 1)]
-        return ent
+        b = self.bank
+        pairs = [(b.rho, b.rho), (b.rho, b.mom), (b.rho, b.down),
+                 (b.mom, b.mom), (b.mom, b.up), (b.mom, b.rho),
+                 (self.port_in_row, self.mu_p), (self.port_in_row, b.lam_from),
+                 (self.port_out_row, b.tail), (self.port_out_row, b.tail - 1),
+                 (self.port_out_row, b.lam_to),
+                 (b.link_rows, b.link_cols)]
+        ent = [np.column_stack(rc) for rc in pairs]
+        for s in self.stations:
+            last = b.tail[s.pipe_up]
+            st = [(s.row_in, self.mu_m[s.pipe_up]), (s.row_in, b.m_in[s.pipe_down]),
+                  (s.row_out, s.lam_out)]
+            if (s.model.framework is Framework.FIXED_PRESSURE
+                    and s.model.assumption is Assumption.CONST_VELOCITY):
+                st += [(s.row_in, last), (s.row_in, last - 1)]
+            if s.model.framework is Framework.FIXED_RATIO:
+                st += [(s.row_out, last), (s.row_out, last - 1)]
+            ent.append(np.array(st))
+        return np.concatenate(ent)
 
     def jac_colors(self):
         """Column groups for one-sweep finite-difference Jacobians."""
@@ -577,26 +616,16 @@ class GlobalSystem:
         merging at a junction) gets the minimum-norm correction.
         """
         if self._alg_map is None:
-            na = self.n_alg
+            na, base, b = self.n_alg, self.n_z, self.bank
             M = np.zeros((na, na))
-            base = self.n_z
-            for k in range(len(self.pipes)):
-                r = self.port_in_row[k] - base
-                M[r, self.mu_p[k] - base] = 1.0
-                M[r, self.lam[self.spec.pipes[k].from_node] - base] = -1.0
-                M[self.port_out_row[k] - base,
-                  self.lam[self.spec.pipes[k].to_node] - base] = 1.0
-            for nd in self.node_order:
-                r = self.node_row[nd.id] - base
-                if nd.kind is NodeKind.SUPPLY:
-                    M[r, self.lam[nd.id] - base] = 1.0
-                elif nd.kind not in COMPRESSOR_KINDS:
-                    for k, isout in self.attached[nd.id]:
-                        if isout:
-                            M[r, self.mu_m[k] - base] = -1.0
-            for b in self.stations:
-                M[b.row_in - base, self.mu_m[b.pipe_up] - base] = -1.0
-                M[b.row_out - base, b.lam_out - base] = 1.0
+            M[self.port_in_row - base, self.mu_p - base] = 1.0
+            M[self.port_in_row - base, b.lam_from - base] = -1.0
+            M[self.port_out_row - base, b.lam_to - base] = 1.0
+            alg = b.link_cols >= base
+            M[b.link_rows[alg] - base, b.link_cols[alg] - base] = b.link_sign[alg]
+            for s in self.stations:
+                M[s.row_in - base, self.mu_m[s.pipe_up] - base] = -1.0
+                M[s.row_out - base, s.lam_out - base] = 1.0
             self._alg_map = (M, np.linalg.pinv(M, na * np.finfo(float).eps))
         return self._alg_map
 
@@ -614,29 +643,20 @@ class GlobalSystem:
         if callable(inputs):
             inputs = inputs(t)
         z = np.asarray(z, float)
-        na = self.n_alg
-        base = self.n_z
+        u = self._input_vector(inputs)
+        na, base, b = self.n_alg, self.n_z, self.bank
         rhs = np.zeros(na)
-        for k, p in enumerate(self.pipes):
-            rhs[self.port_out_row[k] - base] = p.outlet_pressure(z[self.rho_sl[k]])
-        for nd in self.node_order:
-            r = self.node_row[nd.id] - base
-            if nd.kind is NodeKind.SUPPLY:
-                rhs[r] = inputs[nd.id]
-            elif nd.kind not in COMPRESSOR_KINDS:
-                acc = inputs[nd.id] if nd.kind is NodeKind.DEMAND else 0.0
-                for k, isout in self.attached[nd.id]:
-                    if not isout:
-                        acc += z[self.mom_sl[k]][0]
-                rhs[r] = acc
-        for b in self.stations:
-            sp = inputs[b.station.id]
-            up = self.pipes[b.pipe_up]
-            p1L = up.outlet_pressure(z[self.rho_sl[b.pipe_up]])
-            m_down = z[self.mom_sl[b.pipe_down]][0]
-            rhs[b.row_in - base] = b.model.inlet_match_factor(sp, p1L) * m_down
-            fixed_ratio = b.model.framework is Framework.FIXED_RATIO
-            rhs[b.row_out - base] = sp * p1L if fixed_ratio else sp
+        p_out = self._outlet_pressures(z)
+        rhs[self.port_out_row - base] = p_out
+        rhs[b.node_rows - base] = u[b.node_in]
+        state = b.link_cols < base
+        np.add.at(rhs, b.link_rows[state] - base, -b.link_sign[state] * z[b.link_cols[state]])
+        for s in self.stations:
+            sp = u[s.input]
+            m_down = z[b.m_in[s.pipe_down]]
+            rhs[s.row_in - base] = s.model.inlet_match_factor(sp, p_out[s.pipe_up]) * m_down
+            fixed_ratio = s.model.framework is Framework.FIXED_RATIO
+            rhs[s.row_out - base] = sp * p_out[s.pipe_up] if fixed_ratio else sp
 
         M, P = self._algebraic_map()
         anchored = np.zeros(na) if anchor is None else np.asarray(anchor, float)[-na:]
@@ -645,14 +665,12 @@ class GlobalSystem:
 
     def zdot_consistent(self, x, inputs):
         """Differential rates implied by the pipe rows at the given unknowns."""
-        F = self._residual_core(np.asarray(x, float), np.zeros(self.n_z), inputs)
+        F = self.steady_residual(x, inputs)
         return -F[: self.n_z] / self.energy_weights
 
     def effort_vector(self, z):
-        e = np.empty(self.n_z)
-        for k, p in enumerate(self.pipes):
-            e[self.rho_sl[k]] = p.c2 * z[self.rho_sl[k]]
-            e[self.mom_sl[k]] = z[self.mom_sl[k]]
+        e = np.array(z[: self.n_z], dtype=float)
+        e[self.bank.rho] *= self.gas.c2
         return e
 
     def energy_rate(self, z, zdot):
@@ -715,32 +733,26 @@ class GlobalSystem:
         if callable(inputs):
             inputs = inputs(t)
         x = self.algebraic_solve(z, t, inputs, anchor)
-        vals = []
-        for k, p in enumerate(self.pipes):
-            rho = z[self.rho_sl[k]]
-            mom = z[self.mom_sl[k]]
-            vals += [x[self.mu_p[k]], mom[0], p.outlet_pressure(rho), -x[self.mu_m[k]]]
+        b = self.bank
+        p_out = self._outlet_pressures(z)
+        vals = np.column_stack([x[self.mu_p], z[b.m_in], p_out, -x[self.mu_m]]).ravel().tolist()
         vals.append(self.hamiltonian_total(z))
-        for b in self.stations:
-            up = self.pipes[b.pipe_up]
-            ports = CompressorPortState(
-                p_in=up.outlet_pressure(z[self.rho_sl[b.pipe_up]]),
-                m_feed=float(z[self.mom_sl[b.pipe_down]][0]),
-            )
-            _, term = external_power(b.model, ports, 0.0, 0.0,
-                                     setpoint=inputs[b.station.id])
+        for s in self.stations:
+            ports = CompressorPortState(p_in=float(p_out[s.pipe_up]),
+                                        m_feed=float(z[b.m_in[s.pipe_down]]))
+            _, term = external_power(s.model, ports, 0.0, 0.0,
+                                     setpoint=inputs[s.station.id])
             vals.append(term)
         return dict(zip(self.record_names(), vals)), x
 
     def hamiltonian_total(self, z):
-        total = 0.0
-        for k, p in enumerate(self.pipes):
-            fld = PipeField(z[self.rho_sl[k]], z[self.mom_sl[k]])
-            total += hamiltonian(fld, self.gas, p.dx)
-        return total
+        """Stored energy with uniform dx weights (`gas.hamiltonian` summed over pipes)."""
+        b = self.bank
+        rho, mom = z[b.rho], z[b.mom]
+        return 0.5 * float(self.gas.c2 * np.dot(b.dx * rho, rho) + np.dot(b.dx * mom, mom))
 
     def total_mass(self, z):
-        return sum(float(p.dx * z[self.rho_sl[k]].sum()) for k, p in enumerate(self.pipes))
+        return float(np.dot(self.bank.dx, z[self.bank.rho]))
 
     def net_mass_influx(self, z_mid, x_new, inputs_mid):
         """Net mass inflow rate into all pipes: sum of m(0) + mu_m per pipe.
@@ -751,19 +763,17 @@ class GlobalSystem:
         exchanges cancel inside the sum; only boundary feeds/extractions and
         constant-velocity station injections remain.
         """
-        total = 0.0
-        for k in range(len(self.pipes)):
-            total += float(z_mid[self.mom_sl[k]][0]) + float(x_new[self.mu_m[k]])
-        return total
+        return float(np.sum(z_mid[self.bank.m_in] + x_new[self.mu_m]))
 
     def min_density(self, z):
-        return min(float(z[self.rho_sl[k]].min()) for k in range(len(self.pipes)))
+        return float(z[self.bank.rho].min())
 
     def check_state(self, z, t):
-        for k in range(len(self.pipes)):
-            if not np.all(z[self.rho_sl[k]] > 0.0):
-                raise StateError(
-                    f"non-positive density in pipe {self.spec.pipes[k].spec.id!r} at t={t}")
+        positive = z[self.bank.rho] > 0.0
+        if not positive.all():
+            k = int(np.searchsorted(self.bank.tail, self.bank.rho[np.argmin(positive)]))
+            raise StateError(
+                f"non-positive density in pipe {self.spec.pipes[k].spec.id!r} at t={t}")
 
     # ------------------------------------------------------------------
 
@@ -773,25 +783,17 @@ class GlobalSystem:
         p_ref = inputs0[supplies[0]]
         m_est = sum(inputs0[nd.id] for nd in self.node_order if nd.kind is NodeKind.DEMAND)
         x = np.empty(self.n)
-        rho0 = p_ref / self.gas.c2
-        for k in range(len(self.pipes)):
-            x[self.rho_sl[k]] = rho0
-            x[self.mom_sl[k]] = m_est
-            x[self.mu_p[k]] = p_ref
-            x[self.mu_m[k]] = -m_est
-        for nd in self.node_order:
-            x[self.lam[nd.id]] = p_ref
+        x[self.bank.rho] = p_ref / self.gas.c2
+        x[self.bank.mom] = m_est
+        x[self.mu_p] = p_ref
+        x[self.mu_m] = -m_est
+        x[self.n - len(self.node_order):] = p_ref   # node potentials
         return x
 
 
 def assemble(spec: NetworkSpec, n_cells_override: int | None = None) -> GlobalSystem:
     """Build the global DAE for a validated network description."""
     return GlobalSystem(spec, n_cells_override)
-
-
-def residual(gsys: GlobalSystem, unknowns, zdot_candidate, t, inputs):
-    """Module-level alias of GlobalSystem.residual."""
-    return gsys.residual(unknowns, zdot_candidate, t, inputs)
 
 
 def fuse_compressors(spec: NetworkSpec, ids=None) -> NetworkSpec:

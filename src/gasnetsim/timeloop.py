@@ -70,10 +70,6 @@ class NewtonResult:
     iterations: int
     history: list[float]
 
-    @property
-    def final_norm(self):
-        return self.history[-1]
-
 
 def scale_residual(gsys, raw):
     """Divide pressure-type rows by p_ref and momentum-type rows by m_ref."""

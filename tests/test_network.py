@@ -3,6 +3,7 @@ import pytest
 
 import gasnetsim as gn
 from gasnetsim.compressor import Assumption, Framework
+from gasnetsim.network import color_columns
 from gasnetsim.timeloop import _fd_jacobian, _fd_jacobian_csc
 
 from conftest import single_pipe_system
@@ -32,6 +33,167 @@ def star_network_spec():
 
 
 STAR_INPUTS = {"v1": 60e5, "v2": 120.0, "v3": 80.0, "C": 1.15}
+
+
+def diamond_spec(cells=(8, 8, 8)):
+    """Two parallel legs of different friction merging at a junction (a loop)."""
+    nodes = [gn.Node("s", gn.NodeKind.SUPPLY),
+             gn.Node("j", gn.NodeKind.JUNCTION),
+             gn.Node("d", gn.NodeKind.DEMAND)]
+    pipes = [gn.PipeEdge(gn.PipeSpec("A", 60e3, 1.0, 0.002, cells[0]), "s", "j"),
+             gn.PipeEdge(gn.PipeSpec("B", 60e3, 1.0, 0.008, cells[1]), "s", "j"),
+             gn.PipeEdge(gn.PipeSpec("C", 40e3, 1.0, 0.004, cells[2]), "j", "d")]
+    return gn.NetworkSpec(GAS, nodes, pipes, [])
+
+
+DIAMOND_INPUTS = {"s": 70e5, "d": 260.0}
+
+
+def series_stations_spec():
+    """Supply - pipe - fc-am station - pipe - fp-av station - pipe - demand."""
+    nodes = [gn.Node("s", gn.NodeKind.SUPPLY),
+             gn.Node("c1i", gn.NodeKind.COMPRESSOR_IN, "C1"),
+             gn.Node("c1o", gn.NodeKind.COMPRESSOR_OUT, "C1"),
+             gn.Node("c2i", gn.NodeKind.COMPRESSOR_IN, "C2"),
+             gn.Node("c2o", gn.NodeKind.COMPRESSOR_OUT, "C2"),
+             gn.Node("d", gn.NodeKind.DEMAND)]
+    pipes = [gn.PipeEdge(gn.PipeSpec("P1", 80e3, 1.0, 0.003, 8), "s", "c1i"),
+             gn.PipeEdge(gn.PipeSpec("P2", 80e3, 1.0, 0.003, 8), "c1o", "c2i"),
+             gn.PipeEdge(gn.PipeSpec("P3", 80e3, 1.0, 0.003, 8), "c2o", "d")]
+    comps = [gn.CompressorStation("C1", "c1i", "c1o", Framework.FIXED_RATIO,
+                                  Assumption.CONST_MOMENTUM, ratio=1.1),
+             gn.CompressorStation("C2", "c2i", "c2o", Framework.FIXED_PRESSURE,
+                                  Assumption.CONST_VELOCITY, pressure=80e5)]
+    return gn.NetworkSpec(GAS, nodes, pipes, comps)
+
+
+SERIES_INPUTS = {"s": 70e5, "d": 180.0, "C1": 1.1, "C2": 80e5}
+
+
+def star_with_model(tag):
+    """The star network with its station as `tag`, or fused into a junction."""
+    spec = star_network_spec()
+    if tag == "none":
+        inputs = {k: v for k, v in STAR_INPUTS.items() if k != "C"}
+        return gn.fuse_compressors(spec), inputs
+    fw, asm = tag.split("-")
+    for st in spec.compressors:
+        st.framework = Framework(fw)
+        st.assumption = Assumption(asm)
+        st.pressure = 70e5
+    return spec, dict(STAR_INPUTS, C=1.15 if fw == "fc" else 70e5)
+
+
+def network_case(name):
+    """(spec, inputs): the star as built or with station model `name`, or a loop."""
+    if name == "star":
+        return star_network_spec(), STAR_INPUTS
+    if name == "diamond":
+        return diamond_spec(), DIAMOND_INPUTS
+    if name == "diamond-mixed":
+        return diamond_spec(cells=(2, 7, 4)), DIAMOND_INPUTS
+    if name == "series":
+        return series_stations_spec(), SERIES_INPUTS
+    return star_with_model(name)
+
+
+# the star as built is fc-am, so these cover all five station models
+CASES = ["star", "fc-av", "fp-av", "fp-am", "none", "diamond", "diamond-mixed", "series"]
+
+
+def reference_residual(g, x, zdot, inputs):
+    """Per-pipe loop form of the network residual, kept as the test oracle."""
+    F = np.empty(g.n)
+    for k, p in enumerate(g.pipes):
+        rho = x[g.rho_sl[k]]
+        mom = x[g.mom_sl[k]]
+        mu_p = x[g.mu_p[k]]
+        mu_m = x[g.mu_m[k]]
+        pres = p.c2 * rho
+        dx = p.dx
+
+        m_full = np.empty(p.n + 1)
+        m_full[:-1] = mom
+        m_full[-1] = -mu_m
+        F[g.rho_sl[k]] = dx * zdot[g.rho_sl[k]] + np.diff(m_full)
+
+        rows = F[g.mom_sl[k]]
+        fric = p.friction_force(rho, mom)
+        rows[0] = 0.5 * dx * zdot[g.mom_sl[k]][0] + (pres[0] - mu_p) \
+            + 0.5 * dx * fric[0]
+        rows[1:] = dx * zdot[g.mom_sl[k]][1:] + np.diff(pres) + dx * fric[1:]
+
+        F[g.port_in_row[k]] = mu_p - x[g.lam[g.spec.pipes[k].from_node]]
+        F[g.port_out_row[k]] = (1.5 * pres[-1] - 0.5 * pres[-2]) \
+            - x[g.lam[g.spec.pipes[k].to_node]]
+
+    for nd in g.node_order:
+        r = g.node_row[nd.id]
+        if nd.kind is gn.NodeKind.SUPPLY:
+            F[r] = x[g.lam[nd.id]] - inputs[nd.id]
+        elif nd.kind in (gn.NodeKind.COMPRESSOR_IN, gn.NodeKind.COMPRESSOR_OUT):
+            continue
+        else:
+            extraction = inputs[nd.id] if nd.kind is gn.NodeKind.DEMAND else 0.0
+            acc = -extraction
+            for k, isout in g.attached[nd.id]:
+                if isout:
+                    acc -= x[g.mu_m[k]]
+                else:
+                    acc -= x[g.mom_sl[k]][0]
+            F[r] = acc
+
+    for b in g.stations:
+        sp = inputs[b.station.id]
+        up = g.pipes[b.pipe_up]
+        rho_up = x[g.rho_sl[b.pipe_up]]
+        p1L = 1.5 * up.c2 * rho_up[-1] - 0.5 * up.c2 * rho_up[-2]
+        m_down = x[g.mom_sl[b.pipe_down]][0]
+        factor = b.model.inlet_match_factor(sp, p1L)
+        F[b.row_in] = -x[g.mu_m[b.pipe_up]] - factor * m_down
+        if b.model.framework is Framework.FIXED_RATIO:
+            F[b.row_out] = x[b.lam_out] - sp * p1L
+        else:
+            F[b.row_out] = x[b.lam_out] - sp
+    return F
+
+
+def reference_pattern(g):
+    """Per-cell loop form of the residual's structural couplings."""
+    ent = []
+    for k, p in enumerate(g.pipes):
+        n = p.n
+        r0 = g.rho_sl[k].start
+        m0 = g.mom_sl[k].start
+        for i in range(n):
+            row = r0 + i
+            ent.append((row, r0 + i))
+            ent.append((row, m0 + i))
+            ent.append((row, m0 + i + 1 if i + 1 < n else g.mu_m[k]))
+        ent += [(m0, m0), (m0, r0), (m0, g.mu_p[k])]
+        for j in range(1, n):
+            ent += [(m0 + j, m0 + j), (m0 + j, r0 + j - 1), (m0 + j, r0 + j)]
+        ent += [(g.port_in_row[k], g.mu_p[k]),
+                (g.port_in_row[k], g.lam[g.spec.pipes[k].from_node])]
+        ent += [(g.port_out_row[k], r0 + n - 1), (g.port_out_row[k], r0 + n - 2),
+                (g.port_out_row[k], g.lam[g.spec.pipes[k].to_node])]
+    for nd in g.node_order:
+        r = g.node_row[nd.id]
+        if nd.kind is gn.NodeKind.SUPPLY:
+            ent.append((r, g.lam[nd.id]))
+        elif nd.kind not in (gn.NodeKind.COMPRESSOR_IN, gn.NodeKind.COMPRESSOR_OUT):
+            for k, isout in g.attached[nd.id]:
+                ent.append((r, g.mu_m[k] if isout else g.mom_sl[k].start))
+    for b in g.stations:
+        last = g.rho_sl[b.pipe_up].stop - 1
+        ent += [(b.row_in, g.mu_m[b.pipe_up]), (b.row_in, g.mom_sl[b.pipe_down].start)]
+        if (b.model.framework is Framework.FIXED_PRESSURE
+                and b.model.assumption is Assumption.CONST_VELOCITY):
+            ent += [(b.row_in, last), (b.row_in, last - 1)]
+        ent.append((b.row_out, b.lam_out))
+        if b.model.framework is Framework.FIXED_RATIO:
+            ent += [(b.row_out, last), (b.row_out, last - 1)]
+    return ent
 
 
 class TestValidateTopology:
@@ -253,19 +415,13 @@ def test_single_pipe_assembly_matches_oracle(gas):
 
 
 class TestGeneralTopologies:
-    def test_cyclic_diamond_with_merging_junction(self, gas):
+    def test_cyclic_diamond_with_merging_junction(self):
         # two parallel legs of different friction merge at a junction; the
         # flux split is set by the dynamics, records stay consistent
-        nodes = [gn.Node("s", gn.NodeKind.SUPPLY),
-                 gn.Node("j", gn.NodeKind.JUNCTION),
-                 gn.Node("d", gn.NodeKind.DEMAND)]
-        pipes = [gn.PipeEdge(gn.PipeSpec("A", 60e3, 1.0, 0.002, 8), "s", "j"),
-                 gn.PipeEdge(gn.PipeSpec("B", 60e3, 1.0, 0.008, 8), "s", "j"),
-                 gn.PipeEdge(gn.PipeSpec("C", 40e3, 1.0, 0.004, 8), "j", "d")]
-        spec = gn.NetworkSpec(gas, nodes, pipes, [])
+        spec = diamond_spec()
         assert gn.validate_topology(spec).ok
         g = gn.assemble(spec)
-        inputs = {"s": 70e5, "d": 260.0}
+        inputs = DIAMOND_INPUTS
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
         snap, _ = g.snapshot(x[: g.n_z], 0.0, inputs, anchor=x)
         # junction pressure continuity across all three attached ports
@@ -284,18 +440,11 @@ class TestGeneralTopologies:
         split = ts.column("A.out.m") + ts.column("B.out.m") - ts.column("C.in.m")
         assert np.abs(split).max() <= 1e-6 * np.abs(ts.column("C.in.m")).max()
 
-    def test_algebraic_solve_matches_lstsq_reference(self, gas):
+    def test_algebraic_solve_matches_lstsq_reference(self):
         # reference: the port/node rows read off the residual (linear in the
         # algebraic unknowns) and solved by lstsq toward the anchor; the
         # merging junction makes that matrix singular
-        nodes = [gn.Node("s", gn.NodeKind.SUPPLY),
-                 gn.Node("j", gn.NodeKind.JUNCTION),
-                 gn.Node("d", gn.NodeKind.DEMAND)]
-        pipes = [gn.PipeEdge(gn.PipeSpec("A", 60e3, 1.0, 0.002, 8), "s", "j"),
-                 gn.PipeEdge(gn.PipeSpec("B", 60e3, 1.0, 0.008, 8), "s", "j"),
-                 gn.PipeEdge(gn.PipeSpec("C", 40e3, 1.0, 0.004, 8), "j", "d")]
-        cases = [(gn.assemble(gn.NetworkSpec(gas, nodes, pipes, [])),
-                  {"s": 70e5, "d": 260.0}),
+        cases = [(gn.assemble(diamond_spec()), DIAMOND_INPUTS),
                  (gn.assemble(star_network_spec()), STAR_INPUTS)]
         for g, inputs in cases:
             x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
@@ -329,22 +478,9 @@ class TestGeneralTopologies:
         # the higher-pressure supply pushes harder
         assert snap["A.in.m"] > snap["B.in.m"]
 
-    def test_two_stations_in_series(self, gas):
-        nodes = [gn.Node("s", gn.NodeKind.SUPPLY),
-                 gn.Node("c1i", gn.NodeKind.COMPRESSOR_IN, "C1"),
-                 gn.Node("c1o", gn.NodeKind.COMPRESSOR_OUT, "C1"),
-                 gn.Node("c2i", gn.NodeKind.COMPRESSOR_IN, "C2"),
-                 gn.Node("c2o", gn.NodeKind.COMPRESSOR_OUT, "C2"),
-                 gn.Node("d", gn.NodeKind.DEMAND)]
-        pipes = [gn.PipeEdge(gn.PipeSpec("P1", 80e3, 1.0, 0.003, 8), "s", "c1i"),
-                 gn.PipeEdge(gn.PipeSpec("P2", 80e3, 1.0, 0.003, 8), "c1o", "c2i"),
-                 gn.PipeEdge(gn.PipeSpec("P3", 80e3, 1.0, 0.003, 8), "c2o", "d")]
-        comps = [gn.CompressorStation("C1", "c1i", "c1o", Framework.FIXED_RATIO,
-                                      Assumption.CONST_MOMENTUM, ratio=1.1),
-                 gn.CompressorStation("C2", "c2i", "c2o", Framework.FIXED_PRESSURE,
-                                      Assumption.CONST_VELOCITY, pressure=80e5)]
-        g = gn.assemble(gn.NetworkSpec(gas, nodes, pipes, comps))
-        inputs = {"s": 70e5, "d": 180.0, "C1": 1.1, "C2": 80e5}
+    def test_two_stations_in_series(self):
+        g = gn.assemble(series_stations_spec())
+        inputs = SERIES_INPUTS
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
         snap, _ = g.snapshot(x[: g.n_z], 0.0, inputs, anchor=x)
         assert snap["P2.in.p_Pa"] / snap["P1.out.p_Pa"] == pytest.approx(1.1, rel=1e-10)
@@ -364,3 +500,89 @@ def test_fuse_compressors_removes_station():
     x = gn.steady_state(g, {"v1": 60e5, "v2": 120.0, "v3": 80.0})
     snap, _ = g.snapshot(x[: g.n_z], 0.0, {"v1": 60e5, "v2": 120.0, "v3": 80.0})
     assert snap["P2.in.p_Pa"] == pytest.approx(snap["P1.out.p_Pa"], rel=1e-9)
+
+
+class TestPipeBank:
+    @pytest.mark.parametrize("name", CASES)
+    def test_residual_equals_per_pipe_loop(self, name):
+        spec, inputs = network_case(name)
+        g = gn.assemble(spec)
+        x = gn.steady_state(g, inputs)
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            xp = x * (1.0 + rng.normal(0.0, 1e-2, g.n))
+            assert np.array_equal(g.steady_residual(xp, inputs),
+                                  reference_residual(g, xp, np.zeros(g.n_z), inputs))
+            z_prev = x[: g.n_z] * (1.0 + rng.normal(0.0, 1e-3, g.n_z))
+            x_mid = xp.copy()
+            x_mid[: g.n_z] = 0.5 * (z_prev + xp[: g.n_z])
+            zdot = (xp[: g.n_z] - z_prev) / 50.0
+            assert np.array_equal(g.make_step_residual(z_prev, 50.0, inputs)(xp),
+                                  reference_residual(g, x_mid, zdot, inputs))
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_pipe_rows_equal_weighted_pipe_rhs(self, name):
+        # independent cross-check: each pipe's rows are W (dz/dt - rates)
+        spec, inputs = network_case(name)
+        g = gn.assemble(spec)
+        rng = np.random.default_rng(8)
+        x = gn.steady_state(g, inputs) * (1.0 + rng.normal(0.0, 1e-2, g.n))
+        zdot = rng.normal(0.0, 1e-2, g.n_z) * np.abs(x[: g.n_z])
+        F = g.residual(x, zdot, 0.0, inputs)
+        for k, p in enumerate(g.pipes):
+            rates, _ = gn.pipe_rhs(p, gn.PipeField(x[g.rho_sl[k]], x[g.mom_sl[k]]),
+                                   (x[g.mu_p[k]], x[g.mu_m[k]]))
+            rates = np.concatenate([rates.rho, rates.mom])
+            rows = slice(g.rho_sl[k].start, g.mom_sl[k].stop)
+            W = p.weights
+            scale = np.max(np.abs(W * zdot[rows]) + np.abs(W * rates))
+            assert np.abs(F[rows] - W * (zdot[rows] - rates)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", ["star", "diamond", "series"])
+    def test_pattern_and_colors_equal_per_cell_loop(self, name):
+        g = gn.assemble(network_case(name)[0])
+        ref = reference_pattern(g)
+        assert set(map(tuple, np.asarray(g._pattern()).tolist())) == set(ref)
+        groups = g.jac_colors()[0]
+        ref_groups = color_columns(ref, g.n, g.n).groups
+        assert len(groups) == len(ref_groups)
+        assert all(np.array_equal(a, b) for a, b in zip(groups, ref_groups))
+
+    def test_ledger_helpers_equal_per_pipe_sums(self):
+        g = gn.assemble(diamond_spec(cells=(2, 7, 4)))
+        x = gn.steady_state(g, DIAMOND_INPUTS)
+        rng = np.random.default_rng(9)
+        x = x * (1.0 + rng.normal(0.0, 1e-2, g.n))
+        z = x[: g.n_z]
+        per_pipe = [(p, z[g.rho_sl[k]], z[g.mom_sl[k]]) for k, p in enumerate(g.pipes)]
+        assert g.total_mass(z) == pytest.approx(
+            sum(p.dx * rho.sum() for p, rho, _ in per_pipe), rel=1e-14)
+        assert g.hamiltonian_total(z) == pytest.approx(
+            sum(gn.hamiltonian(gn.PipeField(rho, mom), GAS, p.dx)
+                for p, rho, mom in per_pipe), rel=1e-14)
+        assert g.min_density(z) == min(rho.min() for _, rho, _ in per_pipe)
+        assert g.net_mass_influx(z, x, DIAMOND_INPUTS) == pytest.approx(
+            sum(mom[0] + x[g.mu_m[k]] for k, (_, _, mom) in enumerate(per_pipe)),
+            rel=1e-14)
+        assert np.array_equal(g.effort_vector(z), np.concatenate(
+            [np.concatenate([p.c2 * rho, mom]) for p, rho, mom in per_pipe]))
+
+
+def test_missing_input_raises_configuration_error():
+    g = gn.assemble(star_network_spec())
+    x = gn.steady_state(g, STAR_INPUTS)
+    partial = {k: v for k, v in STAR_INPUTS.items() if k != "C"}
+    with pytest.raises(gn.ConfigurationError, match="missing input value for 'C'"):
+        g.steady_residual(x, partial)
+    with pytest.raises(gn.ConfigurationError, match="missing input value for 'C'"):
+        g.make_step_residual(x[: g.n_z], 50.0, partial)(x)
+
+
+def test_check_state_names_the_first_offending_pipe_and_time():
+    g = gn.assemble(star_network_spec())
+    z = gn.steady_state(g, STAR_INPUTS)[: g.n_z]
+    g.check_state(z, 0.0)
+    z[g.rho_sl[3].start + 5] = -1.0    # P4
+    z[g.rho_sl[2].start] = 0.0         # P3, the first offending pipe
+    with pytest.raises(gn.StateError, match=r"non-positive density in pipe 'P3' at t=1234\.5"):
+        g.check_state(z, 1234.5)
