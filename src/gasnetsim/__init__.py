@@ -7,10 +7,7 @@ the system into a DAE solved by implicit-midpoint stepping with a damped
 Newton inner iteration.
 """
 
-from .compressor import (Assumption, CompressorModel, CompressorPortState,
-                         Framework, adiabatic_enthalpy, coupling_matrix,
-                         external_power, momentum_jump, setpoint_input,
-                         station_injection)
+from .compressor import Assumption, CompressorModel, Framework, adiabatic_enthalpy
 from .errors import (ConfigurationError, FactorizationError, FormatError,
                      GasnetError, InfeasibleFlowError, NonconvergenceError,
                      StateError)
@@ -30,18 +27,16 @@ from .twopipe import TwoPipeDirect
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assumption", "CompressorModel", "CompressorPortState", "CompressorStation",
+    "Assumption", "CompressorModel", "CompressorStation",
     "ConfigurationError", "EffortField", "FactorizationError", "FormatError",
     "Framework", "GasnetError", "GasProperties", "GlobalSystem",
     "InfeasibleFlowError", "NetworkSpec", "NewtonResult", "Node", "NodeKind",
     "NonconvergenceError", "PipeEdge", "PipeField", "PipeSpec", "PipeSystem",
     "RunReport", "Scenario", "SolverConfig", "StateError", "TimeSeries",
     "TwoPipeDirect", "ValidationReport", "adiabatic_enthalpy", "assemble",
-    "bind_inputs", "coupling_matrix", "discretize_pipe", "effort",
-    "external_power", "fuse_compressors", "hamiltonian", "incidence_matrices",
-    "momentum_jump", "newton_solve", "parse_network", "parse_scenario",
-    "pipe_rhs", "read_timeseries", "scale_residual",
-    "serialize_network", "setpoint_input", "simulate", "sound_speed",
-    "station_injection", "steady_pipe_oracle", "steady_state", "step_midpoint",
-    "validate_topology", "write_timeseries",
+    "bind_inputs", "discretize_pipe", "effort", "fuse_compressors",
+    "hamiltonian", "incidence_matrices", "newton_solve", "parse_network",
+    "parse_scenario", "pipe_rhs", "read_timeseries", "scale_residual",
+    "serialize_network", "simulate", "sound_speed", "steady_pipe_oracle",
+    "steady_state", "step_midpoint", "validate_topology", "write_timeseries",
 ]

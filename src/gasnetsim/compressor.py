@@ -1,4 +1,4 @@
-"""Compressor station models: four jump-condition variants and their couplings.
+"""Compressor station models: one table of the four jump-condition variants.
 
 A compressor between two pipes is specified in one of two frameworks,
   FC: fixed compression ratio  (outlet pressure = ratio * inlet pressure),
@@ -8,19 +8,25 @@ combined with one of two momentum assumptions,
       ratio^(1/kappa) (adiabatic density ratio, constant compressibility),
   AM: constant momentum (no jump).
 
-The two-pipe coupling matrix, the matching setpoint input vectors, the
-per-station injection pair used in network assembly, and the external
-energy-exchange expressions all live here. The compression work per unit
-mass (adiabatic enthalpy rise) is provided as a diagnostic.
+`VARIANTS` holds one row per combination, and no other module tests the
+combination. A row gives, for setpoint sp and inlet pressure p:
+  - the outlet rule (sp * p or sp);
+  - the inlet factor k in m_in = k * m_out (1, or ratio^(-1/kappa));
+  - the station power, energy out minus energy in, outlet * m - p * k * m;
+  - the setpoint kind the system asks for, and the name of the station's
+    default field that is also its scenario profile suffix;
+  - which station rows read p (the momentum row, the pressure row), for the
+    Jacobian sparsity pattern.
+The compression work per unit mass (adiabatic enthalpy rise) is provided
+as a diagnostic.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError
 from .gas import GasProperties
@@ -40,23 +46,60 @@ class Assumption(str, Enum):
     CONST_MOMENTUM = "am"
 
 
+class Variant(NamedTuple):
+    """One row of the station-variant table (sp setpoint, p inlet pressure)."""
+
+    kind: str                        # setpoint kind in `required_inputs`
+    setpoint: str                    # default-setpoint field and profile suffix
+    outlet: Callable                 # (sp, p) -> outlet pressure
+    factor: Callable                 # (sp, p, kappa) -> inlet factor k
+    power: Callable                  # (sp, p, m_feed, kappa) -> station power
+    reads_inlet: tuple[bool, bool]   # (momentum row, pressure row) read p
+
+
+_FC, _FP = Framework.FIXED_RATIO, Framework.FIXED_PRESSURE
+_AV, _AM = Assumption.CONST_VELOCITY, Assumption.CONST_MOMENTUM
+
+VARIANTS = {
+    (_FC, _AV): Variant("ratio", "ratio", lambda sp, p: sp * p,
+                        lambda sp, p, k: sp ** (-1.0 / k),
+                        lambda sp, p, m, k: (sp - sp ** (-(1.0 / k))) * p * m,
+                        (False, True)),
+    (_FC, _AM): Variant("ratio", "ratio", lambda sp, p: sp * p,
+                        lambda sp, p, k: 1.0,
+                        lambda sp, p, m, k: (sp - 1.0) * p * m,
+                        (False, True)),
+    (_FP, _AV): Variant("outlet-pressure", "pressure", lambda sp, p: sp,
+                        lambda sp, p, k: (sp / p) ** (-1.0 / k),
+                        lambda sp, p, m, k: (sp - p * (p / sp) ** (1.0 / k)) * m,
+                        (True, False)),
+    (_FP, _AM): Variant("outlet-pressure", "pressure", lambda sp, p: sp,
+                        lambda sp, p, k: 1.0,
+                        lambda sp, p, m, k: (sp - p) * m,
+                        (False, False)),
+}
+
+
 @dataclass
 class CompressorModel:
     """One station: framework, momentum assumption, default setpoint, kappa.
 
     The setpoint is the compression ratio (FC, dimensionless) or the outlet
     pressure (FP, Pa). Time-varying setpoints come from scenario profiles
-    and are passed per call; the field is the constant default.
+    and are passed per call; the field is the constant default. The table
+    row is looked up once, at construction.
     """
 
     framework: Framework
     assumption: Assumption
     setpoint: float
     kappa: float = 1.4
+    variant: Variant = field(init=False, repr=False)
 
     def __post_init__(self):
         self.framework = Framework(self.framework)
         self.assumption = Assumption(self.assumption)
+        self.variant = VARIANTS[self.framework, self.assumption]
         if self.kappa <= 1:
             raise ConfigurationError("isentropic exponent must exceed 1")
         if self.framework is Framework.FIXED_PRESSURE:
@@ -72,130 +115,29 @@ class CompressorModel:
     def tag(self) -> str:
         return f"{self.framework.value}-{self.assumption.value}"
 
-    def ratio(self, setpoint: float, p_in: float) -> float:
-        """Effective compression ratio at the current operating point."""
-        if self.framework is Framework.FIXED_RATIO:
-            return setpoint
-        return setpoint / p_in
+    def outlet_pressure(self, setpoint: float, p_in: float) -> float:
+        """Pressure the station imposes at the downstream pipe inlet."""
+        return self.variant.outlet(setpoint, p_in)
 
     def inlet_match_factor(self, setpoint: float, p_in: float) -> float:
         """Coefficient k in the momentum coupling m_in = k * m_out.
 
         m_in is the momentum arriving from the upstream pipe, m_out the
         momentum state at the downstream pipe inlet. AM gives k = 1; AV
-        gives k = ratio^(-1/kappa) with the effective ratio.
+        gives k = ratio^(-1/kappa) with the effective ratio (sp / p_in for FP).
         """
-        if self.assumption is Assumption.CONST_MOMENTUM:
-            return 1.0
-        return self.ratio(setpoint, p_in) ** (-1.0 / self.kappa)
+        return self.variant.factor(setpoint, p_in, self.kappa)
 
+    def power(self, setpoint: float, p_in: float, m_feed: float) -> float:
+        """Station power per unit area: outlet pressure times m_feed minus p_in times m_in.
 
-@dataclass
-class CompressorPortState:
-    """Boundary quantities the coupling depends on.
-
-    p_in: pressure at the upstream pipe outlet; m_feed: momentum at the
-    downstream pipe inlet; p_out_end: pressure at the far downstream pipe
-    outlet (diagnostic only).
-    """
-
-    p_in: float
-    m_feed: float
-    p_out_end: float = 0.0
-
-    def __post_init__(self):
-        if self.p_in <= 0:
+        m_feed is the momentum at the downstream pipe inlet. The power
+        vanishes for a neutral setpoint (ratio 1, or outlet pressure equal
+        to the inlet pressure).
+        """
+        if p_in <= 0:
             raise ConfigurationError("compressor inlet pressure must be positive")
-
-
-def momentum_jump(model: CompressorModel, m_in: float, ratio: float | None = None) -> float:
-    """Outlet momentum for a given inlet momentum.
-
-    For FP with the constant-velocity assumption the current ratio
-    p_out / p_in must be supplied; FC uses the model setpoint by default.
-    """
-    if model.assumption is Assumption.CONST_MOMENTUM:
-        return m_in
-    if ratio is None:
-        if model.framework is Framework.FIXED_PRESSURE:
-            raise ConfigurationError("FP+AV momentum jump needs the current ratio")
-        ratio = model.setpoint
-    return ratio ** (1.0 / model.kappa) * m_in
-
-
-def coupling_matrix(model: CompressorModel, ports: CompressorPortState) -> np.ndarray:
-    """State-dependent 6x4 input map of the coupled two-pipe system.
-
-    Rows: [pipe-1 interior, pipe-1 inlet condition, pipe-1 outlet condition,
-    pipe-2 interior, pipe-2 inlet condition, pipe-2 outlet condition];
-    columns match the setpoint input vector.
-    """
-    G = np.zeros((6, 4))
-    G[1, 0] = 1.0
-    G[5, 3] = 1.0
-    if model.framework is Framework.FIXED_RATIO:
-        G[2, 1] = -ports.m_feed
-        G[4, 2] = ports.p_in
-    else:
-        if model.assumption is Assumption.CONST_VELOCITY:
-            G[2, 1] = -ports.m_feed * ports.p_in ** (1.0 / model.kappa)
-        else:
-            G[2, 1] = -ports.m_feed
-        G[4, 2] = 1.0
-    return G
-
-
-def setpoint_input(
-    model: CompressorModel, p_in_boundary: float, m_out_boundary: float,
-    setpoint: float | None = None,
-) -> np.ndarray:
-    """Input 4-vector [p_0; jump entry; setpoint entry; -m_L] for the two-pipe form."""
-    if setpoint is None:
-        setpoint = model.setpoint
-    if p_in_boundary <= 0:
-        raise ConfigurationError("boundary supply pressure must be positive")
-    if model.framework is Framework.FIXED_PRESSURE and setpoint <= 0:
-        raise ConfigurationError("FP compressor needs a positive outlet pressure")
-    if model.assumption is Assumption.CONST_VELOCITY:
-        second = setpoint ** (-1.0 / model.kappa)
-    else:
-        second = 1.0
-    return np.array([p_in_boundary, second, setpoint, -m_out_boundary])
-
-
-def station_injection(model: CompressorModel, setpoint: float | None = None) -> np.ndarray:
-    """The two station entries [jump entry; setpoint entry] used in network rows."""
-    u = setpoint_input(model, 1.0, 0.0, setpoint)
-    return u[1:3]
-
-
-def external_power(
-    model: CompressorModel, ports: CompressorPortState,
-    inlet_power: float, outlet_power: float,
-    setpoint: float | None = None,
-) -> tuple[float, float]:
-    """External energy-exchange rate of the coupled two-pipe system.
-
-    Returns (total, station_term) per unit cross-sectional area, where
-    total = inlet_power - outlet_power + station_term and the station term
-    isolates the work done by the machine. It vanishes for a neutral
-    setpoint (ratio 1, or outlet pressure equal to the inlet pressure).
-    """
-    if setpoint is None:
-        setpoint = model.setpoint
-    kinv = 1.0 / model.kappa
-    p1, m2 = ports.p_in, ports.m_feed
-    fc = model.framework is Framework.FIXED_RATIO
-    av = model.assumption is Assumption.CONST_VELOCITY
-    if fc and av:
-        term = (setpoint - setpoint ** (-kinv)) * p1 * m2
-    elif fc:
-        term = (setpoint - 1.0) * p1 * m2
-    elif av:
-        term = (setpoint - p1 * (p1 / setpoint) ** kinv) * m2
-    else:
-        term = (setpoint - p1) * m2
-    return inlet_power - outlet_power + term, term
+        return self.variant.power(setpoint, p_in, m_feed, self.kappa)
 
 
 def adiabatic_enthalpy(gas: GasProperties, p_in: float, p_out: float,

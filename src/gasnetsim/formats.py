@@ -13,7 +13,8 @@ Scenario file (.scn.json): keys `t_end`, `dt`, `units`, and `profiles`
 mapping input ids to piecewise-constant schedules [[t, value], ...]. A
 compressor setpoint profile is keyed `<id>.ratio` or `<id>.pressure` (or
 the bare id, read per the active framework), so one scenario file can
-drive every model variant.
+drive every model variant. Profile values must be finite, and supply
+pressures and station setpoints positive; demands may take either sign.
 """
 
 from __future__ import annotations
@@ -226,19 +227,17 @@ def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
 
     boundary_ids = {nd.id: nd.kind for nd in spec.nodes
                     if nd.kind in (NodeKind.SUPPLY, NodeKind.DEMAND)}
+    supply_ids = {nid for nid, kind in boundary_ids.items() if kind is NodeKind.SUPPLY}
     stations = {st.id: st for st in spec.compressors}
-    pressure_keys = {nid for nid, kind in boundary_ids.items()
-                     if kind is NodeKind.SUPPLY}
-    valid_keys = set(boundary_ids)
+    setpoint_of = {}   # station profile key -> 'ratio' or 'pressure'
     for cid, st in stations.items():
-        valid_keys |= {cid, f"{cid}.ratio", f"{cid}.pressure"}
-        pressure_keys.add(f"{cid}.pressure")
-        if st.framework is Framework.FIXED_PRESSURE:
-            pressure_keys.add(cid)
+        # the bare id reads as the setpoint the station's variant asks for
+        setpoint_of.update({f"{cid}.ratio": "ratio", f"{cid}.pressure": "pressure",
+                            cid: st.variant.setpoint})
 
     profiles = {}
     for key, entries in doc.get("profiles", {}).items():
-        if key not in valid_keys:
+        if key not in boundary_ids and key not in setpoint_of:
             raise FormatError(f"profile for unknown input id {key!r}")
         times = np.array([float(e[0]) for e in entries])
         values = np.array([float(e[1]) for e in entries])
@@ -248,7 +247,12 @@ def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
             raise FormatError(f"profile {key!r}: first breakpoint must be t=0")
         if np.any(np.diff(times) <= 0.0):
             raise FormatError(f"profile {key!r}: non-monotone breakpoints")
-        if key in pressure_keys:
+        if not np.all(np.isfinite(values)):
+            raise FormatError(f"profile {key!r}: non-finite value")
+        if (key in supply_ids or key in setpoint_of) and np.any(values <= 0.0):
+            what = "supply pressure" if key in supply_ids else "station setpoint"
+            raise FormatError(f"profile {key!r}: {what} must be positive")
+        if key in supply_ids or setpoint_of.get(key) == "pressure":
             values = values * units.pressure
         profiles[key] = (times, values)
 
@@ -256,8 +260,7 @@ def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
         if nid not in profiles:
             raise FormatError(f"missing profile for boundary node {nid!r}")
     for cid, st in stations.items():
-        suffix = ".ratio" if st.framework is Framework.FIXED_RATIO else ".pressure"
-        if (f"{cid}{suffix}" not in profiles and cid not in profiles
+        if (f"{cid}.{st.variant.setpoint}" not in profiles and cid not in profiles
                 and st.default_setpoint() is None):
             raise FormatError(f"missing setpoint profile for compressor {cid!r}")
 

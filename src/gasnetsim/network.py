@@ -28,8 +28,10 @@ fixed z. The residual is a pure function of its arguments, so concurrent
 evaluations (finite-difference Jacobian columns) are safe.
 
 All pipes' rows come from one vectorized pass over the pipe bank
-(`PipeBank`): flat index and weight arrays built once per system. Cell i of
-a pipe pairs rho_i with the momentum m_i on its inlet-side interface:
+(`PipeBank`): flat index and weight arrays built once per system.
+`PipeStates` owns the bank and the pipe rows, and `twopipe.TwoPipeDirect`
+evaluates the same rows. Cell i of a pipe pairs rho_i with the momentum m_i
+on its inlet-side interface:
 
     continuity   dx rho_i' + (s_i x[down_i] - m_i)      down = m_(i+1), or
                  mu_m with s = -1 at the last cell
@@ -38,9 +40,10 @@ a pipe pairs rho_i with the momentum m_i on its inlet-side interface:
                  inlet, where w = dx/2 (dx elsewhere)
 
 Node rows start at minus their input (zero for junctions) and add
-+lambda (supply) or -flux (balances) per link, in attachment order. Inputs
-are resolved once per closure into a vector in `required_inputs` order;
-only the short station loop stays per station.
++lambda (supply) or -flux (balances) per link, in attachment order
+(`NodeLinks`). Inputs are resolved once per closure into a vector in
+`required_inputs` order; only the short station loop stays per station, and
+it reads each station's rules from `compressor.VARIANTS`.
 """
 
 from __future__ import annotations
@@ -51,8 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compressor import (Assumption, CompressorModel, CompressorPortState,
-                         Framework, external_power)
+from .compressor import VARIANTS, Assumption, CompressorModel, Framework, Variant
 from .errors import ConfigurationError, StateError
 from .gas import GasProperties
 from .pipe import PipeSpec, PipeSystem, discretize_pipe
@@ -106,10 +108,13 @@ class CompressorStation:
         self.framework = Framework(self.framework)
         self.assumption = Assumption(self.assumption)
 
+    @property
+    def variant(self) -> Variant:
+        return VARIANTS[self.framework, self.assumption]
+
     def default_setpoint(self) -> float | None:
-        if self.framework is Framework.FIXED_RATIO:
-            return self.ratio
-        return self.pressure
+        """The default field the variant's setpoint names (`ratio` or `pressure`)."""
+        return getattr(self, self.variant.setpoint)
 
     def model(self, kappa: float) -> CompressorModel:
         setpoint = self.default_setpoint()
@@ -318,6 +323,11 @@ class PipeBank(NamedTuple):
     fric: np.ndarray        # cell: friction coefficient lambda / (2 D)
     tail: np.ndarray        # pipe: density column of the last cell
     m_in: np.ndarray        # pipe: inlet momentum column
+
+
+class NodeLinks(NamedTuple):
+    """Port and node couplings of the network rows (layout: module docstring)."""
+
     lam_from: np.ndarray    # pipe: inlet node potential column
     lam_to: np.ndarray      # pipe: outlet node potential column
     node_rows: np.ndarray   # supply, demand and junction rows ...
@@ -327,7 +337,134 @@ class PipeBank(NamedTuple):
     link_sign: np.ndarray
 
 
-class GlobalSystem:
+class _AlgebraicMap(NamedTuple):
+    """The port/node rows' constant matrix, its pseudo-inverse and rhs indices."""
+
+    M: np.ndarray
+    P: np.ndarray
+    out_rows: np.ndarray    # port-out rows, shifted to the algebraic block
+    node_rows: np.ndarray   # supply, demand and junction rows, shifted
+    link_rows: np.ndarray   # state links: the rhs takes -sign * z[col]
+    link_cols: np.ndarray
+    link_neg: np.ndarray
+
+
+class PipeStates:
+    """Pipe states with one input pair per pipe, x = [z | mu | ...].
+
+    z holds every pipe's densities then momenta, pipe by pipe; mu_p and
+    mu_m (inlet pressure, minus outlet momentum) follow it, pipe by pipe.
+    Everything that reads only the pipe bank lives here: the pipe rows and
+    their couplings, row scaling, records and the state diagnostics.
+    `GlobalSystem` and `twopipe.TwoPipeDirect` both build on it.
+    """
+
+    def __init__(self, pipes: list[PipeSystem], gas: GasProperties):
+        self.pipes = pipes
+        self.gas = gas
+        self.rho_sl, self.mom_sl = [], []
+        off = 0
+        for p in pipes:
+            self.rho_sl.append(slice(off, off + p.n))
+            self.mom_sl.append(slice(off + p.n, off + 2 * p.n))
+            off += 2 * p.n
+        self.n_z = off
+        self.mu_p = off + 2 * np.arange(len(pipes))
+        self.mu_m = self.mu_p + 1
+        # energy weights over the differential states
+        self.energy_weights = np.concatenate([p.weights for p in pipes])
+        self.bank = self._build_bank()
+        self.references = (1.0, 1.0)   # (p_ref, m_ref), set before solving
+        self._colors = None
+
+    def _build_bank(self) -> PipeBank:
+        n_cells = np.array([p.n for p in self.pipes])
+        rho = np.concatenate([np.arange(sl.start, sl.stop) for sl in self.rho_sl])
+        mom = rho + np.repeat(n_cells, n_cells)
+        first = np.cumsum(n_cells) - n_cells
+        is_first = np.zeros(rho.size, dtype=bool)
+        is_first[first] = True
+        is_last = np.roll(is_first, -1)
+        prev = np.arange(rho.size) - ~is_first   # a pipe's inlet cell is its own
+        dx = np.repeat([p.dx for p in self.pipes], n_cells)
+        return PipeBank(
+            rho=rho, mom=mom,
+            down=np.where(is_last, np.repeat(self.mu_m, n_cells), mom + 1),
+            down_sign=np.where(is_last, -1.0, 1.0),
+            up=np.where(is_first, np.repeat(self.mu_p, n_cells), rho[prev]),
+            up_scale=np.where(is_first, 1.0, self.gas.c2),
+            prev=prev, dx=dx, w=np.where(is_first, 0.5 * dx, dx),
+            fric=np.repeat([p.fric_coef for p in self.pipes], n_cells),
+            tail=rho[is_last], m_in=mom[is_first])
+
+    def _pipe_rows(self, F, x, zdot):
+        """Write every continuity and momentum row of F at x = [z | mu ...]."""
+        b, c2 = self.bank, self.gas.c2
+        rho, mom = x[b.rho], x[b.mom]
+        pres = c2 * rho
+        F[b.rho] = b.dx * zdot[b.rho] + (b.down_sign * x[b.down] - mom)
+        fric = b.fric * mom * np.abs(mom / (0.5 * (rho[b.prev] + rho)))
+        F[b.mom] = b.w * zdot[b.mom] + (pres - b.up_scale * x[b.up]) + b.w * fric
+
+    def _pipe_pattern(self):
+        """(rows, cols) pairs of the pipe rows' structural couplings."""
+        b = self.bank
+        return [(b.rho, b.rho), (b.rho, b.mom), (b.rho, b.down),
+                (b.mom, b.mom), (b.mom, b.up), (b.mom, b.rho)]
+
+    def _outlet_pressures(self, x):
+        """Outlet pressure of every pipe, extrapolated from its last two cells."""
+        c2, tail = self.gas.c2, self.bank.tail
+        return 1.5 * (c2 * x[tail]) - 0.5 * (c2 * x[tail - 1])
+
+    def row_scale(self):
+        """Diagonal residual scaling: pressure rows / p_ref, momentum rows / m_ref."""
+        p_ref, m_ref = self.references
+        return np.where(self.row_kind == "p", p_ref, m_ref)
+
+    def record_names(self):
+        names = []
+        for p in self.pipes:
+            pid = p.spec.id
+            names += [f"{pid}.in.p_Pa", f"{pid}.in.m", f"{pid}.out.p_Pa", f"{pid}.out.m"]
+        names.append("H_total")
+        for s in self.stations:
+            names.append(f"{s.station.id}.power")
+        return names
+
+    def _records(self, x, inputs):
+        """Port pressures/momenta, total energy and station powers at x = [z | mu ...]."""
+        b = self.bank
+        z = x[: self.n_z]
+        p_out = self._outlet_pressures(z)
+        vals = np.column_stack([x[self.mu_p], z[b.m_in], p_out, -x[self.mu_m]]).ravel().tolist()
+        vals.append(self.hamiltonian_total(z))
+        for s in self.stations:
+            vals.append(s.model.power(inputs[s.station.id], float(p_out[s.pipe_up]),
+                                      float(z[b.m_in[s.pipe_down]])))
+        return dict(zip(self.record_names(), vals))
+
+    def hamiltonian_total(self, z):
+        """Stored energy with uniform dx weights (`gas.hamiltonian` summed over pipes)."""
+        b = self.bank
+        rho, mom = z[b.rho], z[b.mom]
+        return 0.5 * float(self.gas.c2 * np.dot(b.dx * rho, rho) + np.dot(b.dx * mom, mom))
+
+    def total_mass(self, z):
+        return float(np.dot(self.bank.dx, z[self.bank.rho]))
+
+    def min_density(self, z):
+        return float(z[self.bank.rho].min())
+
+    def check_state(self, z, t):
+        positive = z[self.bank.rho] > 0.0
+        if not positive.all():
+            k = int(np.searchsorted(self.bank.tail, self.bank.rho[np.argmin(positive)]))
+            raise StateError(
+                f"non-positive density in pipe {self.pipes[k].spec.id!r} at t={t}")
+
+
+class GlobalSystem(PipeStates):
     """Assembled network DAE with residual, Jacobian pattern and diagnostics."""
 
     def __init__(self, spec: NetworkSpec, n_cells_override: int | None = None):
@@ -335,27 +472,16 @@ class GlobalSystem:
         if not report.ok:
             raise ConfigurationError(f"invalid network:\n{report}")
         self.spec = spec
-        self.gas = spec.gas
-
-        self.pipes: list[PipeSystem] = []
+        pipes = []
         for pe in spec.pipes:
             ps = pe.spec
             if n_cells_override is not None:
                 ps = PipeSpec(ps.id, ps.length, ps.diameter, ps.friction, n_cells_override)
-            self.pipes.append(discretize_pipe(ps, spec.gas))
+            pipes.append(discretize_pipe(ps, spec.gas))
+        super().__init__(pipes, spec.gas)
 
         # --- unknown layout ------------------------------------------
-        self.rho_sl, self.mom_sl = [], []
-        off = 0
-        for p in self.pipes:
-            self.rho_sl.append(slice(off, off + p.n))
-            self.mom_sl.append(slice(off + p.n, off + 2 * p.n))
-            off += 2 * p.n
-        self.n_z = off
         P = len(self.pipes)
-        self.mu_p = self.n_z + 2 * np.arange(P)
-        self.mu_m = self.mu_p + 1
-
         boundary, compressor, internal = _node_classes(spec)
         self.node_order = boundary + compressor + internal
         self.lam = {nd.id: self.n_z + 2 * P + i for i, nd in enumerate(self.node_order)}
@@ -366,9 +492,6 @@ class GlobalSystem:
         self.port_in_row = self.mu_p
         self.port_out_row = self.mu_m
         self.node_row = {nd.id: self.n_z + 2 * P + i for i, nd in enumerate(self.node_order)}
-
-        # energy weights over the differential states
-        self.energy_weights = np.concatenate([p.weights for p in self.pipes])
 
         # per-node attachments: (pipe index, is_outlet)
         self.attached: dict[str, list[tuple[int, bool]]] = {nd.id: [] for nd in spec.nodes}
@@ -402,7 +525,7 @@ class GlobalSystem:
                 raise ConfigurationError(f"compressor node {nd.id!r} has no station rows")
 
         self.input_ids = [key for key, _ in self.required_inputs()]
-        self.bank = self._build_bank()
+        self.links = self._build_links()
 
         # --- row kinds for residual scaling --------------------------
         kind = np.empty(self.n, dtype="U1")
@@ -415,23 +538,10 @@ class GlobalSystem:
             kind[b.row_in] = "m"
             kind[b.row_out] = "p"
         self.row_kind = kind
-        self.references = (1.0, 1.0)   # (p_ref, m_ref), set before solving
 
-        self._colors = None
         self._alg_map = None
 
-    def _build_bank(self) -> PipeBank:
-        n_cells = np.array([p.n for p in self.pipes])
-        rho = np.concatenate([np.arange(sl.start, sl.stop) for sl in self.rho_sl])
-        mom = rho + np.repeat(n_cells, n_cells)
-        first = np.cumsum(n_cells) - n_cells
-        is_first = np.zeros(rho.size, dtype=bool)
-        is_first[first] = True
-        is_last = np.roll(is_first, -1)
-        prev = np.arange(rho.size) - ~is_first   # a pipe's inlet cell is its own
-        dx = np.repeat([p.dx for p in self.pipes], n_cells)
-        m_in = mom[is_first]
-
+    def _build_links(self) -> NodeLinks:
         slot = {key: i for i, (key, kind) in enumerate(self.required_inputs())
                 if kind in ("pressure", "momentum")}
         zero = len(self.input_ids)   # the trailing 0 of the input vector
@@ -444,19 +554,11 @@ class GlobalSystem:
             if nd.kind is NodeKind.SUPPLY:
                 links.append((r, self.lam[nd.id], 1))
             else:
-                links += [(r, self.mu_m[k] if isout else m_in[k], -1)
+                links += [(r, self.mu_m[k] if isout else self.bank.m_in[k], -1)
                           for k, isout in self.attached[nd.id]]
         node = np.array(nodes, dtype=int).T
         link = np.array(links, dtype=int).T
-        return PipeBank(
-            rho=rho, mom=mom,
-            down=np.where(is_last, np.repeat(self.mu_m, n_cells), mom + 1),
-            down_sign=np.where(is_last, -1.0, 1.0),
-            up=np.where(is_first, np.repeat(self.mu_p, n_cells), rho[prev]),
-            up_scale=np.where(is_first, 1.0, self.gas.c2),
-            prev=prev, dx=dx, w=np.where(is_first, 0.5 * dx, dx),
-            fric=np.repeat([p.fric_coef for p in self.pipes], n_cells),
-            tail=rho[is_last], m_in=m_in,
+        return NodeLinks(
             lam_from=np.array([self.lam[pe.from_node] for pe in self.spec.pipes]),
             lam_to=np.array([self.lam[pe.to_node] for pe in self.spec.pipes]),
             node_rows=node[0], node_in=node[1],
@@ -470,7 +572,8 @@ class GlobalSystem:
         """(id, kind) pairs the residual needs per evaluation time.
 
         Kinds: 'pressure' (supply nodes), 'momentum' (demand extractions),
-        'ratio' / 'outlet-pressure' (station setpoints, keyed by station id).
+        and per station its variant's setpoint kind, 'ratio' or
+        'outlet-pressure' (keyed by station id).
         """
         req = []
         for nd in self.node_order:
@@ -479,8 +582,7 @@ class GlobalSystem:
             elif nd.kind is NodeKind.DEMAND:
                 req.append((nd.id, "momentum"))
         for b in self.stations:
-            k = "ratio" if b.model.framework is Framework.FIXED_RATIO else "outlet-pressure"
-            req.append((b.station.id, k))
+            req.append((b.station.id, b.model.variant.kind))
         return req
 
     # ------------------------------------------------------------------
@@ -511,24 +613,14 @@ class GlobalSystem:
         except KeyError as exc:
             raise ConfigurationError(f"missing input value for {exc}") from exc
 
-    def _outlet_pressures(self, x):
-        """Outlet pressure of every pipe, extrapolated from its last two cells."""
-        c2, tail = self.gas.c2, self.bank.tail
-        return 1.5 * (c2 * x[tail]) - 0.5 * (c2 * x[tail - 1])
-
     def _residual_core(self, x, zdot, u):
-        b, c2 = self.bank, self.gas.c2
+        b, ln, c2 = self.bank, self.links, self.gas.c2
         F = np.empty(self.n)
-        rho, mom = x[b.rho], x[b.mom]
-        pres = c2 * rho
-        F[b.rho] = b.dx * zdot[b.rho] + (b.down_sign * x[b.down] - mom)
-        fric = b.fric * mom * np.abs(mom / (0.5 * (rho[b.prev] + rho)))
-        F[b.mom] = b.w * zdot[b.mom] + (pres - b.up_scale * x[b.up]) + b.w * fric
-
-        F[self.port_in_row] = x[self.mu_p] - x[b.lam_from]
-        F[self.port_out_row] = self._outlet_pressures(x) - x[b.lam_to]
-        F[b.node_rows] = -u[b.node_in]
-        np.add.at(F, b.link_rows, b.link_sign * x[b.link_cols])
+        self._pipe_rows(F, x, zdot)
+        F[self.port_in_row] = x[self.mu_p] - x[ln.lam_from]
+        F[self.port_out_row] = self._outlet_pressures(x) - x[ln.lam_to]
+        F[ln.node_rows] = -u[ln.node_in]
+        np.add.at(F, ln.link_rows, ln.link_sign * x[ln.link_cols])
 
         for s in self.stations:
             sp = u[s.input]
@@ -536,10 +628,7 @@ class GlobalSystem:
             p1L = 1.5 * c2 * x[tail] - 0.5 * c2 * x[tail - 1]
             factor = s.model.inlet_match_factor(sp, p1L)
             F[s.row_in] = -x[self.mu_m[s.pipe_up]] - factor * x[b.m_in[s.pipe_down]]
-            if s.model.framework is Framework.FIXED_RATIO:
-                F[s.row_out] = x[s.lam_out] - sp * p1L
-            else:
-                F[s.row_out] = x[s.lam_out] - sp
+            F[s.row_out] = x[s.lam_out] - s.model.outlet_pressure(sp, p1L)
         return F
 
     def steady_residual(self, x, inputs):
@@ -572,23 +661,20 @@ class GlobalSystem:
 
     def _pattern(self):
         """Structural (row, col) couplings of the residual, both solve modes."""
-        b = self.bank
-        pairs = [(b.rho, b.rho), (b.rho, b.mom), (b.rho, b.down),
-                 (b.mom, b.mom), (b.mom, b.up), (b.mom, b.rho),
-                 (self.port_in_row, self.mu_p), (self.port_in_row, b.lam_from),
-                 (self.port_out_row, b.tail), (self.port_out_row, b.tail - 1),
-                 (self.port_out_row, b.lam_to),
-                 (b.link_rows, b.link_cols)]
+        b, ln = self.bank, self.links
+        pairs = self._pipe_pattern() + [
+            (self.port_in_row, self.mu_p), (self.port_in_row, ln.lam_from),
+            (self.port_out_row, b.tail), (self.port_out_row, b.tail - 1),
+            (self.port_out_row, ln.lam_to),
+            (ln.link_rows, ln.link_cols)]
         ent = [np.column_stack(rc) for rc in pairs]
         for s in self.stations:
             last = b.tail[s.pipe_up]
             st = [(s.row_in, self.mu_m[s.pipe_up]), (s.row_in, b.m_in[s.pipe_down]),
                   (s.row_out, s.lam_out)]
-            if (s.model.framework is Framework.FIXED_PRESSURE
-                    and s.model.assumption is Assumption.CONST_VELOCITY):
-                st += [(s.row_in, last), (s.row_in, last - 1)]
-            if s.model.framework is Framework.FIXED_RATIO:
-                st += [(s.row_out, last), (s.row_out, last - 1)]
+            for row, reads in zip((s.row_in, s.row_out), s.model.variant.reads_inlet):
+                if reads:
+                    st += [(row, last), (row, last - 1)]
             ent.append(np.array(st))
         return np.concatenate(ent)
 
@@ -598,35 +684,33 @@ class GlobalSystem:
             self._colors = color_columns(self._pattern(), self.n, self.n)
         return self._colors
 
-    def row_scale(self):
-        """Diagonal residual scaling: pressure rows / p_ref, momentum rows / m_ref."""
-        p_ref, m_ref = self.references
-        return np.where(self.row_kind == "p", p_ref, m_ref)
-
     # ------------------------------------------------------------------
     # consistent algebraic variables and derived records
     # ------------------------------------------------------------------
 
-    def _algebraic_map(self):
-        """The port/node rows' matrix in (mu, lambda) and its pseudo-inverse.
+    def _algebraic_map(self) -> _AlgebraicMap:
+        """The port/node rows' matrix in (mu, lambda), its pseudo-inverse and rhs indices.
 
-        Every entry is +-1 and fixed by the topology, so both are built once
-        per system; only the right-hand side depends on z and the inputs.
-        The cutoff is lstsq's, max(shape) * eps, so a singular matrix (pipes
-        merging at a junction) gets the minimum-norm correction.
+        Every entry is +-1 and fixed by the topology, so all of it is built
+        once per system; only the right-hand side's values depend on z and
+        the inputs. The cutoff is lstsq's, max(shape) * eps, so a singular
+        matrix (pipes merging at a junction) gets the minimum-norm correction.
         """
         if self._alg_map is None:
-            na, base, b = self.n_alg, self.n_z, self.bank
+            na, base, ln = self.n_alg, self.n_z, self.links
             M = np.zeros((na, na))
             M[self.port_in_row - base, self.mu_p - base] = 1.0
-            M[self.port_in_row - base, b.lam_from - base] = -1.0
-            M[self.port_out_row - base, b.lam_to - base] = 1.0
-            alg = b.link_cols >= base
-            M[b.link_rows[alg] - base, b.link_cols[alg] - base] = b.link_sign[alg]
+            M[self.port_in_row - base, ln.lam_from - base] = -1.0
+            M[self.port_out_row - base, ln.lam_to - base] = 1.0
+            alg = ln.link_cols >= base
+            M[ln.link_rows[alg] - base, ln.link_cols[alg] - base] = ln.link_sign[alg]
             for s in self.stations:
                 M[s.row_in - base, self.mu_m[s.pipe_up] - base] = -1.0
                 M[s.row_out - base, s.lam_out - base] = 1.0
-            self._alg_map = (M, np.linalg.pinv(M, na * np.finfo(float).eps))
+            self._alg_map = _AlgebraicMap(
+                M, np.linalg.pinv(M, na * np.finfo(float).eps),
+                self.port_out_row - base, ln.node_rows - base,
+                ln.link_rows[~alg] - base, ln.link_cols[~alg], -ln.link_sign[~alg])
         return self._alg_map
 
     def algebraic_solve(self, z, t, inputs, anchor=None):
@@ -644,23 +728,20 @@ class GlobalSystem:
             inputs = inputs(t)
         z = np.asarray(z, float)
         u = self._input_vector(inputs)
-        na, base, b = self.n_alg, self.n_z, self.bank
+        a, na, base, b = self._algebraic_map(), self.n_alg, self.n_z, self.bank
         rhs = np.zeros(na)
         p_out = self._outlet_pressures(z)
-        rhs[self.port_out_row - base] = p_out
-        rhs[b.node_rows - base] = u[b.node_in]
-        state = b.link_cols < base
-        np.add.at(rhs, b.link_rows[state] - base, -b.link_sign[state] * z[b.link_cols[state]])
+        rhs[a.out_rows] = p_out
+        rhs[a.node_rows] = u[self.links.node_in]
+        np.add.at(rhs, a.link_rows, a.link_neg * z[a.link_cols])
         for s in self.stations:
             sp = u[s.input]
             m_down = z[b.m_in[s.pipe_down]]
             rhs[s.row_in - base] = s.model.inlet_match_factor(sp, p_out[s.pipe_up]) * m_down
-            fixed_ratio = s.model.framework is Framework.FIXED_RATIO
-            rhs[s.row_out - base] = sp * p_out[s.pipe_up] if fixed_ratio else sp
+            rhs[s.row_out - base] = s.model.outlet_pressure(sp, p_out[s.pipe_up])
 
-        M, P = self._algebraic_map()
         anchored = np.zeros(na) if anchor is None else np.asarray(anchor, float)[-na:]
-        alg = anchored + P @ (rhs - M @ anchored)
+        alg = anchored + a.P @ (rhs - a.M @ anchored)
         return np.concatenate([z, alg])
 
     def zdot_consistent(self, x, inputs):
@@ -718,41 +799,12 @@ class GlobalSystem:
     # records
     # ------------------------------------------------------------------
 
-    def record_names(self):
-        names = []
-        for pe in self.spec.pipes:
-            pid = pe.spec.id
-            names += [f"{pid}.in.p_Pa", f"{pid}.in.m", f"{pid}.out.p_Pa", f"{pid}.out.m"]
-        names.append("H_total")
-        for b in self.stations:
-            names.append(f"{b.station.id}.power")
-        return names
-
     def snapshot(self, z, t, inputs, anchor=None):
         """Port pressures/momenta, total energy and station powers at state z."""
         if callable(inputs):
             inputs = inputs(t)
         x = self.algebraic_solve(z, t, inputs, anchor)
-        b = self.bank
-        p_out = self._outlet_pressures(z)
-        vals = np.column_stack([x[self.mu_p], z[b.m_in], p_out, -x[self.mu_m]]).ravel().tolist()
-        vals.append(self.hamiltonian_total(z))
-        for s in self.stations:
-            ports = CompressorPortState(p_in=float(p_out[s.pipe_up]),
-                                        m_feed=float(z[b.m_in[s.pipe_down]]))
-            _, term = external_power(s.model, ports, 0.0, 0.0,
-                                     setpoint=inputs[s.station.id])
-            vals.append(term)
-        return dict(zip(self.record_names(), vals)), x
-
-    def hamiltonian_total(self, z):
-        """Stored energy with uniform dx weights (`gas.hamiltonian` summed over pipes)."""
-        b = self.bank
-        rho, mom = z[b.rho], z[b.mom]
-        return 0.5 * float(self.gas.c2 * np.dot(b.dx * rho, rho) + np.dot(b.dx * mom, mom))
-
-    def total_mass(self, z):
-        return float(np.dot(self.bank.dx, z[self.bank.rho]))
+        return self._records(x, inputs), x
 
     def net_mass_influx(self, z_mid, x_new, inputs_mid):
         """Net mass inflow rate into all pipes: sum of m(0) + mu_m per pipe.
@@ -764,16 +816,6 @@ class GlobalSystem:
         constant-velocity station injections remain.
         """
         return float(np.sum(z_mid[self.bank.m_in] + x_new[self.mu_m]))
-
-    def min_density(self, z):
-        return float(z[self.bank.rho].min())
-
-    def check_state(self, z, t):
-        positive = z[self.bank.rho] > 0.0
-        if not positive.all():
-            k = int(np.searchsorted(self.bank.tail, self.bank.rho[np.argmin(positive)]))
-            raise StateError(
-                f"non-positive density in pipe {self.spec.pipes[k].spec.id!r} at t={t}")
 
     # ------------------------------------------------------------------
 

@@ -213,14 +213,14 @@ def bind_inputs(gsys, scenario):
             elif p_ref is None:
                 p_ref = scenario.value(key, 0.0)
         else:
-            suffix = ".ratio" if kind == "ratio" else ".pressure"
-            if scenario.has(key + suffix):
-                resolved[key] = key + suffix
+            b = next(b for b in gsys.stations if b.station.id == key)
+            own = f"{key}.{b.model.variant.setpoint}"
+            if scenario.has(own):
+                resolved[key] = own
             elif scenario.has(key):
                 resolved[key] = key
             else:
-                st = next(b.station for b in gsys.stations if b.station.id == key)
-                default = st.default_setpoint()
+                default = b.station.default_setpoint()
                 if default is None:
                     raise ConfigurationError(
                         f"no setpoint profile or default for compressor {key!r}")

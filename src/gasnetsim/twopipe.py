@@ -5,6 +5,11 @@ substituted into the two pipe systems, so the only unknowns are the pipe
 states. It exists as an independent cross-check for the incidence-assembled
 network (both must produce identical trajectories) and implements the same
 stepping protocol, so the shared solver drives either.
+
+The pipe rows are the network's own (`network.PipeStates`): the station
+substitution fills the four pipe inputs [p0, -m_L_up, p_in_dn, -m_L_dn]
+behind the states, and the Jacobian pattern replaces those four columns by
+the state columns the station's variant reads.
 """
 
 from __future__ import annotations
@@ -13,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressor import CompressorModel, CompressorPortState, Framework, external_power
-from .errors import StateError
-from .gas import PipeField, hamiltonian
-from .network import color_columns
+from .compressor import CompressorModel
+from .network import PipeStates, color_columns
 from .pipe import PipeSystem
 
 
@@ -38,77 +41,42 @@ class _StationId:
         return None
 
 
-class TwoPipeDirect:
+class TwoPipeDirect(PipeStates):
     """Upstream pipe -> compressor -> downstream pipe, states only."""
 
     def __init__(self, pipe_up: PipeSystem, pipe_down: PipeSystem,
                  model: CompressorModel, supply_id: str, demand_id: str,
                  station_id: str):
-        self.pipes = [pipe_up, pipe_down]
+        super().__init__([pipe_up, pipe_down], pipe_up.gas)
         self.model = model
         self.supply_id = supply_id
         self.demand_id = demand_id
         self.station_id = station_id
-        self.gas = pipe_up.gas
-
-        self.rho_sl, self.mom_sl = [], []
-        off = 0
-        for p in self.pipes:
-            self.rho_sl.append(slice(off, off + p.n))
-            self.mom_sl.append(slice(off + p.n, off + 2 * p.n))
-            off += 2 * p.n
-        self.n_z = off
-        self.n = off
-        self.energy_weights = np.concatenate([p.weights for p in self.pipes])
+        self.n = self.n_z
         kind = np.empty(self.n, dtype="U1")
-        for k in range(2):
-            kind[self.rho_sl[k]] = "m"
-            kind[self.mom_sl[k]] = "p"
+        kind[self.bank.rho] = "m"
+        kind[self.bank.mom] = "p"
         self.row_kind = kind
-        self.references = (1.0, 1.0)
         self.stations = [_StationView(_StationId(station_id), model, 0, 1)]
-        self._colors = None
 
     def required_inputs(self):
-        k = "ratio" if self.model.framework is Framework.FIXED_RATIO else "outlet-pressure"
         return [(self.supply_id, "pressure"), (self.demand_id, "momentum"),
-                (self.station_id, k)]
+                (self.station_id, self.model.variant.kind)]
 
     # -- coupling ------------------------------------------------------
 
-    def _boundary_values(self, z, inputs):
-        """Explicit pipe inputs implied by the station at the given state."""
+    def _with_ports(self, z, inputs):
+        """[z | p0, -m_L_up, p_in_dn, -m_L_dn]: the pipe inputs the station implies at z."""
         sp = inputs[self.station_id]
-        up, dn = self.pipes
-        p1L = up.outlet_pressure(z[self.rho_sl[0]])
-        m2_0 = float(z[self.mom_sl[1]][0])
-        factor = self.model.inlet_match_factor(sp, p1L)
-        m_L_up = factor * m2_0
-        if self.model.framework is Framework.FIXED_RATIO:
-            p_in_dn = sp * p1L
-        else:
-            p_in_dn = sp
-        return (inputs[self.supply_id], m_L_up, p_in_dn, inputs[self.demand_id])
+        p1L = self._outlet_pressures(z)[0]
+        m_L_up = self.model.inlet_match_factor(sp, p1L) * z[self.bank.m_in[1]]
+        return np.concatenate([z, [inputs[self.supply_id], -m_L_up,
+                                   self.model.outlet_pressure(sp, p1L),
+                                   -inputs[self.demand_id]]])
 
     def _rows(self, z, zdot, inputs):
         F = np.empty(self.n)
-        p0_up, m_L_up, p_in_dn, m_L_dn = self._boundary_values(z, inputs)
-        bc = [(p0_up, m_L_up), (p_in_dn, m_L_dn)]
-        for k, p in enumerate(self.pipes):
-            rho = z[self.rho_sl[k]]
-            mom = z[self.mom_sl[k]]
-            p_in, m_L = bc[k]
-            pres = p.c2 * rho
-            dx = p.dx
-            m_full = np.empty(p.n + 1)
-            m_full[:-1] = mom
-            m_full[-1] = m_L
-            F[self.rho_sl[k]] = dx * zdot[self.rho_sl[k]] + np.diff(m_full)
-            rows = F[self.mom_sl[k]]
-            fric = p.friction_force(rho, mom)
-            rows[0] = 0.5 * dx * zdot[self.mom_sl[k]][0] + (pres[0] - p_in) \
-                + 0.5 * dx * fric[0]
-            rows[1:] = dx * zdot[self.mom_sl[k]][1:] + np.diff(pres) + dx * fric[1:]
+        self._pipe_rows(F, self._with_ports(z, inputs), zdot)
         return F
 
     def steady_residual(self, z, inputs):
@@ -125,95 +93,32 @@ class TwoPipeDirect:
 
     # -- solver protocol -------------------------------------------------
 
-    def row_scale(self):
-        p_ref, m_ref = self.references
-        return np.where(self.row_kind == "p", p_ref, m_ref)
-
     def jac_colors(self):
         if self._colors is None:
-            ent = []
-            fc = self.model.framework is Framework.FIXED_RATIO
-            av = self.model.assumption.value == "av"
-            up, dn = self.pipes
-            r1 = self.rho_sl[0].start
-            last_up = [r1 + up.n - 1, r1 + up.n - 2]
-            for k, p in enumerate(self.pipes):
-                r0 = self.rho_sl[k].start
-                m0 = self.mom_sl[k].start
-                for i in range(p.n):
-                    row = r0 + i
-                    ent += [(row, r0 + i), (row, m0 + i)]
-                    if i + 1 < p.n:
-                        ent.append((row, m0 + i + 1))
-                ent += [(m0, m0), (m0, r0)]
-                for j in range(1, p.n):
-                    ent += [(m0 + j, m0 + j), (m0 + j, r0 + j - 1), (m0 + j, r0 + j)]
-            # upstream outlet flux depends on the downstream inlet momentum
-            last_rho_up = r1 + up.n - 1
-            ent.append((last_rho_up, self.mom_sl[1].start))
-            if not fc and av:
-                ent += [(last_rho_up, c) for c in last_up]
-            # downstream inlet pressure depends on the upstream outlet cells
-            if fc:
-                ent += [(self.mom_sl[1].start, c) for c in last_up]
-            self._colors = color_columns(ent, self.n, self.n)
+            b, n_z = self.bank, self.n_z
+            cells = [b.tail[0], b.tail[0] - 1]
+            reads_m, reads_p = self.model.variant.reads_inlet
+            # the state columns behind each pipe input
+            reads = [[], [b.m_in[1]] + (cells if reads_m else []),
+                     cells if reads_p else [], []]
+            ent = np.concatenate([np.column_stack(rc) for rc in self._pipe_pattern()])
+            state = ent[:, 1] < n_z
+            sub = [(row, c) for row, col in ent[~state] for c in reads[col - n_z]]
+            self._colors = color_columns(
+                np.concatenate([ent[state], np.reshape(sub, (-1, 2))]), self.n, self.n)
         return self._colors
 
     def initial_guess(self, inputs):
-        p_ref = inputs[self.supply_id]
-        m_est = inputs[self.demand_id]
         z = np.empty(self.n_z)
-        for k, p in enumerate(self.pipes):
-            z[self.rho_sl[k]] = p_ref / p.c2
-            z[self.mom_sl[k]] = m_est
+        z[self.bank.rho] = inputs[self.supply_id] / self.gas.c2
+        z[self.bank.mom] = inputs[self.demand_id]
         return z
 
-    def check_state(self, z, t):
-        for k in range(2):
-            if not np.all(z[self.rho_sl[k]] > 0.0):
-                raise StateError(f"non-positive density in pipe {k} at t={t}")
-
-    def min_density(self, z):
-        return min(float(z[self.rho_sl[k]].min()) for k in range(2))
-
-    def total_mass(self, z):
-        return sum(float(p.dx * z[self.rho_sl[k]].sum()) for k, p in enumerate(self.pipes))
-
     def net_mass_influx(self, z_mid, x_new, inputs_mid):
-        _, m_L_up, _, m_L_dn = self._boundary_values(z_mid, inputs_mid)
-        return (float(z_mid[self.mom_sl[0]][0]) + float(z_mid[self.mom_sl[1]][0])
-                - m_L_up - m_L_dn)
-
-    def hamiltonian_total(self, z):
-        return sum(hamiltonian(PipeField(z[self.rho_sl[k]], z[self.mom_sl[k]]),
-                               self.gas, p.dx)
-                   for k, p in enumerate(self.pipes))
-
-    def record_names(self):
-        names = []
-        for p in self.pipes:
-            pid = p.spec.id
-            names += [f"{pid}.in.p_Pa", f"{pid}.in.m", f"{pid}.out.p_Pa", f"{pid}.out.m"]
-        names.append("H_total")
-        names.append(f"{self.station_id}.power")
-        return names
+        x = self._with_ports(z_mid, inputs_mid)
+        return float(np.sum(z_mid[self.bank.m_in] + x[self.mu_m]))
 
     def snapshot(self, z, t, inputs, anchor=None):
         if callable(inputs):
             inputs = inputs(t)
-        p0_up, m_L_up, p_in_dn, m_L_dn = self._boundary_values(z, inputs)
-        up, dn = self.pipes
-        vals = [
-            p0_up, float(z[self.mom_sl[0]][0]),
-            up.outlet_pressure(z[self.rho_sl[0]]), m_L_up,
-            p_in_dn, float(z[self.mom_sl[1]][0]),
-            dn.outlet_pressure(z[self.rho_sl[1]]), m_L_dn,
-            self.hamiltonian_total(z),
-        ]
-        ports = CompressorPortState(
-            p_in=up.outlet_pressure(z[self.rho_sl[0]]),
-            m_feed=float(z[self.mom_sl[1]][0]))
-        _, term = external_power(self.model, ports, 0.0, 0.0,
-                                 setpoint=inputs[self.station_id])
-        vals.append(term)
-        return dict(zip(self.record_names(), vals)), None
+        return self._records(self._with_ports(z, inputs), inputs), None

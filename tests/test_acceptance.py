@@ -13,7 +13,7 @@ import gasnetsim as gn
 from gasnetsim.compressor import CompressorModel
 from gasnetsim.twopipe import TwoPipeDirect
 
-from conftest import benchmark_with_model, closed_pipe, single_pipe_system
+from casekit import benchmark_with_model, closed_pipe, single_pipe_system
 
 MODELS = ("none", "fc-av", "fc-am", "fp-av", "fp-am")
 

@@ -6,7 +6,7 @@ import pytest
 import gasnetsim as gn
 from gasnetsim.cli import main
 
-from conftest import NET_JSON, SCN_JSON
+from casekit import NET_JSON, SCN_JSON
 
 
 @pytest.fixture()

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 import gasnetsim as gn
-from gasnetsim.compressor import (Assumption, CompressorModel,
-                                  CompressorPortState, Framework,
-                                  station_injection)
+from gasnetsim.compressor import VARIANTS, Assumption, CompressorModel, Framework
 
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 KAPPA = 1.4
+TAGS = ("fc-av", "fc-am", "fp-av", "fp-am")
 
 
 def model(tag, setpoint):
@@ -15,148 +14,151 @@ def model(tag, setpoint):
     return CompressorModel(Framework(fw), Assumption(asm), setpoint, KAPPA)
 
 
+def two_pipe(tag, setpoint):
+    mk = lambda i: gn.discretize_pipe(gn.PipeSpec(f"P{i}", 60e3, 1.0, 0.002, 6), GAS)
+    return gn.TwoPipeDirect(mk(1), mk(2), model(tag, setpoint), "s", "d", "c")
+
+
 class TestMomentumJump:
+    """The momentum jump m_out = m_in / k, k the table's inlet factor."""
+
     def test_constant_momentum_is_identity(self):
-        m = model("fc-am", 1.7)
-        for m_in in (-50.0, 0.0, 321.5):
-            assert gn.momentum_jump(m, m_in) == m_in
+        for tag, sp in (("fc-am", 1.7), ("fp-am", 8.4e6)):
+            for p_in in (5e6, 7e6, 9e6):
+                assert model(tag, sp).inlet_match_factor(sp, p_in) == 1.0
 
     def test_constant_velocity_benchmark_value(self):
-        m = model("fc-av", 1.2)
-        assert gn.momentum_jump(m, 1.0) == pytest.approx(1.2 ** (1.0 / 1.4), rel=1e-14)
-        assert gn.momentum_jump(m, 1.0) == pytest.approx(1.1391, rel=1e-4)
+        k = model("fc-av", 1.2).inlet_match_factor(1.2, 7e6)
+        assert k == pytest.approx(1.2 ** (-1.0 / 1.4), rel=1e-14)
+        assert 1.0 / k == pytest.approx(1.1391, rel=1e-4)
 
     def test_unit_ratio_collapses_to_identity(self):
-        m = model("fc-av", 1.0)
-        assert gn.momentum_jump(m, 123.0) == pytest.approx(123.0, rel=1e-14)
+        assert model("fc-av", 1.0).inlet_match_factor(1.0, 7e6) == pytest.approx(1.0, rel=1e-14)
 
     def test_fp_av_needs_current_ratio(self):
+        # the effective ratio is the current sp / p_in, so k moves with p_in
         m = model("fp-av", 8.4e6)
-        with pytest.raises(gn.ConfigurationError):
-            gn.momentum_jump(m, 100.0)
-        out = gn.momentum_jump(m, 100.0, ratio=1.05)
-        assert out == pytest.approx(100.0 * 1.05 ** (1.0 / 1.4), rel=1e-14)
+        for p_in in (6e6, 8e6, 8.4e6):
+            assert m.inlet_match_factor(8.4e6, p_in) == pytest.approx(
+                (8.4e6 / p_in) ** (-1.0 / 1.4), rel=1e-14)
+        assert m.inlet_match_factor(8.4e6, 8e6) != m.inlet_match_factor(8.4e6, 6e6)
 
 
 class TestCouplingMatrix:
+    """The station coupling of the two-pipe form, read off the variant table."""
+
     def test_fixed_ratio_layout(self):
-        ports = CompressorPortState(p_in=7e6, m_feed=250.0)
-        G = gn.coupling_matrix(model("fc-am", 1.2), ports)
-        expected = np.zeros((6, 4))
-        expected[1, 0] = 1.0
-        expected[2, 1] = -250.0
-        expected[4, 2] = 7e6
-        expected[5, 3] = 1.0
-        assert np.array_equal(G, expected)
+        for tag in ("fc-av", "fc-am"):
+            v = VARIANTS[Framework.FIXED_RATIO, Assumption(tag[3:])]
+            assert model(tag, 1.2).outlet_pressure(1.2, 7e6) == 1.2 * 7e6
+            assert (v.kind, v.setpoint) == ("ratio", "ratio")
+            assert v.reads_inlet == (False, True)
 
     def test_fixed_pressure_layouts(self):
-        ports = CompressorPortState(p_in=7e6, m_feed=250.0)
-        G_av = gn.coupling_matrix(model("fp-av", 8.4e6), ports)
-        G_am = gn.coupling_matrix(model("fp-am", 8.4e6), ports)
-        assert G_av[2, 1] == pytest.approx(-250.0 * 7e6 ** (1.0 / 1.4), rel=1e-14)
-        assert G_am[2, 1] == -250.0
-        for G in (G_av, G_am):
-            assert G[4, 2] == 1.0
-            assert G[1, 0] == 1.0 and G[5, 3] == 1.0
+        v_av = VARIANTS[Framework.FIXED_PRESSURE, Assumption.CONST_VELOCITY]
+        v_am = VARIANTS[Framework.FIXED_PRESSURE, Assumption.CONST_MOMENTUM]
+        for tag in ("fp-av", "fp-am"):
+            for p_in in (6e6, 7e6):
+                assert model(tag, 8.4e6).outlet_pressure(8.4e6, p_in) == 8.4e6
+        for v in (v_av, v_am):
+            assert (v.kind, v.setpoint) == ("outlet-pressure", "pressure")
+        # only fp-av's momentum row reads the inlet pressure, through k
+        assert v_av.reads_inlet == (True, False)
+        assert v_am.reads_inlet == (False, False)
 
     def test_zero_flow_makes_jump_row_inert(self):
-        ports = CompressorPortState(p_in=7e6, m_feed=0.0)
-        G = gn.coupling_matrix(model("fc-av", 1.2), ports)
-        assert np.all(G[:, 1] == 0.0)
+        for tag, sp in (("fc-av", 1.2), ("fc-am", 1.2), ("fp-av", 8.4e6), ("fp-am", 8.4e6)):
+            m = model(tag, sp)
+            assert m.inlet_match_factor(sp, 7e6) * 0.0 == 0.0
+            assert m.power(sp, 7e6, 0.0) == 0.0
 
     def test_matrix_times_input_reproduces_boundary_injections(self):
+        # pipe-1 inlet gets p0, pipe-1 outlet gets -m2(0), pipe-2 inlet gets
+        # ct * p1(L), pipe-2 outlet gets -mL
         rng = np.random.default_rng(4)
+        direct = two_pipe("fc-am", 1.2)
+        up = direct.pipes[0]
         for _ in range(5):
-            p1L = rng.uniform(4e6, 9e6)
-            m2 = rng.normal(0.0, 300.0)
+            z = np.concatenate([rng.uniform(30.0, 60.0, 6), rng.normal(0.0, 300.0, 6),
+                                rng.uniform(30.0, 60.0, 6), rng.normal(0.0, 300.0, 6)])
             p0, mL, ct = rng.uniform(6e6, 9e6), rng.normal(0.0, 300.0), 1.2
-            ports = CompressorPortState(p_in=p1L, m_feed=m2)
-            mdl = model("fc-am", ct)
-            G = gn.coupling_matrix(mdl, ports)
-            u = gn.setpoint_input(mdl, p0, mL)
-            assert np.allclose(u, [p0, 1.0, ct, -mL], rtol=1e-14)
-            out = G @ u
-            # rows: pipe-1 inlet gets p0, pipe-1 outlet port gets -m2(0),
-            # pipe-2 inlet gets ct*p1(L), pipe-2 outlet gets -mL
-            assert np.allclose(out, [0.0, p0, -m2, 0.0, ct * p1L, -mL], rtol=1e-13)
+            p1L = up.outlet_pressure(z[direct.rho_sl[0]])
+            m2 = z[direct.mom_sl[1]][0]
+            ports = direct._with_ports(z, {"s": p0, "d": mL, "c": ct})[direct.n_z:]
+            assert np.allclose(ports, [p0, -m2, ct * p1L, -mL], rtol=1e-14)
 
 
 class TestSetpointInput:
+    """The per-variant setpoint entries: inlet factor and outlet rule."""
+
     def test_fc_am_benchmark_vector(self):
-        u = gn.setpoint_input(model("fc-am", 1.2), 8e6, 250.0)
-        assert np.allclose(u, [8e6, 1.0, 1.2, -250.0], rtol=1e-14)
+        m = model("fc-am", 1.2)
+        assert m.inlet_match_factor(1.2, 8e6) == 1.0
+        assert m.outlet_pressure(1.2, 8e6) == pytest.approx(1.2 * 8e6, rel=1e-14)
 
     def test_unit_ratio_is_inert(self):
         for tag in ("fc-am", "fc-av"):
-            u = gn.setpoint_input(model(tag, 1.0), 8e6, 250.0)
-            assert np.allclose(u, [8e6, 1.0, 1.0, -250.0], rtol=1e-14)
+            m = model(tag, 1.0)
+            assert m.inlet_match_factor(1.0, 8e6) == pytest.approx(1.0, rel=1e-14)
+            assert m.outlet_pressure(1.0, 8e6) == 8e6
+            assert m.power(1.0, 8e6, 250.0) == 0.0
 
     def test_fp_av_second_entry(self):
-        u = gn.setpoint_input(model("fp-av", 8.4e6), 8e6, 250.0)
-        assert u[1] == pytest.approx(8.4e6 ** (-1.0 / 1.4), rel=1e-14)
-        assert u[1] == pytest.approx(1.133e-5, rel=1e-2)
-        assert u[2] == 8.4e6
+        # k = sp^(-1/kappa) * p_in^(1/kappa): the setpoint entry times the state
+        k = model("fp-av", 8.4e6).inlet_match_factor(8.4e6, 8e6)
+        assert 8.4e6 ** (-1.0 / 1.4) == pytest.approx(1.133e-5, rel=1e-2)
+        assert k == pytest.approx(8.4e6 ** (-1.0 / 1.4) * 8e6 ** (1.0 / 1.4), rel=1e-14)
 
     def test_fp_rejects_nonpositive_pressure(self):
         with pytest.raises(gn.ConfigurationError):
-            gn.setpoint_input(model("fp-am", 8.4e6), 8e6, 250.0, setpoint=-1.0)
+            model("fp-am", -1.0)
+        for tag in TAGS:
+            with pytest.raises(gn.ConfigurationError, match="inlet pressure must be positive"):
+                model(tag, 1.2 if tag.startswith("fc") else 8.4e6).power(1.2, 0.0, 250.0)
 
     def test_station_injection_vectors(self):
-        # the four per-station input pairs used in network assembly
-        assert np.allclose(station_injection(model("fc-av", 1.2)),
-                           [1.2 ** (-1 / 1.4), 1.2], rtol=1e-14)
-        assert np.allclose(station_injection(model("fc-am", 1.2)), [1.0, 1.2])
-        assert np.allclose(station_injection(model("fp-av", 8.4e6)),
-                           [8.4e6 ** (-1 / 1.4), 8.4e6], rtol=1e-14)
-        assert np.allclose(station_injection(model("fp-am", 8.4e6)), [1.0, 8.4e6])
+        # the four per-station pairs (k, outlet) at unit inlet pressure
+        pairs = {"fc-av": (1.2, [1.2 ** (-1 / 1.4), 1.2]), "fc-am": (1.2, [1.0, 1.2]),
+                 "fp-av": (8.4e6, [8.4e6 ** (-1 / 1.4), 8.4e6]), "fp-am": (8.4e6, [1.0, 8.4e6])}
+        for tag, (sp, want) in pairs.items():
+            m = model(tag, sp)
+            got = [m.inlet_match_factor(sp, 1.0), m.outlet_pressure(sp, 1.0)]
+            assert np.allclose(got, want, rtol=1e-14)
 
 
 class TestExternalPower:
+    """The station power, the energy the machine exchanges per unit area."""
+
     def test_neutral_ratio_adds_nothing(self):
-        ports = CompressorPortState(p_in=7e6, m_feed=250.0)
         for tag in ("fc-av", "fc-am"):
-            total, term = gn.external_power(model(tag, 1.0), ports, 1e9, 8e8)
-            assert term == 0.0
-            assert total == pytest.approx(1e9 - 8e8)
+            assert model(tag, 1.0).power(1.0, 7e6, 250.0) == 0.0
 
     def test_matched_pressure_adds_nothing(self):
-        ports = CompressorPortState(p_in=8.4e6, m_feed=250.0)
         for tag in ("fp-av", "fp-am"):
-            _, term = gn.external_power(model(tag, 8.4e6), ports, 0.0, 0.0)
-            assert term == pytest.approx(0.0, abs=1e-6)
+            assert model(tag, 8.4e6).power(8.4e6, 8.4e6, 250.0) == pytest.approx(0.0, abs=1e-6)
 
     def test_fc_am_benchmark_value(self):
-        ports = CompressorPortState(p_in=7e6, m_feed=250.0)
-        _, term = gn.external_power(model("fc-am", 1.2), ports, 0.0, 0.0)
-        assert term == pytest.approx(0.2 * 7e6 * 250.0, rel=1e-14)
+        assert model("fc-am", 1.2).power(1.2, 7e6, 250.0) == pytest.approx(
+            0.2 * 7e6 * 250.0, rel=1e-14)
 
     def test_sign_follows_setpoint(self):
-        ports = CompressorPortState(p_in=7e6, m_feed=250.0)
-        assert gn.external_power(model("fc-am", 1.3), ports, 0, 0)[1] > 0
-        assert gn.external_power(model("fc-av", 1.3), ports, 0, 0)[1] > 0
-        assert gn.external_power(model("fp-am", 8.4e6), ports, 0, 0)[1] > 0
-        assert gn.external_power(model("fp-av", 6.0e6), ports, 0, 0)[1] < 0
+        assert model("fc-am", 1.3).power(1.3, 7e6, 250.0) > 0
+        assert model("fc-av", 1.3).power(1.3, 7e6, 250.0) > 0
+        assert model("fp-am", 8.4e6).power(8.4e6, 7e6, 250.0) > 0
+        assert model("fp-av", 6.0e6).power(6.0e6, 7e6, 250.0) < 0
 
-    def test_outputs_match_transposed_coupling(self):
-        # y = G' e reproduces the displayed output entries at random states
+    def test_power_is_energy_out_minus_energy_in(self):
+        # outlet pressure times m_feed, minus inlet pressure times m_in = k m_feed
         rng = np.random.default_rng(8)
-        for tag in ("fc-am", "fc-av", "fp-am", "fp-av"):
-            p1L = rng.uniform(5e6, 9e6)
-            m1_0, m2_0 = rng.normal(0, 300.0, 2)
-            p2L = rng.uniform(5e6, 9e6)
-            mdl = model(tag, 1.2 if tag.startswith("fc") else 8.4e6)
-            ports = CompressorPortState(p_in=p1L, m_feed=m2_0, p_out_end=p2L)
-            G = gn.coupling_matrix(mdl, ports)
-            # extended effort stack: [pde1, m1(0), p1(L), pde2, m2(0), p2(L)]
-            e_hat = np.array([0.0, m1_0, p1L, 0.0, m2_0, p2L])
-            y = G.T @ e_hat
-            if tag == "fp-av":
-                expected_second = -m2_0 * p1L ** ((KAPPA + 1.0) / KAPPA)
-            else:
-                expected_second = -m2_0 * p1L
-            assert y[0] == pytest.approx(m1_0, rel=1e-13)
-            assert y[1] == pytest.approx(expected_second, rel=1e-13)
-            assert y[3] == pytest.approx(p2L, rel=1e-13)
+        for tag in TAGS:
+            for _ in range(50):
+                p_in = rng.uniform(3e6, 9e6)
+                m_feed = rng.normal(0.0, 300.0)
+                sp = rng.uniform(1.0, 1.6) if tag.startswith("fc") else rng.uniform(3e6, 9e6)
+                m = model(tag, sp)
+                out, k = m.outlet_pressure(sp, p_in), m.inlet_match_factor(sp, p_in)
+                want = out * m_feed - p_in * k * m_feed
+                assert m.power(sp, p_in, m_feed) == pytest.approx(want, rel=1e-10)
 
 
 class TestAdiabaticEnthalpy:
@@ -189,8 +191,12 @@ def test_fp_nonpositive_pressure_is_error():
 
 
 def test_neutral_setpoint_identity_for_all_models():
-    for tag in ("fc-av", "fc-am"):
-        assert gn.momentum_jump(model(tag, 1.0), 77.0) == pytest.approx(77.0, rel=1e-14)
-    for tag in ("fp-av", "fp-am"):
-        mdl = model(tag, 7e6)
-        assert gn.momentum_jump(mdl, 77.0, ratio=1.0) == pytest.approx(77.0, rel=1e-14)
+    # ratio 1, or an outlet pressure equal to the inlet pressure: k = 1,
+    # the outlet pressure is the inlet pressure and the machine does no work
+    p_in = 7e6
+    for tag in TAGS:
+        sp = 1.0 if tag.startswith("fc") else p_in
+        m = model(tag, sp)
+        assert m.inlet_match_factor(sp, p_in) == pytest.approx(1.0, rel=1e-14)
+        assert m.outlet_pressure(sp, p_in) == p_in
+        assert m.power(sp, p_in, 77.0) == pytest.approx(0.0, abs=1e-14 * p_in * 77.0)

@@ -6,7 +6,7 @@ import pytest
 
 import gasnetsim as gn
 
-from conftest import NET_JSON, SCN_JSON, benchmark_with_model
+from casekit import NET_JSON, SCN_JSON, benchmark_with_model
 
 
 class TestParseNetwork:
@@ -158,6 +158,40 @@ class TestParseScenario:
         scen = gn.parse_scenario(SCN_JSON, spec)
         assert scen.value("station.pressure", 0.0) == pytest.approx(8.4e6)
 
+    @pytest.mark.parametrize("tag, key, profile", [
+        ("fp-av", "station.pressure", [[0, 84.0], [3600, -5.0]]),
+        ("fc-am", "station.ratio", [[0, 1.2], [3600, 0.0]]),
+        ("fc-am", "station.ratio", [[0, -1.2]]),
+        ("fc-am", "station.pressure", [[0, 0.0]]),
+        ("fp-am", "station", [[0, 84.0], [600, -84.0]]),
+        ("fc-av", "station", [[0, 0.0]]),
+        ("fc-am", "source", [[0, 80.0], [3600, 0.0]]),
+        ("fc-am", "source", [[0, -80.0]]),
+    ])
+    def test_nonpositive_pressure_or_setpoint_is_rejected(self, tag, key, profile):
+        spec, _ = benchmark_with_model(tag)
+        doc = json.loads(SCN_JSON)
+        doc["profiles"][key] = profile
+        with pytest.raises(gn.FormatError, match=rf"profile '{key}': .* must be positive"):
+            gn.parse_scenario(json.dumps(doc), spec)
+
+    @pytest.mark.parametrize("key", ["sink", "source", "station.ratio", "station.pressure"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_profile_value_is_rejected(self, key, bad):
+        spec = gn.parse_network(NET_JSON)
+        doc = json.loads(SCN_JSON)
+        doc["profiles"][key] = [[0, doc["profiles"][key][0][1]], [3600, bad]]
+        with pytest.raises(gn.FormatError, match=rf"profile '{key}': non-finite value"):
+            gn.parse_scenario(json.dumps(doc), spec)
+
+    def test_negative_demand_is_accepted(self):
+        # reverse flow is supported, so demands keep their sign
+        spec = gn.parse_network(NET_JSON)
+        doc = json.loads(SCN_JSON)
+        doc["profiles"]["sink"] = [[0, 200.0], [3600, -50.0], [7200, 0.0]]
+        scen = gn.parse_scenario(json.dumps(doc), spec)
+        assert np.array_equal(scen.profiles["sink"][1], [200.0, -50.0, 0.0])
+
 
 class TestTimeseriesCSV:
     def run_short(self):
@@ -178,7 +212,7 @@ class TestTimeseriesCSV:
         assert len([ln for ln in lines if ln]) == ts.n_samples + 1
 
     def test_no_power_columns_without_compressor(self, gas):
-        from conftest import single_pipe_system
+        from casekit import single_pipe_system
         g = single_pipe_system(gas, n_cells=8)
         scen = gn.Scenario(t_end=200.0, dt=100.0, profiles={
             "s": (np.array([0.0]), np.array([80e5])),

@@ -6,7 +6,7 @@ from gasnetsim.compressor import Assumption, Framework
 from gasnetsim.network import color_columns
 from gasnetsim.timeloop import _fd_jacobian, _fd_jacobian_csc
 
-from conftest import single_pipe_system
+from casekit import single_pipe_system
 
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 

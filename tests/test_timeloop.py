@@ -3,7 +3,7 @@ import pytest
 
 import gasnetsim as gn
 
-from conftest import benchmark_with_model, closed_pipe, single_pipe_system
+from casekit import benchmark_with_model, closed_pipe, single_pipe_system
 
 
 class TestNewton:
@@ -214,7 +214,7 @@ class TestSimulate:
     def test_step_halving_is_second_order(self, gas):
         # sealed frictionless pipe is linear: measure against the exact
         # propagator (eigendecomposition), fundamental standing wave
-        from conftest import ClosedPipe
+        from casekit import ClosedPipe
         spec = gn.PipeSpec("sealed", 50e3, 1.0, 0.0, 16)
         psys = gn.discretize_pipe(spec, gas)
         cp = ClosedPipe(psys)
