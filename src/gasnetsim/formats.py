@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -222,8 +223,10 @@ def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
         dt = float(doc["dt"])
     except KeyError as exc:
         raise FormatError(f"scenario lacks required key {exc}") from exc
-    if t_end <= 0 or dt <= 0:
-        raise FormatError("t_end and dt must be positive")
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"t_end and dt must be numbers ({exc})") from exc
+    if not (math.isfinite(t_end) and math.isfinite(dt)) or t_end <= 0 or dt <= 0:
+        raise FormatError("t_end and dt must be positive and finite")
 
     boundary_ids = {nd.id: nd.kind for nd in spec.nodes
                     if nd.kind in (NodeKind.SUPPLY, NodeKind.DEMAND)}
@@ -235,14 +238,23 @@ def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
         setpoint_of.update({f"{cid}.ratio": "ratio", f"{cid}.pressure": "pressure",
                             cid: st.variant.setpoint})
 
+    profiles_doc = doc.get("profiles", {})
+    if not isinstance(profiles_doc, dict):
+        raise FormatError("'profiles' must map input ids to profiles")
     profiles = {}
-    for key, entries in doc.get("profiles", {}).items():
+    for key, entries in profiles_doc.items():
         if key not in boundary_ids and key not in setpoint_of:
             raise FormatError(f"profile for unknown input id {key!r}")
-        times = np.array([float(e[0]) for e in entries])
-        values = np.array([float(e[1]) for e in entries])
+        try:
+            times = np.array([float(e[0]) for e in entries])
+            values = np.array([float(e[1]) for e in entries])
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
+            raise FormatError(
+                f"profile {key!r}: entries must be [time, value] number pairs ({exc})") from exc
         if times.size == 0:
             raise FormatError(f"profile {key!r} is empty")
+        if not np.all(np.isfinite(times)):
+            raise FormatError(f"profile {key!r}: non-finite breakpoint")
         if times[0] != 0.0:
             raise FormatError(f"profile {key!r}: first breakpoint must be t=0")
         if np.any(np.diff(times) <= 0.0):

@@ -48,6 +48,7 @@ it reads each station's rules from `compressor.VARIANTS`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -337,11 +338,22 @@ class NodeLinks(NamedTuple):
     link_sign: np.ndarray
 
 
+class Triplets(NamedTuple):
+    """A sparse matrix as (row, column, value) entries; duplicates add."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def matvec(self, v, n_rows):
+        return np.bincount(self.rows, weights=self.vals * v[self.cols], minlength=n_rows)
+
+
 class _AlgebraicMap(NamedTuple):
     """The port/node rows' constant matrix, its pseudo-inverse and rhs indices."""
 
-    M: np.ndarray
-    P: np.ndarray
+    M: Triplets
+    P: Triplets
     out_rows: np.ndarray    # port-out rows, shifted to the algebraic block
     node_rows: np.ndarray   # supply, demand and junction rows, shifted
     link_rows: np.ndarray   # state links: the rhs takes -sign * z[col]
@@ -423,6 +435,7 @@ class PipeStates:
         return np.where(self.row_kind == "p", p_ref, m_ref)
 
     def record_names(self):
+        """Record column names, interned: every record of one network shares them."""
         names = []
         for p in self.pipes:
             pid = p.spec.id
@@ -430,7 +443,7 @@ class PipeStates:
         names.append("H_total")
         for s in self.stations:
             names.append(f"{s.station.id}.power")
-        return names
+        return [sys.intern(n) for n in names]
 
     def _records(self, x, inputs):
         """Port pressures/momenta, total energy and station powers at x = [z | mu ...]."""
@@ -693,22 +706,27 @@ class GlobalSystem(PipeStates):
 
         Every entry is +-1 and fixed by the topology, so all of it is built
         once per system; only the right-hand side's values depend on z and
-        the inputs. The cutoff is lstsq's, max(shape) * eps, so a singular
-        matrix (pipes merging at a junction) gets the minimum-norm correction.
+        the inputs. The matrix falls apart into small blocks (a port pair,
+        a node with its links, a station), so the pseudo-inverse is taken
+        block by block (`blockwise_pinv`) and both are kept as triplets.
+        The cutoff is lstsq's, max(shape) * eps, so a singular matrix (pipes
+        merging at a junction) gets the minimum-norm correction.
         """
         if self._alg_map is None:
             na, base, ln = self.n_alg, self.n_z, self.links
-            M = np.zeros((na, na))
-            M[self.port_in_row - base, self.mu_p - base] = 1.0
-            M[self.port_in_row - base, ln.lam_from - base] = -1.0
-            M[self.port_out_row - base, ln.lam_to - base] = 1.0
             alg = ln.link_cols >= base
-            M[ln.link_rows[alg] - base, ln.link_cols[alg] - base] = ln.link_sign[alg]
-            for s in self.stations:
-                M[s.row_in - base, self.mu_m[s.pipe_up] - base] = -1.0
-                M[s.row_out - base, s.lam_out - base] = 1.0
+            ones, st = np.ones(len(self.mu_p)), self.stations
+            parts = [(self.port_in_row, self.mu_p, ones),
+                     (self.port_in_row, ln.lam_from, -ones),
+                     (self.port_out_row, ln.lam_to, ones),
+                     (ln.link_rows[alg], ln.link_cols[alg], ln.link_sign[alg]),
+                     ([s.row_in for s in st], [self.mu_m[s.pipe_up] for s in st],
+                      -np.ones(len(st))),
+                     ([s.row_out for s in st], [s.lam_out for s in st], np.ones(len(st)))]
+            rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+            M = Triplets(rows.astype(int) - base, cols.astype(int) - base, vals)
             self._alg_map = _AlgebraicMap(
-                M, np.linalg.pinv(M, na * np.finfo(float).eps),
+                M, blockwise_pinv(M, na, na * np.finfo(float).eps),
                 self.port_out_row - base, ln.node_rows - base,
                 ln.link_rows[~alg] - base, ln.link_cols[~alg], -ln.link_sign[~alg])
         return self._alg_map
@@ -741,7 +759,7 @@ class GlobalSystem(PipeStates):
             rhs[s.row_out - base] = s.model.outlet_pressure(sp, p_out[s.pipe_up])
 
         anchored = np.zeros(na) if anchor is None else np.asarray(anchor, float)[-na:]
-        alg = anchored + a.P @ (rhs - a.M @ anchored)
+        alg = anchored + a.P.matvec(rhs - a.M.matvec(anchored, na), na)
         return np.concatenate([z, alg])
 
     def zdot_consistent(self, x, inputs):
@@ -864,6 +882,61 @@ def fuse_compressors(spec: NetworkSpec, ids=None) -> NetworkSpec:
     return NetworkSpec(spec.gas, nodes, pipes, comps)
 
 
+def blockwise_pinv(M: Triplets, n: int, rcond: float) -> Triplets:
+    """Pseudo-inverse of a sparse n x n matrix, block by block, as triplets.
+
+    The blocks are the connected components of the graph joining each row
+    to the columns it has entries in. Permuted to block-diagonal form, the
+    matrix's pseudo-inverse is the block-diagonal of the blocks'
+    pseudo-inverses, so nothing n x n is formed. Blocks of one shape go
+    through one stacked ``np.linalg.pinv`` with cutoff ``rcond`` each.
+    Rows or columns without entries belong to no block and map to zero.
+    The components come from a union-find, not scipy's csgraph, because
+    systems on the dense Newton path never import scipy.
+    """
+    parent = list(range(2 * n))        # rows 0..n-1, columns n..2n-1
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for r, c in zip(M.rows.tolist(), M.cols.tolist()):
+        parent[find(r)] = find(n + c)
+    members: dict[int, tuple[list[int], list[int]]] = {}
+    for a in range(2 * n):
+        members.setdefault(find(a), ([], []))[a >= n].append(a % n)
+    by_shape: dict[tuple[int, int], list] = {}
+    for rs, cs in members.values():
+        if rs and cs:
+            by_shape.setdefault((len(rs), len(cs)), []).append((rs, cs))
+
+    shape_of = np.full(n, -1)          # per row: its block's shape group ...
+    block_of = np.zeros(n, dtype=int)  # ... its block in that group ...
+    row_pos = np.zeros(n, dtype=int)   # ... and its place in the block
+    col_pos = np.zeros(n, dtype=int)
+    out = []
+    for g, ((nr, nc), blocks) in enumerate(by_shape.items()):
+        R = np.array([rs for rs, _ in blocks])           # (k, nr)
+        C = np.array([cs for _, cs in blocks])           # (k, nc)
+        shape_of[R] = g
+        block_of[R] = np.arange(len(blocks))[:, None]
+        row_pos[R] = np.arange(nr)
+        col_pos[C] = np.arange(nc)
+        sel = shape_of[M.rows] == g
+        stack = np.zeros((len(blocks), nr, nc))
+        np.add.at(stack, (block_of[M.rows[sel]], row_pos[M.rows[sel]],
+                          col_pos[M.cols[sel]]), M.vals[sel])
+        inv = np.linalg.pinv(stack, rcond)               # (k, nc, nr)
+        keep = inv != 0.0
+        out.append((np.broadcast_to(C[:, :, None], inv.shape)[keep],
+                    np.broadcast_to(R[:, None, :], inv.shape)[keep], inv[keep]))
+    if not out:
+        return Triplets(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+    return Triplets(*(np.concatenate(parts) for parts in zip(*out)))
+
+
 class ColumnColoring(NamedTuple):
     """Column groups for one-sweep finite-difference Jacobians.
 
@@ -873,6 +946,10 @@ class ColumnColoring(NamedTuple):
     entry i sits at (rows[i], cols[i]) and is read from the sweep of color
     ``color[i]``. Column j's entries are ``indptr[j]:indptr[j + 1]``, so
     ``(values, rows, indptr)`` is a CSC matrix as it stands.
+
+    ``factor`` is a one-slot list: the sparse Newton path keeps its last
+    SuperLU factor there for chord steps (``timeloop.newton_solve``), so the
+    factor lives as long as the system that caches this coloring.
     """
 
     groups: list[np.ndarray]
@@ -881,6 +958,7 @@ class ColumnColoring(NamedTuple):
     cols: np.ndarray
     color: np.ndarray
     indptr: np.ndarray
+    factor: list
 
 
 def color_columns(pattern, n_rows, n_cols) -> ColumnColoring:
@@ -908,4 +986,4 @@ def color_columns(pattern, n_rows, n_cols) -> ColumnColoring:
             colors.append([c])
         color_of_col[c] = ci
     return ColumnColoring([np.array(sorted(cs), dtype=int) for cs in colors],
-                          rows_of_col, rows, cols, color_of_col[cols], indptr)
+                          rows_of_col, rows, cols, color_of_col[cols], indptr, [None])

@@ -14,6 +14,19 @@ against the roughly 30 MB that importing ``scipy.sparse.linalg`` adds to the
 process; the import happens only once a system above the threshold is
 solved.
 
+The sparse path is a chord Newton iteration (Hairer & Wanner, Solving ODEs
+II, IV.8): the last SuperLU factor is kept in the coloring's ``factor`` slot
+and reused across iterations and time steps, because over one step the
+Jacobian barely moves. A reused-factor step is taken in full, without a
+line search, when it cuts max|F| by at least ``CHORD_CONTRACTION``;
+otherwise the factor is dropped, the finite-difference Jacobian is rebuilt
+and factored at the current iterate, and the damped Newton step runs as
+usual. A chord iterate tends to stop just under the tolerance where a full
+Newton step overshoots it, so when a reused-factor step first meets the
+tolerance, one more reused step is tried and kept only if it lowers max|F|.
+The dense path keeps full Newton: numpy exposes no reusable LU, so reusing
+J there would re-run LAPACK's factorization on every solve anyway.
+
 Time stepping follows the implicit midpoint rule: differential states are
 advanced with the right-hand side collocated at the state average, algebraic
 variables and inputs are taken at the midpoint time, and piecewise-constant
@@ -45,7 +58,10 @@ class SolverConfig:
     Jacobian and SuperLU; smaller ones a dense Jacobian and LAPACK, which
     needs 8 n^2 bytes but not the ~30 MB import of scipy.sparse.linalg. The
     sparse path needs the solve's column coloring; without one the
-    Jacobian stays dense at every size.
+    Jacobian stays dense at every size. The sparse path reuses its SuperLU
+    factor across iterations and steps (chord Newton, module docstring) and
+    refactors only when a reused step fails to contract; the dense path
+    builds and factors a Jacobian on every iteration.
     """
 
     newton_abs_tol: float = 1e-8
@@ -64,11 +80,22 @@ class SolverConfig:
             raise ConfigurationError("dt must be positive")
 
 
+# a reused-factor (chord) step is accepted when it cuts max|F| at least this much
+CHORD_CONTRACTION = 0.5
+
+
 @dataclass
 class NewtonResult:
+    """Solution, accepted steps, max|F| after each, and Jacobians built and factored.
+
+    On the dense path every iteration builds one Jacobian, so ``jacobians``
+    equals ``iterations``; on the sparse path reused factors make it smaller.
+    """
+
     x: np.ndarray
     iterations: int
     history: list[float]
+    jacobians: int = 0
 
 
 def scale_residual(gsys, raw):
@@ -119,9 +146,13 @@ def _fd_jacobian_csc(fun, x, F0, coloring, rel_step):
     return csc_matrix((vals, coloring.rows, coloring.indptr), shape=(F0.size, x.size))
 
 
-def _newton_step(fun, x, F, colors, cfg):
-    """Solve J dx = -F with the finite-difference Jacobian at x."""
-    if colors is not None and x.size > cfg.sparse_threshold:
+def _newton_step(fun, x, F, colors, cfg, sparse):
+    """Solve J dx = -F with the finite-difference Jacobian at x.
+
+    On the sparse path the SuperLU factor is stored in ``colors.factor`` for
+    later chord steps.
+    """
+    if sparse:
         from scipy.sparse.linalg import splu
 
         J = _fd_jacobian_csc(fun, x, F, colors, cfg.fd_step)
@@ -129,6 +160,7 @@ def _newton_step(fun, x, F, colors, cfg):
             lu = splu(J)
         except RuntimeError as exc:       # "Factor is exactly singular"
             raise FactorizationError(f"Jacobian factorization failed: {exc}") from exc
+        colors.factor[0] = lu
         return lu.solve(-F)
     J = _fd_jacobian(fun, x, F, colors, cfg.fd_step)
     try:
@@ -137,10 +169,21 @@ def _newton_step(fun, x, F, colors, cfg):
         raise FactorizationError(f"Jacobian factorization failed: {exc}") from exc
 
 
+def _chord_step(fun, x, F, lu):
+    """One full step with a reused factor; (x, F, max|F|), F None if not finite."""
+    x_try = x + lu.solve(-F)
+    F_try = np.asarray(fun(x_try), float)
+    if not np.all(np.isfinite(F_try)):
+        return x_try, None, np.inf
+    return x_try, F_try, float(np.max(np.abs(F_try)))
+
+
 def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> NewtonResult:
     """Damped Newton with backtracking line search on the residual norm.
 
     Converges when the max norm of fun(x) drops below cfg.newton_abs_tol.
+    Above ``cfg.sparse_threshold`` (with a coloring) the iteration is chord
+    Newton on the factor held in ``colors.factor`` (module docstring).
     Raises NonconvergenceError (carrying the best iterate and the norm
     history) on stagnation or iteration exhaustion.
     """
@@ -153,36 +196,52 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> Newto
     norm = float(np.max(np.abs(F)))
     history = [norm]
     best_x, best_norm = x.copy(), norm
+    sparse = colors is not None and x.size > cfg.sparse_threshold
+    slot = colors.factor if sparse else None
+    jacobians = 0
+    if norm <= cfg.newton_abs_tol:
+        return NewtonResult(x, 0, history, jacobians)
 
-    for it in range(cfg.newton_max_iter):
-        if norm <= cfg.newton_abs_tol:
-            return NewtonResult(x, it, history)
-        dx = _newton_step(fun, x, F, colors, cfg)
-
-        f2 = float(np.dot(F, F))
-        alpha = 1.0
-        accepted = False
-        for _ in range(cfg.max_backtracks + 1):
-            x_try = x + alpha * dx
-            F_try = np.asarray(fun(x_try), float)
-            if np.all(np.isfinite(F_try)):
-                f2_try = float(np.dot(F_try, F_try))
-                if f2_try < (1.0 - 1e-4 * alpha) * f2:
-                    accepted = True
-                    break
-            alpha *= cfg.backtrack_factor
-        if not accepted:
-            raise NonconvergenceError(
-                f"line search stalled at iteration {it} (residual {norm:.3e})",
-                x_best=best_x, history=history)
-        x, F = x_try, F_try
-        norm = float(np.max(np.abs(F)))
+    for it in range(1, cfg.newton_max_iter + 1):
+        chord = False
+        if slot is not None and slot[0] is not None:
+            x_try, F_try, norm_try = _chord_step(fun, x, F, slot[0])
+            chord = norm_try <= CHORD_CONTRACTION * norm
+            if not chord:
+                slot[0] = None
+        if not chord:
+            dx = _newton_step(fun, x, F, colors, cfg, sparse)
+            jacobians += 1
+            f2 = float(np.dot(F, F))
+            alpha = 1.0
+            accepted = False
+            for _ in range(cfg.max_backtracks + 1):
+                x_try = x + alpha * dx
+                F_try = np.asarray(fun(x_try), float)
+                if np.all(np.isfinite(F_try)):
+                    f2_try = float(np.dot(F_try, F_try))
+                    if f2_try < (1.0 - 1e-4 * alpha) * f2:
+                        accepted = True
+                        break
+                alpha *= cfg.backtrack_factor
+            if not accepted:
+                raise NonconvergenceError(
+                    f"line search stalled at iteration {it - 1} (residual {norm:.3e})",
+                    x_best=best_x, history=history)
+            norm_try = float(np.max(np.abs(F_try)))
+        x, F, norm = x_try, F_try, norm_try
         history.append(norm)
         if norm < best_norm:
             best_x, best_norm = x.copy(), norm
+        if norm <= cfg.newton_abs_tol:
+            if chord:
+                # polish: one more reused step, kept only if it helps
+                x_try, _, norm_try = _chord_step(fun, x, F, slot[0])
+                if norm_try < norm:
+                    x, norm = x_try, norm_try
+                    history.append(norm)
+            return NewtonResult(x, len(history) - 1, history, jacobians)
 
-    if norm <= cfg.newton_abs_tol:
-        return NewtonResult(x, cfg.newton_max_iter, history)
     raise NonconvergenceError(
         f"no convergence in {cfg.newton_max_iter} iterations "
         f"(residual {norm:.3e}, tol {cfg.newton_abs_tol:.1e})",
@@ -258,8 +317,10 @@ def steady_state(gsys, inputs0, cfg: SolverConfig | None = None,
         return gsys.steady_residual(x, inputs0) / scale
 
     x0 = gsys.initial_guess(inputs0)
+    colors = gsys.jac_colors()
+    colors.factor[0] = None      # every steady solve starts from a fresh Jacobian
     try:
-        res = newton_solve(fun, x0, cfg, colors=gsys.jac_colors())
+        res = newton_solve(fun, x0, cfg, colors=colors)
     except NonconvergenceError as exc:
         raise NonconvergenceError(
             f"steady-state solve failed: {exc}", x_best=exc.x_best,

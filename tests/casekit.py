@@ -3,6 +3,10 @@
 Plain helpers, imported by name; the pytest fixtures stay in conftest.py.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 import gasnetsim as gn
@@ -142,3 +146,22 @@ def closed_pipe(gas, n_cells=32, length=100e3, friction=0.0, amplitude=0.05):
     rho = 50.0 * (1.0 + amplitude * np.sin(2.0 * np.pi * xc / length))
     z0 = np.concatenate([rho, np.zeros(n_cells)])
     return cp, z0
+
+
+def bench_workloads():
+    """The benchmark's seeded input generators (``bench/workloads.py``), as a module."""
+    name = "gasnetsim_bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module      # dataclasses resolve their module by name
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def ladder_system(seed=301):
+    """The benchmark's looped 8-station ladder (n = 2963) with its scenario."""
+    case = bench_workloads().ladder_case(seed)
+    spec = gn.parse_network(case.network)
+    return gn.assemble(spec), gn.parse_scenario(case.scenario, spec)

@@ -184,6 +184,40 @@ class TestParseScenario:
         with pytest.raises(gn.FormatError, match=rf"profile '{key}': non-finite value"):
             gn.parse_scenario(json.dumps(doc), spec)
 
+    @pytest.mark.parametrize("profile", [
+        [[0, "abc"]], [["zero", 1.0]], [[0]], [[]], [None], "abc", 5, [[0, None]],
+    ])
+    def test_malformed_profile_entries_name_the_key(self, profile):
+        spec = gn.parse_network(NET_JSON)
+        doc = json.loads(SCN_JSON)
+        doc["profiles"]["sink"] = profile
+        with pytest.raises(gn.FormatError, match="profile 'sink'"):
+            gn.parse_scenario(json.dumps(doc), spec)
+
+    def test_nonfinite_breakpoint_is_rejected(self):
+        spec = gn.parse_network(NET_JSON)
+        doc = json.loads(SCN_JSON)
+        doc["profiles"]["sink"] = [[0, 200.0], [float("inf"), 300.0]]
+        with pytest.raises(gn.FormatError, match="profile 'sink': non-finite breakpoint"):
+            gn.parse_scenario(json.dumps(doc), spec)
+
+    @pytest.mark.parametrize("profiles", [[], [["sink", [[0, 1.0]]]], "sink", None])
+    def test_profiles_must_be_a_mapping(self, profiles):
+        spec = gn.parse_network(NET_JSON)
+        doc = json.loads(SCN_JSON)
+        doc["profiles"] = profiles
+        with pytest.raises(gn.FormatError, match="'profiles'"):
+            gn.parse_scenario(json.dumps(doc), spec)
+
+    @pytest.mark.parametrize("key", ["t_end", "dt"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "abc", None])
+    def test_nonfinite_or_non_numeric_horizon_is_rejected(self, key, bad):
+        spec = gn.parse_network(NET_JSON)
+        doc = json.loads(SCN_JSON)
+        doc[key] = bad
+        with pytest.raises(gn.FormatError, match="t_end and dt must be"):
+            gn.parse_scenario(json.dumps(doc), spec)
+
     def test_negative_demand_is_accepted(self):
         # reverse flow is supported, so demands keep their sign
         spec = gn.parse_network(NET_JSON)

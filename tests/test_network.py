@@ -6,7 +6,7 @@ from gasnetsim.compressor import Assumption, Framework
 from gasnetsim.network import color_columns
 from gasnetsim.timeloop import _fd_jacobian, _fd_jacobian_csc
 
-from casekit import single_pipe_system
+from casekit import ladder_system, single_pipe_system
 
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 
@@ -461,6 +461,30 @@ class TestGeneralTopologies:
             got = g.algebraic_solve(x[: g.n_z], 0.0, inputs, anchor=anchor)[g.n_z:]
             assert np.allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("name", ["star", "diamond", "series", "ladder"])
+    def test_blockwise_pseudo_inverse_matches_dense(self, name):
+        # the triplet matrix is the port/node rows' matrix read off the
+        # residual, and its blockwise pseudo-inverse is the dense pinv
+        # (diamond and ladder: singular, merging junctions)
+        make = {"star": star_network_spec, "diamond": diamond_spec,
+                "series": series_stations_spec}
+        g = ladder_system()[0] if name == "ladder" else gn.assemble(make[name]())
+        a, na, nz = g._algebraic_map(), g.n_alg, g.n_z
+        M = np.zeros((na, na))
+        np.add.at(M, (a.M.rows, a.M.cols), a.M.vals)
+        P = np.zeros((na, na))
+        np.add.at(P, (a.P.rows, a.P.cols), a.P.vals)
+        inputs = {key: 1.0 for key, _ in g.required_inputs()}
+        x0 = np.concatenate([np.full(nz, 3.0), np.zeros(na)])
+        F0 = g.steady_residual(x0, inputs)[nz:]
+        sign = np.ones(na)
+        sign[g.port_out_row - nz] = -1.0     # the map solves them as lambda = p_out(z)
+        for j in range(na):
+            xe = x0.copy()
+            xe[nz + j] = 1.0
+            assert np.array_equal(M[:, j], sign * (g.steady_residual(xe, inputs)[nz:] - F0))
+        assert np.abs(P - np.linalg.pinv(M, na * np.finfo(float).eps)).max() <= 1e-13
+
     def test_two_supplies(self, gas):
         nodes = [gn.Node("s1", gn.NodeKind.SUPPLY),
                  gn.Node("s2", gn.NodeKind.SUPPLY),
@@ -586,3 +610,11 @@ def test_check_state_names_the_first_offending_pipe_and_time():
     z[g.rho_sl[2].start] = 0.0         # P3, the first offending pipe
     with pytest.raises(gn.StateError, match=r"non-positive density in pipe 'P3' at t=1234\.5"):
         g.check_state(z, 1234.5)
+
+
+def test_record_names_are_shared_between_systems():
+    # records of repeated simulations of one network hold one set of names
+    first = gn.assemble(series_stations_spec()).record_names()
+    second = gn.assemble(series_stations_spec()).record_names()
+    assert first == second
+    assert all(a is b for a, b in zip(first, second))

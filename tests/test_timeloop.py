@@ -3,7 +3,9 @@ import pytest
 
 import gasnetsim as gn
 
-from casekit import benchmark_with_model, closed_pipe, single_pipe_system
+from gasnetsim import timeloop
+
+from casekit import benchmark_with_model, closed_pipe, ladder_system, single_pipe_system
 
 
 class TestNewton:
@@ -15,6 +17,7 @@ class TestNewton:
         res = gn.newton_solve(lambda x: A @ x - b, np.zeros(5),
                               gn.SolverConfig(newton_abs_tol=1e-9))
         assert res.iterations == 1
+        assert res.jacobians == 1          # the dense path builds one per iteration
         assert np.allclose(res.x, np.linalg.solve(A, b), rtol=1e-8)
 
     def test_scalar_quadratic_tail(self):
@@ -59,6 +62,110 @@ class TestNewton:
             gn.newton_solve(fun, np.array([3.0, -1.0]),
                             gn.SolverConfig(newton_abs_tol=1e-12, sparse_threshold=1),
                             colors=full)
+
+
+def full_newton(fun, x0, cfg=None, colors=None):
+    """Reference for the chord path: full Newton steps, a fresh colored FD
+    Jacobian and SuperLU factor at every iterate, no line search."""
+    from scipy.sparse.linalg import splu
+
+    from gasnetsim.timeloop import _fd_jacobian_csc
+    x = np.array(x0, dtype=float)
+    F = fun(x)
+    history = [np.abs(F).max()]
+    while history[-1] > cfg.newton_abs_tol:
+        assert len(history) <= cfg.newton_max_iter
+        J = _fd_jacobian_csc(fun, x, F, colors, cfg.fd_step)
+        x = x + splu(J).solve(-F)
+        F = fun(x)
+        history.append(np.abs(F).max())
+    return gn.NewtonResult(x, len(history) - 1, history, len(history) - 1)
+
+
+def day_transient(tag):
+    """The day line with a demand change every 20-40 minutes over two hours."""
+    spec, scen = benchmark_with_model(tag)
+    scen.profiles["sink"] = (np.array([0.0, 1200.0, 3600.0, 6000.0]),
+                             np.array([200.0, 260.0, 180.0, 240.0]))
+    return spec, scen
+
+
+class TestChordNewton:
+    """The sparse path reuses its SuperLU factor (forced on small systems
+    with sparse_threshold=0)."""
+
+    CFG = gn.SolverConfig(sparse_threshold=0)
+
+    def steady(self, tag):
+        spec, scen = day_transient(tag)
+        g = gn.assemble(spec)
+        fn, p_ref, m_ref = gn.bind_inputs(g, scen)
+        g.references = (p_ref, m_ref)
+        return g, fn, gn.steady_state(g, fn(0.0), self.CFG, set_references=False)
+
+    def test_records_within_three_times_the_full_newton_error(self, monkeypatch):
+        # ladder (n = 2963, above the default threshold), all four station
+        # variants: distance to a 1e-12 reference, per column max
+        g, scen = ladder_system()
+        chord = gn.simulate(g, scen).data
+        monkeypatch.setattr(timeloop, "newton_solve", full_newton)
+        ref = gn.simulate(g, scen, gn.SolverConfig(newton_abs_tol=1e-12)).data
+        full = gn.simulate(g, scen).data
+        scale = np.abs(ref).max(axis=0)
+        scale[scale == 0.0] = 1.0
+        dev_chord = (np.abs(chord - ref) / scale).max()
+        dev_full = (np.abs(full - ref) / scale).max()
+        assert dev_chord <= 3.0 * dev_full
+
+    def test_steady_factor_is_rebuilt_on_the_first_step(self):
+        g, fn, x = self.steady("fc-am")
+        steady_lu = g.jac_colors().factor[0]
+        assert steady_lu is not None
+
+        def surge(t):
+            return {**fn(t), "sink": 260.0}
+
+        _, res = gn.step_midpoint(g, x, 0.0, 100.0, surge, self.CFG)
+        assert res.iterations >= 2 and res.jacobians == 1
+        assert g.jac_colors().factor[0] is not steady_lu
+
+    @pytest.mark.parametrize("tag", ["none", "fc-av", "fp-am"])
+    def test_step_sequence_builds_far_fewer_jacobians_than_iterations(self, tag):
+        g, fn, x = self.steady(tag)
+        iterations = jacobians = 0
+        for i in range(72):
+            x, res = gn.step_midpoint(g, x, 100.0 * i, 100.0, fn, self.CFG)
+            iterations += res.iterations
+            jacobians += res.jacobians
+            assert res.history[-1] <= self.CFG.newton_abs_tol
+        assert iterations >= 100
+        assert 1 <= jacobians <= iterations / 10
+
+    def test_simulate_twice_is_bitwise_equal(self):
+        spec, scen = day_transient("fp-av")
+        g = gn.assemble(spec)
+        cfg = gn.SolverConfig(sparse_threshold=0, t_end=7200.0)
+        first = gn.simulate(g, scen, cfg)
+        assert g.jac_colors().factor[0] is not None
+
+        class Stale:
+            def solve(self, rhs):
+                raise AssertionError("the steady solve reused the last step's factor")
+
+        g.jac_colors().factor[0] = Stale()
+        second = gn.simulate(g, scen, cfg)
+        assert np.array_equal(first.data, second.data)
+        assert np.array_equal(first.newton_iters, second.newton_iters)
+
+    def test_converged_start_takes_no_step(self):
+        g, fn, x = self.steady("fc-am")
+        assert g.jac_colors().factor[0] is not None
+        scale = g.row_scale()
+        inputs = fn(0.0)
+        res = gn.newton_solve(lambda v: g.steady_residual(v, inputs) / scale, x,
+                              self.CFG, colors=g.jac_colors())
+        assert res.iterations == 0 and res.jacobians == 0 and len(res.history) == 1
+        assert np.array_equal(res.x, x)
 
 
 class TestScaling:
