@@ -13,12 +13,12 @@ from .errors import (ConfigurationError, FactorizationError, FormatError,
                      StateError)
 from .formats import (RunReport, Scenario, parse_network, parse_scenario,
                       read_timeseries, serialize_network, write_timeseries)
-from .gas import EffortField, GasProperties, PipeField, effort, hamiltonian, sound_speed
+from .gas import GasProperties
 from .network import (CompressorStation, GlobalSystem, NetworkSpec, Node,
                       NodeKind, PipeEdge, ValidationReport, assemble,
                       fuse_compressors, incidence_matrices,
                       validate_topology)
-from .pipe import PipeSpec, PipeSystem, discretize_pipe, pipe_rhs, steady_pipe_oracle
+from .pipe import PipeSpec, PipeSystem, discretize_pipe, steady_pipe_oracle
 from .timeloop import (NewtonResult, SolverConfig, TimeSeries, bind_inputs,
                        newton_solve, scale_residual, simulate, steady_state,
                        step_midpoint)
@@ -28,15 +28,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assumption", "CompressorModel", "CompressorStation",
-    "ConfigurationError", "EffortField", "FactorizationError", "FormatError",
-    "Framework", "GasnetError", "GasProperties", "GlobalSystem",
-    "InfeasibleFlowError", "NetworkSpec", "NewtonResult", "Node", "NodeKind",
-    "NonconvergenceError", "PipeEdge", "PipeField", "PipeSpec", "PipeSystem",
-    "RunReport", "Scenario", "SolverConfig", "StateError", "TimeSeries",
-    "TwoPipeDirect", "ValidationReport", "adiabatic_enthalpy", "assemble",
-    "bind_inputs", "discretize_pipe", "effort", "fuse_compressors",
-    "hamiltonian", "incidence_matrices", "newton_solve", "parse_network",
-    "parse_scenario", "pipe_rhs", "read_timeseries", "scale_residual",
-    "serialize_network", "simulate", "sound_speed", "steady_pipe_oracle",
+    "ConfigurationError", "FactorizationError", "FormatError", "Framework",
+    "GasnetError", "GasProperties", "GlobalSystem", "InfeasibleFlowError",
+    "NetworkSpec", "NewtonResult", "Node", "NodeKind", "NonconvergenceError",
+    "PipeEdge", "PipeSpec", "PipeSystem", "RunReport", "Scenario",
+    "SolverConfig", "StateError", "TimeSeries", "TwoPipeDirect",
+    "ValidationReport", "adiabatic_enthalpy", "assemble", "bind_inputs",
+    "discretize_pipe", "fuse_compressors", "incidence_matrices",
+    "newton_solve", "parse_network", "parse_scenario", "read_timeseries",
+    "scale_residual", "serialize_network", "simulate", "steady_pipe_oracle",
     "steady_state", "step_midpoint", "validate_topology", "write_timeseries",
 ]

@@ -76,6 +76,11 @@ def _apply_model_override(spec, model_tag):
 
 
 def _solve(args, transient: bool) -> int:
+    overrides = {"dt": args.dt} if transient else {"t_end": 0.0}
+    if args.tol is not None:
+        overrides["newton_abs_tol"] = args.tol
+    cfg = SolverConfig(**overrides)     # validates the flags before any file is read
+
     spec = parse_network(Path(args.network).read_text(encoding="utf-8"))
     if args.model != "none":
         spec = _apply_model_override(spec, args.model)
@@ -84,14 +89,6 @@ def _solve(args, transient: bool) -> int:
     if args.model == "none":
         spec = _apply_model_override(spec, args.model)
     gsys = assemble(spec, n_cells_override=args.cells)
-
-    cfg = SolverConfig()
-    if args.tol is not None:
-        cfg.newton_abs_tol = args.tol
-    if transient and args.dt is not None:
-        cfg.dt = args.dt
-    if not transient:
-        cfg.t_end = 0.0
 
     out = args.out
     if out is None:

@@ -1,13 +1,10 @@
-"""Gas-law parameters and the effort/energy maps shared by all modules.
+"""Gas-law parameters shared by all modules.
 
 Everything here works in SI units: pressure in Pa, density in kg/m^3,
 momentum density in kg/(m^2 s). The isothermal closure p = c^2 rho with
 c^2 = z * R_s * T turns pressure into a linear function of density, so the
-stored energy per unit cross-section of a discretized pipe is the quadratic
-
-    H = sum_i dx * c^2 * rho_i^2 / 2  +  sum_j dx * m_j^2 / 2
-
-whose gradient divided by dx is the effort pair e = [p; m].
+effort of a pipe state is the pair e = [c^2 rho; m] and its stored energy
+the weighted quadratic H = z' W e(z) / 2 (`network.PipeStates`).
 """
 
 from __future__ import annotations
@@ -15,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import ConfigurationError, StateError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -54,59 +49,3 @@ class GasProperties:
     def c2(self) -> float:
         """Squared sound speed, the pressure/density proportionality constant."""
         return self.sound_speed * self.sound_speed
-
-
-def sound_speed(gas: GasProperties) -> float:
-    """Isothermal sound speed sqrt(z * R_s * T) in m/s."""
-    return gas.sound_speed
-
-
-@dataclass
-class PipeField:
-    """State of one discretized pipe: densities at cell centers, momenta at interfaces.
-
-    `rho` has one entry per cell; `mom` has one entry per momentum interface
-    (the inlet interface plus the interior ones; the outlet momentum is a
-    boundary input, not a state).
-    """
-
-    rho: np.ndarray
-    mom: np.ndarray
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float)
-        self.mom = np.asarray(self.mom, dtype=float)
-        if self.rho.ndim != 1 or self.mom.ndim != 1:
-            raise ConfigurationError("pipe field arrays must be one-dimensional")
-        if self.rho.size != self.mom.size:
-            raise ConfigurationError(
-                "density and momentum arrays must have equal length "
-                f"(got {self.rho.size} and {self.mom.size})"
-            )
-
-    def require_positive_density(self):
-        if not np.all(self.rho > 0.0):
-            raise StateError("non-positive density in pipe state")
-
-
-@dataclass
-class EffortField:
-    """Effort pair per pipe: pressures at cell centers, momenta at interfaces."""
-
-    p: np.ndarray
-    m: np.ndarray
-
-
-def effort(fld: PipeField, gas: GasProperties) -> EffortField:
-    """Map state to effort: pressure p_i = c^2 rho_i per cell, momentum copied."""
-    fld.require_positive_density()
-    return EffortField(gas.c2 * fld.rho, fld.mom.copy())
-
-
-def hamiltonian(fld: PipeField, gas: GasProperties, dx: float) -> float:
-    """Discrete stored energy per unit cross-section, uniform dx quadrature.
-
-    Strictly positive for any nonzero state; its finite-difference gradient
-    equals dx * [p; m].
-    """
-    return 0.5 * dx * float(gas.c2 * np.dot(fld.rho, fld.rho) + np.dot(fld.mom, fld.mom))

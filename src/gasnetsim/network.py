@@ -30,8 +30,9 @@ evaluations (finite-difference Jacobian columns) are safe.
 All pipes' rows come from one vectorized pass over the pipe bank
 (`PipeBank`): flat index and weight arrays built once per system.
 `PipeStates` owns the bank and the pipe rows, and `twopipe.TwoPipeDirect`
-evaluates the same rows. Cell i of a pipe pairs rho_i with the momentum m_i
-on its inlet-side interface:
+evaluates the same rows. The stored energy, the friction power and the
+port powers of `GlobalSystem.power_terms` read the same bank. Cell i of a
+pipe pairs rho_i with the momentum m_i on its inlet-side interface:
 
     continuity   dx rho_i' + (s_i x[down_i] - m_i)      down = m_(i+1), or
                  mu_m with s = -1 at the last cell
@@ -415,8 +416,17 @@ class PipeStates:
         rho, mom = x[b.rho], x[b.mom]
         pres = c2 * rho
         F[b.rho] = b.dx * zdot[b.rho] + (b.down_sign * x[b.down] - mom)
-        fric = b.fric * mom * np.abs(mom / (0.5 * (rho[b.prev] + rho)))
-        F[b.mom] = b.w * zdot[b.mom] + (pres - b.up_scale * x[b.up]) + b.w * fric
+        F[b.mom] = (b.w * zdot[b.mom] + (pres - b.up_scale * x[b.up])
+                    + b.w * self._friction(rho, mom))
+
+    def _friction(self, rho, mom):
+        """Friction deceleration (lambda/2D) m |m / rho_bar| per momentum interface.
+
+        rho_bar averages the two cells around the interface; at a pipe inlet
+        `prev` is the cell itself, so rho_bar is the first cell's density.
+        """
+        b = self.bank
+        return b.fric * mom * np.abs(mom / (0.5 * (rho[b.prev] + rho)))
 
     def _pipe_pattern(self):
         """(rows, cols) pairs of the pipe rows' structural couplings."""
@@ -457,11 +467,19 @@ class PipeStates:
                                       float(z[b.m_in[s.pipe_down]])))
         return dict(zip(self.record_names(), vals))
 
+    def effort_vector(self, z):
+        """The effort e(z) = [c^2 rho; m] over the differential states."""
+        e = np.array(z[: self.n_z], dtype=float)
+        e[self.bank.rho] *= self.gas.c2
+        return e
+
     def hamiltonian_total(self, z):
-        """Stored energy with uniform dx weights (`gas.hamiltonian` summed over pipes)."""
-        b = self.bank
-        rho, mom = z[b.rho], z[b.mom]
-        return 0.5 * float(self.gas.c2 * np.dot(b.dx * rho, rho) + np.dot(b.dx * mom, mom))
+        """Stored energy H = z' W e(z) / 2 with the cell-measure weights W.
+
+        The inlet momentum has a half cell (dx/2), so H is the energy whose
+        rate e' W dz/dt (`energy_rate`) the power balance closes.
+        """
+        return 0.5 * float(np.dot(self.effort_vector(z) * self.energy_weights, z[: self.n_z]))
 
     def total_mass(self, z):
         return float(np.dot(self.bank.dx, z[self.bank.rho]))
@@ -767,11 +785,6 @@ class GlobalSystem(PipeStates):
         F = self.steady_residual(x, inputs)
         return -F[: self.n_z] / self.energy_weights
 
-    def effort_vector(self, z):
-        e = np.array(z[: self.n_z], dtype=float)
-        e[self.bank.rho] *= self.gas.c2
-        return e
-
     def energy_rate(self, z, zdot):
         """Exact stored-energy rate e' E dz/dt with the cell-measure E."""
         return float(np.dot(self.effort_vector(z) * self.energy_weights, zdot))
@@ -787,30 +800,17 @@ class GlobalSystem(PipeStates):
         if callable(inputs):
             raise ConfigurationError("power_terms expects sampled input values")
         x = np.asarray(x, float)
-        z = x[: self.n_z]
-        zdot = self.zdot_consistent(x, inputs)
-
-        def port_power(k, isout):
-            p = self.pipes[k]
-            if isout:
-                m_L = -x[self.mu_m[k]]
-                return -p.conjugate_outlet_pressure(z[self.rho_sl[k]]) * m_L
-            return x[self.mu_p[k]] * z[self.mom_sl[k]][0]
-
-        parts = {"boundary": 0.0, "compressor": 0.0, "internal": 0.0}
-        for nd in self.node_order:
-            if nd.kind in BOUNDARY_KINDS:
-                bucket = "boundary"
-            elif nd.kind in COMPRESSOR_KINDS:
-                bucket = "compressor"
-            else:
-                bucket = "internal"
-            for k, isout in self.attached[nd.id]:
-                parts[bucket] += port_power(k, isout)
-        diss = sum(p.dissipation_rate(z[self.rho_sl[k]], z[self.mom_sl[k]])
-                   for k, p in enumerate(self.pipes))
-        parts["dissipation"] = diss
-        parts["rate"] = self.energy_rate(z, zdot)
+        b, z, pipes = self.bank, x[: self.n_z], self.spec.pipes
+        bucket = {nd.id: 0 if nd.kind in BOUNDARY_KINDS else 1 if nd.kind in COMPRESSOR_KINDS
+                  else 2 for nd in self.node_order}
+        ports = [bucket[pe.from_node] for pe in pipes] + [bucket[pe.to_node] for pe in pipes]
+        # inlet: p_in m(0); outlet: the conjugate pressure times minus the flux -mu_m
+        power = np.concatenate([x[self.mu_p] * z[b.m_in], self.gas.c2 * z[b.tail] * x[self.mu_m]])
+        sums = np.bincount(ports, weights=power, minlength=3).tolist()
+        parts = dict(zip(("boundary", "compressor", "internal"), sums))
+        mom = z[b.mom]
+        parts["dissipation"] = float(np.dot(b.w * self._friction(z[b.rho], mom), mom))
+        parts["rate"] = self.energy_rate(z, self.zdot_consistent(x, inputs))
         return parts
 
     # ------------------------------------------------------------------
@@ -940,12 +940,12 @@ def blockwise_pinv(M: Triplets, n: int, rcond: float) -> Triplets:
 class ColumnColoring(NamedTuple):
     """Column groups for one-sweep finite-difference Jacobians.
 
-    ``groups[c]`` lists the columns of color c (no two share a residual row);
-    ``rows_of_col[j]`` the structural rows of column j. ``rows``, ``cols`` and
-    ``color`` flatten the structural nonzeros column by column (CSC order):
-    entry i sits at (rows[i], cols[i]) and is read from the sweep of color
-    ``color[i]``. Column j's entries are ``indptr[j]:indptr[j + 1]``, so
-    ``(values, rows, indptr)`` is a CSC matrix as it stands.
+    ``groups[c]`` lists the columns of color c (no two share a residual
+    row). ``rows``, ``cols`` and ``color`` flatten the structural nonzeros
+    column by column (CSC order): entry i sits at (rows[i], cols[i]) and is
+    read from the sweep of color ``color[i]``. Column j's entries are
+    ``indptr[j]:indptr[j + 1]``, so ``(values, rows, indptr)`` is a CSC
+    matrix as it stands.
 
     ``factor`` is a one-slot list: the sparse Newton path keeps its last
     SuperLU factor there for chord steps (``timeloop.newton_solve``), so the
@@ -953,7 +953,6 @@ class ColumnColoring(NamedTuple):
     """
 
     groups: list[np.ndarray]
-    rows_of_col: list[np.ndarray]
     rows: np.ndarray
     cols: np.ndarray
     color: np.ndarray
@@ -986,4 +985,4 @@ def color_columns(pattern, n_rows, n_cols) -> ColumnColoring:
             colors.append([c])
         color_of_col[c] = ci
     return ColumnColoring([np.array(sorted(cs), dtype=int) for cs in colors],
-                          rows_of_col, rows, cols, color_of_col[cols], indptr, [None])
+                          rows, cols, color_of_col[cols], indptr, [None])

@@ -1,4 +1,4 @@
-"""Spatial discretization of one pipe into semi-discrete port-Hamiltonian form.
+"""Geometry and grid of one pipe on the staggered port-Hamiltonian grid.
 
 The grid is staggered: densities live at the n cell centers, momenta at the
 inlet interface and the n-1 interior interfaces. The outlet-interface
@@ -10,14 +10,11 @@ degree of freedom, dx/2 for the inlet half cell) the semi-discrete system is
 
 where J is skew-symmetric as a matrix, R(z) is the diagonal nonnegative
 friction operator and e(z) = [p; m]. The weighted energy rate then reduces
-exactly to boundary terms minus friction dissipation, which the tests check
-to machine precision.
+exactly to boundary terms minus friction dissipation.
 
-Boundary readings: the inlet momentum output is the state m_0; the outlet
-pressure is reported by two-point linear extrapolation from the last two
-cell centers (second order). The energy-conjugate pressure actually paired
-with the outlet flux in the discrete power balance is the last cell-center
-value; both are exposed.
+`PipeSystem` holds what one pipe contributes to that form: cell count, dx,
+the weights W and the friction coefficient. The equations themselves are
+evaluated for all pipes at once by the pipe bank (`network.PipeStates`).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibleFlowError
-from .gas import GasProperties, PipeField
+from .gas import GasProperties
 
 
 @dataclass(frozen=True)
@@ -69,115 +66,10 @@ class PipeSystem:
         w[self.n] = 0.5 * self.dx  # inlet momentum half cell
         self.weights = w
 
-    # -- state helpers -------------------------------------------------
-
-    def pressures(self, rho: np.ndarray) -> np.ndarray:
-        return self.c2 * rho
-
-    def interface_density(self, rho: np.ndarray) -> np.ndarray:
-        """Density collocated at the momentum interfaces (one-sided at the inlet)."""
-        rbar = np.empty(self.n)
-        rbar[0] = rho[0]
-        rbar[1:] = 0.5 * (rho[:-1] + rho[1:])
-        return rbar
-
-    def friction_force(self, rho: np.ndarray, mom: np.ndarray) -> np.ndarray:
-        """Pointwise friction deceleration (lambda/2D) m |v| per interface."""
-        if self.fric_coef == 0.0:
-            return np.zeros(self.n)
-        v = mom / self.interface_density(rho)
-        return self.fric_coef * mom * np.abs(v)
-
-    def outlet_pressure(self, rho: np.ndarray) -> float:
-        """Outlet pressure by linear extrapolation from the two nearest cells."""
-        p = self.pressures(rho)
-        return float(1.5 * p[-1] - 0.5 * p[-2])
-
-    def conjugate_outlet_pressure(self, rho: np.ndarray) -> float:
-        """Last cell-center pressure, the energy-conjugate of the outlet flux."""
-        return float(self.c2 * rho[-1])
-
-    def dissipation_rate(self, rho: np.ndarray, mom: np.ndarray) -> float:
-        """Weighted friction power e' R(z) e >= 0."""
-        wm = self.weights[self.n:]
-        return float(np.dot(wm * self.friction_force(rho, mom), mom))
-
-    def stored_energy(self, rho: np.ndarray, mom: np.ndarray) -> float:
-        """Energy in the cell-measure inner product (dx/2 on the inlet half cell)."""
-        wr = self.weights[: self.n]
-        wm = self.weights[self.n:]
-        return 0.5 * float(self.c2 * np.dot(wr * rho, rho) + np.dot(wm * mom, mom))
-
-    # -- dense operator views (small systems / tests) ------------------
-
-    def transport_matrix(self) -> np.ndarray:
-        """Skew matrix J of the weighted form W dz/dt = (J - R) e + B u."""
-        n = self.n
-        J = np.zeros((2 * n, 2 * n))
-        for i in range(n):
-            J[i, n + i] = 1.0          # + m_i into cell i
-            if i + 1 < n:
-                J[i, n + i + 1] = -1.0  # - m_{i+1} out of cell i
-        J[n, 0] = -1.0                  # inlet half-cell gradient: - p_0
-        for j in range(1, n):
-            J[n + j, j] = -1.0
-            J[n + j, j - 1] = 1.0
-        return J
-
-    def dissipation_matrix(self, rho: np.ndarray, mom: np.ndarray) -> np.ndarray:
-        """Diagonal nonnegative R(z) of the weighted form."""
-        n = self.n
-        diag = np.zeros(2 * n)
-        if self.fric_coef > 0.0:
-            v = mom / self.interface_density(rho)
-            diag[n:] = self.weights[n:] * self.fric_coef * np.abs(v)
-        return np.diag(diag)
-
-    def input_matrix(self) -> np.ndarray:
-        """B mapping u = [p_in; -m_out] into the weighted equations."""
-        n = self.n
-        B = np.zeros((2 * n, 2))
-        B[n, 0] = 1.0       # inlet pressure enters the inlet momentum row
-        B[n - 1, 1] = 1.0   # -m_out enters the last continuity row
-        return B
-
 
 def discretize_pipe(spec: PipeSpec, gas: GasProperties) -> PipeSystem:
     """Build the staggered-grid semi-discrete system for one pipe."""
     return PipeSystem(spec, gas)
-
-
-def pipe_rhs(sys: PipeSystem, fld: PipeField, u) -> tuple[PipeField, tuple[float, float]]:
-    """Time derivatives and port outputs at one state.
-
-    Parameters
-    ----------
-    u : pair (p_in, minus_m_out), the boundary input vector [p_0; -m_L].
-
-    Returns
-    -------
-    (rates, (m_in, p_out)) where `rates` holds d rho/dt and d m/dt and the
-    outputs are the inlet momentum state and the extrapolated outlet pressure.
-    """
-    fld.require_positive_density()
-    rho, mom = fld.rho, fld.mom
-    if rho.size != sys.n:
-        raise ConfigurationError(
-            f"pipe {sys.spec.id!r}: state has {rho.size} cells, expected {sys.n}"
-        )
-    p_in, minus_m_out = float(u[0]), float(u[1])
-    dx = sys.dx
-    p = sys.pressures(rho)
-
-    m_full = np.append(mom, -minus_m_out)
-    drho = -np.diff(m_full) / dx
-
-    fric = sys.friction_force(rho, mom)
-    dmom = np.empty(sys.n)
-    dmom[0] = -(p[0] - p_in) / (0.5 * dx) - fric[0]
-    dmom[1:] = -np.diff(p) / dx - fric[1:]
-
-    return PipeField(drho, dmom), (float(mom[0]), sys.outlet_pressure(rho))
 
 
 def steady_pipe_oracle(spec: PipeSpec, gas: GasProperties, p_in: float, m: float) -> float:

@@ -1,14 +1,18 @@
 """Steady-state initialization and implicit-midpoint transient integration.
 
 The inner solver is a damped Newton iteration on the scaled residual with a
-forward finite-difference Jacobian. Structural column coloring (provided by
-the system object) evaluates all independent Jacobian columns in one sweep,
-which keeps the 864-step day benchmark in the low seconds.
+forward finite-difference Jacobian (Curtis, Powell & Reid 1974). Structural
+column coloring (provided by the system object) evaluates all independent
+Jacobian columns in one residual sweep; one gather then reads every
+structural nonzero from the sweep of its column's color. Without a coloring
+every column is its own color. The difference step, the line search's shrink
+factor and its backtrack limit are module constants (``FD_STEP``,
+``BACKTRACK_FACTOR``, ``MAX_BACKTRACKS``), not settings.
 
-Up to ``SolverConfig.sparse_threshold`` unknowns the Jacobian is a dense
-array factored by LAPACK. Above it, the colored sweeps fill a compressed
-sparse column matrix directly, which SuperLU (``scipy.sparse.linalg.splu``)
-factors, so no n x n array is ever allocated. The threshold trades the
+Up to ``SolverConfig.sparse_threshold`` unknowns the gather fills a dense
+array factored by LAPACK. Above it, the gather is a compressed sparse column
+matrix as it stands, which SuperLU (``scipy.sparse.linalg.splu``) factors,
+so no n x n array is ever allocated. The threshold trades the
 dense Jacobian's 8 n^2 bytes (about 17 MB with its LU copy at n = 1000)
 against the roughly 30 MB that importing ``scipy.sparse.linalg`` adds to the
 process; the import happens only once a system above the threshold is
@@ -37,12 +41,14 @@ the coupling relations so every sample is internally consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigurationError, FactorizationError,
                      NonconvergenceError, StateError)
+from .network import ColumnColoring
 
 __all__ = [
     "SolverConfig", "NewtonResult", "TimeSeries", "scale_residual",
@@ -62,26 +68,39 @@ class SolverConfig:
     factor across iterations and steps (chord Newton, module docstring) and
     refactors only when a reused step fails to contract; the dense path
     builds and factors a Jacobian on every iteration.
+
+    ``newton_abs_tol`` and ``dt`` must be finite and positive, ``t_end``
+    finite and nonnegative (0 solves the steady state only), and
+    ``newton_max_iter`` at least 1; anything else raises
+    ``ConfigurationError`` here, before a solve starts.
     """
 
     newton_abs_tol: float = 1e-8
     newton_max_iter: int = 50
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 20
-    fd_step: float = 1e-7
     dt: float | None = None
     t_end: float | None = None
     sparse_threshold: int = 2000
 
     def __post_init__(self):
-        if self.newton_abs_tol <= 0 or self.fd_step <= 0:
-            raise ConfigurationError("tolerances must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
+        if not (math.isfinite(self.newton_abs_tol) and self.newton_abs_tol > 0):
+            raise ConfigurationError(
+                f"newton_abs_tol must be finite and positive, got {self.newton_abs_tol}")
+        if self.newton_max_iter < 1:
+            raise ConfigurationError(
+                f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigurationError(f"dt must be finite and positive, got {self.dt}")
+        if self.t_end is not None and not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ConfigurationError(f"t_end must be finite and nonnegative, got {self.t_end}")
 
 
 # a reused-factor (chord) step is accepted when it cuts max|F| at least this much
 CHORD_CONTRACTION = 0.5
+# the line search shrinks a rejected step by this factor, at most this often
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 20
+# forward-difference step relative to 1 + |x_j|
+FD_STEP = 1e-7
 
 
 @dataclass
@@ -103,66 +122,53 @@ def scale_residual(gsys, raw):
     return np.asarray(raw, float) / gsys.row_scale()
 
 
-def _fd_jacobian(fun, x, F0, colors_info, rel_step):
-    """Forward-difference Jacobian, one residual sweep per column color."""
-    n = x.size
-    J = np.zeros((F0.size, n))
-    if colors_info is None:
-        for j in range(n):
-            h = rel_step * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            J[:, j] = (fun(xp) - F0) / h
-        return J
-    colors, rows_of_col = colors_info[:2]
-    for group in colors:
-        xp = x.copy()
-        h = rel_step * (1.0 + np.abs(x[group]))
-        xp[group] += h
-        dF = fun(xp) - F0
-        for j, hj in zip(group, h):
-            rows = rows_of_col[j]
-            J[rows, j] = dF[rows] / hj
-    return J
+def _uncolored(n_rows, n_cols) -> ColumnColoring:
+    """One color per column, every row structural: the plain FD Jacobian."""
+    cols = np.repeat(np.arange(n_cols), n_rows)
+    return ColumnColoring(list(np.arange(n_cols)[:, None]), np.tile(np.arange(n_rows), n_cols),
+                          cols, cols, n_rows * np.arange(n_cols + 1), [None])
 
 
-def _fd_jacobian_csc(fun, x, F0, coloring, rel_step):
-    """The colored forward-difference Jacobian as a CSC matrix.
+def _fd_jacobian(fun, x, F0, coloring, sparse=False):
+    """Forward-difference Jacobian, one residual sweep per column color.
 
-    Same steps and quotients as ``_fd_jacobian``: one sweep per color fills
-    a row of ``dF``, then every structural nonzero is read from the sweep of
-    its column's color in one gather. The gather is already in CSC order, so
-    the matrix takes the coloring's index arrays without a sort.
+    The sweep of color c fills row c of ``dF``; every structural nonzero is
+    then read from the sweep of its column's color in one gather. The gather
+    is in CSC order, so the sparse matrix takes the coloring's index arrays
+    without a sort; the dense one scatters them into an n x n array.
     """
-    from scipy.sparse import csc_matrix
-
-    h = rel_step * (1.0 + np.abs(x))
+    h = FD_STEP * (1.0 + np.abs(x))
     dF = np.empty((len(coloring.groups), F0.size))
     for c, group in enumerate(coloring.groups):
         xp = x.copy()
         xp[group] += h[group]
         dF[c] = fun(xp) - F0
     vals = dF[coloring.color, coloring.rows] / h[coloring.cols]
-    return csc_matrix((vals, coloring.rows, coloring.indptr), shape=(F0.size, x.size))
+    if sparse:
+        from scipy.sparse import csc_matrix
+
+        return csc_matrix((vals, coloring.rows, coloring.indptr), shape=(F0.size, x.size))
+    J = np.zeros((F0.size, x.size))
+    J[coloring.rows, coloring.cols] = vals
+    return J
 
 
-def _newton_step(fun, x, F, colors, cfg, sparse):
+def _newton_step(fun, x, F, colors, sparse):
     """Solve J dx = -F with the finite-difference Jacobian at x.
 
     On the sparse path the SuperLU factor is stored in ``colors.factor`` for
     later chord steps.
     """
+    J = _fd_jacobian(fun, x, F, colors, sparse)
     if sparse:
         from scipy.sparse.linalg import splu
 
-        J = _fd_jacobian_csc(fun, x, F, colors, cfg.fd_step)
         try:
             lu = splu(J)
         except RuntimeError as exc:       # "Factor is exactly singular"
             raise FactorizationError(f"Jacobian factorization failed: {exc}") from exc
         colors.factor[0] = lu
         return lu.solve(-F)
-    J = _fd_jacobian(fun, x, F, colors, cfg.fd_step)
     try:
         return np.linalg.solve(J, -F)
     except np.linalg.LinAlgError as exc:
@@ -197,6 +203,8 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> Newto
     history = [norm]
     best_x, best_norm = x.copy(), norm
     sparse = colors is not None and x.size > cfg.sparse_threshold
+    if colors is None:
+        colors = _uncolored(F.size, x.size)
     slot = colors.factor if sparse else None
     jacobians = 0
     if norm <= cfg.newton_abs_tol:
@@ -210,12 +218,12 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> Newto
             if not chord:
                 slot[0] = None
         if not chord:
-            dx = _newton_step(fun, x, F, colors, cfg, sparse)
+            dx = _newton_step(fun, x, F, colors, sparse)
             jacobians += 1
             f2 = float(np.dot(F, F))
             alpha = 1.0
             accepted = False
-            for _ in range(cfg.max_backtracks + 1):
+            for _ in range(MAX_BACKTRACKS + 1):
                 x_try = x + alpha * dx
                 F_try = np.asarray(fun(x_try), float)
                 if np.all(np.isfinite(F_try)):
@@ -223,7 +231,7 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> Newto
                     if f2_try < (1.0 - 1e-4 * alpha) * f2:
                         accepted = True
                         break
-                alpha *= cfg.backtrack_factor
+                alpha *= BACKTRACK_FACTOR
             if not accepted:
                 raise NonconvergenceError(
                     f"line search stalled at iteration {it - 1} (residual {norm:.3e})",
@@ -351,8 +359,7 @@ def step_midpoint(sys, x_prev, t_n, dt, input_fn, cfg: SolverConfig | None = Non
         raise NonconvergenceError(
             f"step at t={t_n + dt:g} s failed: {exc}", x_best=exc.x_best,
             history=exc.history, time=t_n + dt) from exc
-    if hasattr(sys, "check_state"):
-        sys.check_state(res.x[: sys.n_z], t_n + dt)
+    sys.check_state(res.x[: sys.n_z], t_n + dt)
     return res.x, res
 
 

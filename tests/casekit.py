@@ -1,6 +1,13 @@
-"""Shared test cases: the benchmark files, small systems and a sealed-pipe system.
+"""Shared test cases: the benchmark files, small systems, a sealed-pipe system
+and the per-pipe oracles.
 
 Plain helpers, imported by name; the pytest fixtures stay in conftest.py.
+
+The oracles (`PipeField`, `PipeOracle`, `pipe_rhs`) evaluate one pipe's
+semi-discrete port-Hamiltonian form W dz/dt = (J - R(z)) e(z) + B u with
+per-pipe arrays and dense operator matrices. They are written independently
+of the vectorized pipe bank in `gasnetsim.network`, which the tests check
+against them.
 """
 
 import importlib.util
@@ -72,6 +79,155 @@ def single_pipe_system(gas, demand_id="d", supply_id="s", n_cells=32,
     return gn.assemble(spec)
 
 
+class PipeField:
+    """State of one discretized pipe: densities at cell centers, momenta at interfaces.
+
+    `rho` has one entry per cell; `mom` has one entry per momentum interface
+    (the inlet interface plus the interior ones; the outlet momentum is a
+    boundary input, not a state).
+    """
+
+    def __init__(self, rho, mom):
+        self.rho = np.asarray(rho, dtype=float)
+        self.mom = np.asarray(mom, dtype=float)
+        if self.rho.ndim != 1 or self.mom.ndim != 1:
+            raise gn.ConfigurationError("pipe field arrays must be one-dimensional")
+        if self.rho.size != self.mom.size:
+            raise gn.ConfigurationError(
+                "density and momentum arrays must have equal length "
+                f"(got {self.rho.size} and {self.mom.size})")
+
+    def require_positive_density(self):
+        if not np.all(self.rho > 0.0):
+            raise gn.StateError("non-positive density in pipe state")
+
+
+class PipeOracle(gn.PipeSystem):
+    """One pipe with its per-pipe state maps and dense operator views."""
+
+    def pressures(self, rho):
+        return self.c2 * rho
+
+    def interface_density(self, rho):
+        """Density collocated at the momentum interfaces (one-sided at the inlet)."""
+        rbar = np.empty(self.n)
+        rbar[0] = rho[0]
+        rbar[1:] = 0.5 * (rho[:-1] + rho[1:])
+        return rbar
+
+    def friction_force(self, rho, mom):
+        """Pointwise friction deceleration (lambda/2D) m |v| per interface."""
+        if self.fric_coef == 0.0:
+            return np.zeros(self.n)
+        v = mom / self.interface_density(rho)
+        return self.fric_coef * mom * np.abs(v)
+
+    def outlet_pressure(self, rho):
+        """Outlet pressure by linear extrapolation from the two nearest cells."""
+        p = self.pressures(rho)
+        return float(1.5 * p[-1] - 0.5 * p[-2])
+
+    def conjugate_outlet_pressure(self, rho):
+        """Last cell-center pressure, the energy-conjugate of the outlet flux."""
+        return float(self.c2 * rho[-1])
+
+    def dissipation_rate(self, rho, mom):
+        """Weighted friction power e' R(z) e >= 0."""
+        wm = self.weights[self.n:]
+        return float(np.dot(wm * self.friction_force(rho, mom), mom))
+
+    def stored_energy(self, rho, mom):
+        """Energy in the cell-measure inner product (dx/2 on the inlet half cell)."""
+        wr = self.weights[: self.n]
+        wm = self.weights[self.n:]
+        return 0.5 * float(self.c2 * np.dot(wr * rho, rho) + np.dot(wm * mom, mom))
+
+    def transport_matrix(self):
+        """Skew matrix J of the weighted form W dz/dt = (J - R) e + B u."""
+        n = self.n
+        J = np.zeros((2 * n, 2 * n))
+        for i in range(n):
+            J[i, n + i] = 1.0          # + m_i into cell i
+            if i + 1 < n:
+                J[i, n + i + 1] = -1.0  # - m_{i+1} out of cell i
+        J[n, 0] = -1.0                  # inlet half-cell gradient: - p_0
+        for j in range(1, n):
+            J[n + j, j] = -1.0
+            J[n + j, j - 1] = 1.0
+        return J
+
+    def dissipation_matrix(self, rho, mom):
+        """Diagonal nonnegative R(z) of the weighted form."""
+        n = self.n
+        diag = np.zeros(2 * n)
+        if self.fric_coef > 0.0:
+            v = mom / self.interface_density(rho)
+            diag[n:] = self.weights[n:] * self.fric_coef * np.abs(v)
+        return np.diag(diag)
+
+
+def oracle(pipe):
+    """The per-pipe oracle of a pipe of an assembled system."""
+    return PipeOracle(pipe.spec, pipe.gas)
+
+
+def pipe_rhs(sys, fld, u):
+    """Time derivatives and port outputs of one pipe at one state.
+
+    `u` is the pair (p_in, minus_m_out), the boundary input vector
+    [p_0; -m_L]. Returns (rates, (m_in, p_out)) where `rates` holds
+    d rho/dt and d m/dt and the outputs are the inlet momentum state and
+    the extrapolated outlet pressure.
+    """
+    fld.require_positive_density()
+    rho, mom = fld.rho, fld.mom
+    if rho.size != sys.n:
+        raise gn.ConfigurationError(
+            f"pipe {sys.spec.id!r}: state has {rho.size} cells, expected {sys.n}")
+    p_in, minus_m_out = float(u[0]), float(u[1])
+    dx = sys.dx
+    p = sys.pressures(rho)
+
+    m_full = np.append(mom, -minus_m_out)
+    drho = -np.diff(m_full) / dx
+
+    fric = sys.friction_force(rho, mom)
+    dmom = np.empty(sys.n)
+    dmom[0] = -(p[0] - p_in) / (0.5 * dx) - fric[0]
+    dmom[1:] = -np.diff(p) / dx - fric[1:]
+
+    return PipeField(drho, dmom), (float(mom[0]), sys.outlet_pressure(rho))
+
+
+def power_terms_oracle(g, x, inputs):
+    """Per-pipe, per-node form of `GlobalSystem.power_terms`.
+
+    Port powers pair p_in with m(0) at inlets and the last cell-center
+    pressure with the outlet flux at outlets, summed per node class; the
+    dissipation is each pipe's weighted friction power.
+    """
+    z = x[: g.n_z]
+    parts = {"boundary": 0.0, "compressor": 0.0, "internal": 0.0}
+    for nd in g.node_order:
+        if nd.kind in (gn.NodeKind.SUPPLY, gn.NodeKind.DEMAND):
+            bucket = "boundary"
+        elif nd.kind in (gn.NodeKind.COMPRESSOR_IN, gn.NodeKind.COMPRESSOR_OUT):
+            bucket = "compressor"
+        else:
+            bucket = "internal"
+        for k, isout in g.attached[nd.id]:
+            p = oracle(g.pipes[k])
+            if isout:
+                m_L = -x[g.mu_m[k]]
+                parts[bucket] += -p.conjugate_outlet_pressure(z[g.rho_sl[k]]) * m_L
+            else:
+                parts[bucket] += x[g.mu_p[k]] * z[g.mom_sl[k]][0]
+    parts["dissipation"] = sum(
+        oracle(p).dissipation_rate(z[g.rho_sl[k]], z[g.mom_sl[k]])
+        for k, p in enumerate(g.pipes))
+    return parts
+
+
 class ClosedPipe:
     """Sealed pipe driven by the shared stepping machinery.
 
@@ -140,7 +296,7 @@ class ClosedPipe:
 
 def closed_pipe(gas, n_cells=32, length=100e3, friction=0.0, amplitude=0.05):
     spec = gn.PipeSpec("sealed", length, 1.0, friction, n_cells)
-    sys = gn.discretize_pipe(spec, gas)
+    sys = PipeOracle(spec, gas)
     cp = ClosedPipe(sys)
     xc = (np.arange(n_cells) + 0.5) * sys.dx
     rho = 50.0 * (1.0 + amplitude * np.sin(2.0 * np.pi * xc / length))

@@ -113,3 +113,19 @@ def test_tolerance_flag(files, tmp_path):
     net, scn = files
     out = tmp_path / "t.csv"
     assert main(["run", str(net), str(scn), "--tol", "1e-10", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["run", "--dt", "0"], "dt"), (["run", "--dt", "-5"], "dt"),
+    (["run", "--dt", "inf"], "dt"), (["run", "--dt", "nan"], "dt"),
+    (["run", "--tol", "-1"], "newton_abs_tol"), (["run", "--tol", "nan"], "newton_abs_tol"),
+    (["run", "--tol", "0"], "newton_abs_tol"), (["steady", "--tol", "-1"], "newton_abs_tol"),
+])
+def test_invalid_solver_flags_exit_1_before_solving(files, tmp_path, capsys, argv, key):
+    # the flags go through SolverConfig's checks: no traceback, no empty
+    # run, no nonconvergence report, and no CSV
+    net, scn = files
+    out = tmp_path / "bad.csv"
+    assert main([argv[0], str(net), str(scn), "--out", str(out)] + argv[1:]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be finite and positive")
+    assert not out.exists()

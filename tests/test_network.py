@@ -4,9 +4,10 @@ import pytest
 import gasnetsim as gn
 from gasnetsim.compressor import Assumption, Framework
 from gasnetsim.network import color_columns
-from gasnetsim.timeloop import _fd_jacobian, _fd_jacobian_csc
+from gasnetsim.timeloop import FD_STEP, _fd_jacobian, _uncolored
 
-from casekit import ladder_system, single_pipe_system
+from casekit import (PipeField, ladder_system, oracle, pipe_rhs,
+                     power_terms_oracle, single_pipe_system)
 
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 
@@ -118,7 +119,7 @@ def reference_residual(g, x, zdot, inputs):
         F[g.rho_sl[k]] = dx * zdot[g.rho_sl[k]] + np.diff(m_full)
 
         rows = F[g.mom_sl[k]]
-        fric = p.friction_force(rho, mom)
+        fric = oracle(p).friction_force(rho, mom)
         rows[0] = 0.5 * dx * zdot[g.mom_sl[k]][0] + (pres[0] - mu_p) \
             + 0.5 * dx * fric[0]
         rows[1:] = dx * zdot[g.mom_sl[k]][1:] + np.diff(pres) + dx * fric[1:]
@@ -156,6 +157,17 @@ def reference_residual(g, x, zdot, inputs):
         else:
             F[b.row_out] = x[b.lam_out] - sp
     return F
+
+
+def per_column_fd_jacobian(fun, x, F0):
+    """Uncolored forward-difference Jacobian, one residual call per column."""
+    J = np.zeros((F0.size, x.size))
+    for j in range(x.size):
+        h = FD_STEP * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += h
+        J[:, j] = (fun(xp) - F0) / h
+    return J
 
 
 def reference_pattern(g):
@@ -324,10 +336,12 @@ class TestJacobianColoring:
             return g.steady_residual(v, inputs)
 
         F0 = fun(x)
-        J_dense = _fd_jacobian(fun, x, F0, None, 1e-7)
-        J_color = _fd_jacobian(fun, x, F0, g.jac_colors(), 1e-7)
+        J_dense = per_column_fd_jacobian(fun, x, F0)
+        J_color = _fd_jacobian(fun, x, F0, g.jac_colors())
         scale = np.abs(J_dense).max()
         assert np.abs(J_color - J_dense).max() <= 1e-6 * scale
+        # without a coloring (one color per column) the gather is the per-column loop
+        assert np.array_equal(_fd_jacobian(fun, x, F0, _uncolored(g.n, g.n)), J_dense)
 
     def test_step_mode_pattern_is_complete(self):
         g = gn.assemble(star_network_spec())
@@ -336,14 +350,14 @@ class TestJacobianColoring:
         rng = np.random.default_rng(2)
         xp = x + rng.normal(0.0, 1e-3, g.n) * (1.0 + np.abs(x))
         F0 = fun(xp)
-        J_dense = _fd_jacobian(fun, xp, F0, None, 1e-7)
-        J_color = _fd_jacobian(fun, xp, F0, g.jac_colors(), 1e-7)
+        J_dense = per_column_fd_jacobian(fun, xp, F0)
+        J_color = _fd_jacobian(fun, xp, F0, g.jac_colors())
         assert np.abs(J_color - J_dense).max() <= 1e-6 * np.abs(J_dense).max()
 
     @pytest.mark.parametrize("mode", ["steady", "step"])
     def test_csc_jacobian_equals_colored_dense(self, mode):
-        # the sparse path reads the same sweeps and quotients as the dense
-        # colored Jacobian, so the two agree entry for entry
+        # the sparse and the dense Jacobian are one gather of the same
+        # sweeps and quotients, so the two agree entry for entry
         g = gn.assemble(star_network_spec())
         x = gn.steady_state(g, STAR_INPUTS)
         if mode == "steady":
@@ -354,11 +368,10 @@ class TestJacobianColoring:
         rng = np.random.default_rng(4)
         xp = x + rng.normal(0.0, 1e-3, g.n) * (1.0 + np.abs(x))
         F0 = fun(xp)
-        J_csc = _fd_jacobian_csc(fun, xp, F0, g.jac_colors(), 1e-7)
+        J_csc = _fd_jacobian(fun, xp, F0, g.jac_colors(), sparse=True)
         assert J_csc.format == "csc"
         assert J_csc.nnz == g.jac_colors().rows.size
-        assert np.array_equal(J_csc.toarray(),
-                              _fd_jacobian(fun, xp, F0, g.jac_colors(), 1e-7))
+        assert np.array_equal(J_csc.toarray(), _fd_jacobian(fun, xp, F0, g.jac_colors()))
 
     @pytest.mark.parametrize("tag", ["fc-av", "fc-am", "fp-av", "fp-am"])
     def test_direct_two_pipe_pattern_is_complete(self, tag, gas):
@@ -376,8 +389,8 @@ class TestJacobianColoring:
         rng = np.random.default_rng(3)
         zp = z + rng.normal(0.0, 1e-3, direct.n) * (1.0 + np.abs(z))
         F0 = fun(zp)
-        J_dense = _fd_jacobian(fun, zp, F0, None, 1e-7)
-        J_color = _fd_jacobian(fun, zp, F0, direct.jac_colors(), 1e-7)
+        J_dense = per_column_fd_jacobian(fun, zp, F0)
+        J_color = _fd_jacobian(fun, zp, F0, direct.jac_colors())
         assert np.abs(J_color - J_dense).max() <= 1e-6 * np.abs(J_dense).max()
 
 
@@ -404,6 +417,26 @@ def test_power_terms_identity_with_internal_nodes(gas):
     # discretization residue, far below the boundary power
     terms = g.power_terms(x0, STAR_INPUTS)
     assert abs(terms["internal"]) <= 1e-2 * abs(terms["boundary"])
+
+
+@pytest.mark.parametrize("name", ["star", "diamond", "series", "ladder"])
+def test_power_terms_equal_per_pipe_oracle(name):
+    # the bank's port powers and friction power against the per-pipe,
+    # per-node sums, at perturbed consistent states
+    if name == "ladder":
+        g, scen = ladder_system()
+        inputs = gn.bind_inputs(g, scen)[0](0.0)
+    else:
+        spec, inputs = network_case(name)
+        g = gn.assemble(spec)
+    x0 = gn.steady_state(g, inputs)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        z = x0[: g.n_z] * (1.0 + 1e-2 * rng.standard_normal(g.n_z))
+        x = g.algebraic_solve(z, 0.0, inputs, anchor=x0)
+        got, ref = g.power_terms(x, inputs), power_terms_oracle(g, x, inputs)
+        for key, val in ref.items():
+            assert got[key] == pytest.approx(val, rel=1e-12)
 
 
 def test_single_pipe_assembly_matches_oracle(gas):
@@ -554,8 +587,8 @@ class TestPipeBank:
         zdot = rng.normal(0.0, 1e-2, g.n_z) * np.abs(x[: g.n_z])
         F = g.residual(x, zdot, 0.0, inputs)
         for k, p in enumerate(g.pipes):
-            rates, _ = gn.pipe_rhs(p, gn.PipeField(x[g.rho_sl[k]], x[g.mom_sl[k]]),
-                                   (x[g.mu_p[k]], x[g.mu_m[k]]))
+            rates, _ = pipe_rhs(oracle(p), PipeField(x[g.rho_sl[k]], x[g.mom_sl[k]]),
+                                (x[g.mu_p[k]], x[g.mu_m[k]]))
             rates = np.concatenate([rates.rho, rates.mom])
             rows = slice(g.rho_sl[k].start, g.mom_sl[k].stop)
             W = p.weights
@@ -582,8 +615,7 @@ class TestPipeBank:
         assert g.total_mass(z) == pytest.approx(
             sum(p.dx * rho.sum() for p, rho, _ in per_pipe), rel=1e-14)
         assert g.hamiltonian_total(z) == pytest.approx(
-            sum(gn.hamiltonian(gn.PipeField(rho, mom), GAS, p.dx)
-                for p, rho, mom in per_pipe), rel=1e-14)
+            sum(oracle(p).stored_energy(rho, mom) for p, rho, mom in per_pipe), rel=1e-14)
         assert g.min_density(z) == min(rho.min() for _, rho, _ in per_pipe)
         assert g.net_mass_influx(z, x, DIAMOND_INPUTS) == pytest.approx(
             sum(mom[0] + x[g.mu_m[k]] for k, (_, _, mom) in enumerate(per_pipe)),

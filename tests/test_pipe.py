@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import gasnetsim as gn
-from gasnetsim.gas import PipeField
+
+from casekit import PipeField, PipeOracle, pipe_rhs
 
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 C2 = GAS.c2
@@ -32,10 +33,10 @@ def test_discretize_rejects_single_cell():
 
 def test_equilibrium_state_is_stationary():
     spec = gn.PipeSpec("p", 50e3, 1.0, 0.01, 16)
-    sys = gn.discretize_pipe(spec, GAS)
+    sys = PipeOracle(spec, GAS)
     rho0 = 55.0
     fld = PipeField(np.full(16, rho0), np.zeros(16))
-    rates, (m_in, p_out) = gn.pipe_rhs(sys, fld, (C2 * rho0, 0.0))
+    rates, (m_in, p_out) = pipe_rhs(sys, fld, (C2 * rho0, 0.0))
     assert np.abs(rates.rho).max() == 0.0
     assert np.abs(rates.mom).max() == 0.0
     assert m_in == 0.0
@@ -45,16 +46,16 @@ def test_equilibrium_state_is_stationary():
 def test_uniform_flow_translation_invariance():
     # frictionless uniform state with matching boundary data is stationary
     spec = gn.PipeSpec("p", 50e3, 1.0, 0.0, 16)
-    sys = gn.discretize_pipe(spec, GAS)
+    sys = PipeOracle(spec, GAS)
     fld = PipeField(np.full(16, 60.0), np.full(16, 250.0))
-    rates, _ = gn.pipe_rhs(sys, fld, (C2 * 60.0, -250.0))
+    rates, _ = pipe_rhs(sys, fld, (C2 * 60.0, -250.0))
     assert np.abs(rates.rho).max() == 0.0
     assert np.abs(rates.mom).max() == 0.0
 
 
 def test_transport_operator_is_skew():
     spec = gn.PipeSpec("p", 80e3, 1.2, 0.005, 12)
-    sys = gn.discretize_pipe(spec, GAS)
+    sys = PipeOracle(spec, GAS)
     J = sys.transport_matrix()
     assert np.array_equal(J, -J.T)
     R = sys.dissipation_matrix(np.full(12, 50.0), np.linspace(-300, 300, 12))
@@ -65,13 +66,13 @@ def test_transport_operator_is_skew():
 def test_transport_power_vanishes_with_closed_ports():
     # lambda = 0, m_0 held at 0 and zero outlet flux: e' J e reduces to nothing
     spec = gn.PipeSpec("p", 80e3, 1.2, 0.0, 10)
-    sys = gn.discretize_pipe(spec, GAS)
+    sys = PipeOracle(spec, GAS)
     rng = np.random.default_rng(5)
     rho = rng.uniform(30.0, 70.0, 10)
     mom = rng.normal(0.0, 200.0, 10)
     mom[0] = 0.0
     fld = PipeField(rho, mom)
-    rates, _ = gn.pipe_rhs(sys, fld, (C2 * rho[0], 0.0))
+    rates, _ = pipe_rhs(sys, fld, (C2 * rho[0], 0.0))
     zdot = np.concatenate([rates.rho, rates.mom])
     e = np.concatenate([C2 * rho, mom])
     power = float(np.dot(e * sys.weights, zdot))
@@ -82,7 +83,7 @@ def test_transport_power_vanishes_with_closed_ports():
 def test_power_identity_at_random_states():
     # weighted energy rate = p_in m(0) - p_conj m_L - dissipation, to 1e-12
     spec = gn.PipeSpec("p", 120e3, 1.1, 0.008, 24)
-    sys = gn.discretize_pipe(spec, GAS)
+    sys = PipeOracle(spec, GAS)
     rng = np.random.default_rng(11)
     for _ in range(20):
         rho = rng.uniform(30.0, 70.0, 24)
@@ -90,7 +91,7 @@ def test_power_identity_at_random_states():
         p_in = rng.uniform(4e6, 9e6)
         m_L = rng.normal(0.0, 250.0)
         fld = PipeField(rho, mom)
-        rates, (m0, _) = gn.pipe_rhs(sys, fld, (p_in, -m_L))
+        rates, (m0, _) = pipe_rhs(sys, fld, (p_in, -m_L))
         zdot = np.concatenate([rates.rho, rates.mom])
         e = np.concatenate([C2 * rho, mom])
         lhs = float(np.dot(e * sys.weights, zdot))
@@ -102,36 +103,36 @@ def test_power_identity_at_random_states():
 
 def test_friction_contribution_is_dissipative():
     spec = gn.PipeSpec("p", 120e3, 1.1, 0.02, 16)
-    sys = gn.discretize_pipe(spec, GAS)
+    sys = PipeOracle(spec, GAS)
     rng = np.random.default_rng(2)
     for _ in range(10):
         rho = rng.uniform(20.0, 90.0, 16)
         mom = rng.normal(0.0, 400.0, 16)
         assert sys.dissipation_rate(rho, mom) >= 0.0
     assert sys.dissipation_rate(np.full(16, 50.0), np.zeros(16)) == 0.0
-    frictionless = gn.discretize_pipe(gn.PipeSpec("q", 120e3, 1.1, 0.0, 16), GAS)
+    frictionless = PipeOracle(gn.PipeSpec("q", 120e3, 1.1, 0.0, 16), GAS)
     assert frictionless.dissipation_rate(np.full(16, 50.0), np.full(16, 300.0)) == 0.0
 
 
 def test_mass_balance_telescopes():
     spec = gn.PipeSpec("p", 90e3, 1.3, 0.004, 20)
-    sys = gn.discretize_pipe(spec, GAS)
+    sys = PipeOracle(spec, GAS)
     rng = np.random.default_rng(9)
     rho = rng.uniform(30.0, 70.0, 20)
     mom = rng.normal(0.0, 250.0, 20)
     m_L = 123.4
-    rates, (m0, _) = gn.pipe_rhs(sys, PipeField(rho, mom), (7e6, -m_L))
+    rates, (m0, _) = pipe_rhs(sys, PipeField(rho, mom), (7e6, -m_L))
     lhs = sys.dx * rates.rho.sum()
     assert lhs == pytest.approx(m0 - m_L, rel=1e-12)
 
 
 def test_port_outputs_report_inlet_momentum_and_extrapolated_pressure():
     spec = gn.PipeSpec("p", 90e3, 1.3, 0.004, 12)
-    sys = gn.discretize_pipe(spec, GAS)
+    sys = PipeOracle(spec, GAS)
     rng = np.random.default_rng(13)
     rho = rng.uniform(30.0, 70.0, 12)
     mom = rng.normal(0.0, 250.0, 12)
-    _, (m0, pL) = gn.pipe_rhs(sys, PipeField(rho, mom), (7e6, -100.0))
+    _, (m0, pL) = pipe_rhs(sys, PipeField(rho, mom), (7e6, -100.0))
     assert m0 == mom[0]
     assert pL == pytest.approx(C2 * (1.5 * rho[-1] - 0.5 * rho[-2]), rel=1e-14)
 
@@ -143,9 +144,9 @@ def test_steady_profile_residual_refinement():
     p_in, m = 80e5, 300.0
     integral = {}
     for n in (16, 32, 64):
-        sys = gn.discretize_pipe(gn.PipeSpec("p", 363e3, 1.422, 0.0018, n), GAS)
+        sys = PipeOracle(gn.PipeSpec("p", 363e3, 1.422, 0.0018, n), GAS)
         fld = steady_profile(sys, p_in, m)
-        rates, _ = gn.pipe_rhs(sys, fld, (p_in, -m))
+        rates, _ = pipe_rhs(sys, fld, (p_in, -m))
         assert np.abs(rates.rho).max() == 0.0
         assert np.abs(rates.mom[1:]).max() <= 1e-9
         integral[n] = float(np.dot(sys.weights[sys.n:], np.abs(rates.mom)))
@@ -154,9 +155,9 @@ def test_steady_profile_residual_refinement():
 
 
 def test_pipe_rhs_rejects_bad_density():
-    sys = gn.discretize_pipe(gn.PipeSpec("p", 10e3, 1.0, 0.0, 4), GAS)
+    sys = PipeOracle(gn.PipeSpec("p", 10e3, 1.0, 0.0, 4), GAS)
     with pytest.raises(gn.StateError):
-        gn.pipe_rhs(sys, PipeField(np.array([1.0, 1.0, -1.0, 1.0]), np.zeros(4)), (1e5, 0.0))
+        pipe_rhs(sys, PipeField(np.array([1.0, 1.0, -1.0, 1.0]), np.zeros(4)), (1e5, 0.0))
 
 
 def test_outlet_pressure_extrapolation_is_second_order():
@@ -166,7 +167,7 @@ def test_outlet_pressure_extrapolation_is_second_order():
     exact = gn.steady_pipe_oracle(gn.PipeSpec("p", **spec, n_cells=8), GAS, p_in, m)
     errs = {}
     for n in (16, 32, 64):
-        sys = gn.discretize_pipe(gn.PipeSpec("p", **spec, n_cells=n), GAS)
+        sys = PipeOracle(gn.PipeSpec("p", **spec, n_cells=n), GAS)
         fld = steady_profile(sys, p_in, m)
         errs[n] = abs(sys.outlet_pressure(fld.rho) - exact)
     assert 3.0 <= errs[16] / errs[32] <= 5.0

@@ -8,6 +8,25 @@ from gasnetsim import timeloop
 from casekit import benchmark_with_model, closed_pipe, ladder_system, single_pipe_system
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(dt=0.0), dict(dt=-5.0), dict(dt=float("inf")), dict(dt=float("nan")),
+        dict(newton_abs_tol=0.0), dict(newton_abs_tol=-1.0),
+        dict(newton_abs_tol=float("nan")), dict(newton_abs_tol=float("inf")),
+        dict(t_end=-1.0), dict(t_end=float("nan")), dict(t_end=float("inf")),
+        dict(newton_max_iter=0),
+    ])
+    def test_invalid_settings_are_rejected(self, kwargs):
+        with pytest.raises(gn.ConfigurationError, match=next(iter(kwargs))):
+            gn.SolverConfig(**kwargs)
+
+    def test_five_settings(self):
+        # the difference step and the line-search knobs are module constants
+        from dataclasses import fields
+        assert [f.name for f in fields(gn.SolverConfig)] == [
+            "newton_abs_tol", "newton_max_iter", "dt", "t_end", "sparse_threshold"]
+
+
 class TestNewton:
     def test_linear_system_converges_in_one_iteration(self):
         rng = np.random.default_rng(0)
@@ -69,13 +88,13 @@ def full_newton(fun, x0, cfg=None, colors=None):
     Jacobian and SuperLU factor at every iterate, no line search."""
     from scipy.sparse.linalg import splu
 
-    from gasnetsim.timeloop import _fd_jacobian_csc
+    from gasnetsim.timeloop import _fd_jacobian
     x = np.array(x0, dtype=float)
     F = fun(x)
     history = [np.abs(F).max()]
     while history[-1] > cfg.newton_abs_tol:
         assert len(history) <= cfg.newton_max_iter
-        J = _fd_jacobian_csc(fun, x, F, colors, cfg.fd_step)
+        J = _fd_jacobian(fun, x, F, colors, sparse=True)
         x = x + splu(J).solve(-F)
         F = fun(x)
         history.append(np.abs(F).max())
@@ -321,9 +340,9 @@ class TestSimulate:
     def test_step_halving_is_second_order(self, gas):
         # sealed frictionless pipe is linear: measure against the exact
         # propagator (eigendecomposition), fundamental standing wave
-        from casekit import ClosedPipe
+        from casekit import ClosedPipe, PipeOracle
         spec = gn.PipeSpec("sealed", 50e3, 1.0, 0.0, 16)
-        psys = gn.discretize_pipe(spec, gas)
+        psys = PipeOracle(spec, gas)
         cp = ClosedPipe(psys)
         n = psys.n
         xc = (np.arange(n) + 0.5) * psys.dx
@@ -384,7 +403,7 @@ class TestSimulate:
             F = fun(x_ref)
             if np.abs(F).max() <= 1e-8:
                 break
-            J = _fd_jacobian(fun, x_ref, F, colors, 1e-7)
+            J = _fd_jacobian(fun, x_ref, F, colors)
             x_ref = x_ref + np.linalg.solve(J, -F)
         assert np.abs(fun(x_ref)).max() <= 1e-8
 

@@ -8,6 +8,8 @@ from gasnetsim.compressor import Assumption, CompressorModel, Framework
 from gasnetsim.network import color_columns
 from gasnetsim.twopipe import TwoPipeDirect
 
+from casekit import PipeOracle
+
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 TAGS = ["fc-av", "fc-am", "fp-av", "fp-am"]
 
@@ -16,7 +18,7 @@ def direct_case(tag, cells=(6, 9)):
     fw, asm = tag.split("-")
     setpoint = 1.2 if fw == "fc" else 66e5
     model = CompressorModel(Framework(fw), Assumption(asm), setpoint, 1.4)
-    pipes = [gn.discretize_pipe(gn.PipeSpec(f"P{i}", 60e3, 1.0, 0.002, n), GAS)
+    pipes = [PipeOracle(gn.PipeSpec(f"P{i}", 60e3, 1.0, 0.002, n), GAS)
              for i, n in enumerate(cells, start=1)]
     direct = TwoPipeDirect(pipes[0], pipes[1], model, "s", "d", "c")
     direct.references = (60e5, 100.0)
