@@ -12,11 +12,14 @@ combined with one of two momentum assumptions,
 combination. A row gives, for setpoint sp and inlet pressure p:
   - the outlet rule (sp * p or sp);
   - the inlet factor k in m_in = k * m_out (1, or ratio^(-1/kappa));
-  - the station power, energy out minus energy in, outlet * m - p * k * m;
   - the setpoint kind the system asks for, and the name of the station's
     default field that is also its scenario profile suffix;
   - which station rows read p (the momentum row, the pressure row), for the
     Jacobian sparsity pattern.
+The station power, energy out minus energy in, follows from the first two
+(`CompressorModel.power`): outlet * m - p * k * m, with m the momentum fed
+downstream. The network applies the rules in one place
+(`network.PipeStates._station_pass`).
 The compression work per unit mass (adiabatic enthalpy rise) is provided
 as a diagnostic.
 """
@@ -53,7 +56,6 @@ class Variant(NamedTuple):
     setpoint: str                    # default-setpoint field and profile suffix
     outlet: Callable                 # (sp, p) -> outlet pressure
     factor: Callable                 # (sp, p, kappa) -> inlet factor k
-    power: Callable                  # (sp, p, m_feed, kappa) -> station power
     reads_inlet: tuple[bool, bool]   # (momentum row, pressure row) read p
 
 
@@ -63,19 +65,15 @@ _AV, _AM = Assumption.CONST_VELOCITY, Assumption.CONST_MOMENTUM
 VARIANTS = {
     (_FC, _AV): Variant("ratio", "ratio", lambda sp, p: sp * p,
                         lambda sp, p, k: sp ** (-1.0 / k),
-                        lambda sp, p, m, k: (sp - sp ** (-(1.0 / k))) * p * m,
                         (False, True)),
     (_FC, _AM): Variant("ratio", "ratio", lambda sp, p: sp * p,
                         lambda sp, p, k: 1.0,
-                        lambda sp, p, m, k: (sp - 1.0) * p * m,
                         (False, True)),
     (_FP, _AV): Variant("outlet-pressure", "pressure", lambda sp, p: sp,
                         lambda sp, p, k: (sp / p) ** (-1.0 / k),
-                        lambda sp, p, m, k: (sp - p * (p / sp) ** (1.0 / k)) * m,
                         (True, False)),
     (_FP, _AM): Variant("outlet-pressure", "pressure", lambda sp, p: sp,
                         lambda sp, p, k: 1.0,
-                        lambda sp, p, m, k: (sp - p) * m,
                         (False, False)),
 }
 
@@ -131,13 +129,15 @@ class CompressorModel:
     def power(self, setpoint: float, p_in: float, m_feed: float) -> float:
         """Station power per unit area: outlet pressure times m_feed minus p_in times m_in.
 
-        m_feed is the momentum at the downstream pipe inlet. The power
+        m_feed is the momentum at the downstream pipe inlet and
+        m_in = k * m_feed, so the power is (outlet - p_in * k) * m_feed. It
         vanishes for a neutral setpoint (ratio 1, or outlet pressure equal
         to the inlet pressure).
         """
         if p_in <= 0:
             raise ConfigurationError("compressor inlet pressure must be positive")
-        return self.variant.power(setpoint, p_in, m_feed, self.kappa)
+        return (self.outlet_pressure(setpoint, p_in)
+                - p_in * self.inlet_match_factor(setpoint, p_in)) * m_feed
 
 
 def adiabatic_enthalpy(gas: GasProperties, p_in: float, p_out: float,

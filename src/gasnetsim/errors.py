@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positivity check."""
+
+import math
 
 
 class GasnetError(Exception):
@@ -23,6 +25,12 @@ class InfeasibleFlowError(GasnetError):
 
 class FactorizationError(GasnetError):
     """Linear solve inside Newton failed (singular Jacobian)."""
+
+
+def require_positive(what: str, value) -> None:
+    """Raise ConfigurationError unless value is finite and positive (NaN is not)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{what} must be finite and positive, got {value!r}")
 
 
 class NonconvergenceError(GasnetError):

@@ -19,6 +19,7 @@ pressures and station setpoints positive; demands may take either sign.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .compressor import Assumption, Framework
-from .errors import FormatError
+from .errors import ConfigurationError, FormatError
 from .gas import GasProperties
 from .network import (CompressorStation, NetworkSpec, Node, NodeKind, PipeEdge,
                       validate_topology)
@@ -79,25 +80,47 @@ _NODE_TYPES = {
 }
 
 
+@contextlib.contextmanager
+def _entry(name: str):
+    """Report a missing key or a bad value inside one file entry as a FormatError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{name}: missing key {exc}") from None
+    except (ConfigurationError, ValueError) as exc:
+        raise FormatError(f"{name}: {exc}") from None
+
+
+def _number(doc, key: str, default=None) -> float:
+    """doc[key] (or the default, where one is given), if it is a JSON number."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_network(text: str) -> NetworkSpec:
-    """Parse and validate a network description; all values returned in SI."""
+    """Parse and validate a network description; all values returned in SI.
+
+    A missing key, a value that is not a JSON number, or one that fails the
+    checks of `GasProperties`, `PipeSpec` or `CompressorStation` raises a
+    FormatError naming the entry and the key.
+    """
     doc = _load_json(text)
     units = _parse_units(doc.get("units"))
 
     gas_doc = doc.get("gas")
     if not gas_doc:
         raise FormatError("missing 'gas' block")
-    gas = GasProperties(
-        specific_gas_constant=float(gas_doc["Rs"]),
-        temperature=float(gas_doc["T"]) * units.temperature,
-        compressibility=float(gas_doc.get("z", 1.0)),
-        isentropic_exponent=float(gas_doc.get("kappa", 1.4)),
-    )
+    with _entry("gas"):
+        gas = GasProperties(_number(gas_doc, "Rs"), _number(gas_doc, "T") * units.temperature,
+                            _number(gas_doc, "z", 1.0), _number(gas_doc, "kappa", 1.4))
 
     nodes: list[Node] = []
     index: dict[str, Node] = {}
-    for nd in doc.get("nodes", []):
-        nid = str(nd["id"])
+    for i, nd in enumerate(doc.get("nodes", [])):
+        with _entry(f"nodes[{i}]"):
+            nid = str(nd["id"])
         if nid in index:
             raise FormatError(f"duplicate node id {nid!r}")
         typ = nd.get("type", "junction")
@@ -108,19 +131,21 @@ def parse_network(text: str) -> NetworkSpec:
         index[nid] = node
 
     comps: list[CompressorStation] = []
-    for cd in doc.get("compressors", []):
-        cid = str(cd["id"])
-        ratio = cd.get("ratio")
-        pressure = cd.get("pressure")
-        st = CompressorStation(
-            id=cid,
-            inlet_node=str(cd["from"]),
-            outlet_node=str(cd["to"]),
-            framework=Framework(cd.get("framework", "fc")),
-            assumption=Assumption(cd.get("assumption", "am")),
-            ratio=float(ratio) if ratio is not None else None,
-            pressure=float(pressure) * units.pressure if pressure is not None else None,
-        )
+    for i, cd in enumerate(doc.get("compressors", [])):
+        with _entry(f"compressors[{i}]"):
+            cid = str(cd["id"])
+            ratio = cd.get("ratio")
+            pressure = cd.get("pressure")
+            st = CompressorStation(
+                id=cid,
+                inlet_node=str(cd["from"]),
+                outlet_node=str(cd["to"]),
+                framework=Framework(cd.get("framework", "fc")),
+                assumption=Assumption(cd.get("assumption", "am")),
+                ratio=_number(cd, "ratio") if ratio is not None else None,
+                pressure=(_number(cd, "pressure") * units.pressure
+                          if pressure is not None else None),
+            )
         for nid, kind in ((st.inlet_node, NodeKind.COMPRESSOR_IN),
                           (st.outlet_node, NodeKind.COMPRESSOR_OUT)):
             if nid in index:
@@ -137,22 +162,16 @@ def parse_network(text: str) -> NetworkSpec:
         comps.append(st)
 
     pipes: list[PipeEdge] = []
-    for pd in doc.get("pipes", []):
-        pid = str(pd["id"])
-        for end in (pd["from"], pd["to"]):
-            if str(end) not in index:
-                raise FormatError(f"pipe {pid!r} references undeclared node {end!r}")
-        pipes.append(PipeEdge(
-            spec=PipeSpec(
-                id=pid,
-                length=float(pd["length"]) * units.length,
-                diameter=float(pd["diameter"]) * units.diameter,
-                friction=float(pd["friction"]),
-                n_cells=int(pd.get("cells", 32)),
-            ),
-            from_node=str(pd["from"]),
-            to_node=str(pd["to"]),
-        ))
+    for i, pd in enumerate(doc.get("pipes", [])):
+        with _entry(f"pipes[{i}]"):
+            spec = PipeSpec(str(pd["id"]), _number(pd, "length") * units.length,
+                            _number(pd, "diameter") * units.diameter,
+                            _number(pd, "friction"), pd.get("cells", 32))
+            ends = (str(pd["from"]), str(pd["to"]))
+        for end in ends:
+            if end not in index:
+                raise FormatError(f"pipe {spec.id!r} references undeclared node {end!r}")
+        pipes.append(PipeEdge(spec, *ends))
 
     spec = NetworkSpec(gas, nodes, pipes, comps)
     report = validate_topology(spec)

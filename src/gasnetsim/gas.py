@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_positive
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,13 @@ class GasProperties:
     sound_speed: float = field(init=False)
 
     def __post_init__(self):
-        if self.specific_gas_constant <= 0:
-            raise ConfigurationError("specific gas constant must be positive")
-        if self.temperature <= 0:
-            raise ConfigurationError("temperature must be positive")
-        if self.compressibility <= 0:
-            raise ConfigurationError("compressibility factor must be positive")
-        if self.isentropic_exponent <= 1:
-            raise ConfigurationError("isentropic exponent must exceed 1")
+        require_positive("specific gas constant", self.specific_gas_constant)
+        require_positive("temperature", self.temperature)
+        require_positive("compressibility factor", self.compressibility)
+        kappa = self.isentropic_exponent
+        if not (math.isfinite(kappa) and kappa > 1):
+            raise ConfigurationError(
+                f"isentropic exponent must be finite and exceed 1, got {kappa!r}")
         c = math.sqrt(self.compressibility * self.specific_gas_constant * self.temperature)
         object.__setattr__(self, "sound_speed", c)
 

@@ -43,8 +43,10 @@ pipe pairs rho_i with the momentum m_i on its inlet-side interface:
 Node rows start at minus their input (zero for junctions) and add
 +lambda (supply) or -flux (balances) per link, in attachment order
 (`NodeLinks`). Inputs are resolved once per closure into a vector in
-`required_inputs` order; only the short station loop stays per station, and
-it reads each station's rules from `compressor.VARIANTS`.
+`required_inputs` order. One station pass (`PipeStates._station_pass`)
+applies the rules of `compressor.VARIANTS` at p_upstream, the port-out
+rows' outlet pressure, for the station rows, the algebraic solve and
+`twopipe.TwoPipeDirect` alike.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compressor import VARIANTS, Assumption, CompressorModel, Framework, Variant
-from .errors import ConfigurationError, StateError
+from .errors import ConfigurationError, StateError, require_positive
 from .gas import GasProperties
 from .pipe import PipeSpec, PipeSystem, discretize_pipe
 
@@ -94,8 +96,8 @@ class PipeEdge:
 class CompressorStation:
     """A station between an upstream pipe outlet and a downstream pipe inlet.
 
-    `ratio` and `pressure` are the default setpoints for the two frameworks;
-    scenario profiles override them per time.
+    `ratio` and `pressure` are the default setpoints for the two frameworks,
+    finite and positive where given; scenario profiles override them per time.
     """
 
     id: str
@@ -109,6 +111,9 @@ class CompressorStation:
     def __post_init__(self):
         self.framework = Framework(self.framework)
         self.assumption = Assumption(self.assumption)
+        for name, value in (("ratio", self.ratio), ("pressure", self.pressure)):
+            if value is not None:
+                require_positive(f"compressor {self.id!r}: {name}", value)
 
     @property
     def variant(self) -> Variant:
@@ -298,16 +303,25 @@ def incidence_matrices(spec: NetworkSpec):
     return build(boundary), build(compressor), build(internal)
 
 
-@dataclass
-class _StationBinding:
-    station: CompressorStation
+class StationBinding(NamedTuple):
+    """One station as both system forms bind it (`PipeStates._station_pass`)."""
+
+    id: str
     model: CompressorModel
-    pipe_up: int        # pipe whose outlet feeds the station
-    pipe_down: int      # pipe fed by the station
-    row_in: int         # momentum-rule row (at the inlet node)
-    row_out: int        # pressure-rule row (at the outlet node)
-    lam_out: int        # column of the outlet-node potential
-    input: int          # setpoint position in the input vector
+    default: float | None   # default setpoint; None: a scenario profile must give it
+    pipe_up: int            # pipe whose outlet feeds the station
+    pipe_down: int          # pipe fed by the station
+    input: int              # setpoint position in the input vector
+
+
+class StationRows(NamedTuple):
+    """The network's rows and columns of one station's two rules."""
+
+    row_in: int     # momentum-rule row (at the inlet node)
+    row_out: int    # pressure-rule row (at the outlet node)
+    lam_out: int    # outlet-node potential column
+    mu_up: int      # the upstream pipe's mu_m column
+    m_down: int     # the downstream pipe's inlet momentum column
 
 
 class PipeBank(NamedTuple):
@@ -367,9 +381,12 @@ class PipeStates:
 
     z holds every pipe's densities then momenta, pipe by pipe; mu_p and
     mu_m (inlet pressure, minus outlet momentum) follow it, pipe by pipe.
-    Everything that reads only the pipe bank lives here: the pipe rows and
-    their couplings, row scaling, records and the state diagnostics.
-    `GlobalSystem` and `twopipe.TwoPipeDirect` both build on it.
+    Everything that reads only the pipe bank and the stations lives here:
+    the pipe rows and their couplings, the station pass, inputs, residual
+    closures, row scaling, records and the state diagnostics. `GlobalSystem`
+    and `twopipe.TwoPipeDirect` both build on it: each sets `boundary_inputs`,
+    `stations` and `input_ids` and defines `_residual_core` and
+    `algebraic_solve`.
     """
 
     def __init__(self, pipes: list[PipeSystem], gas: GasProperties):
@@ -389,6 +406,7 @@ class PipeStates:
         self.bank = self._build_bank()
         self.references = (1.0, 1.0)   # (p_ref, m_ref), set before solving
         self._colors = None
+        self._names = None
 
     def _build_bank(self) -> PipeBank:
         n_cells = np.array([p.n for p in self.pipes])
@@ -439,33 +457,92 @@ class PipeStates:
         c2, tail = self.gas.c2, self.bank.tail
         return 1.5 * (c2 * x[tail]) - 0.5 * (c2 * x[tail - 1])
 
+    def _station_pass(self, p_out, u):
+        """(outlet pressure, inlet factor k) per station, from its variant's rules.
+
+        Each station reads its upstream pipe's entry of p_out
+        (`_outlet_pressures`) and its setpoint in the input vector u. A plain
+        loop: it beats array code for the few stations a network has.
+        """
+        rules = []
+        for s in self.stations:
+            sp, p = u[s.input], p_out[s.pipe_up]
+            rules.append((s.model.outlet_pressure(sp, p), s.model.inlet_match_factor(sp, p)))
+        return rules
+
+    def required_inputs(self):
+        """(id, kind) pairs the residual needs per evaluation time.
+
+        Kinds: 'pressure' (supplies), 'momentum' (demand extractions), and
+        per station its variant's setpoint kind, 'ratio' or 'outlet-pressure'.
+        """
+        return self.boundary_inputs + [(s.id, s.model.variant.kind) for s in self.stations]
+
+    def _input_vector(self, inputs):
+        """Sampled inputs in `required_inputs` order, then 0 for junction balances."""
+        try:
+            return np.array([inputs[key] for key in self.input_ids] + [0.0], dtype=float)
+        except KeyError as exc:
+            raise ConfigurationError(f"missing input value for {exc}") from exc
+
+    def steady_residual(self, x, inputs):
+        return self._residual_core(np.asarray(x, float), np.zeros(self.n_z),
+                                   self._input_vector(inputs))
+
+    def make_step_residual(self, z_prev, dt, inputs_mid):
+        """Implicit-midpoint residual in the endpoint/midpoint unknowns.
+
+        Unknowns: differential states at the step end, algebraic variables at
+        the midpoint. Differential rows are collocated at the midpoint state,
+        algebraic rows are enforced there too.
+        """
+        z_prev = np.asarray(z_prev, float)
+        n_z = self.n_z
+        u = self._input_vector(inputs_mid)
+
+        def fun(x_new):
+            x_eval = x_new.copy()
+            z_new = x_new[:n_z]
+            x_eval[:n_z] = 0.5 * (z_prev + z_new)
+            zdot = (z_new - z_prev) / dt
+            return self._residual_core(x_eval, zdot, u)
+
+        return fun
+
     def row_scale(self):
         """Diagonal residual scaling: pressure rows / p_ref, momentum rows / m_ref."""
         p_ref, m_ref = self.references
         return np.where(self.row_kind == "p", p_ref, m_ref)
 
     def record_names(self):
-        """Record column names, interned: every record of one network shares them."""
-        names = []
-        for p in self.pipes:
-            pid = p.spec.id
-            names += [f"{pid}.in.p_Pa", f"{pid}.in.m", f"{pid}.out.p_Pa", f"{pid}.out.m"]
-        names.append("H_total")
-        for s in self.stations:
-            names.append(f"{s.station.id}.power")
-        return [sys.intern(n) for n in names]
+        """Record column names, built and interned once: every record shares them."""
+        if self._names is None:
+            names = []
+            for p in self.pipes:
+                pid = p.spec.id
+                names += [f"{pid}.in.p_Pa", f"{pid}.in.m", f"{pid}.out.p_Pa", f"{pid}.out.m"]
+            names.append("H_total")
+            names += [f"{s.id}.power" for s in self.stations]
+            self._names = [sys.intern(n) for n in names]
+        return list(self._names)
 
-    def _records(self, x, inputs):
+    def snapshot(self, z, t, inputs, anchor=None):
+        """(record row in `record_names` order, consistent unknowns) at state z."""
+        if callable(inputs):
+            inputs = inputs(t)
+        x = self.algebraic_solve(z, t, inputs, anchor)
+        return self._records(x, self._input_vector(inputs)), x
+
+    def _records(self, x, u):
         """Port pressures/momenta, total energy and station powers at x = [z | mu ...]."""
         b = self.bank
         z = x[: self.n_z]
         p_out = self._outlet_pressures(z)
-        vals = np.column_stack([x[self.mu_p], z[b.m_in], p_out, -x[self.mu_m]]).ravel().tolist()
-        vals.append(self.hamiltonian_total(z))
-        for s in self.stations:
-            vals.append(s.model.power(inputs[s.station.id], float(p_out[s.pipe_up]),
-                                      float(z[b.m_in[s.pipe_down]])))
-        return dict(zip(self.record_names(), vals))
+        powers = [s.model.power(u[s.input], p_out[s.pipe_up], z[b.m_in[s.pipe_down]])
+                  for s in self.stations]
+        return np.concatenate([
+            np.column_stack([x[self.mu_p], z[b.m_in], p_out, -x[self.mu_m]]).ravel(),
+            [self.hamiltonian_total(z)], powers])
 
     def effort_vector(self, z):
         """The effort e(z) = [c^2 rho; m] over the differential states."""
@@ -530,30 +607,21 @@ class GlobalSystem(PipeStates):
             self.attached[pe.from_node].append((k, False))
             self.attached[pe.to_node].append((k, True))
 
-        # --- station bindings ----------------------------------------
-        n_node_inputs = sum(nd.kind in BOUNDARY_KINDS for nd in self.node_order)
-        self.stations: list[_StationBinding] = []
+        # --- inputs and station bindings ---------------------------
+        # (validate_topology leaves each station one upstream, one downstream pipe)
+        self.boundary_inputs = [(nd.id, "pressure" if nd.kind is NodeKind.SUPPLY else "momentum")
+                                for nd in self.node_order if nd.kind in BOUNDARY_KINDS]
+        self.stations: list[StationBinding] = []
+        self.station_rows: list[StationRows] = []
         for st in spec.compressors:
-            ups = [k for k, isout in self.attached[st.inlet_node] if isout]
-            dns = [k for k, isout in self.attached[st.outlet_node] if not isout]
-            if len(ups) != 1 or len(dns) != 1:
-                raise ConfigurationError(
-                    f"compressor {st.id!r}: end nodes must attach exactly one "
-                    "pipe outlet (inlet side) and one pipe inlet (outlet side)")
-            self.stations.append(_StationBinding(
-                station=st,
-                model=st.model(spec.gas.isentropic_exponent),
-                pipe_up=ups[0],
-                pipe_down=dns[0],
-                row_in=self.node_row[st.inlet_node],
-                row_out=self.node_row[st.outlet_node],
-                lam_out=self.lam[st.outlet_node],
-                input=n_node_inputs + len(self.stations),
-            ))
-        station_rows = {b.row_in for b in self.stations} | {b.row_out for b in self.stations}
-        for nd in self.node_order:
-            if nd.kind in COMPRESSOR_KINDS and self.node_row[nd.id] not in station_rows:
-                raise ConfigurationError(f"compressor node {nd.id!r} has no station rows")
+            up = next(k for k, isout in self.attached[st.inlet_node] if isout)
+            down = next(k for k, isout in self.attached[st.outlet_node] if not isout)
+            self.stations.append(StationBinding(
+                st.id, st.model(spec.gas.isentropic_exponent), st.default_setpoint(),
+                up, down, len(self.boundary_inputs) + len(self.stations)))
+            self.station_rows.append(StationRows(
+                self.node_row[st.inlet_node], self.node_row[st.outlet_node],
+                self.lam[st.outlet_node], int(self.mu_m[up]), int(self.bank.m_in[down])))
 
         self.input_ids = [key for key, _ in self.required_inputs()]
         self.links = self._build_links()
@@ -565,16 +633,15 @@ class GlobalSystem(PipeStates):
         kind[self.bank.mom] = kind[self.port_in_row] = kind[self.port_out_row] = "p"
         for nd in self.node_order:
             kind[self.node_row[nd.id]] = "p" if nd.kind is NodeKind.SUPPLY else "m"
-        for b in self.stations:
-            kind[b.row_in] = "m"
-            kind[b.row_out] = "p"
+        for r in self.station_rows:
+            kind[r.row_in] = "m"
+            kind[r.row_out] = "p"
         self.row_kind = kind
 
         self._alg_map = None
 
     def _build_links(self) -> NodeLinks:
-        slot = {key: i for i, (key, kind) in enumerate(self.required_inputs())
-                if kind in ("pressure", "momentum")}
+        slot = {key: i for i, (key, _) in enumerate(self.boundary_inputs)}
         zero = len(self.input_ids)   # the trailing 0 of the input vector
         nodes, links = [], []
         for nd in self.node_order:
@@ -594,27 +661,6 @@ class GlobalSystem(PipeStates):
             lam_to=np.array([self.lam[pe.to_node] for pe in self.spec.pipes]),
             node_rows=node[0], node_in=node[1],
             link_rows=link[0], link_cols=link[1], link_sign=link[2].astype(float))
-
-    # ------------------------------------------------------------------
-    # required inputs
-    # ------------------------------------------------------------------
-
-    def required_inputs(self):
-        """(id, kind) pairs the residual needs per evaluation time.
-
-        Kinds: 'pressure' (supply nodes), 'momentum' (demand extractions),
-        and per station its variant's setpoint kind, 'ratio' or
-        'outlet-pressure' (keyed by station id).
-        """
-        req = []
-        for nd in self.node_order:
-            if nd.kind is NodeKind.SUPPLY:
-                req.append((nd.id, "pressure"))
-            elif nd.kind is NodeKind.DEMAND:
-                req.append((nd.id, "momentum"))
-        for b in self.stations:
-            req.append((b.station.id, b.model.variant.kind))
-        return req
 
     # ------------------------------------------------------------------
     # residual
@@ -637,54 +683,20 @@ class GlobalSystem(PipeStates):
         return self._residual_core(x, np.asarray(zdot, dtype=float),
                                    self._input_vector(inputs))
 
-    def _input_vector(self, inputs):
-        """Sampled inputs in `required_inputs` order, then 0 for junction balances."""
-        try:
-            return np.array([inputs[key] for key in self.input_ids] + [0.0], dtype=float)
-        except KeyError as exc:
-            raise ConfigurationError(f"missing input value for {exc}") from exc
-
     def _residual_core(self, x, zdot, u):
-        b, ln, c2 = self.bank, self.links, self.gas.c2
+        ln = self.links
         F = np.empty(self.n)
         self._pipe_rows(F, x, zdot)
+        p_out = self._outlet_pressures(x)
         F[self.port_in_row] = x[self.mu_p] - x[ln.lam_from]
-        F[self.port_out_row] = self._outlet_pressures(x) - x[ln.lam_to]
+        F[self.port_out_row] = p_out - x[ln.lam_to]
         F[ln.node_rows] = -u[ln.node_in]
         np.add.at(F, ln.link_rows, ln.link_sign * x[ln.link_cols])
-
-        for s in self.stations:
-            sp = u[s.input]
-            tail = b.tail[s.pipe_up]
-            p1L = 1.5 * c2 * x[tail] - 0.5 * c2 * x[tail - 1]
-            factor = s.model.inlet_match_factor(sp, p1L)
-            F[s.row_in] = -x[self.mu_m[s.pipe_up]] - factor * x[b.m_in[s.pipe_down]]
-            F[s.row_out] = x[s.lam_out] - s.model.outlet_pressure(sp, p1L)
+        for (r_in, r_out, lam_out, mu_up, m_down), (p_st, k) in zip(
+                self.station_rows, self._station_pass(p_out, u)):
+            F[r_in] = -x[mu_up] - k * x[m_down]
+            F[r_out] = x[lam_out] - p_st
         return F
-
-    def steady_residual(self, x, inputs):
-        return self._residual_core(np.asarray(x, float), np.zeros(self.n_z),
-                                   self._input_vector(inputs))
-
-    def make_step_residual(self, z_prev, dt, inputs_mid):
-        """Implicit-midpoint residual in the endpoint/midpoint unknowns.
-
-        Unknowns: differential states at the step end, algebraic variables at
-        the midpoint. Differential rows are collocated at the midpoint state,
-        algebraic rows are enforced there too.
-        """
-        z_prev = np.asarray(z_prev, float)
-        n_z = self.n_z
-        u = self._input_vector(inputs_mid)
-
-        def fun(x_new):
-            x_eval = x_new.copy()
-            z_new = x_new[:n_z]
-            x_eval[:n_z] = 0.5 * (z_prev + z_new)
-            zdot = (z_new - z_prev) / dt
-            return self._residual_core(x_eval, zdot, u)
-
-        return fun
 
     # ------------------------------------------------------------------
     # Jacobian sparsity and coloring
@@ -699,11 +711,10 @@ class GlobalSystem(PipeStates):
             (self.port_out_row, ln.lam_to),
             (ln.link_rows, ln.link_cols)]
         ent = [np.column_stack(rc) for rc in pairs]
-        for s in self.stations:
+        for s, r in zip(self.stations, self.station_rows):
             last = b.tail[s.pipe_up]
-            st = [(s.row_in, self.mu_m[s.pipe_up]), (s.row_in, b.m_in[s.pipe_down]),
-                  (s.row_out, s.lam_out)]
-            for row, reads in zip((s.row_in, s.row_out), s.model.variant.reads_inlet):
+            st = [(r.row_in, r.mu_up), (r.row_in, r.m_down), (r.row_out, r.lam_out)]
+            for row, reads in zip((r.row_in, r.row_out), s.model.variant.reads_inlet):
                 if reads:
                     st += [(row, last), (row, last - 1)]
             ent.append(np.array(st))
@@ -733,14 +744,13 @@ class GlobalSystem(PipeStates):
         if self._alg_map is None:
             na, base, ln = self.n_alg, self.n_z, self.links
             alg = ln.link_cols >= base
-            ones, st = np.ones(len(self.mu_p)), self.stations
+            ones, sr = np.ones(len(self.mu_p)), self.station_rows
             parts = [(self.port_in_row, self.mu_p, ones),
                      (self.port_in_row, ln.lam_from, -ones),
                      (self.port_out_row, ln.lam_to, ones),
                      (ln.link_rows[alg], ln.link_cols[alg], ln.link_sign[alg]),
-                     ([s.row_in for s in st], [self.mu_m[s.pipe_up] for s in st],
-                      -np.ones(len(st))),
-                     ([s.row_out for s in st], [s.lam_out for s in st], np.ones(len(st)))]
+                     ([r.row_in for r in sr], [r.mu_up for r in sr], -np.ones(len(sr))),
+                     ([r.row_out for r in sr], [r.lam_out for r in sr], np.ones(len(sr)))]
             rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
             M = Triplets(rows.astype(int) - base, cols.astype(int) - base, vals)
             self._alg_map = _AlgebraicMap(
@@ -764,17 +774,16 @@ class GlobalSystem(PipeStates):
             inputs = inputs(t)
         z = np.asarray(z, float)
         u = self._input_vector(inputs)
-        a, na, base, b = self._algebraic_map(), self.n_alg, self.n_z, self.bank
+        a, na, base = self._algebraic_map(), self.n_alg, self.n_z
         rhs = np.zeros(na)
         p_out = self._outlet_pressures(z)
         rhs[a.out_rows] = p_out
         rhs[a.node_rows] = u[self.links.node_in]
         np.add.at(rhs, a.link_rows, a.link_neg * z[a.link_cols])
-        for s in self.stations:
-            sp = u[s.input]
-            m_down = z[b.m_in[s.pipe_down]]
-            rhs[s.row_in - base] = s.model.inlet_match_factor(sp, p_out[s.pipe_up]) * m_down
-            rhs[s.row_out - base] = s.model.outlet_pressure(sp, p_out[s.pipe_up])
+        for (r_in, r_out, _, _, m_down), (p_st, k) in zip(
+                self.station_rows, self._station_pass(p_out, u)):
+            rhs[r_in - base] = k * z[m_down]
+            rhs[r_out - base] = p_st
 
         anchored = np.zeros(na) if anchor is None else np.asarray(anchor, float)[-na:]
         alg = anchored + a.P.matvec(rhs - a.M.matvec(anchored, na), na)
@@ -812,17 +821,6 @@ class GlobalSystem(PipeStates):
         parts["dissipation"] = float(np.dot(b.w * self._friction(z[b.rho], mom), mom))
         parts["rate"] = self.energy_rate(z, self.zdot_consistent(x, inputs))
         return parts
-
-    # ------------------------------------------------------------------
-    # records
-    # ------------------------------------------------------------------
-
-    def snapshot(self, z, t, inputs, anchor=None):
-        """Port pressures/momenta, total energy and station powers at state z."""
-        if callable(inputs):
-            inputs = inputs(t)
-        x = self.algebraic_solve(z, t, inputs, anchor)
-        return self._records(x, inputs), x
 
     def net_mass_influx(self, z_mid, x_new, inputs_mid):
         """Net mass inflow rate into all pipes: sum of m(0) + mu_m per pipe.

@@ -20,11 +20,12 @@ evaluated for all pipes at once by the pipe bank (`network.PipeStates`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleFlowError
+from .errors import ConfigurationError, InfeasibleFlowError, require_positive
 from .gas import GasProperties
 
 
@@ -39,12 +40,15 @@ class PipeSpec:
     n_cells: int = 32
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ConfigurationError(f"pipe {self.id!r}: length must be positive")
-        if self.diameter <= 0:
-            raise ConfigurationError(f"pipe {self.id!r}: diameter must be positive")
-        if self.friction < 0:
-            raise ConfigurationError(f"pipe {self.id!r}: friction factor must be nonnegative")
+        require_positive(f"pipe {self.id!r}: length", self.length)
+        require_positive(f"pipe {self.id!r}: diameter", self.diameter)
+        if not (math.isfinite(self.friction) and self.friction >= 0):
+            raise ConfigurationError(
+                f"pipe {self.id!r}: friction factor must be finite and nonnegative, "
+                f"got {self.friction!r}")
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, numbers.Integral):
+            raise ConfigurationError(
+                f"pipe {self.id!r}: cell count must be an integer, got {self.n_cells!r}")
         if self.n_cells < 2:
             raise ConfigurationError(
                 f"pipe {self.id!r}: need at least 2 cells, got {self.n_cells}"

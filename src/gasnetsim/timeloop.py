@@ -9,14 +9,14 @@ every column is its own color. The difference step, the line search's shrink
 factor and its backtrack limit are module constants (``FD_STEP``,
 ``BACKTRACK_FACTOR``, ``MAX_BACKTRACKS``), not settings.
 
-Up to ``SolverConfig.sparse_threshold`` unknowns the gather fills a dense
-array factored by LAPACK. Above it, the gather is a compressed sparse column
-matrix as it stands, which SuperLU (``scipy.sparse.linalg.splu``) factors,
-so no n x n array is ever allocated. The threshold trades the
-dense Jacobian's 8 n^2 bytes (about 17 MB with its LU copy at n = 1000)
-against the roughly 30 MB that importing ``scipy.sparse.linalg`` adds to the
-process; the import happens only once a system above the threshold is
-solved.
+Up to ``SolverConfig.sparse_threshold`` unknowns (a class constant, 2000,
+not a setting) the gather fills a dense array factored by LAPACK. Above it,
+the gather is a compressed sparse column matrix as it stands, which SuperLU
+(``scipy.sparse.linalg.splu``) factors, so no n x n array is ever
+allocated. The threshold trades the dense Jacobian's 8 n^2 bytes (about
+17 MB with its LU copy at n = 1000) against the roughly 30 MB that
+importing ``scipy.sparse.linalg`` adds to the process; the import happens
+only once a system above the threshold is solved.
 
 The sparse path is a chord Newton iteration (Hairer & Wanner, Solving ODEs
 II, IV.8): the last SuperLU factor is kept in the coloring's ``factor`` slot
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,14 +61,15 @@ __all__ = [
 class SolverConfig:
     """Newton and time-grid settings (all tolerances in scaled units).
 
-    ``sparse_threshold``: systems with more unknowns get the sparse
-    Jacobian and SuperLU; smaller ones a dense Jacobian and LAPACK, which
-    needs 8 n^2 bytes but not the ~30 MB import of scipy.sparse.linalg. The
-    sparse path needs the solve's column coloring; without one the
-    Jacobian stays dense at every size. The sparse path reuses its SuperLU
-    factor across iterations and steps (chord Newton, module docstring) and
-    refactors only when a reused step fails to contract; the dense path
-    builds and factors a Jacobian on every iteration.
+    ``sparse_threshold`` is a class constant, not a setting: systems with
+    more unknowns get the sparse Jacobian and SuperLU; smaller ones a dense
+    Jacobian and LAPACK, which needs 8 n^2 bytes but not the ~30 MB import
+    of scipy.sparse.linalg. The sparse path needs the solve's column
+    coloring; without one the Jacobian stays dense at every size. The
+    sparse path reuses its SuperLU factor across iterations and steps
+    (chord Newton, module docstring) and refactors only when a reused step
+    fails to contract; the dense path builds and factors a Jacobian on
+    every iteration.
 
     ``newton_abs_tol`` and ``dt`` must be finite and positive, ``t_end``
     finite and nonnegative (0 solves the steady state only), and
@@ -79,7 +81,7 @@ class SolverConfig:
     newton_max_iter: int = 50
     dt: float | None = None
     t_end: float | None = None
-    sparse_threshold: int = 2000
+    sparse_threshold: ClassVar[int] = 2000
 
     def __post_init__(self):
         if not (math.isfinite(self.newton_abs_tol) and self.newton_abs_tol > 0):
@@ -280,18 +282,17 @@ def bind_inputs(gsys, scenario):
             elif p_ref is None:
                 p_ref = scenario.value(key, 0.0)
         else:
-            b = next(b for b in gsys.stations if b.station.id == key)
+            b = next(b for b in gsys.stations if b.id == key)
             own = f"{key}.{b.model.variant.setpoint}"
             if scenario.has(own):
                 resolved[key] = own
             elif scenario.has(key):
                 resolved[key] = key
+            elif b.default is None:
+                raise ConfigurationError(
+                    f"no setpoint profile or default for compressor {key!r}")
             else:
-                default = b.station.default_setpoint()
-                if default is None:
-                    raise ConfigurationError(
-                        f"no setpoint profile or default for compressor {key!r}")
-                resolved[key] = default
+                resolved[key] = b.default
     if p_ref is None:
         p_ref = 1.0
 
@@ -415,16 +416,13 @@ def simulate(gsys, scenario, cfg: SolverConfig | None = None) -> TimeSeries:
     rho_floor = 0.05 * p_ref / gsys.gas.c2
 
     def record(i, z, t, anchor):
-        snap, _ = gsys.snapshot(z, t, input_fn(t), anchor)
-        data[i] = [snap[nm] for nm in names]
+        data[i], _ = gsys.snapshot(z, t, input_fn(t), anchor)
         mass[i] = gsys.total_mass(z)
         for b in gsys.stations:
-            m_feed = z[gsys.mom_sl[b.pipe_down]][0]
-            key = f"reverse-flow:{b.station.id}"
-            if m_feed < 0.0 and key not in flagged:
+            key = f"reverse-flow:{b.id}"
+            if z[gsys.bank.m_in[b.pipe_down]] < 0.0 and key not in flagged:
                 flagged.add(key)
-                warnings.append(
-                    f"reverse flow through compressor {b.station.id!r} at t={t:g} s")
+                warnings.append(f"reverse flow through compressor {b.id!r} at t={t:g} s")
         if gsys.min_density(z) < rho_floor and "low-density" not in flagged:
             flagged.add("low-density")
             warnings.append(f"density below 5% of the supply level at t={t:g} s")

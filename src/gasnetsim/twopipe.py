@@ -6,39 +6,21 @@ states. It exists as an independent cross-check for the incidence-assembled
 network (both must produce identical trajectories) and implements the same
 stepping protocol, so the shared solver drives either.
 
-The pipe rows are the network's own (`network.PipeStates`): the station
-substitution fills the four pipe inputs [p0, -m_L_up, p_in_dn, -m_L_dn]
-behind the states, and the Jacobian pattern replaces those four columns by
-the state columns the station's variant reads.
+The pipe rows are the network's own (`network.PipeStates`), and so is the
+station: it is bound as a `network.StationBinding` and applied by the same
+station pass, from the same input vector. The substitution fills the four
+pipe inputs [p0, -m_L_up, p_in_dn, -m_L_dn] behind the states, and the
+Jacobian pattern replaces those four columns by the state columns the
+station's variant reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .compressor import CompressorModel
-from .network import PipeStates, color_columns
+from .network import PipeStates, StationBinding, color_columns
 from .pipe import PipeSystem
-
-
-@dataclass
-class _StationView:
-    """Minimal station descriptor matching the network system's interface."""
-
-    station: object
-    model: CompressorModel
-    pipe_up: int
-    pipe_down: int
-
-
-@dataclass
-class _StationId:
-    id: str
-
-    def default_setpoint(self):
-        return None
 
 
 class TwoPipeDirect(PipeStates):
@@ -57,39 +39,22 @@ class TwoPipeDirect(PipeStates):
         kind[self.bank.rho] = "m"
         kind[self.bank.mom] = "p"
         self.row_kind = kind
-        self.stations = [_StationView(_StationId(station_id), model, 0, 1)]
-
-    def required_inputs(self):
-        return [(self.supply_id, "pressure"), (self.demand_id, "momentum"),
-                (self.station_id, self.model.variant.kind)]
+        self.boundary_inputs = [(supply_id, "pressure"), (demand_id, "momentum")]
+        # the setpoint is the third input; a scenario profile must give it
+        self.stations = [StationBinding(station_id, model, None, 0, 1, 2)]
+        self.input_ids = [key for key, _ in self.required_inputs()]
 
     # -- coupling ------------------------------------------------------
 
-    def _with_ports(self, z, inputs):
+    def _with_ports(self, z, u):
         """[z | p0, -m_L_up, p_in_dn, -m_L_dn]: the pipe inputs the station implies at z."""
-        sp = inputs[self.station_id]
-        p1L = self._outlet_pressures(z)[0]
-        m_L_up = self.model.inlet_match_factor(sp, p1L) * z[self.bank.m_in[1]]
-        return np.concatenate([z, [inputs[self.supply_id], -m_L_up,
-                                   self.model.outlet_pressure(sp, p1L),
-                                   -inputs[self.demand_id]]])
+        (p_in_dn, k), = self._station_pass(self._outlet_pressures(z), u)
+        return np.concatenate([z, [u[0], -k * z[self.bank.m_in[1]], p_in_dn, -u[1]]])
 
-    def _rows(self, z, zdot, inputs):
+    def _residual_core(self, z, zdot, u):
         F = np.empty(self.n)
-        self._pipe_rows(F, self._with_ports(z, inputs), zdot)
+        self._pipe_rows(F, self._with_ports(z, u), zdot)
         return F
-
-    def steady_residual(self, z, inputs):
-        return self._rows(np.asarray(z, float), np.zeros(self.n_z), inputs)
-
-    def make_step_residual(self, z_prev, dt, inputs_mid):
-        z_prev = np.asarray(z_prev, float)
-
-        def fun(z_new):
-            z_mid = 0.5 * (z_prev + z_new)
-            return self._rows(z_mid, (z_new - z_prev) / dt, inputs_mid)
-
-        return fun
 
     # -- solver protocol -------------------------------------------------
 
@@ -115,10 +80,9 @@ class TwoPipeDirect(PipeStates):
         return z
 
     def net_mass_influx(self, z_mid, x_new, inputs_mid):
-        x = self._with_ports(z_mid, inputs_mid)
+        x = self._with_ports(z_mid, self._input_vector(inputs_mid))
         return float(np.sum(z_mid[self.bank.m_in] + x[self.mu_m]))
 
-    def snapshot(self, z, t, inputs, anchor=None):
-        if callable(inputs):
-            inputs = inputs(t)
-        return self._records(self._with_ports(z, inputs), inputs), None
+    def algebraic_solve(self, z, t, inputs, anchor=None):
+        """[z | ports]: the pipe inputs the station implies at z (records read them)."""
+        return self._with_ports(np.asarray(z, float), self._input_vector(inputs))

@@ -1,5 +1,6 @@
-"""Shared test cases: the benchmark files, small systems, a sealed-pipe system
-and the per-pipe oracles.
+"""Shared test cases: the benchmark files and malformed copies of the network
+file, small systems, a sealed-pipe system, the per-pipe oracles, and
+`record_dict`, which reads a snapshot row by record name.
 
 Plain helpers, imported by name; the pytest fixtures stay in conftest.py.
 
@@ -11,6 +12,7 @@ against them.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -55,6 +57,23 @@ SCN_JSON = """{
 """
 
 
+DELETE = object()
+
+
+def malformed_network(path, value):
+    """NET_JSON with the entry at `path` replaced by `value` (or DELETE-d)."""
+    doc = json.loads(NET_JSON)
+    *parent, key = path
+    target = doc
+    for step in parent:
+        target = target[step]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    return json.dumps(doc)
+
+
 def benchmark_with_model(tag):
     """Benchmark network with the compressor model overridden by CLI tag."""
     spec = gn.parse_network(NET_JSON)
@@ -67,6 +86,12 @@ def benchmark_with_model(tag):
         st.assumption = gn.Assumption(asm)
     scen = gn.parse_scenario(SCN_JSON, spec)
     return spec, scen
+
+
+def record_dict(g, z, t, inputs, anchor=None):
+    """A system's snapshot row at state z as a {record name: value} dict."""
+    row, _ = g.snapshot(z, t, inputs, anchor)
+    return dict(zip(g.record_names(), row))
 
 
 def single_pipe_system(gas, demand_id="d", supply_id="s", n_cells=32,

@@ -13,7 +13,7 @@ import gasnetsim as gn
 from gasnetsim.compressor import CompressorModel
 from gasnetsim.twopipe import TwoPipeDirect
 
-from casekit import benchmark_with_model, closed_pipe, single_pipe_system
+from casekit import benchmark_with_model, closed_pipe, record_dict, single_pipe_system
 
 MODELS = ("none", "fc-av", "fc-am", "fp-av", "fp-am")
 
@@ -53,7 +53,7 @@ def test_ac1_steady_pipe_oracle_and_convergence(gas):
         g = single_pipe_system(gas, n_cells=n)
         inputs = {"s": 80e5, "d": 300.0}
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap, _ = g.snapshot(x[: g.n_z], 0.0, inputs)
+        snap = record_dict(g, x[: g.n_z], 0.0, inputs)
         oracle = gn.steady_pipe_oracle(g.pipes[0].spec, gas, 80e5, 300.0)
         errs[n] = abs(snap["line.out.p_Pa"] - oracle)
     elapsed = time.perf_counter() - t0

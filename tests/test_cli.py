@@ -6,7 +6,7 @@ import pytest
 import gasnetsim as gn
 from gasnetsim.cli import main
 
-from casekit import NET_JSON, SCN_JSON
+from casekit import DELETE, NET_JSON, SCN_JSON, malformed_network
 
 
 @pytest.fixture()
@@ -128,4 +128,29 @@ def test_invalid_solver_flags_exit_1_before_solving(files, tmp_path, capsys, arg
     out = tmp_path / "bad.csv"
     assert main([argv[0], str(net), str(scn), "--out", str(out)] + argv[1:]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key} must be finite and positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value, key", [
+    (("pipes", 0, "diameter"), DELETE, "'diameter'"),
+    (("gas", "Rs"), DELETE, "'Rs'"),
+    (("compressors", 0, "framework"), "xx", "Framework"),
+    (("pipes", 0, "length"), float("nan"), "length"),
+    (("gas", "T"), float("nan"), "temperature"),
+    (("pipes", 0, "length"), float("inf"), "length"),
+    (("pipes", 0, "cells"), 2.5, "cell count"),
+])
+@pytest.mark.parametrize("command", ["validate", "steady"])
+def test_malformed_network_exits_1_naming_the_key(files, tmp_path, capsys, path, value,
+                                                   key, command):
+    # an input error is reported as one, before any solve: never a
+    # traceback, a solver failure (exit 2) or a CSV
+    _, scn = files
+    bad = tmp_path / "bad.net.json"
+    bad.write_text(malformed_network(path, value))
+    out = tmp_path / "bad.csv"
+    argv = [command, str(bad)] + ([str(scn), "--out", str(out)] if command == "steady" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
     assert not out.exists()

@@ -86,7 +86,8 @@ class TestCouplingMatrix:
             p0, mL, ct = rng.uniform(6e6, 9e6), rng.normal(0.0, 300.0), 1.2
             p1L = oracle(up).outlet_pressure(z[direct.rho_sl[0]])
             m2 = z[direct.mom_sl[1]][0]
-            ports = direct._with_ports(z, {"s": p0, "d": mL, "c": ct})[direct.n_z:]
+            u = direct._input_vector({"s": p0, "d": mL, "c": ct})
+            ports = direct._with_ports(z, u)[direct.n_z:]
             assert np.allclose(ports, [p0, -m2, ct * p1L, -mL], rtol=1e-14)
 
 

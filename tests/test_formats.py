@@ -6,7 +6,7 @@ import pytest
 
 import gasnetsim as gn
 
-from casekit import NET_JSON, SCN_JSON, benchmark_with_model
+from casekit import DELETE, NET_JSON, SCN_JSON, benchmark_with_model, malformed_network
 
 
 class TestParseNetwork:
@@ -64,6 +64,38 @@ class TestParseNetwork:
         a = gn.parse_network(json.dumps(doc_km))
         b = gn.parse_network(json.dumps(doc_m))
         assert a.pipes[0].spec.length == b.pipes[0].spec.length
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (path into the network document, new value or DELETE, expected message)
+MALFORMED = [
+    (("pipes", 0, "diameter"), DELETE, r"pipes\[0\]: missing key 'diameter'"),
+    (("gas", "Rs"), DELETE, r"gas: missing key 'Rs'"),
+    (("nodes", 0, "id"), DELETE, r"nodes\[0\]: missing key 'id'"),
+    (("compressors", 0, "to"), DELETE, r"compressors\[0\]: missing key 'to'"),
+    (("pipes", 0, "length"), "abc", r"pipes\[0\]: 'length' must be a number, got 'abc'"),
+    (("pipes", 0, "friction"), True, r"pipes\[0\]: 'friction' must be a number, got True"),
+    (("compressors", 0, "ratio"), "abc", r"compressors\[0\]: 'ratio' must be a number"),
+    (("compressors", 0, "framework"), "xx", r"compressors\[0\]: 'xx' is not a valid Framework"),
+    (("pipes", 0, "length"), NAN, r"pipes\[0\]: pipe 'west': length must be finite and positive"),
+    (("pipes", 1, "diameter"), 0.0, r"pipe 'east': diameter must be finite and positive"),
+    (("pipes", 0, "friction"), NAN, r"friction factor must be finite and nonnegative, got nan"),
+    (("gas", "T"), NAN, r"gas: temperature must be finite and positive, got nan"),
+    (("pipes", 0, "length"), INF, r"length must be finite and positive, got inf"),
+    (("gas", "kappa"), INF, r"gas: isentropic exponent must be finite and exceed 1, got inf"),
+    (("compressors", 0, "ratio"), NAN, r"compressor 'station': ratio must be finite and positive"),
+    (("compressors", 0, "pressure"), -84.0, r"pressure must be finite and positive"),
+    (("pipes", 0, "cells"), 2.5, r"pipe 'west': cell count must be an integer, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED)
+def test_malformed_network_names_the_entry_and_the_key(path, value, message):
+    # a missing key, a value that is not a number, an unknown choice or a
+    # value out of range is a FormatError, never a KeyError or ValueError
+    with pytest.raises(gn.FormatError, match=message):
+        gn.parse_network(malformed_network(path, value))
 
 
 def random_spec(rng):

@@ -7,7 +7,7 @@ from gasnetsim.network import color_columns
 from gasnetsim.timeloop import FD_STEP, _fd_jacobian, _uncolored
 
 from casekit import (PipeField, ladder_system, oracle, pipe_rhs,
-                     power_terms_oracle, single_pipe_system)
+                     power_terms_oracle, record_dict, single_pipe_system)
 
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 
@@ -144,18 +144,18 @@ def reference_residual(g, x, zdot, inputs):
                     acc -= x[g.mom_sl[k]][0]
             F[r] = acc
 
-    for b in g.stations:
-        sp = inputs[b.station.id]
-        up = g.pipes[b.pipe_up]
-        rho_up = x[g.rho_sl[b.pipe_up]]
-        p1L = 1.5 * up.c2 * rho_up[-1] - 0.5 * up.c2 * rho_up[-2]
+    for b, r in zip(g.stations, g.station_rows):
+        sp = inputs[b.id]
+        # the port formula above: the station reads the port-out pressure
+        pres_up = g.pipes[b.pipe_up].c2 * x[g.rho_sl[b.pipe_up]]
+        p1L = 1.5 * pres_up[-1] - 0.5 * pres_up[-2]
         m_down = x[g.mom_sl[b.pipe_down]][0]
         factor = b.model.inlet_match_factor(sp, p1L)
-        F[b.row_in] = -x[g.mu_m[b.pipe_up]] - factor * m_down
+        F[r.row_in] = -x[g.mu_m[b.pipe_up]] - factor * m_down
         if b.model.framework is Framework.FIXED_RATIO:
-            F[b.row_out] = x[b.lam_out] - sp * p1L
+            F[r.row_out] = x[r.lam_out] - sp * p1L
         else:
-            F[b.row_out] = x[b.lam_out] - sp
+            F[r.row_out] = x[r.lam_out] - sp
     return F
 
 
@@ -196,15 +196,15 @@ def reference_pattern(g):
         elif nd.kind not in (gn.NodeKind.COMPRESSOR_IN, gn.NodeKind.COMPRESSOR_OUT):
             for k, isout in g.attached[nd.id]:
                 ent.append((r, g.mu_m[k] if isout else g.mom_sl[k].start))
-    for b in g.stations:
+    for b, r in zip(g.stations, g.station_rows):
         last = g.rho_sl[b.pipe_up].stop - 1
-        ent += [(b.row_in, g.mu_m[b.pipe_up]), (b.row_in, g.mom_sl[b.pipe_down].start)]
+        ent += [(r.row_in, g.mu_m[b.pipe_up]), (r.row_in, g.mom_sl[b.pipe_down].start)]
         if (b.model.framework is Framework.FIXED_PRESSURE
                 and b.model.assumption is Assumption.CONST_VELOCITY):
-            ent += [(b.row_in, last), (b.row_in, last - 1)]
-        ent.append((b.row_out, b.lam_out))
+            ent += [(r.row_in, last), (r.row_in, last - 1)]
+        ent.append((r.row_out, r.lam_out))
         if b.model.framework is Framework.FIXED_RATIO:
-            ent += [(b.row_out, last), (b.row_out, last - 1)]
+            ent += [(r.row_out, last), (r.row_out, last - 1)]
     return ent
 
 
@@ -240,6 +240,24 @@ class TestValidateTopology:
         spec.pipes.append(gn.PipeEdge(pipe(6), "a", "b"))
         report = gn.validate_topology(spec)
         assert any(v.code == "disconnected" for v in report.violations)
+
+
+@pytest.mark.parametrize("edit, code", [
+    ("second pipe at the station inlet", "compressor-end-degree"),
+    ("station inlet starts a pipe", "compressor-end-orientation"),
+    ("no station for the end nodes", "compressor-node-unbound"),
+])
+def test_assemble_rejects_malformed_station_ends(edit, code):
+    # validate_topology runs first, so the station binding never sees these
+    spec = star_network_spec()
+    if edit == "second pipe at the station inlet":
+        spec.pipes.append(gn.PipeEdge(pipe(5), "v1", "ci"))
+    elif edit == "station inlet starts a pipe":
+        spec.pipes[0].from_node, spec.pipes[0].to_node = "ci", "v1"
+    else:
+        spec.compressors.clear()
+    with pytest.raises(gn.ConfigurationError, match=code):
+        gn.assemble(spec)
 
 
 class TestIncidence:
@@ -285,7 +303,7 @@ class TestAssemble:
     def test_junction_kirchhoff_semantics(self):
         g = gn.assemble(star_network_spec())
         x = gn.steady_state(g, STAR_INPUTS, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap, _ = g.snapshot(x[: g.n_z], 0.0, STAR_INPUTS)
+        snap = record_dict(g, x[: g.n_z], 0.0, STAR_INPUTS)
         ports_p = [snap["P2.out.p_Pa"], snap["P3.in.p_Pa"], snap["P4.in.p_Pa"]]
         assert max(ports_p) - min(ports_p) <= 1e-6 * max(ports_p)
         balance = snap["P2.out.m"] - snap["P3.in.m"] - snap["P4.in.m"]
@@ -298,8 +316,8 @@ class TestAssemble:
         xa = gn.steady_state(gn.assemble(spec_a), STAR_INPUTS)
         xb = gn.steady_state(gn.assemble(spec_b), STAR_INPUTS)
         ga, gb = gn.assemble(spec_a), gn.assemble(spec_b)
-        sa, _ = ga.snapshot(xa[: ga.n_z], 0.0, STAR_INPUTS)
-        sb, _ = gb.snapshot(xb[: gb.n_z], 0.0, STAR_INPUTS)
+        sa = record_dict(ga, xa[: ga.n_z], 0.0, STAR_INPUTS)
+        sb = record_dict(gb, xb[: gb.n_z], 0.0, STAR_INPUTS)
         for name in sa:
             assert sa[name] == pytest.approx(sb[name], rel=1e-9, abs=1e-9)
 
@@ -394,6 +412,25 @@ class TestJacobianColoring:
         assert np.abs(J_color - J_dense).max() <= 1e-6 * np.abs(J_dense).max()
 
 
+@pytest.mark.parametrize("tag", ["fc-av", "fc-am", "fp-av", "fp-am"])
+def test_station_rows_read_the_port_outlet_pressure(tag):
+    # each station row applies the variant's rules to the upstream pipe's
+    # outlet pressure as the port-out rows compute it, bit for bit
+    spec, inputs = star_with_model(tag)
+    g = gn.assemble(spec)
+    x0 = gn.steady_state(g, inputs)
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        x = x0 * (1.0 + 1e-2 * rng.standard_normal(g.n))
+        F = g.steady_residual(x, inputs)
+        p_out = g._outlet_pressures(x)
+        for b, r in zip(g.stations, g.station_rows):
+            sp, p = inputs[b.id], p_out[b.pipe_up]
+            k = b.model.inlet_match_factor(sp, p)
+            assert F[r.row_out] == x[r.lam_out] - b.model.outlet_pressure(sp, p)
+            assert F[r.row_in] == -x[g.mu_m[b.pipe_up]] - k * x[g.bank.m_in[b.pipe_down]]
+
+
 def test_power_terms_identity_with_internal_nodes(gas):
     # the exact split holds on topologies with junctions too; the junction
     # bucket carries the (small) extrapolation-coupling exchange
@@ -442,7 +479,7 @@ def test_power_terms_equal_per_pipe_oracle(name):
 def test_single_pipe_assembly_matches_oracle(gas):
     g = single_pipe_system(gas)
     x = gn.steady_state(g, {"s": 80e5, "d": 300.0})
-    snap, _ = g.snapshot(x[: g.n_z], 0.0, {"s": 80e5, "d": 300.0})
+    snap = record_dict(g, x[: g.n_z], 0.0, {"s": 80e5, "d": 300.0})
     oracle = gn.steady_pipe_oracle(g.pipes[0].spec, gas, 80e5, 300.0)
     assert snap["line.out.p_Pa"] == pytest.approx(oracle, rel=5e-3)
 
@@ -456,7 +493,7 @@ class TestGeneralTopologies:
         g = gn.assemble(spec)
         inputs = DIAMOND_INPUTS
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap, _ = g.snapshot(x[: g.n_z], 0.0, inputs, anchor=x)
+        snap = record_dict(g, x[: g.n_z], 0.0, inputs, anchor=x)
         # junction pressure continuity across all three attached ports
         pj = [snap["A.out.p_Pa"], snap["B.out.p_Pa"], snap["C.in.p_Pa"]]
         assert max(pj) - min(pj) <= 1e-6 * max(pj)
@@ -529,7 +566,7 @@ class TestGeneralTopologies:
         g = gn.assemble(gn.NetworkSpec(gas, nodes, pipes, []))
         inputs = {"s1": 72e5, "s2": 70e5, "d": 200.0}
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap, _ = g.snapshot(x[: g.n_z], 0.0, inputs, anchor=x)
+        snap = record_dict(g, x[: g.n_z], 0.0, inputs, anchor=x)
         assert snap["A.in.p_Pa"] == pytest.approx(72e5, rel=1e-12)
         assert snap["B.in.p_Pa"] == pytest.approx(70e5, rel=1e-12)
         # the higher-pressure supply pushes harder
@@ -539,7 +576,7 @@ class TestGeneralTopologies:
         g = gn.assemble(series_stations_spec())
         inputs = SERIES_INPUTS
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap, _ = g.snapshot(x[: g.n_z], 0.0, inputs, anchor=x)
+        snap = record_dict(g, x[: g.n_z], 0.0, inputs, anchor=x)
         assert snap["P2.in.p_Pa"] / snap["P1.out.p_Pa"] == pytest.approx(1.1, rel=1e-10)
         assert snap["P3.in.p_Pa"] == pytest.approx(80e5, rel=1e-10)
         ratio2 = 80e5 / snap["P2.out.p_Pa"]
@@ -555,7 +592,7 @@ def test_fuse_compressors_removes_station():
     assert gn.validate_topology(fused).ok
     g = gn.assemble(fused)
     x = gn.steady_state(g, {"v1": 60e5, "v2": 120.0, "v3": 80.0})
-    snap, _ = g.snapshot(x[: g.n_z], 0.0, {"v1": 60e5, "v2": 120.0, "v3": 80.0})
+    snap = record_dict(g, x[: g.n_z], 0.0, {"v1": 60e5, "v2": 120.0, "v3": 80.0})
     assert snap["P2.in.p_Pa"] == pytest.approx(snap["P1.out.p_Pa"], rel=1e-9)
 
 

@@ -5,7 +5,8 @@ import gasnetsim as gn
 
 from gasnetsim import timeloop
 
-from casekit import benchmark_with_model, closed_pipe, ladder_system, single_pipe_system
+from casekit import (benchmark_with_model, closed_pipe, ladder_system, record_dict,
+                     single_pipe_system)
 
 
 class TestSolverConfig:
@@ -20,11 +21,15 @@ class TestSolverConfig:
         with pytest.raises(gn.ConfigurationError, match=next(iter(kwargs))):
             gn.SolverConfig(**kwargs)
 
-    def test_five_settings(self):
-        # the difference step and the line-search knobs are module constants
+    def test_four_settings(self):
+        # the difference step, the line-search knobs and the sparse
+        # threshold are constants, not settings
         from dataclasses import fields
         assert [f.name for f in fields(gn.SolverConfig)] == [
-            "newton_abs_tol", "newton_max_iter", "dt", "t_end", "sparse_threshold"]
+            "newton_abs_tol", "newton_max_iter", "dt", "t_end"]
+        assert gn.SolverConfig().sparse_threshold == 2000
+        with pytest.raises(TypeError):
+            gn.SolverConfig(sparse_threshold=0)
 
 
 class TestNewton:
@@ -67,7 +72,7 @@ class TestNewton:
             gn.newton_solve(fun, np.array([3.0, -1.0]),
                             gn.SolverConfig(newton_abs_tol=1e-12))
 
-    def test_singular_jacobian_raises_on_sparse_path(self):
+    def test_singular_jacobian_raises_on_sparse_path(self, monkeypatch):
         # the same rank-deficient map above the sparse threshold: SuperLU's
         # exact-singularity failure surfaces as a factorization error
         from gasnetsim.network import color_columns
@@ -76,11 +81,11 @@ class TestNewton:
             s = x[0] + x[1]
             return np.array([s - 1.0, s - 1.0])
 
+        monkeypatch.setattr(gn.SolverConfig, "sparse_threshold", 1)
         full = color_columns([(r, c) for r in range(2) for c in range(2)], 2, 2)
         with pytest.raises(gn.FactorizationError):
             gn.newton_solve(fun, np.array([3.0, -1.0]),
-                            gn.SolverConfig(newton_abs_tol=1e-12, sparse_threshold=1),
-                            colors=full)
+                            gn.SolverConfig(newton_abs_tol=1e-12), colors=full)
 
 
 def full_newton(fun, x0, cfg=None, colors=None):
@@ -111,9 +116,13 @@ def day_transient(tag):
 
 class TestChordNewton:
     """The sparse path reuses its SuperLU factor (forced on small systems
-    with sparse_threshold=0)."""
+    by a sparse threshold of 0)."""
 
-    CFG = gn.SolverConfig(sparse_threshold=0)
+    CFG = gn.SolverConfig()
+
+    @pytest.fixture(autouse=True)
+    def sparse_path(self, monkeypatch):
+        monkeypatch.setattr(gn.SolverConfig, "sparse_threshold", 0)
 
     def steady(self, tag):
         spec, scen = day_transient(tag)
@@ -163,7 +172,7 @@ class TestChordNewton:
     def test_simulate_twice_is_bitwise_equal(self):
         spec, scen = day_transient("fp-av")
         g = gn.assemble(spec)
-        cfg = gn.SolverConfig(sparse_threshold=0, t_end=7200.0)
+        cfg = gn.SolverConfig(t_end=7200.0)
         first = gn.simulate(g, scen, cfg)
         assert g.jac_colors().factor[0] is not None
 
@@ -214,14 +223,14 @@ class TestSteadyState:
     def test_no_demand_means_uniform_pressure(self, gas):
         g = single_pipe_system(gas)
         x = gn.steady_state(g, {"s": 80e5, "d": 0.0})
-        snap, _ = g.snapshot(x[: g.n_z], 0.0, {"s": 80e5, "d": 0.0})
+        snap = record_dict(g, x[: g.n_z], 0.0, {"s": 80e5, "d": 0.0})
         assert snap["line.out.p_Pa"] == pytest.approx(80e5, rel=1e-9)
         assert abs(snap["line.in.m"]) <= 1e-5
 
     def test_constant_demand_matches_oracle(self, gas):
         g = single_pipe_system(gas, n_cells=32)
         x = gn.steady_state(g, {"s": 80e5, "d": 300.0})
-        snap, _ = g.snapshot(x[: g.n_z], 0.0, {"s": 80e5, "d": 300.0})
+        snap = record_dict(g, x[: g.n_z], 0.0, {"s": 80e5, "d": 300.0})
         oracle = gn.steady_pipe_oracle(g.pipes[0].spec, gas, 80e5, 300.0)
         assert abs(snap["line.out.p_Pa"] - oracle) / oracle <= 0.005
 
@@ -231,7 +240,7 @@ class TestSteadyState:
         fn, p_ref, m_ref = gn.bind_inputs(g, scen)
         g.references = (p_ref, m_ref)
         x = gn.steady_state(g, fn(0.0), set_references=False)
-        snap, _ = g.snapshot(x[: g.n_z], 0.0, fn(0.0))
+        snap = record_dict(g, x[: g.n_z], 0.0, fn(0.0))
         assert snap["east.in.p_Pa"] / snap["west.out.p_Pa"] == pytest.approx(1.2, rel=1e-12)
 
     def test_converges_within_25_iterations_from_flat_start(self):
@@ -254,8 +263,8 @@ class TestMidpointStep:
         x = gn.steady_state(g, inputs)
         x1, _ = gn.step_midpoint(g, x, 0.0, 100.0, lambda t: inputs)
         assert np.abs(gn.scale_residual(g, g.steady_residual(x1, inputs))).max() <= 1e-7
-        snap0, _ = g.snapshot(x[: g.n_z], 0.0, inputs)
-        snap1, _ = g.snapshot(x1[: g.n_z], 100.0, inputs)
+        snap0 = record_dict(g, x[: g.n_z], 0.0, inputs)
+        snap1 = record_dict(g, x1[: g.n_z], 100.0, inputs)
         for name in snap0:
             assert snap1[name] == pytest.approx(snap0[name], rel=1e-6, abs=1e-8)
 
@@ -385,7 +394,7 @@ class TestSimulate:
         e_fine = abs(sols[50.0] - sols[25.0])
         assert 2.5 <= e_coarse / e_fine <= 6.0
 
-    def test_sparse_linear_path_matches_dense(self, gas):
+    def test_sparse_linear_path_matches_dense(self, gas, monkeypatch):
         # the splu path against a plain dense Newton kept here as reference:
         # dense colored FD Jacobian and LAPACK solve, full steps
         from gasnetsim.timeloop import _fd_jacobian
@@ -407,8 +416,8 @@ class TestSimulate:
             x_ref = x_ref + np.linalg.solve(J, -F)
         assert np.abs(fun(x_ref)).max() <= 1e-8
 
-        x_sparse = gn.steady_state(g, inputs, gn.SolverConfig(sparse_threshold=4),
-                                   set_references=False)
+        monkeypatch.setattr(gn.SolverConfig, "sparse_threshold", 4)
+        x_sparse = gn.steady_state(g, inputs, set_references=False)
         assert np.allclose(x_ref, x_sparse, rtol=1e-8, atol=1e-8)
 
     def test_sparse_newton_allocates_no_dense_jacobian(self, gas):

@@ -113,3 +113,22 @@ def test_check_state_names_the_pipe():
     z[d.rho_sl[1].start + 2] = -1.0
     with pytest.raises(gn.StateError, match=r"non-positive density in pipe 'P2' at t=300"):
         d.check_state(z, 300.0)
+
+
+def test_snapshot_row_follows_record_names():
+    d, inputs = direct_case("fp-av")
+    z = gn.steady_state(d, inputs, set_references=False)
+    row, x = d.snapshot(z, 0.0, inputs)
+    names = d.record_names()
+    assert np.array_equal(x[: d.n_z], z) and row.shape == (len(names),)
+    assert names == [f"{p}.{end}.{q}" for p in ("P1", "P2") for end in ("in", "out")
+                     for q in ("p_Pa", "m")] + ["H_total", "c.power"]
+    rec = dict(zip(names, row))
+    up, m_feed = d.pipes[0], z[d.mom_sl[1]][0]
+    p1L = up.outlet_pressure(z[d.rho_sl[0]])
+    k = d.model.inlet_match_factor(66e5, p1L)
+    assert (rec["P1.in.p_Pa"], rec["P2.in.p_Pa"], rec["P2.out.m"]) == (60e5, 66e5, 100.0)
+    assert rec["P1.in.m"] == z[d.mom_sl[0]][0] and rec["P2.in.m"] == m_feed
+    assert rec["P1.out.p_Pa"] == p1L and rec["P1.out.m"] == k * m_feed
+    assert rec["H_total"] == d.hamiltonian_total(z)
+    assert rec["c.power"] == d.model.power(66e5, p1L, m_feed)
