@@ -26,12 +26,13 @@ as a diagnostic.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_positive
 from .gas import GasProperties
 
 
@@ -98,12 +99,11 @@ class CompressorModel:
         self.framework = Framework(self.framework)
         self.assumption = Assumption(self.assumption)
         self.variant = VARIANTS[self.framework, self.assumption]
-        if self.kappa <= 1:
-            raise ConfigurationError("isentropic exponent must exceed 1")
-        if self.framework is Framework.FIXED_PRESSURE:
-            if self.setpoint <= 0:
-                raise ConfigurationError("FP compressor needs a positive outlet pressure")
-        elif self.setpoint < 1.0:
+        if not (math.isfinite(self.kappa) and self.kappa > 1):
+            raise ConfigurationError(
+                f"isentropic exponent must be finite and exceed 1, got {self.kappa!r}")
+        require_positive(f"{self.tag} compressor setpoint", self.setpoint)
+        if self.framework is Framework.FIXED_RATIO and self.setpoint < 1.0:
             warnings.warn(
                 f"FC compressor with ratio {self.setpoint} < 1 acts as an expander",
                 stacklevel=2,

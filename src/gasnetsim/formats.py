@@ -49,16 +49,35 @@ class _Units:
     temperature: float = 1.0
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _object(value, what: str) -> dict:
+    """value, if it is a JSON object; else a FormatError naming `what`."""
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} must be an object, got {_JSON_TYPES.get(type(value), value)}")
+    return value
+
+
+def _list(doc: dict, key: str) -> list:
+    """doc[key] (an empty list if absent), if it is a JSON list."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise FormatError(f"{key!r} must be a list, got {_JSON_TYPES.get(type(value), value)}")
+    return value
+
+
 def _parse_units(block) -> _Units:
     u = _Units()
-    if not block:
+    if block is None:
         return u
     tables = {"pressure": PRESSURE_UNITS, "length": LENGTH_UNITS,
               "diameter": LENGTH_UNITS, "temperature": TEMPERATURE_UNITS}
-    for key, tag in block.items():
+    for key, tag in _object(block, "'units'").items():
         if key not in tables:
             raise FormatError(f"unknown unit dimension {key!r}")
-        if tag not in tables[key]:
+        if not isinstance(tag, str) or tag not in tables[key]:
             raise FormatError(f"unknown {key} unit tag {tag!r}")
         setattr(u, key, tables[key][tag])
     return u
@@ -87,6 +106,8 @@ def _entry(name: str):
         yield
     except KeyError as exc:
         raise FormatError(f"{name}: missing key {exc}") from None
+    except FormatError:
+        raise
     except (ConfigurationError, ValueError) as exc:
         raise FormatError(f"{name}: {exc}") from None
 
@@ -102,38 +123,40 @@ def _number(doc, key: str, default=None) -> float:
 def parse_network(text: str) -> NetworkSpec:
     """Parse and validate a network description; all values returned in SI.
 
-    A missing key, a value that is not a JSON number, or one that fails the
-    checks of `GasProperties`, `PipeSpec` or `CompressorStation` raises a
-    FormatError naming the entry and the key.
+    A block or entry that is not an object or a list as required, a missing
+    key, a value that is not a JSON number, or one that fails the checks of
+    `GasProperties`, `PipeSpec` or `CompressorStation` raises a FormatError
+    naming the entry and the key.
     """
-    doc = _load_json(text)
+    doc = _object(_load_json(text), "the top level")
     units = _parse_units(doc.get("units"))
 
     gas_doc = doc.get("gas")
     if not gas_doc:
         raise FormatError("missing 'gas' block")
+    _object(gas_doc, "'gas'")
     with _entry("gas"):
         gas = GasProperties(_number(gas_doc, "Rs"), _number(gas_doc, "T") * units.temperature,
                             _number(gas_doc, "z", 1.0), _number(gas_doc, "kappa", 1.4))
 
     nodes: list[Node] = []
     index: dict[str, Node] = {}
-    for i, nd in enumerate(doc.get("nodes", [])):
+    for i, nd in enumerate(_list(doc, "nodes")):
         with _entry(f"nodes[{i}]"):
-            nid = str(nd["id"])
+            nid = str(_object(nd, f"nodes[{i}]")["id"])
         if nid in index:
             raise FormatError(f"duplicate node id {nid!r}")
         typ = nd.get("type", "junction")
-        if typ not in _NODE_TYPES:
+        if not isinstance(typ, str) or typ not in _NODE_TYPES:
             raise FormatError(f"node {nid!r}: unknown type {typ!r}")
         node = Node(nid, _NODE_TYPES[typ])
         nodes.append(node)
         index[nid] = node
 
     comps: list[CompressorStation] = []
-    for i, cd in enumerate(doc.get("compressors", [])):
+    for i, cd in enumerate(_list(doc, "compressors")):
         with _entry(f"compressors[{i}]"):
-            cid = str(cd["id"])
+            cid = str(_object(cd, f"compressors[{i}]")["id"])
             ratio = cd.get("ratio")
             pressure = cd.get("pressure")
             st = CompressorStation(
@@ -162,9 +185,10 @@ def parse_network(text: str) -> NetworkSpec:
         comps.append(st)
 
     pipes: list[PipeEdge] = []
-    for i, pd in enumerate(doc.get("pipes", [])):
+    for i, pd in enumerate(_list(doc, "pipes")):
         with _entry(f"pipes[{i}]"):
-            spec = PipeSpec(str(pd["id"]), _number(pd, "length") * units.length,
+            spec = PipeSpec(str(_object(pd, f"pipes[{i}]")["id"]),
+                            _number(pd, "length") * units.length,
                             _number(pd, "diameter") * units.diameter,
                             _number(pd, "friction"), pd.get("cells", 32))
             ends = (str(pd["from"]), str(pd["to"]))
@@ -235,7 +259,7 @@ class Scenario:
 
 def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
     """Parse a scenario and bind every profile against the network."""
-    doc = _load_json(text)
+    doc = _object(_load_json(text), "the top level")
     units = _parse_units(doc.get("units"))
     try:
         t_end = float(doc["t_end"])

@@ -10,11 +10,11 @@ Unknown vector layout (length = sum(2 n_cells) + 2 * n_pipes + n_nodes):
             first, then compressor nodes (inlet before outlet per station),
             then internal nodes
 
-Residual row layout mirrors it:
+Residual rows mirror it: row i pairs with unknown i.
 
     pipe rows:  W dz/dt - (J - R(z)) e(z) - B mu          (one per state)
-    port rows:  inlet:  mu_p - lambda(from-node)
-                outlet: p_out(z) - lambda(to-node)        (two per pipe)
+    port rows:  at mu_p:  mu_p - lambda(from-node)
+                at mu_m:  p_out(z) - lambda(to-node)
     node rows:  supply:   lambda - p_set(t)
                 demand:   sum(outlet fluxes) - sum(inlet fluxes) - m_out(t)
                 junction: the same balance with zero extraction
@@ -40,13 +40,15 @@ pipe pairs rho_i with the momentum m_i on its inlet-side interface:
                  up = rho_(i-1) with a = c^2, or mu_p with a = 1 at the
                  inlet, where w = dx/2 (dx elsewhere)
 
-Node rows start at minus their input (zero for junctions) and add
-+lambda (supply) or -flux (balances) per link, in attachment order
-(`NodeLinks`). Inputs are resolved once per closure into a vector in
-`required_inputs` order. One station pass (`PipeStates._station_pass`)
-applies the rules of `compressor.VARIANTS` at p_upstream, the port-out
-rows' outlet pressure, for the station rows, the algebraic solve and
-`twopipe.TwoPipeDirect` alike.
+Inputs are resolved once per closure into a vector u in `required_inputs`
+order. Every +-1 entry of the port, node and station rows sits in one
+constant table, `GlobalSystem.coupling`, over [x | u] (columns from n on
+index u; a node row lists minus its input first, then its links in
+attachment order). The residual, the Jacobian pattern and the algebraic
+solve all read it. One station pass (`PipeStates._station_pass`) applies
+the rules of `compressor.VARIANTS` at p_upstream, the port-out rows'
+outlet pressure, for the station rows' state terms, the algebraic solve
+and `twopipe.TwoPipeDirect` alike.
 """
 
 from __future__ import annotations
@@ -315,12 +317,10 @@ class StationBinding(NamedTuple):
 
 
 class StationRows(NamedTuple):
-    """The network's rows and columns of one station's two rules."""
+    """A station's two network rows and the state its momentum rule reads."""
 
-    row_in: int     # momentum-rule row (at the inlet node)
-    row_out: int    # pressure-rule row (at the outlet node)
-    lam_out: int    # outlet-node potential column
-    mu_up: int      # the upstream pipe's mu_m column
+    row_in: int     # momentum rule, at the inlet node's row
+    row_out: int    # pressure rule, at the outlet node's row
     m_down: int     # the downstream pipe's inlet momentum column
 
 
@@ -341,20 +341,8 @@ class PipeBank(NamedTuple):
     m_in: np.ndarray        # pipe: inlet momentum column
 
 
-class NodeLinks(NamedTuple):
-    """Port and node couplings of the network rows (layout: module docstring)."""
-
-    lam_from: np.ndarray    # pipe: inlet node potential column
-    lam_to: np.ndarray      # pipe: outlet node potential column
-    node_rows: np.ndarray   # supply, demand and junction rows ...
-    node_in: np.ndarray     # ... start at minus this input-vector entry
-    link_rows: np.ndarray   # link: adds link_sign * x[link_cols] to its row
-    link_cols: np.ndarray
-    link_sign: np.ndarray
-
-
 class Triplets(NamedTuple):
-    """A sparse matrix as (row, column, value) entries; duplicates add."""
+    """A sparse matrix as (row, column, value) entries; duplicates add, in listed order."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -365,15 +353,14 @@ class Triplets(NamedTuple):
 
 
 class _AlgebraicMap(NamedTuple):
-    """The port/node rows' constant matrix, its pseudo-inverse and rhs indices."""
+    """M (the coupling's (mu, lambda) columns), its pseudo-inverse P, and the rest.
+
+    Rows, and M's columns, are shifted to the algebraic block.
+    """
 
     M: Triplets
     P: Triplets
-    out_rows: np.ndarray    # port-out rows, shifted to the algebraic block
-    node_rows: np.ndarray   # supply, demand and junction rows, shifted
-    link_rows: np.ndarray   # state links: the rhs takes -sign * z[col]
-    link_cols: np.ndarray
-    link_neg: np.ndarray
+    rest: Triplets
 
 
 class PipeStates:
@@ -596,11 +583,6 @@ class GlobalSystem(PipeStates):
         self.n_alg = 2 * P + len(self.node_order)
         self.n = self.n_z + self.n_alg
 
-        # --- row layout ----------------------------------------------
-        self.port_in_row = self.mu_p
-        self.port_out_row = self.mu_m
-        self.node_row = {nd.id: self.n_z + 2 * P + i for i, nd in enumerate(self.node_order)}
-
         # per-node attachments: (pipe index, is_outlet)
         self.attached: dict[str, list[tuple[int, bool]]] = {nd.id: [] for nd in spec.nodes}
         for k, pe in enumerate(spec.pipes):
@@ -620,47 +602,49 @@ class GlobalSystem(PipeStates):
                 st.id, st.model(spec.gas.isentropic_exponent), st.default_setpoint(),
                 up, down, len(self.boundary_inputs) + len(self.stations)))
             self.station_rows.append(StationRows(
-                self.node_row[st.inlet_node], self.node_row[st.outlet_node],
-                self.lam[st.outlet_node], int(self.mu_m[up]), int(self.bank.m_in[down])))
+                self.lam[st.inlet_node], self.lam[st.outlet_node], int(self.bank.m_in[down])))
 
         self.input_ids = [key for key, _ in self.required_inputs()]
-        self.links = self._build_links()
+        self.coupling = self._build_coupling()
 
         # --- row kinds for residual scaling --------------------------
         kind = np.empty(self.n, dtype="U1")
         kind[self.bank.rho] = "m"   # mass rows carry momentum-flux units
-        # momentum and port rows carry pressure units
-        kind[self.bank.mom] = kind[self.port_in_row] = kind[self.port_out_row] = "p"
+        # momentum, port and pressure-rule rows carry pressure units
+        kind[self.bank.mom] = kind[self.mu_p] = kind[self.mu_m] = "p"
         for nd in self.node_order:
-            kind[self.node_row[nd.id]] = "p" if nd.kind is NodeKind.SUPPLY else "m"
-        for r in self.station_rows:
-            kind[r.row_in] = "m"
-            kind[r.row_out] = "p"
+            pressure_rule = nd.kind in (NodeKind.SUPPLY, NodeKind.COMPRESSOR_OUT)
+            kind[self.lam[nd.id]] = "p" if pressure_rule else "m"
         self.row_kind = kind
 
         self._alg_map = None
 
-    def _build_links(self) -> NodeLinks:
-        slot = {key: i for i, (key, _) in enumerate(self.boundary_inputs)}
-        zero = len(self.input_ids)   # the trailing 0 of the input vector
-        nodes, links = [], []
+    def _build_coupling(self) -> Triplets:
+        """The +-1 entries of the port, node and station rows over [x | u].
+
+        Columns from n on index the input vector u. Within a row the entries
+        keep their summation order: a node row lists minus its input first,
+        then its links in attachment order.
+        """
+        n, lam = self.n, self.lam
+        mu_p, mu_m, m_in = self.mu_p.tolist(), self.mu_m.tolist(), self.bank.m_in.tolist()
+        slot = {key: n + i for i, (key, _) in enumerate(self.boundary_inputs)}
+        zero = n + len(self.input_ids)   # the trailing 0 of the input vector
+        ent = []
+        for k, pe in enumerate(self.spec.pipes):
+            ent += [(mu_p[k], mu_p[k], 1), (mu_p[k], lam[pe.from_node], -1),
+                    (mu_m[k], lam[pe.to_node], -1)]
         for nd in self.node_order:
-            r = self.node_row[nd.id]
-            if nd.kind in COMPRESSOR_KINDS:
-                continue
-            nodes.append((r, slot.get(nd.id, zero)))
-            if nd.kind is NodeKind.SUPPLY:
-                links.append((r, self.lam[nd.id], 1))
-            else:
-                links += [(r, self.mu_m[k] if isout else self.bank.m_in[k], -1)
-                          for k, isout in self.attached[nd.id]]
-        node = np.array(nodes, dtype=int).T
-        link = np.array(links, dtype=int).T
-        return NodeLinks(
-            lam_from=np.array([self.lam[pe.from_node] for pe in self.spec.pipes]),
-            lam_to=np.array([self.lam[pe.to_node] for pe in self.spec.pipes]),
-            node_rows=node[0], node_in=node[1],
-            link_rows=link[0], link_cols=link[1], link_sign=link[2].astype(float))
+            r = lam[nd.id]
+            if nd.kind not in COMPRESSOR_KINDS:
+                ent.append((r, slot.get(nd.id, zero), -1))
+            if nd.kind in (NodeKind.SUPPLY, NodeKind.COMPRESSOR_OUT):
+                ent.append((r, r, 1))
+            else:   # flux balances, and the station inlet's -mu_m of its upstream pipe
+                ent += [(r, mu_m[k] if isout else m_in[k], -1)
+                        for k, isout in self.attached[nd.id]]
+        rows, cols, vals = np.array(ent, dtype=int).T
+        return Triplets(rows, cols, vals.astype(float))
 
     # ------------------------------------------------------------------
     # residual
@@ -684,19 +668,22 @@ class GlobalSystem(PipeStates):
                                    self._input_vector(inputs))
 
     def _residual_core(self, x, zdot, u):
-        ln = self.links
-        F = np.empty(self.n)
+        F = self.coupling.matvec(np.concatenate([x, u]), self.n)
         self._pipe_rows(F, x, zdot)
-        p_out = self._outlet_pressures(x)
-        F[self.port_in_row] = x[self.mu_p] - x[ln.lam_from]
-        F[self.port_out_row] = p_out - x[ln.lam_to]
-        F[ln.node_rows] = -u[ln.node_in]
-        np.add.at(F, ln.link_rows, ln.link_sign * x[ln.link_cols])
-        for (r_in, r_out, lam_out, mu_up, m_down), (p_st, k) in zip(
-                self.station_rows, self._station_pass(p_out, u)):
-            F[r_in] = -x[mu_up] - k * x[m_down]
-            F[r_out] = x[lam_out] - p_st
+        self._add_state_terms(F, x, u, 0)
         return F
+
+    def _add_state_terms(self, F, z, u, base):
+        """Add +p_out to the port-out rows, -k m_down and -p_st to the station rows.
+
+        Row 0 of F is the system's row `base`.
+        """
+        p_out = self._outlet_pressures(z)
+        F[self.mu_m - base] += p_out
+        for (r_in, r_out, m_down), (p_st, k) in zip(
+                self.station_rows, self._station_pass(p_out, u)):
+            F[r_in - base] -= k * z[m_down]
+            F[r_out - base] -= p_st
 
     # ------------------------------------------------------------------
     # Jacobian sparsity and coloring
@@ -704,16 +691,14 @@ class GlobalSystem(PipeStates):
 
     def _pattern(self):
         """Structural (row, col) couplings of the residual, both solve modes."""
-        b, ln = self.bank, self.links
+        b, c = self.bank, self.coupling
+        on_x = c.cols < self.n
         pairs = self._pipe_pattern() + [
-            (self.port_in_row, self.mu_p), (self.port_in_row, ln.lam_from),
-            (self.port_out_row, b.tail), (self.port_out_row, b.tail - 1),
-            (self.port_out_row, ln.lam_to),
-            (ln.link_rows, ln.link_cols)]
+            (c.rows[on_x], c.cols[on_x]), (self.mu_m, b.tail), (self.mu_m, b.tail - 1)]
         ent = [np.column_stack(rc) for rc in pairs]
         for s, r in zip(self.stations, self.station_rows):
             last = b.tail[s.pipe_up]
-            st = [(r.row_in, r.mu_up), (r.row_in, r.m_down), (r.row_out, r.lam_out)]
+            st = [(r.row_in, r.m_down)]
             for row, reads in zip((r.row_in, r.row_out), s.model.variant.reads_inlet):
                 if reads:
                     st += [(row, last), (row, last - 1)]
@@ -731,32 +716,23 @@ class GlobalSystem(PipeStates):
     # ------------------------------------------------------------------
 
     def _algebraic_map(self) -> _AlgebraicMap:
-        """The port/node rows' matrix in (mu, lambda), its pseudo-inverse and rhs indices.
+        """The coupling split at the algebraic columns, with M's pseudo-inverse.
 
-        Every entry is +-1 and fixed by the topology, so all of it is built
-        once per system; only the right-hand side's values depend on z and
-        the inputs. The matrix falls apart into small blocks (a port pair,
-        a node with its links, a station), so the pseudo-inverse is taken
-        block by block (`blockwise_pinv`) and both are kept as triplets.
-        The cutoff is lstsq's, max(shape) * eps, so a singular matrix (pipes
-        merging at a junction) gets the minimum-norm correction.
+        M, the port/node rows' matrix in (mu, lambda), is constant, so all
+        of it is built once per system; only the rest's values depend on z
+        and the inputs. M falls apart into small blocks (a port pair, a node
+        with its links, a station), so the pseudo-inverse is taken block by
+        block (`blockwise_pinv`) and kept as triplets. The cutoff is
+        lstsq's, max(shape) * eps, so a singular matrix (pipes merging at a
+        junction) gets the minimum-norm correction.
         """
         if self._alg_map is None:
-            na, base, ln = self.n_alg, self.n_z, self.links
-            alg = ln.link_cols >= base
-            ones, sr = np.ones(len(self.mu_p)), self.station_rows
-            parts = [(self.port_in_row, self.mu_p, ones),
-                     (self.port_in_row, ln.lam_from, -ones),
-                     (self.port_out_row, ln.lam_to, ones),
-                     (ln.link_rows[alg], ln.link_cols[alg], ln.link_sign[alg]),
-                     ([r.row_in for r in sr], [r.mu_up for r in sr], -np.ones(len(sr))),
-                     ([r.row_out for r in sr], [r.lam_out for r in sr], np.ones(len(sr)))]
-            rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-            M = Triplets(rows.astype(int) - base, cols.astype(int) - base, vals)
+            na, base, c = self.n_alg, self.n_z, self.coupling
+            alg = (c.cols >= base) & (c.cols < self.n)
+            M = Triplets(c.rows[alg] - base, c.cols[alg] - base, c.vals[alg])
             self._alg_map = _AlgebraicMap(
                 M, blockwise_pinv(M, na, na * np.finfo(float).eps),
-                self.port_out_row - base, ln.node_rows - base,
-                ln.link_rows[~alg] - base, ln.link_cols[~alg], -ln.link_sign[~alg])
+                Triplets(c.rows[~alg] - base, c.cols[~alg], c.vals[~alg]))
         return self._alg_map
 
     def algebraic_solve(self, z, t, inputs, anchor=None):
@@ -774,19 +750,12 @@ class GlobalSystem(PipeStates):
             inputs = inputs(t)
         z = np.asarray(z, float)
         u = self._input_vector(inputs)
-        a, na, base = self._algebraic_map(), self.n_alg, self.n_z
-        rhs = np.zeros(na)
-        p_out = self._outlet_pressures(z)
-        rhs[a.out_rows] = p_out
-        rhs[a.node_rows] = u[self.links.node_in]
-        np.add.at(rhs, a.link_rows, a.link_neg * z[a.link_cols])
-        for (r_in, r_out, _, _, m_down), (p_st, k) in zip(
-                self.station_rows, self._station_pass(p_out, u)):
-            rhs[r_in - base] = k * z[m_down]
-            rhs[r_out - base] = p_st
-
+        a, na = self._algebraic_map(), self.n_alg
         anchored = np.zeros(na) if anchor is None else np.asarray(anchor, float)[-na:]
-        alg = anchored + a.P.matvec(rhs - a.M.matvec(anchored, na), na)
+        # the rows at zero (mu, lambda): M (mu, lambda) = -F0
+        F0 = a.rest.matvec(np.concatenate([z, anchored, u]), na)
+        self._add_state_terms(F0, z, u, self.n_z)
+        alg = anchored + a.P.matvec(-F0 - a.M.matvec(anchored, na), na)
         return np.concatenate([z, alg])
 
     def zdot_consistent(self, x, inputs):

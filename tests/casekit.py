@@ -21,6 +21,8 @@ import numpy as np
 import gasnetsim as gn
 from gasnetsim.network import color_columns
 
+GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
+
 NET_JSON = """{
   "gas": {"Rs": 530.0, "T": 276.25, "z": 1.0, "kappa": 1.4},
   "units": {"pressure": "bar", "length": "km", "diameter": "m"},
@@ -61,7 +63,12 @@ DELETE = object()
 
 
 def malformed_network(path, value):
-    """NET_JSON with the entry at `path` replaced by `value` (or DELETE-d)."""
+    """NET_JSON with the entry at `path` replaced by `value` (or DELETE-d).
+
+    An empty path replaces the whole document.
+    """
+    if not path:
+        return json.dumps(value)
     doc = json.loads(NET_JSON)
     *parent, key = path
     target = doc
@@ -92,6 +99,73 @@ def record_dict(g, z, t, inputs, anchor=None):
     """A system's snapshot row at state z as a {record name: value} dict."""
     row, _ = g.snapshot(z, t, inputs, anchor)
     return dict(zip(g.record_names(), row))
+
+
+def generated_network(seed):
+    """A seeded random network and its inputs: (spec, inputs).
+
+    A tree of 2-7 plain nodes grows from the supply n0, every pipe pointing
+    away from its parent; 0-2 extra pipes between random nodes close loops.
+    Non-root leaves are demands, and other nodes demands or junctions; one
+    leaf becomes a second supply when there are two. Then 0-3 pipes are
+    split by a station of a random variant (`c<i>.in`, `c<i>.out`). Demand
+    inputs may be negative (injections).
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    edges = [[f"n{rng.integers(0, i)}", f"n{i}"] for i in range(1, n)]
+    edges += [[f"n{a}", f"n{b}"] for a, b in
+              (rng.choice(n, 2, replace=False) for _ in range(rng.integers(0, 3)))]
+    degree = {f"n{i}": sum(e.count(f"n{i}") for e in edges) for i in range(n)}
+    kinds = {nid: gn.NodeKind.DEMAND if d == 1 or rng.random() < 0.3 else gn.NodeKind.JUNCTION
+             for nid, d in degree.items()}
+    leaves = [nid for nid, d in degree.items() if d == 1 and nid != "n0"]
+    if len(leaves) >= 2:
+        kinds[leaves[0]] = gn.NodeKind.SUPPLY
+    kinds["n0"] = gn.NodeKind.SUPPLY
+    nodes = [gn.Node(nid, kind) for nid, kind in kinds.items()]
+    comps = []
+    for c, k in enumerate(rng.choice(len(edges), min(len(edges), rng.integers(0, 4)),
+                                     replace=False)):
+        cid = f"c{c}"
+        nodes += [gn.Node(f"{cid}.in", gn.NodeKind.COMPRESSOR_IN, cid),
+                  gn.Node(f"{cid}.out", gn.NodeKind.COMPRESSOR_OUT, cid)]
+        edges.append([f"{cid}.out", edges[k][1]])
+        edges[k][1] = f"{cid}.in"
+        fw, asm = rng.choice(["fc-av", "fc-am", "fp-av", "fp-am"]).split("-")
+        comps.append(gn.CompressorStation(
+            cid, f"{cid}.in", f"{cid}.out", gn.Framework(fw), gn.Assumption(asm),
+            ratio=float(rng.uniform(1.05, 1.3)), pressure=float(rng.uniform(60e5, 75e5))))
+    pipes = [gn.PipeEdge(gn.PipeSpec(f"p{k}", float(rng.uniform(20e3, 80e3)),
+                                     float(rng.uniform(0.5, 1.2)), float(rng.uniform(0.002, 0.01)),
+                                     int(rng.integers(2, 6))), a, b)
+             for k, (a, b) in enumerate(edges)]
+    inputs = {nd.id: float(rng.uniform(60e5, 70e5)) if nd.kind is gn.NodeKind.SUPPLY
+              else float(rng.uniform(-50.0, 150.0))
+              for nd in nodes if nd.kind in (gn.NodeKind.SUPPLY, gn.NodeKind.DEMAND)}
+    inputs.update({st.id: st.default_setpoint() for st in comps})
+    return gn.NetworkSpec(GAS, nodes, pipes, comps), inputs
+
+
+def consistent_state(g, inputs, rng):
+    """Random pipe states at which the port and node rows have an exact solution.
+
+    Each pipe outlet at a node other than a station inlet is set to that
+    node's pressure (its supply pressure, or a random one), so a potential
+    pinned by several rows (a node fed by several pipe outlets, a supply fed
+    by one) is pinned consistently. Momenta take either sign.
+    """
+    c2, b = g.gas.c2, g.bank
+    p_node = {nd.id: inputs[nd.id] if nd.kind is gn.NodeKind.SUPPLY
+              else rng.uniform(55e5, 70e5) for nd in g.node_order}
+    z = np.empty(g.n_z)
+    z[b.rho] = rng.uniform(55e5, 70e5, b.rho.size) / c2
+    z[b.mom] = rng.uniform(-100.0, 200.0, b.mom.size)
+    for k, pe in enumerate(g.spec.pipes):
+        if g.spec.node_by_id(pe.to_node).kind is not gn.NodeKind.COMPRESSOR_IN:
+            last = b.tail[k]
+            z[last] = (p_node[pe.to_node] / c2 + 0.5 * z[last - 1]) / 1.5
+    return z
 
 
 def single_pipe_system(gas, demand_id="d", supply_id="s", n_cells=32,

@@ -154,3 +154,19 @@ def test_malformed_network_exits_1_naming_the_key(files, tmp_path, capsys, path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value, key", [
+    (("pipes", 0), 5, "pipes[0] must be an object"),
+    (("nodes",), 5, "'nodes' must be a list"),
+    (("units",), ["bar"], "'units' must be an object"),
+    ((), [], "the top level must be an object"),
+])
+def test_malformed_structure_validate_exits_1(tmp_path, capsys, path, value, key):
+    # a block or entry of the wrong JSON type is an input error: exit 1 and
+    # one message naming it, not a traceback out of the parser
+    bad = tmp_path / "bad.net.json"
+    bad.write_text(malformed_network(path, value))
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err

@@ -193,6 +193,26 @@ def test_fp_nonpositive_pressure_is_error():
         CompressorModel(Framework.FIXED_PRESSURE, Assumption.CONST_MOMENTUM, 0.0, 1.4)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("tag, setpoint, kappa, message", [
+    ("fc-av", 1.2, NAN, "isentropic exponent must be finite and exceed 1, got nan"),
+    ("fp-am", 7e6, INF, "isentropic exponent must be finite and exceed 1, got inf"),
+    ("fc-am", 1.2, 1.0, "isentropic exponent must be finite and exceed 1, got 1.0"),
+    ("fp-av", NAN, 1.4, "fp-av compressor setpoint must be finite and positive, got nan"),
+    ("fp-am", INF, 1.4, "fp-am compressor setpoint must be finite and positive, got inf"),
+    ("fc-av", INF, 1.4, "fc-av compressor setpoint must be finite and positive, got inf"),
+    ("fc-am", NAN, 1.4, "fc-am compressor setpoint must be finite and positive, got nan"),
+    ("fc-am", 0.0, 1.4, "fc-am compressor setpoint must be finite and positive, got 0.0"),
+])
+def test_nonfinite_kappa_or_setpoint_is_rejected(tag, setpoint, kappa, message):
+    # NaN passes a plain `<=` check; the model would then give NaN factors
+    fw, asm = tag.split("-")
+    with pytest.raises(gn.ConfigurationError, match=message):
+        CompressorModel(Framework(fw), Assumption(asm), setpoint, kappa)
+
+
 def test_neutral_setpoint_identity_for_all_models():
     # ratio 1, or an outlet pressure equal to the inlet pressure: k = 1,
     # the outlet pressure is the inlet pressure and the machine does no work

@@ -98,6 +98,46 @@ def test_malformed_network_names_the_entry_and_the_key(path, value, message):
         gn.parse_network(malformed_network(path, value))
 
 
+# (path, new value, expected message): blocks and entries of the wrong JSON type
+STRUCTURE = [
+    ((), 5, r"the top level must be an object, got a number"),
+    ((), [1], r"the top level must be an object, got a list"),
+    (("gas",), [1], r"'gas' must be an object, got a list"),
+    (("units",), ["bar"], r"'units' must be an object, got a list"),
+    (("units", "pressure"), ["bar"], r"unknown pressure unit tag \['bar'\]"),
+    (("nodes",), 5, r"'nodes' must be a list, got a number"),
+    (("pipes",), {"a": 1}, r"'pipes' must be a list, got an object"),
+    (("nodes", 1), None, r"nodes\[1\] must be an object, got null"),
+    (("nodes", 0, "type"), ["supply"], r"node 'source': unknown type \['supply'\]"),
+    (("pipes", 0), 5, r"pipes\[0\] must be an object, got a number"),
+    (("compressors", 0), "abc", r"compressors\[0\] must be an object, got a string"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", STRUCTURE)
+def test_malformed_structure_names_the_key_or_the_entry(path, value, message):
+    # a block or entry of the wrong JSON type is a FormatError, never a raw
+    # TypeError or AttributeError
+    with pytest.raises(gn.FormatError, match=message):
+        gn.parse_network(malformed_network(path, value))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    (None, 5, r"the top level must be an object, got a number"),
+    (None, [1], r"the top level must be an object, got a list"),
+    ("units", ["bar"], r"'units' must be an object, got a list"),
+    ("units", {"pressure": ["bar"]}, r"unknown pressure unit tag"),
+])
+def test_malformed_scenario_structure_names_the_key(key, value, message):
+    doc = json.loads(SCN_JSON)
+    if key is None:
+        doc = value
+    else:
+        doc[key] = value
+    with pytest.raises(gn.FormatError, match=message):
+        gn.parse_scenario(json.dumps(doc), gn.parse_network(NET_JSON))
+
+
 def random_spec(rng):
     """A randomized valid chain network for round-trip checks."""
     gas = gn.GasProperties(

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gasnetsim as gn
 from gasnetsim.compressor import Assumption, Framework
 from gasnetsim.network import color_columns
 from gasnetsim.timeloop import FD_STEP, _fd_jacobian, _uncolored
 
-from casekit import (PipeField, ladder_system, oracle, pipe_rhs,
-                     power_terms_oracle, record_dict, single_pipe_system)
-
-GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
+from casekit import (GAS, PipeField, consistent_state, generated_network, ladder_system,
+                     oracle, pipe_rhs, power_terms_oracle, record_dict, single_pipe_system)
 
 
 def pipe(i, n=8):
@@ -124,14 +123,14 @@ def reference_residual(g, x, zdot, inputs):
             + 0.5 * dx * fric[0]
         rows[1:] = dx * zdot[g.mom_sl[k]][1:] + np.diff(pres) + dx * fric[1:]
 
-        F[g.port_in_row[k]] = mu_p - x[g.lam[g.spec.pipes[k].from_node]]
-        F[g.port_out_row[k]] = (1.5 * pres[-1] - 0.5 * pres[-2]) \
+        F[g.mu_p[k]] = mu_p - x[g.lam[g.spec.pipes[k].from_node]]
+        F[g.mu_m[k]] = (1.5 * pres[-1] - 0.5 * pres[-2]) \
             - x[g.lam[g.spec.pipes[k].to_node]]
 
     for nd in g.node_order:
-        r = g.node_row[nd.id]
+        r = g.lam[nd.id]
         if nd.kind is gn.NodeKind.SUPPLY:
-            F[r] = x[g.lam[nd.id]] - inputs[nd.id]
+            F[r] = x[r] - inputs[nd.id]
         elif nd.kind in (gn.NodeKind.COMPRESSOR_IN, gn.NodeKind.COMPRESSOR_OUT):
             continue
         else:
@@ -144,18 +143,19 @@ def reference_residual(g, x, zdot, inputs):
                     acc -= x[g.mom_sl[k]][0]
             F[r] = acc
 
-    for b, r in zip(g.stations, g.station_rows):
+    for b, st in zip(g.stations, g.spec.compressors):
+        r_in, r_out = g.lam[st.inlet_node], g.lam[st.outlet_node]
         sp = inputs[b.id]
         # the port formula above: the station reads the port-out pressure
         pres_up = g.pipes[b.pipe_up].c2 * x[g.rho_sl[b.pipe_up]]
         p1L = 1.5 * pres_up[-1] - 0.5 * pres_up[-2]
         m_down = x[g.mom_sl[b.pipe_down]][0]
         factor = b.model.inlet_match_factor(sp, p1L)
-        F[r.row_in] = -x[g.mu_m[b.pipe_up]] - factor * m_down
+        F[r_in] = -x[g.mu_m[b.pipe_up]] - factor * m_down
         if b.model.framework is Framework.FIXED_RATIO:
-            F[r.row_out] = x[r.lam_out] - sp * p1L
+            F[r_out] = x[r_out] - sp * p1L
         else:
-            F[r.row_out] = x[r.lam_out] - sp
+            F[r_out] = x[r_out] - sp
     return F
 
 
@@ -185,26 +185,27 @@ def reference_pattern(g):
         ent += [(m0, m0), (m0, r0), (m0, g.mu_p[k])]
         for j in range(1, n):
             ent += [(m0 + j, m0 + j), (m0 + j, r0 + j - 1), (m0 + j, r0 + j)]
-        ent += [(g.port_in_row[k], g.mu_p[k]),
-                (g.port_in_row[k], g.lam[g.spec.pipes[k].from_node])]
-        ent += [(g.port_out_row[k], r0 + n - 1), (g.port_out_row[k], r0 + n - 2),
-                (g.port_out_row[k], g.lam[g.spec.pipes[k].to_node])]
+        ent += [(g.mu_p[k], g.mu_p[k]),
+                (g.mu_p[k], g.lam[g.spec.pipes[k].from_node])]
+        ent += [(g.mu_m[k], r0 + n - 1), (g.mu_m[k], r0 + n - 2),
+                (g.mu_m[k], g.lam[g.spec.pipes[k].to_node])]
     for nd in g.node_order:
-        r = g.node_row[nd.id]
+        r = g.lam[nd.id]
         if nd.kind is gn.NodeKind.SUPPLY:
-            ent.append((r, g.lam[nd.id]))
+            ent.append((r, r))
         elif nd.kind not in (gn.NodeKind.COMPRESSOR_IN, gn.NodeKind.COMPRESSOR_OUT):
             for k, isout in g.attached[nd.id]:
                 ent.append((r, g.mu_m[k] if isout else g.mom_sl[k].start))
-    for b, r in zip(g.stations, g.station_rows):
+    for b, st in zip(g.stations, g.spec.compressors):
+        r_in, r_out = g.lam[st.inlet_node], g.lam[st.outlet_node]
         last = g.rho_sl[b.pipe_up].stop - 1
-        ent += [(r.row_in, g.mu_m[b.pipe_up]), (r.row_in, g.mom_sl[b.pipe_down].start)]
+        ent += [(r_in, g.mu_m[b.pipe_up]), (r_in, g.mom_sl[b.pipe_down].start)]
         if (b.model.framework is Framework.FIXED_PRESSURE
                 and b.model.assumption is Assumption.CONST_VELOCITY):
-            ent += [(r.row_in, last), (r.row_in, last - 1)]
-        ent.append((r.row_out, r.lam_out))
+            ent += [(r_in, last), (r_in, last - 1)]
+        ent.append((r_out, r_out))
         if b.model.framework is Framework.FIXED_RATIO:
-            ent += [(r.row_out, last), (r.row_out, last - 1)]
+            ent += [(r_out, last), (r_out, last - 1)]
     return ent
 
 
@@ -424,11 +425,12 @@ def test_station_rows_read_the_port_outlet_pressure(tag):
         x = x0 * (1.0 + 1e-2 * rng.standard_normal(g.n))
         F = g.steady_residual(x, inputs)
         p_out = g._outlet_pressures(x)
-        for b, r in zip(g.stations, g.station_rows):
+        for b, st in zip(g.stations, g.spec.compressors):
+            r_in, r_out = g.lam[st.inlet_node], g.lam[st.outlet_node]
             sp, p = inputs[b.id], p_out[b.pipe_up]
             k = b.model.inlet_match_factor(sp, p)
-            assert F[r.row_out] == x[r.lam_out] - b.model.outlet_pressure(sp, p)
-            assert F[r.row_in] == -x[g.mu_m[b.pipe_up]] - k * x[g.bank.m_in[b.pipe_down]]
+            assert F[r_out] == x[r_out] - b.model.outlet_pressure(sp, p)
+            assert F[r_in] == -x[g.mu_m[b.pipe_up]] - k * x[g.bank.m_in[b.pipe_down]]
 
 
 def test_power_terms_identity_with_internal_nodes(gas):
@@ -533,9 +535,9 @@ class TestGeneralTopologies:
 
     @pytest.mark.parametrize("name", ["star", "diamond", "series", "ladder"])
     def test_blockwise_pseudo_inverse_matches_dense(self, name):
-        # the triplet matrix is the port/node rows' matrix read off the
-        # residual, and its blockwise pseudo-inverse is the dense pinv
-        # (diamond and ladder: singular, merging junctions)
+        # the triplet matrix is exactly the residual's finite-difference
+        # matrix on the algebraic columns, and its blockwise pseudo-inverse
+        # is the dense pinv (diamond and ladder: singular, merging junctions)
         make = {"star": star_network_spec, "diamond": diamond_spec,
                 "series": series_stations_spec}
         g = ladder_system()[0] if name == "ladder" else gn.assemble(make[name]())
@@ -547,12 +549,10 @@ class TestGeneralTopologies:
         inputs = {key: 1.0 for key, _ in g.required_inputs()}
         x0 = np.concatenate([np.full(nz, 3.0), np.zeros(na)])
         F0 = g.steady_residual(x0, inputs)[nz:]
-        sign = np.ones(na)
-        sign[g.port_out_row - nz] = -1.0     # the map solves them as lambda = p_out(z)
         for j in range(na):
             xe = x0.copy()
             xe[nz + j] = 1.0
-            assert np.array_equal(M[:, j], sign * (g.steady_residual(xe, inputs)[nz:] - F0))
+            assert np.array_equal(M[:, j], g.steady_residual(xe, inputs)[nz:] - F0)
         assert np.abs(P - np.linalg.pinv(M, na * np.finfo(float).eps)).max() <= 1e-13
 
     def test_two_supplies(self, gas):
@@ -659,6 +659,33 @@ class TestPipeBank:
             rel=1e-14)
         assert np.array_equal(g.effort_vector(z), np.concatenate(
             [np.concatenate([p.c2 * rho, mom]) for p, rho, mom in per_pipe]))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_generated_networks_match_the_oracles(seed):
+    # trees and loops with one or two supplies and up to three stations:
+    # the residual is the per-pipe loop's bit for bit (steady and step),
+    # the pattern the per-cell loop's, and the algebraic solve zeroes the
+    # port and node rows at states where they have an exact solution
+    spec, inputs = generated_network(seed)
+    g = gn.assemble(spec)
+    rng = np.random.default_rng(seed)
+    z = consistent_state(g, inputs, rng)
+    x = g.algebraic_solve(z, 0.0, inputs)
+    F = g.steady_residual(x, inputs)
+    assert np.array_equal(F, reference_residual(g, x, np.zeros(g.n_z), inputs))
+    z_prev = z * (1.0 + rng.normal(0.0, 1e-3, g.n_z))
+    x_mid = x.copy()
+    x_mid[: g.n_z] = 0.5 * (z_prev + z)
+    assert np.array_equal(g.make_step_residual(z_prev, 50.0, inputs)(x),
+                          reference_residual(g, x_mid, (z - z_prev) / 50.0, inputs))
+    assert set(map(tuple, g._pattern().tolist())) == set(reference_pattern(g))
+    demands = [inputs[key] for key, kind in g.required_inputs() if kind == "momentum"]
+    p_ref = np.abs(x[list(g.lam.values())]).max()
+    m_ref = np.abs(np.concatenate([z[g.bank.mom], demands])).max()
+    scale = np.where(g.row_kind[g.n_z:] == "p", p_ref, m_ref)
+    assert np.all(np.abs(F[g.n_z:]) <= 1e-12 * scale)
 
 
 def test_missing_input_raises_configuration_error():
