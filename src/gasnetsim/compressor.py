@@ -12,8 +12,8 @@ combined with one of two momentum assumptions,
 combination. A row gives, for setpoint sp and inlet pressure p:
   - the outlet rule (sp * p or sp);
   - the inlet factor k in m_in = k * m_out (1, or ratio^(-1/kappa));
-  - the setpoint kind the system asks for, and the name of the station's
-    default field that is also its scenario profile suffix;
+  - the name of the station's default setpoint field, which is also its
+    scenario profile suffix;
   - which station rows read p (the momentum row, the pressure row), for the
     Jacobian sparsity pattern.
 The station power, energy out minus energy in, follows from the first two
@@ -53,7 +53,6 @@ class Assumption(str, Enum):
 class Variant(NamedTuple):
     """One row of the station-variant table (sp setpoint, p inlet pressure)."""
 
-    kind: str                        # setpoint kind in `required_inputs`
     setpoint: str                    # default-setpoint field and profile suffix
     outlet: Callable                 # (sp, p) -> outlet pressure
     factor: Callable                 # (sp, p, kappa) -> inlet factor k
@@ -64,16 +63,16 @@ _FC, _FP = Framework.FIXED_RATIO, Framework.FIXED_PRESSURE
 _AV, _AM = Assumption.CONST_VELOCITY, Assumption.CONST_MOMENTUM
 
 VARIANTS = {
-    (_FC, _AV): Variant("ratio", "ratio", lambda sp, p: sp * p,
+    (_FC, _AV): Variant("ratio", lambda sp, p: sp * p,
                         lambda sp, p, k: sp ** (-1.0 / k),
                         (False, True)),
-    (_FC, _AM): Variant("ratio", "ratio", lambda sp, p: sp * p,
+    (_FC, _AM): Variant("ratio", lambda sp, p: sp * p,
                         lambda sp, p, k: 1.0,
                         (False, True)),
-    (_FP, _AV): Variant("outlet-pressure", "pressure", lambda sp, p: sp,
+    (_FP, _AV): Variant("pressure", lambda sp, p: sp,
                         lambda sp, p, k: (sp / p) ** (-1.0 / k),
                         (True, False)),
-    (_FP, _AM): Variant("outlet-pressure", "pressure", lambda sp, p: sp,
+    (_FP, _AM): Variant("pressure", lambda sp, p: sp,
                         lambda sp, p, k: 1.0,
                         (False, False)),
 }

@@ -13,7 +13,8 @@ Scenario file (.scn.json): keys `t_end`, `dt`, `units`, and `profiles`
 mapping input ids to piecewise-constant schedules [[t, value], ...]. A
 compressor setpoint profile is keyed `<id>.ratio` or `<id>.pressure` (or
 the bare id, read per the active framework), so one scenario file can
-drive every model variant. Profile values must be finite, and supply
+drive every model variant; `Scenario.setpoint_source` gives the order in
+which a station looks for its setpoint. Profile values must be finite, and supply
 pressures and station setpoints positive; demands may take either sign.
 """
 
@@ -256,18 +257,20 @@ class Scenario:
     def max_abs(self, key: str) -> float:
         return float(np.max(np.abs(self.profiles[key][1])))
 
+    def setpoint_source(self, cid: str, setpoint: str, default: float | None):
+        """Profile `<cid>.<setpoint>`, else profile `cid`, else `default` (None: no source)."""
+        for key in (f"{cid}.{setpoint}", cid):
+            if key in self.profiles:
+                return key
+        return default
+
 
 def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
     """Parse a scenario and bind every profile against the network."""
     doc = _object(_load_json(text), "the top level")
     units = _parse_units(doc.get("units"))
-    try:
-        t_end = float(doc["t_end"])
-        dt = float(doc["dt"])
-    except KeyError as exc:
-        raise FormatError(f"scenario lacks required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"t_end and dt must be numbers ({exc})") from exc
+    with _entry("t_end and dt must be numbers"):
+        t_end, dt = _number(doc, "t_end"), _number(doc, "dt")
     if not (math.isfinite(t_end) and math.isfinite(dt)) or t_end <= 0 or dt <= 0:
         raise FormatError("t_end and dt must be positive and finite")
 
@@ -288,12 +291,13 @@ def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
     for key, entries in profiles_doc.items():
         if key not in boundary_ids and key not in setpoint_of:
             raise FormatError(f"profile for unknown input id {key!r}")
-        try:
-            times = np.array([float(e[0]) for e in entries])
-            values = np.array([float(e[1]) for e in entries])
-        except (TypeError, ValueError, IndexError, KeyError) as exc:
-            raise FormatError(
-                f"profile {key!r}: entries must be [time, value] number pairs ({exc})") from exc
+        with _entry(f"profile {key!r}"):
+            if not (isinstance(entries, list)
+                    and all(isinstance(e, list) and len(e) == 2 for e in entries)):
+                raise ValueError("entries must be [time, value] number pairs")
+            pairs = [dict(zip(("time", "value"), e)) for e in entries]
+            times = np.array([_number(e, "time") for e in pairs])
+            values = np.array([_number(e, "value") for e in pairs])
         if times.size == 0:
             raise FormatError(f"profile {key!r} is empty")
         if not np.all(np.isfinite(times)):
@@ -314,12 +318,11 @@ def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
     for nid in boundary_ids:
         if nid not in profiles:
             raise FormatError(f"missing profile for boundary node {nid!r}")
+    scenario = Scenario(t_end, dt, profiles)
     for cid, st in stations.items():
-        if (f"{cid}.{st.variant.setpoint}" not in profiles and cid not in profiles
-                and st.default_setpoint() is None):
+        if scenario.setpoint_source(cid, st.variant.setpoint, st.default_setpoint()) is None:
             raise FormatError(f"missing setpoint profile for compressor {cid!r}")
-
-    return Scenario(t_end, dt, profiles)
+    return scenario
 
 
 # ----------------------------------------------------------------------

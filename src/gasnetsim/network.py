@@ -40,20 +40,21 @@ pipe pairs rho_i with the momentum m_i on its inlet-side interface:
                  up = rho_(i-1) with a = c^2, or mu_p with a = 1 at the
                  inlet, where w = dx/2 (dx elsewhere)
 
-Inputs are resolved once per closure into a vector u in `required_inputs`
-order. Every +-1 entry of the port, node and station rows sits in one
-constant table, `GlobalSystem.coupling`, over [x | u] (columns from n on
-index u; a node row lists minus its input first, then its links in
-attachment order). The residual, the Jacobian pattern and the algebraic
-solve all read it. One station pass (`PipeStates._station_pass`) applies
-the rules of `compressor.VARIANTS` at p_upstream, the port-out rows'
-outlet pressure, for the station rows' state terms, the algebraic solve
-and `twopipe.TwoPipeDirect` alike.
+Inputs are resolved once per closure into a vector u in `input_ids` order
+(boundary ids, then station ids). Every +-1 entry of the port, node and
+station rows sits in one constant table, `GlobalSystem.coupling`, over
+[x | u] (columns from n on index u; a node row lists minus its input
+first, then its links in attachment order). The residual, the Jacobian
+pattern and the algebraic solve all read it. One station pass
+(`PipeStates._station_pass`) applies the rules of `compressor.VARIANTS` at
+p_upstream, the port-out rows' outlet pressure, for the station rows'
+state terms, the algebraic solve and `twopipe.TwoPipeDirect` alike.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -250,27 +251,29 @@ def validate_topology(spec: NetworkSpec) -> ValidationReport:
 
     # connectivity over pipes and compressor links
     if known and not out:
-        parent = {nid: nid for nid in known}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            parent[find(a)] = find(b)
-
-        for pe in spec.pipes:
-            union(pe.from_node, pe.to_node)
-        for st in spec.compressors:
-            union(st.inlet_node, st.outlet_node)
-        roots = {find(nid) for nid in known}
+        roots = set(_component_roots(
+            known, [(pe.from_node, pe.to_node) for pe in spec.pipes]
+            + [(st.inlet_node, st.outlet_node) for st in spec.compressors]))
         if len(roots) > 1:
             out.append(Violation("disconnected",
                                  f"network splits into {len(roots)} components"))
 
     return ValidationReport(out)
+
+
+def _component_roots(items, links):
+    """Union-find: the root of each item's component, joining the pairs in `links`."""
+    parent = {a: a for a in items}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    return [find(a) for a in parent]
 
 
 def _node_classes(spec: NetworkSpec):
@@ -457,16 +460,11 @@ class PipeStates:
             rules.append((s.model.outlet_pressure(sp, p), s.model.inlet_match_factor(sp, p)))
         return rules
 
-    def required_inputs(self):
-        """(id, kind) pairs the residual needs per evaluation time.
-
-        Kinds: 'pressure' (supplies), 'momentum' (demand extractions), and
-        per station its variant's setpoint kind, 'ratio' or 'outlet-pressure'.
-        """
-        return self.boundary_inputs + [(s.id, s.model.variant.kind) for s in self.stations]
-
     def _input_vector(self, inputs):
-        """Sampled inputs in `required_inputs` order, then 0 for junction balances."""
+        """Sampled inputs (a mapping) in `input_ids` order, then 0 for junction balances."""
+        if not isinstance(inputs, Mapping):
+            raise ConfigurationError(
+                f"inputs must map input ids to sampled values, got {type(inputs).__name__}")
         try:
             return np.array([inputs[key] for key in self.input_ids] + [0.0], dtype=float)
         except KeyError as exc:
@@ -513,11 +511,9 @@ class PipeStates:
             self._names = [sys.intern(n) for n in names]
         return list(self._names)
 
-    def snapshot(self, z, t, inputs, anchor=None):
+    def snapshot(self, z, inputs, anchor=None):
         """(record row in `record_names` order, consistent unknowns) at state z."""
-        if callable(inputs):
-            inputs = inputs(t)
-        x = self.algebraic_solve(z, t, inputs, anchor)
+        x = self.algebraic_solve(z, inputs, anchor)
         return self._records(x, self._input_vector(inputs)), x
 
     def _records(self, x, u):
@@ -604,7 +600,7 @@ class GlobalSystem(PipeStates):
             self.station_rows.append(StationRows(
                 self.lam[st.inlet_node], self.lam[st.outlet_node], int(self.bank.m_in[down])))
 
-        self.input_ids = [key for key, _ in self.required_inputs()]
+        self.input_ids = [key for key, _ in self.boundary_inputs] + [s.id for s in self.stations]
         self.coupling = self._build_coupling()
 
         # --- row kinds for residual scaling --------------------------
@@ -650,8 +646,8 @@ class GlobalSystem(PipeStates):
     # residual
     # ------------------------------------------------------------------
 
-    def residual(self, x, zdot, t=0.0, inputs=None):
-        """DAE residual F(x, dz/dt, t). `inputs` maps ids to sampled values.
+    def residual(self, x, zdot, inputs):
+        """DAE residual F(x, dz/dt) at one time; `inputs` maps ids to sampled values.
 
         Pure function; differential rows carry the cell-measure weights so
         that the effort pairing of the differential block is the exact
@@ -660,10 +656,6 @@ class GlobalSystem(PipeStates):
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise StateError("non-finite values in unknown vector")
-        if inputs is None:
-            inputs = {}
-        if callable(inputs):
-            inputs = inputs(t)
         return self._residual_core(x, np.asarray(zdot, dtype=float),
                                    self._input_vector(inputs))
 
@@ -735,7 +727,7 @@ class GlobalSystem(PipeStates):
                 Triplets(c.rows[~alg] - base, c.cols[~alg], c.vals[~alg]))
         return self._alg_map
 
-    def algebraic_solve(self, z, t, inputs, anchor=None):
+    def algebraic_solve(self, z, inputs, anchor=None):
         """Solve the port/node rows for (mu, lambda) at a frozen state z.
 
         The rows are linear in the algebraic unknowns with a constant matrix;
@@ -746,8 +738,6 @@ class GlobalSystem(PipeStates):
         the state) are resolved toward `anchor`: the returned values are the
         consistent point closest to the anchored algebraic variables.
         """
-        if callable(inputs):
-            inputs = inputs(t)
         z = np.asarray(z, float)
         u = self._input_vector(inputs)
         a, na = self._algebraic_map(), self.n_alg
@@ -775,8 +765,6 @@ class GlobalSystem(PipeStates):
         holds to roundoff. Port discharge terms pair the outlet flux with the
         energy-conjugate (last cell-center) pressure.
         """
-        if callable(inputs):
-            raise ConfigurationError("power_terms expects sampled input values")
         x = np.asarray(x, float)
         b, z, pipes = self.bank, x[: self.n_z], self.spec.pipes
         bucket = {nd.id: 0 if nd.kind in BOUNDARY_KINDS else 1 if nd.kind in COMPRESSOR_KINDS
@@ -806,9 +794,10 @@ class GlobalSystem(PipeStates):
 
     def initial_guess(self, inputs0):
         """Flat initialization: supply density, net-demand momentum, supply potentials."""
-        supplies = [nd.id for nd in self.node_order if nd.kind is NodeKind.SUPPLY]
-        p_ref = inputs0[supplies[0]]
-        m_est = sum(inputs0[nd.id] for nd in self.node_order if nd.kind is NodeKind.DEMAND)
+        u = self._input_vector(inputs0)
+        kinds = [kind for _, kind in self.boundary_inputs]
+        p_ref = u[kinds.index("pressure")]
+        m_est = sum(u[i] for i, kind in enumerate(kinds) if kind == "momentum")
         x = np.empty(self.n)
         x[self.bank.rho] = p_ref / self.gas.c2
         x[self.bank.mom] = m_est
@@ -861,19 +850,11 @@ def blockwise_pinv(M: Triplets, n: int, rcond: float) -> Triplets:
     The components come from a union-find, not scipy's csgraph, because
     systems on the dense Newton path never import scipy.
     """
-    parent = list(range(2 * n))        # rows 0..n-1, columns n..2n-1
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for r, c in zip(M.rows.tolist(), M.cols.tolist()):
-        parent[find(r)] = find(n + c)
+    # rows 0..n-1, columns n..2n-1
+    roots = _component_roots(range(2 * n), zip(M.rows.tolist(), (n + M.cols).tolist()))
     members: dict[int, tuple[list[int], list[int]]] = {}
-    for a in range(2 * n):
-        members.setdefault(find(a), ([], []))[a >= n].append(a % n)
+    for a, root in enumerate(roots):
+        members.setdefault(root, ([], []))[a >= n].append(a % n)
     by_shape: dict[tuple[int, int], list] = {}
     for rs, cs in members.values():
         if rs and cs:

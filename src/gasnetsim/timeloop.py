@@ -263,79 +263,67 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> Newto
 # ----------------------------------------------------------------------
 
 def bind_inputs(gsys, scenario):
-    """Resolve scenario profiles against the system's required inputs.
+    """Resolve scenario profiles against the system's `input_ids`.
 
     Returns (input_fn, p_ref, m_ref): input_fn(t) yields the id->value dict
     the residual consumes; the references scale pressure and momentum rows
-    (supply pressure at t=0; largest extraction over the run, floored at 1).
+    (supply pressure at t=0; largest extraction over the run).
     """
-    resolved = {}
-    m_ref = 1.0
-    p_ref = None
-    for key, kind in gsys.required_inputs():
-        if kind in ("pressure", "momentum"):
-            if not scenario.has(key):
-                raise ConfigurationError(f"scenario lacks a profile for {key!r}")
-            resolved[key] = key
-            if kind == "momentum":
-                m_ref = max(m_ref, scenario.max_abs(key))
-            elif p_ref is None:
-                p_ref = scenario.value(key, 0.0)
-        else:
-            b = next(b for b in gsys.stations if b.id == key)
-            own = f"{key}.{b.model.variant.setpoint}"
-            if scenario.has(own):
-                resolved[key] = own
-            elif scenario.has(key):
-                resolved[key] = key
-            elif b.default is None:
-                raise ConfigurationError(
-                    f"no setpoint profile or default for compressor {key!r}")
-            else:
-                resolved[key] = b.default
-    if p_ref is None:
-        p_ref = 1.0
+    sources = {}
+    for key, _ in gsys.boundary_inputs:
+        if not scenario.has(key):
+            raise ConfigurationError(f"scenario lacks a profile for {key!r}")
+        sources[key] = key
+    for s in gsys.stations:
+        sources[s.id] = scenario.setpoint_source(s.id, s.model.variant.setpoint, s.default)
+        if sources[s.id] is None:
+            raise ConfigurationError(f"no setpoint profile or default for compressor {s.id!r}")
 
     def input_fn(t):
         return {key: (scenario.value(src, t) if isinstance(src, str) else src)
-                for key, src in resolved.items()}
+                for key, src in sources.items()}
 
-    return input_fn, p_ref, m_ref
+    levels = {key: scenario.max_abs(key) if kind == "momentum" else scenario.value(key, 0.0)
+              for key, kind in gsys.boundary_inputs}
+    return (input_fn, *_references(gsys, levels))
+
+
+def _references(gsys, levels):
+    """(p_ref, m_ref): the first supply's level, else 1; max |demand level|, floored at 1."""
+    supplies = [levels[key] for key, kind in gsys.boundary_inputs if kind == "pressure"]
+    demands = [abs(levels[key]) for key, kind in gsys.boundary_inputs if kind == "momentum"]
+    return (supplies[0] if supplies else 1.0), max(demands + [1.0])
 
 
 # ----------------------------------------------------------------------
 # steady state and stepping
 # ----------------------------------------------------------------------
 
+def _solve(sys, raw, x0, cfg, t, what):
+    """Newton on the row-scaled `raw` residual; failure and state checks report time t."""
+    scale = sys.row_scale()
+
+    def fun(x):
+        return raw(x) / scale
+
+    try:
+        res = newton_solve(fun, x0, cfg, colors=sys.jac_colors())
+    except NonconvergenceError as exc:
+        raise NonconvergenceError(f"{what} failed: {exc}", x_best=exc.x_best,
+                                  history=exc.history, time=t) from exc
+    sys.check_state(res.x[: sys.n_z], t)
+    return res
+
+
 def steady_state(gsys, inputs0, cfg: SolverConfig | None = None,
                  set_references=True) -> np.ndarray:
     """Solve the DAE with all time derivatives dropped, from flat initialization."""
-    if cfg is None:
-        cfg = SolverConfig()
-    if callable(inputs0):
-        inputs0 = inputs0(0.0)
-    if set_references:
-        supplies = [nid for nid, kind in gsys.required_inputs() if kind == "pressure"]
-        demands = [nid for nid, kind in gsys.required_inputs() if kind == "momentum"]
-        p_ref = inputs0[supplies[0]] if supplies else 1.0
-        m_ref = max([abs(inputs0[d]) for d in demands] + [1.0])
-        gsys.references = (p_ref, m_ref)
-    scale = gsys.row_scale()
-
-    def fun(x):
-        return gsys.steady_residual(x, inputs0) / scale
-
     x0 = gsys.initial_guess(inputs0)
-    colors = gsys.jac_colors()
-    colors.factor[0] = None      # every steady solve starts from a fresh Jacobian
-    try:
-        res = newton_solve(fun, x0, cfg, colors=colors)
-    except NonconvergenceError as exc:
-        raise NonconvergenceError(
-            f"steady-state solve failed: {exc}", x_best=exc.x_best,
-            history=exc.history, time=0.0) from exc
-    gsys.check_state(res.x[: gsys.n_z], 0.0)
-    return res.x
+    if set_references:
+        gsys.references = _references(gsys, inputs0)
+    gsys.jac_colors().factor[0] = None    # every steady solve starts from a fresh Jacobian
+    return _solve(gsys, lambda x: gsys.steady_residual(x, inputs0), x0, cfg,
+                  0.0, "steady-state solve").x
 
 
 def step_midpoint(sys, x_prev, t_n, dt, input_fn, cfg: SolverConfig | None = None):
@@ -343,24 +331,11 @@ def step_midpoint(sys, x_prev, t_n, dt, input_fn, cfg: SolverConfig | None = Non
 
     The unknowns are the endpoint differential states together with the
     midpoint algebraic variables; the previous solution is the predictor.
+    The inputs are `input_fn` sampled at the midpoint time.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    t_mid = t_n + 0.5 * dt
-    inputs_mid = input_fn(t_mid) if callable(input_fn) else input_fn
-    raw = sys.make_step_residual(np.asarray(x_prev, float)[: sys.n_z], dt, inputs_mid)
-    scale = sys.row_scale()
-
-    def fun(x):
-        return raw(x) / scale
-
-    try:
-        res = newton_solve(fun, np.asarray(x_prev, float), cfg, colors=sys.jac_colors())
-    except NonconvergenceError as exc:
-        raise NonconvergenceError(
-            f"step at t={t_n + dt:g} s failed: {exc}", x_best=exc.x_best,
-            history=exc.history, time=t_n + dt) from exc
-    sys.check_state(res.x[: sys.n_z], t_n + dt)
+    x_prev = np.asarray(x_prev, float)
+    raw = sys.make_step_residual(x_prev[: sys.n_z], dt, input_fn(t_n + 0.5 * dt))
+    res = _solve(sys, raw, x_prev, cfg, t_n + dt, f"step at t={t_n + dt:g} s")
     return res.x, res
 
 
@@ -416,7 +391,7 @@ def simulate(gsys, scenario, cfg: SolverConfig | None = None) -> TimeSeries:
     rho_floor = 0.05 * p_ref / gsys.gas.c2
 
     def record(i, z, t, anchor):
-        data[i], _ = gsys.snapshot(z, t, input_fn(t), anchor)
+        data[i], _ = gsys.snapshot(z, input_fn(t), anchor)
         mass[i] = gsys.total_mass(z)
         for b in gsys.stations:
             key = f"reverse-flow:{b.id}"

@@ -42,7 +42,7 @@ class TwoPipeDirect(PipeStates):
         self.boundary_inputs = [(supply_id, "pressure"), (demand_id, "momentum")]
         # the setpoint is the third input; a scenario profile must give it
         self.stations = [StationBinding(station_id, model, None, 0, 1, 2)]
-        self.input_ids = [key for key, _ in self.required_inputs()]
+        self.input_ids = [supply_id, demand_id, station_id]
 
     # -- coupling ------------------------------------------------------
 
@@ -74,15 +74,16 @@ class TwoPipeDirect(PipeStates):
         return self._colors
 
     def initial_guess(self, inputs):
+        u = self._input_vector(inputs)
         z = np.empty(self.n_z)
-        z[self.bank.rho] = inputs[self.supply_id] / self.gas.c2
-        z[self.bank.mom] = inputs[self.demand_id]
+        z[self.bank.rho] = u[0] / self.gas.c2
+        z[self.bank.mom] = u[1]
         return z
 
     def net_mass_influx(self, z_mid, x_new, inputs_mid):
         x = self._with_ports(z_mid, self._input_vector(inputs_mid))
         return float(np.sum(z_mid[self.bank.m_in] + x[self.mu_m]))
 
-    def algebraic_solve(self, z, t, inputs, anchor=None):
+    def algebraic_solve(self, z, inputs, anchor=None):
         """[z | ports]: the pipe inputs the station implies at z (records read them)."""
         return self._with_ports(np.asarray(z, float), self._input_vector(inputs))

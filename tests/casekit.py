@@ -95,9 +95,9 @@ def benchmark_with_model(tag):
     return spec, scen
 
 
-def record_dict(g, z, t, inputs, anchor=None):
+def record_dict(g, z, inputs, anchor=None):
     """A system's snapshot row at state z as a {record name: value} dict."""
-    row, _ = g.snapshot(z, t, inputs, anchor)
+    row, _ = g.snapshot(z, inputs, anchor)
     return dict(zip(g.record_names(), row))
 
 

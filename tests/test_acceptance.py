@@ -53,7 +53,7 @@ def test_ac1_steady_pipe_oracle_and_convergence(gas):
         g = single_pipe_system(gas, n_cells=n)
         inputs = {"s": 80e5, "d": 300.0}
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap = record_dict(g, x[: g.n_z], 0.0, inputs)
+        snap = record_dict(g, x[: g.n_z], inputs)
         oracle = gn.steady_pipe_oracle(g.pipes[0].spec, gas, 80e5, 300.0)
         errs[n] = abs(snap["line.out.p_Pa"] - oracle)
     elapsed = time.perf_counter() - t0
@@ -136,7 +136,7 @@ def test_ac5_power_balance_identity():
         for k, p in enumerate(gsys.pipes):
             z[gsys.rho_sl[k]] *= 1.0 + 0.05 * rng.standard_normal(p.n)
             z[gsys.mom_sl[k]] += 30.0 * rng.standard_normal(p.n)
-        x = gsys.algebraic_solve(z, 0.0, inputs)
+        x = gsys.algebraic_solve(z, inputs)
         terms = gsys.power_terms(x, inputs)
         lhs = terms["rate"]
         rhs = terms["boundary"] + terms["compressor"] - terms["dissipation"]
@@ -165,7 +165,7 @@ def test_ac6_conservation_ledger(gas):
     cfg = gn.SolverConfig(newton_abs_tol=1e-12)
     drift = 0.0
     for i in range(100):
-        z, _ = gn.step_midpoint(cp, z, 10.0 * i, 10.0, {}, cfg)
+        z, _ = gn.step_midpoint(cp, z, 10.0 * i, 10.0, lambda t: {}, cfg)
         drift = max(drift, abs(cp.energy(z) - H0))
     ok = mass_defect <= 1e-6 and drift <= 1e-8 * H0
     report(6, ok, f"mass ledger defect {mass_defect:.1e} of throughput (<=1e-6); "

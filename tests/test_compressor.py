@@ -53,7 +53,7 @@ class TestCouplingMatrix:
         for tag in ("fc-av", "fc-am"):
             v = VARIANTS[Framework.FIXED_RATIO, Assumption(tag[3:])]
             assert model(tag, 1.2).outlet_pressure(1.2, 7e6) == 1.2 * 7e6
-            assert (v.kind, v.setpoint) == ("ratio", "ratio")
+            assert v.setpoint == "ratio"
             assert v.reads_inlet == (False, True)
 
     def test_fixed_pressure_layouts(self):
@@ -63,7 +63,7 @@ class TestCouplingMatrix:
             for p_in in (6e6, 7e6):
                 assert model(tag, 8.4e6).outlet_pressure(8.4e6, p_in) == 8.4e6
         for v in (v_av, v_am):
-            assert (v.kind, v.setpoint) == ("outlet-pressure", "pressure")
+            assert v.setpoint == "pressure"
         # only fp-av's momentum row reads the inlet pressure, through k
         assert v_av.reads_inlet == (True, False)
         assert v_am.reads_inlet == (False, False)

@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gasnetsim as gn
 
-from casekit import DELETE, NET_JSON, SCN_JSON, benchmark_with_model, malformed_network
+from casekit import (DELETE, NET_JSON, SCN_JSON, benchmark_with_model, generated_network,
+                     malformed_network)
 
 
 class TestParseNetwork:
@@ -181,6 +183,14 @@ def test_parse_serialize_round_trip():
         assert back == spec
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_serialize_round_trip_on_generated_networks(seed):
+    # trees and loops with one or two supplies and up to three stations
+    text = gn.serialize_network(generated_network(seed)[0])
+    assert gn.serialize_network(gn.parse_network(text)) == text
+
+
 class TestParseScenario:
     def test_benchmark_breakpoints(self):
         spec = gn.parse_network(NET_JSON)
@@ -297,6 +307,78 @@ class TestParseScenario:
         doc["profiles"]["sink"] = [[0, 200.0], [3600, -50.0], [7200, 0.0]]
         scen = gn.parse_scenario(json.dumps(doc), spec)
         assert np.array_equal(scen.profiles["sink"][1], [200.0, -50.0, 0.0])
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dt", True, "t_end and dt must be numbers"),
+        ("dt", "100", "t_end and dt must be numbers"),
+        ("t_end", "86400", "t_end and dt must be numbers"),
+        ("sink", [[0, True]], "profile 'sink'"),
+        ("sink", [["0", "250"]], "profile 'sink'"),
+        ("sink", [[0, 250.0, 300.0]], "profile 'sink'"),
+    ])
+    def test_booleans_strings_and_extra_fields_are_not_numbers(self, key, value, message):
+        spec = gn.parse_network(NET_JSON)
+        doc = json.loads(SCN_JSON)
+        (doc["profiles"] if key == "sink" else doc)[key] = value
+        with pytest.raises(gn.FormatError, match=message):
+            gn.parse_scenario(json.dumps(doc), spec)
+
+
+def _one(value):
+    return np.zeros(1), np.array([value])
+
+
+class TestSetpointSource:
+    """One rule, for parsing and binding: own key, else the bare id, else the default."""
+
+    @staticmethod
+    def parsed(tag, profiles, defaults=True):
+        doc = json.loads(NET_JSON)
+        comp = doc["compressors"][0]
+        comp["framework"], comp["assumption"] = tag.split("-")
+        if not defaults:
+            del comp["ratio"], comp["pressure"]
+        spec = gn.parse_network(json.dumps(doc))
+        scn = json.loads(SCN_JSON)
+        scn["profiles"] = {"source": [[0, 80.0]], "sink": [[0, 200.0]], **profiles}
+        return spec, json.dumps(scn)
+
+    @pytest.mark.parametrize("tag, profiles, want", [
+        ("fc-am", {"station.ratio": [[0, 1.3]], "station": [[0, 1.1]]}, 1.3),
+        ("fp-av", {"station.pressure": [[0, 85.0]], "station": [[0, 83.0]]}, 85e5),
+        ("fc-av", {"station": [[0, 1.1]]}, 1.1),
+        ("fp-am", {"station": [[0, 83.0]]}, 83e5),            # bare id, in bar
+        ("fc-am", {}, 1.2),                                   # the network file's default
+        ("fp-am", {}, 84e5),
+        ("fc-am", {"station.pressure": [[0, 85.0]]}, 1.2),    # the other framework's key
+    ])
+    def test_precedence_from_a_file(self, tag, profiles, want):
+        spec, text = self.parsed(tag, profiles)
+        input_fn = gn.bind_inputs(gn.assemble(spec), gn.parse_scenario(text, spec))[0]
+        assert input_fn(0.0)["station"] == want
+
+    def test_precedence_from_a_hand_built_scenario(self):
+        spec, _ = benchmark_with_model("fp-av")
+        g = gn.assemble(spec)
+        base = {"source": _one(80e5), "sink": _one(200.0)}
+
+        def station_input(**extra):
+            scen = gn.Scenario(100.0, 100.0, {**base, **extra})
+            return gn.bind_inputs(g, scen)[0](0.0)["station"]
+
+        assert station_input(**{"station.pressure": _one(85e5), "station": _one(83e5)}) == 85e5
+        assert station_input(station=_one(83e5)) == 83e5
+        assert station_input(**{"station.ratio": _one(1.3)}) == 84e5
+
+    def test_no_source_fails_on_both_paths(self):
+        spec, text = self.parsed("fc-am", {"station.pressure": [[0, 85.0]]}, defaults=False)
+        with pytest.raises(gn.FormatError, match="missing setpoint profile for compressor 'station'"):
+            gn.parse_scenario(text, spec)
+        scen = gn.Scenario(100.0, 100.0, {"source": _one(80e5), "sink": _one(200.0)})
+        assert scen.setpoint_source("station", "ratio", None) is None
+        with pytest.raises(gn.ConfigurationError,
+                           match="no setpoint profile or default for compressor 'station'"):
+            gn.bind_inputs(gn.assemble(spec), scen)
 
 
 class TestTimeseriesCSV:

@@ -296,15 +296,15 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         d = np.zeros(g.n)
         d[g.n_z:] = rng.normal(0.0, 1.0, g.n_alg)
-        F0 = g.residual(x, np.zeros(g.n_z), 0.0, STAR_INPUTS)
-        F1 = g.residual(x + d, np.zeros(g.n_z), 0.0, STAR_INPUTS)
-        F2 = g.residual(x + 2.0 * d, np.zeros(g.n_z), 0.0, STAR_INPUTS)
+        F0 = g.residual(x, np.zeros(g.n_z), STAR_INPUTS)
+        F1 = g.residual(x + d, np.zeros(g.n_z), STAR_INPUTS)
+        F2 = g.residual(x + 2.0 * d, np.zeros(g.n_z), STAR_INPUTS)
         assert np.allclose(F2 - F0, 2.0 * (F1 - F0), rtol=1e-9, atol=1e-9)
 
     def test_junction_kirchhoff_semantics(self):
         g = gn.assemble(star_network_spec())
         x = gn.steady_state(g, STAR_INPUTS, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap = record_dict(g, x[: g.n_z], 0.0, STAR_INPUTS)
+        snap = record_dict(g, x[: g.n_z], STAR_INPUTS)
         ports_p = [snap["P2.out.p_Pa"], snap["P3.in.p_Pa"], snap["P4.in.p_Pa"]]
         assert max(ports_p) - min(ports_p) <= 1e-6 * max(ports_p)
         balance = snap["P2.out.m"] - snap["P3.in.m"] - snap["P4.in.m"]
@@ -317,8 +317,8 @@ class TestAssemble:
         xa = gn.steady_state(gn.assemble(spec_a), STAR_INPUTS)
         xb = gn.steady_state(gn.assemble(spec_b), STAR_INPUTS)
         ga, gb = gn.assemble(spec_a), gn.assemble(spec_b)
-        sa = record_dict(ga, xa[: ga.n_z], 0.0, STAR_INPUTS)
-        sb = record_dict(gb, xb[: gb.n_z], 0.0, STAR_INPUTS)
+        sa = record_dict(ga, xa[: ga.n_z], STAR_INPUTS)
+        sb = record_dict(gb, xb[: gb.n_z], STAR_INPUTS)
         for name in sa:
             assert sa[name] == pytest.approx(sb[name], rel=1e-9, abs=1e-9)
 
@@ -327,7 +327,7 @@ class TestAssemble:
         x = np.zeros(g.n)
         x[0] = np.nan
         with pytest.raises(gn.StateError):
-            g.residual(x, np.zeros(g.n_z), 0.0, STAR_INPUTS)
+            g.residual(x, np.zeros(g.n_z), STAR_INPUTS)
 
     def test_residual_at_converged_state_is_small(self):
         g = gn.assemble(star_network_spec())
@@ -444,7 +444,7 @@ def test_power_terms_identity_with_internal_nodes(gas):
         for k, p in enumerate(g.pipes):
             z[g.rho_sl[k]] *= 1.0 + 0.05 * rng.standard_normal(p.n)
             z[g.mom_sl[k]] += 20.0 * rng.standard_normal(p.n)
-        x = g.algebraic_solve(z, 0.0, STAR_INPUTS)
+        x = g.algebraic_solve(z, STAR_INPUTS)
         terms = g.power_terms(x, STAR_INPUTS)
         lhs = terms["rate"]
         rhs = (terms["boundary"] + terms["compressor"] + terms["internal"]
@@ -472,7 +472,7 @@ def test_power_terms_equal_per_pipe_oracle(name):
     rng = np.random.default_rng(12)
     for _ in range(3):
         z = x0[: g.n_z] * (1.0 + 1e-2 * rng.standard_normal(g.n_z))
-        x = g.algebraic_solve(z, 0.0, inputs, anchor=x0)
+        x = g.algebraic_solve(z, inputs, anchor=x0)
         got, ref = g.power_terms(x, inputs), power_terms_oracle(g, x, inputs)
         for key, val in ref.items():
             assert got[key] == pytest.approx(val, rel=1e-12)
@@ -481,7 +481,7 @@ def test_power_terms_equal_per_pipe_oracle(name):
 def test_single_pipe_assembly_matches_oracle(gas):
     g = single_pipe_system(gas)
     x = gn.steady_state(g, {"s": 80e5, "d": 300.0})
-    snap = record_dict(g, x[: g.n_z], 0.0, {"s": 80e5, "d": 300.0})
+    snap = record_dict(g, x[: g.n_z], {"s": 80e5, "d": 300.0})
     oracle = gn.steady_pipe_oracle(g.pipes[0].spec, gas, 80e5, 300.0)
     assert snap["line.out.p_Pa"] == pytest.approx(oracle, rel=5e-3)
 
@@ -495,7 +495,7 @@ class TestGeneralTopologies:
         g = gn.assemble(spec)
         inputs = DIAMOND_INPUTS
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap = record_dict(g, x[: g.n_z], 0.0, inputs, anchor=x)
+        snap = record_dict(g, x[: g.n_z], inputs, anchor=x)
         # junction pressure continuity across all three attached ports
         pj = [snap["A.out.p_Pa"], snap["B.out.p_Pa"], snap["C.in.p_Pa"]]
         assert max(pj) - min(pj) <= 1e-6 * max(pj)
@@ -530,7 +530,7 @@ class TestGeneralTopologies:
                 M[:, j] = g.steady_residual(xe, inputs)[g.n_z:] - F0
             anchor = x[g.n_z:] * 1.01
             ref = anchor + np.linalg.lstsq(M, -F0 - M @ anchor, rcond=None)[0]
-            got = g.algebraic_solve(x[: g.n_z], 0.0, inputs, anchor=anchor)[g.n_z:]
+            got = g.algebraic_solve(x[: g.n_z], inputs, anchor=anchor)[g.n_z:]
             assert np.allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
     @pytest.mark.parametrize("name", ["star", "diamond", "series", "ladder"])
@@ -546,7 +546,7 @@ class TestGeneralTopologies:
         np.add.at(M, (a.M.rows, a.M.cols), a.M.vals)
         P = np.zeros((na, na))
         np.add.at(P, (a.P.rows, a.P.cols), a.P.vals)
-        inputs = {key: 1.0 for key, _ in g.required_inputs()}
+        inputs = {key: 1.0 for key in g.input_ids}
         x0 = np.concatenate([np.full(nz, 3.0), np.zeros(na)])
         F0 = g.steady_residual(x0, inputs)[nz:]
         for j in range(na):
@@ -566,7 +566,7 @@ class TestGeneralTopologies:
         g = gn.assemble(gn.NetworkSpec(gas, nodes, pipes, []))
         inputs = {"s1": 72e5, "s2": 70e5, "d": 200.0}
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap = record_dict(g, x[: g.n_z], 0.0, inputs, anchor=x)
+        snap = record_dict(g, x[: g.n_z], inputs, anchor=x)
         assert snap["A.in.p_Pa"] == pytest.approx(72e5, rel=1e-12)
         assert snap["B.in.p_Pa"] == pytest.approx(70e5, rel=1e-12)
         # the higher-pressure supply pushes harder
@@ -576,7 +576,7 @@ class TestGeneralTopologies:
         g = gn.assemble(series_stations_spec())
         inputs = SERIES_INPUTS
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap = record_dict(g, x[: g.n_z], 0.0, inputs, anchor=x)
+        snap = record_dict(g, x[: g.n_z], inputs, anchor=x)
         assert snap["P2.in.p_Pa"] / snap["P1.out.p_Pa"] == pytest.approx(1.1, rel=1e-10)
         assert snap["P3.in.p_Pa"] == pytest.approx(80e5, rel=1e-10)
         ratio2 = 80e5 / snap["P2.out.p_Pa"]
@@ -592,7 +592,7 @@ def test_fuse_compressors_removes_station():
     assert gn.validate_topology(fused).ok
     g = gn.assemble(fused)
     x = gn.steady_state(g, {"v1": 60e5, "v2": 120.0, "v3": 80.0})
-    snap = record_dict(g, x[: g.n_z], 0.0, {"v1": 60e5, "v2": 120.0, "v3": 80.0})
+    snap = record_dict(g, x[: g.n_z], {"v1": 60e5, "v2": 120.0, "v3": 80.0})
     assert snap["P2.in.p_Pa"] == pytest.approx(snap["P1.out.p_Pa"], rel=1e-9)
 
 
@@ -622,7 +622,7 @@ class TestPipeBank:
         rng = np.random.default_rng(8)
         x = gn.steady_state(g, inputs) * (1.0 + rng.normal(0.0, 1e-2, g.n))
         zdot = rng.normal(0.0, 1e-2, g.n_z) * np.abs(x[: g.n_z])
-        F = g.residual(x, zdot, 0.0, inputs)
+        F = g.residual(x, zdot, inputs)
         for k, p in enumerate(g.pipes):
             rates, _ = pipe_rhs(oracle(p), PipeField(x[g.rho_sl[k]], x[g.mom_sl[k]]),
                                 (x[g.mu_p[k]], x[g.mu_m[k]]))
@@ -672,7 +672,7 @@ def test_generated_networks_match_the_oracles(seed):
     g = gn.assemble(spec)
     rng = np.random.default_rng(seed)
     z = consistent_state(g, inputs, rng)
-    x = g.algebraic_solve(z, 0.0, inputs)
+    x = g.algebraic_solve(z, inputs)
     F = g.steady_residual(x, inputs)
     assert np.array_equal(F, reference_residual(g, x, np.zeros(g.n_z), inputs))
     z_prev = z * (1.0 + rng.normal(0.0, 1e-3, g.n_z))
@@ -681,7 +681,7 @@ def test_generated_networks_match_the_oracles(seed):
     assert np.array_equal(g.make_step_residual(z_prev, 50.0, inputs)(x),
                           reference_residual(g, x_mid, (z - z_prev) / 50.0, inputs))
     assert set(map(tuple, g._pattern().tolist())) == set(reference_pattern(g))
-    demands = [inputs[key] for key, kind in g.required_inputs() if kind == "momentum"]
+    demands = [inputs[key] for key, kind in g.boundary_inputs if kind == "momentum"]
     p_ref = np.abs(x[list(g.lam.values())]).max()
     m_ref = np.abs(np.concatenate([z[g.bank.mom], demands])).max()
     scale = np.where(g.row_kind[g.n_z:] == "p", p_ref, m_ref)
@@ -696,6 +696,18 @@ def test_missing_input_raises_configuration_error():
         g.steady_residual(x, partial)
     with pytest.raises(gn.ConfigurationError, match="missing input value for 'C'"):
         g.make_step_residual(x[: g.n_z], 50.0, partial)(x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, x, fn: g.snapshot(x[: g.n_z], fn),
+    lambda g, x, fn: gn.steady_state(g, fn),
+    lambda g, x, fn: g.power_terms(x, fn),
+], ids=["snapshot", "steady_state", "power_terms"])
+def test_an_input_function_is_not_sampled_inputs(call):
+    g = gn.assemble(star_network_spec())
+    x = gn.steady_state(g, STAR_INPUTS)
+    with pytest.raises(gn.ConfigurationError, match="inputs must map input ids"):
+        call(g, x, lambda t: STAR_INPUTS)
 
 
 def test_check_state_names_the_first_offending_pipe_and_time():

@@ -223,14 +223,14 @@ class TestSteadyState:
     def test_no_demand_means_uniform_pressure(self, gas):
         g = single_pipe_system(gas)
         x = gn.steady_state(g, {"s": 80e5, "d": 0.0})
-        snap = record_dict(g, x[: g.n_z], 0.0, {"s": 80e5, "d": 0.0})
+        snap = record_dict(g, x[: g.n_z], {"s": 80e5, "d": 0.0})
         assert snap["line.out.p_Pa"] == pytest.approx(80e5, rel=1e-9)
         assert abs(snap["line.in.m"]) <= 1e-5
 
     def test_constant_demand_matches_oracle(self, gas):
         g = single_pipe_system(gas, n_cells=32)
         x = gn.steady_state(g, {"s": 80e5, "d": 300.0})
-        snap = record_dict(g, x[: g.n_z], 0.0, {"s": 80e5, "d": 300.0})
+        snap = record_dict(g, x[: g.n_z], {"s": 80e5, "d": 300.0})
         oracle = gn.steady_pipe_oracle(g.pipes[0].spec, gas, 80e5, 300.0)
         assert abs(snap["line.out.p_Pa"] - oracle) / oracle <= 0.005
 
@@ -240,7 +240,7 @@ class TestSteadyState:
         fn, p_ref, m_ref = gn.bind_inputs(g, scen)
         g.references = (p_ref, m_ref)
         x = gn.steady_state(g, fn(0.0), set_references=False)
-        snap = record_dict(g, x[: g.n_z], 0.0, fn(0.0))
+        snap = record_dict(g, x[: g.n_z], fn(0.0))
         assert snap["east.in.p_Pa"] / snap["west.out.p_Pa"] == pytest.approx(1.2, rel=1e-12)
 
     def test_converges_within_25_iterations_from_flat_start(self):
@@ -263,8 +263,8 @@ class TestMidpointStep:
         x = gn.steady_state(g, inputs)
         x1, _ = gn.step_midpoint(g, x, 0.0, 100.0, lambda t: inputs)
         assert np.abs(gn.scale_residual(g, g.steady_residual(x1, inputs))).max() <= 1e-7
-        snap0 = record_dict(g, x[: g.n_z], 0.0, inputs)
-        snap1 = record_dict(g, x1[: g.n_z], 100.0, inputs)
+        snap0 = record_dict(g, x[: g.n_z], inputs)
+        snap1 = record_dict(g, x1[: g.n_z], inputs)
         for name in snap0:
             assert snap1[name] == pytest.approx(snap0[name], rel=1e-6, abs=1e-8)
 
@@ -273,7 +273,7 @@ class TestMidpointStep:
         H0 = cp.energy(z)
         cfg = gn.SolverConfig(newton_abs_tol=1e-12)
         for i in range(100):
-            z, _ = gn.step_midpoint(cp, z, 10.0 * i, 10.0, {}, cfg)
+            z, _ = gn.step_midpoint(cp, z, 10.0 * i, 10.0, lambda t: {}, cfg)
         assert abs(cp.energy(z) - H0) <= 1e-8 * H0
 
     def test_sealed_pipe_with_friction_dissipates(self, gas):
@@ -282,7 +282,7 @@ class TestMidpointStep:
         H = cp.energy(z)
         dropped = False
         for i in range(40):
-            z, _ = gn.step_midpoint(cp, z, 50.0 * i, 50.0, {}, cfg)
+            z, _ = gn.step_midpoint(cp, z, 50.0 * i, 50.0, lambda t: {}, cfg)
             Hn = cp.energy(z)
             assert Hn <= H * (1.0 + 1e-12)
             dropped = dropped or Hn < H * (1.0 - 1e-12)
@@ -292,8 +292,8 @@ class TestMidpointStep:
     def test_midpoint_is_time_reversible(self, gas):
         cp, z = closed_pipe(gas, n_cells=16, friction=0.0)
         cfg = gn.SolverConfig(newton_abs_tol=1e-13)
-        zf, _ = gn.step_midpoint(cp, z, 0.0, 25.0, {}, cfg)
-        zb, _ = gn.step_midpoint(cp, zf, 25.0, -25.0, {}, cfg)
+        zf, _ = gn.step_midpoint(cp, z, 0.0, 25.0, lambda t: {}, cfg)
+        zb, _ = gn.step_midpoint(cp, zf, 25.0, -25.0, lambda t: {}, cfg)
         assert np.abs(zb - z).max() <= 1e-9 * np.abs(z).max()
 
     def test_mass_bookkeeping_per_step(self, gas):
@@ -373,7 +373,7 @@ class TestSimulate:
             z = z0.copy()
             cfg = gn.SolverConfig(newton_abs_tol=1e-12)
             for i in range(int(round(T / dt))):
-                z, _ = gn.step_midpoint(cp, z, i * dt, dt, {}, cfg)
+                z, _ = gn.step_midpoint(cp, z, i * dt, dt, lambda t: {}, cfg)
             return z
 
         errs = [np.abs(run(dt) - z_exact).max() for dt in (10.0, 5.0, 2.5)]

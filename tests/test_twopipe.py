@@ -118,7 +118,7 @@ def test_check_state_names_the_pipe():
 def test_snapshot_row_follows_record_names():
     d, inputs = direct_case("fp-av")
     z = gn.steady_state(d, inputs, set_references=False)
-    row, x = d.snapshot(z, 0.0, inputs)
+    row, x = d.snapshot(z, inputs)
     names = d.record_names()
     assert np.array_equal(x[: d.n_z], z) and row.shape == (len(names),)
     assert names == [f"{p}.{end}.{q}" for p in ("P1", "P2") for end in ("in", "out")
