@@ -16,13 +16,11 @@ from .formats import (RunReport, Scenario, parse_network, parse_scenario,
 from .gas import GasProperties
 from .network import (CompressorStation, GlobalSystem, NetworkSpec, Node,
                       NodeKind, PipeEdge, ValidationReport, assemble,
-                      fuse_compressors, incidence_matrices,
-                      validate_topology)
+                      fuse_compressors, validate_topology)
 from .pipe import PipeSpec, PipeSystem, discretize_pipe, steady_pipe_oracle
 from .timeloop import (NewtonResult, SolverConfig, TimeSeries, bind_inputs,
                        newton_solve, scale_residual, simulate, steady_state,
                        step_midpoint)
-from .twopipe import TwoPipeDirect
 
 __version__ = "0.1.0"
 
@@ -32,10 +30,10 @@ __all__ = [
     "GasnetError", "GasProperties", "GlobalSystem", "InfeasibleFlowError",
     "NetworkSpec", "NewtonResult", "Node", "NodeKind", "NonconvergenceError",
     "PipeEdge", "PipeSpec", "PipeSystem", "RunReport", "Scenario",
-    "SolverConfig", "StateError", "TimeSeries", "TwoPipeDirect",
-    "ValidationReport", "adiabatic_enthalpy", "assemble", "bind_inputs",
-    "discretize_pipe", "fuse_compressors", "incidence_matrices",
-    "newton_solve", "parse_network", "parse_scenario", "read_timeseries",
-    "scale_residual", "serialize_network", "simulate", "steady_pipe_oracle",
-    "steady_state", "step_midpoint", "validate_topology", "write_timeseries",
+    "SolverConfig", "StateError", "TimeSeries", "ValidationReport",
+    "adiabatic_enthalpy", "assemble", "bind_inputs", "discretize_pipe",
+    "fuse_compressors", "newton_solve", "parse_network", "parse_scenario",
+    "read_timeseries", "scale_residual", "serialize_network", "simulate",
+    "steady_pipe_oracle", "steady_state", "step_midpoint", "validate_topology",
+    "write_timeseries",
 ]

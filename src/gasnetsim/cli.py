@@ -75,17 +75,28 @@ def _apply_model_override(spec, model_tag):
     return spec
 
 
+def _read_text(path) -> str:
+    """A file's UTF-8 text; an unreadable file is a ConfigurationError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read {path}: not UTF-8 text "
+                                 f"({exc.reason} at byte {exc.start})") from exc
+
+
 def _solve(args, transient: bool) -> int:
     overrides = {"dt": args.dt} if transient else {"t_end": 0.0}
     if args.tol is not None:
         overrides["newton_abs_tol"] = args.tol
     cfg = SolverConfig(**overrides)     # validates the flags before any file is read
 
-    spec = parse_network(Path(args.network).read_text(encoding="utf-8"))
+    spec = parse_network(_read_text(args.network))
     if args.model != "none":
         spec = _apply_model_override(spec, args.model)
     # bind profiles before fusing so station profiles stay resolvable
-    scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"), spec)
+    scenario = parse_scenario(_read_text(args.scenario), spec)
     if args.model == "none":
         spec = _apply_model_override(spec, args.model)
     gsys = assemble(spec, n_cells_override=args.cells)
@@ -104,7 +115,10 @@ def _solve(args, transient: bool) -> int:
         return EXIT_NONCONVERGED
     elapsed = time.perf_counter() - t0
 
-    write_timeseries(ts, out)
+    try:
+        write_timeseries(ts, out)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out}: {exc.strerror or exc}") from exc
     report = RunReport.from_timeseries(ts, elapsed)
     sys.stderr.write(report.summary())
     sys.stderr.write(f"wrote {out}\n")
@@ -121,16 +135,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             # parse_network raises FormatError on any topology violation
-            parse_network(Path(args.network).read_text(encoding="utf-8"))
+            parse_network(_read_text(args.network))
             print("topology valid")
             return EXIT_OK
         if args.command == "steady":
             return _solve(args, transient=False)
         if args.command == "run":
             return _solve(args, transient=True)
-    except (ConfigurationError, FileNotFoundError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
     except StateError as exc:
         sys.stderr.write(f"solver aborted: {exc}\n")
         return EXIT_NONCONVERGED

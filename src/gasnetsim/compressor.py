@@ -19,7 +19,7 @@ combination. A row gives, for setpoint sp and inlet pressure p:
 The station power, energy out minus energy in, follows from the first two
 (`CompressorModel.power`): outlet * m - p * k * m, with m the momentum fed
 downstream. The network applies the rules in one place
-(`network.PipeStates._station_pass`).
+(`network.GlobalSystem._add_state_terms`).
 The compression work per unit mass (adiabatic enthalpy rise) is provided
 as a diagnostic.
 """

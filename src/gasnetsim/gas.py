@@ -4,7 +4,7 @@ Everything here works in SI units: pressure in Pa, density in kg/m^3,
 momentum density in kg/(m^2 s). The isothermal closure p = c^2 rho with
 c^2 = z * R_s * T turns pressure into a linear function of density, so the
 effort of a pipe state is the pair e = [c^2 rho; m] and its stored energy
-the weighted quadratic H = z' W e(z) / 2 (`network.PipeStates`).
+the weighted quadratic H = z' W e(z) / 2 (`network.GlobalSystem`).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Network topology, incidence matrices, and the assembled global DAE.
+"""Network topology and the assembled global DAE.
 
 Unknown vector layout (length = sum(2 n_cells) + 2 * n_pipes + n_nodes):
 
@@ -28,11 +28,10 @@ fixed z. The residual is a pure function of its arguments, so concurrent
 evaluations (finite-difference Jacobian columns) are safe.
 
 All pipes' rows come from one vectorized pass over the pipe bank
-(`PipeBank`): flat index and weight arrays built once per system.
-`PipeStates` owns the bank and the pipe rows, and `twopipe.TwoPipeDirect`
-evaluates the same rows. The stored energy, the friction power and the
-port powers of `GlobalSystem.power_terms` read the same bank. Cell i of a
-pipe pairs rho_i with the momentum m_i on its inlet-side interface:
+(`PipeBank`): flat index and weight arrays built once per system. The
+stored energy, the friction power and the port powers of
+`GlobalSystem.power_terms` read the same bank. Cell i of a pipe pairs
+rho_i with the momentum m_i on its inlet-side interface:
 
     continuity   dx rho_i' + (s_i x[down_i] - m_i)      down = m_(i+1), or
                  mu_m with s = -1 at the last cell
@@ -45,10 +44,10 @@ Inputs are resolved once per closure into a vector u in `input_ids` order
 station rows sits in one constant table, `GlobalSystem.coupling`, over
 [x | u] (columns from n on index u; a node row lists minus its input
 first, then its links in attachment order). The residual, the Jacobian
-pattern and the algebraic solve all read it. One station pass
-(`PipeStates._station_pass`) applies the rules of `compressor.VARIANTS` at
-p_upstream, the port-out rows' outlet pressure, for the station rows'
-state terms, the algebraic solve and `twopipe.TwoPipeDirect` alike.
+pattern and the algebraic solve all read it. The station rows' state terms
+(`GlobalSystem._add_state_terms`) apply the rules of `compressor.VARIANTS`
+at p_upstream, the port-out rows' outlet pressure, for the residual and the
+algebraic solve alike.
 """
 
 from __future__ import annotations
@@ -283,33 +282,12 @@ def _node_classes(spec: NetworkSpec):
     return boundary, compressor, internal
 
 
-def incidence_matrices(spec: NetworkSpec):
-    """0/1 incidence of pipe ports onto boundary, compressor, internal nodes.
-
-    Columns are the pipe ports in declaration order, inlet then outlet per
-    pipe; rows are the nodes of each class in declaration order.
-    """
-    report = validate_topology(spec)
-    if not report.ok:
-        raise ConfigurationError(f"invalid network:\n{report}")
-    n_ports = 2 * len(spec.pipes)
-    boundary, compressor, internal = _node_classes(spec)
-
-    def build(nodes):
-        A = np.zeros((len(nodes), n_ports), dtype=int)
-        index = {nd.id: r for r, nd in enumerate(nodes)}
-        for k, pe in enumerate(spec.pipes):
-            if pe.from_node in index:
-                A[index[pe.from_node], 2 * k] = 1
-            if pe.to_node in index:
-                A[index[pe.to_node], 2 * k + 1] = 1
-        return A
-
-    return build(boundary), build(compressor), build(internal)
-
-
 class StationBinding(NamedTuple):
-    """One station as both system forms bind it (`PipeStates._station_pass`)."""
+    """One station as the system binds it: its model, pipes, input and rows.
+
+    The momentum rule reads the downstream pipe's inlet momentum,
+    `bank.m_in[pipe_down]`.
+    """
 
     id: str
     model: CompressorModel
@@ -317,14 +295,8 @@ class StationBinding(NamedTuple):
     pipe_up: int            # pipe whose outlet feeds the station
     pipe_down: int          # pipe fed by the station
     input: int              # setpoint position in the input vector
-
-
-class StationRows(NamedTuple):
-    """A station's two network rows and the state its momentum rule reads."""
-
-    row_in: int     # momentum rule, at the inlet node's row
-    row_out: int    # pressure rule, at the outlet node's row
-    m_down: int     # the downstream pipe's inlet momentum column
+    row_in: int             # momentum rule, at the inlet node's row
+    row_out: int            # pressure rule, at the outlet node's row
 
 
 class PipeBank(NamedTuple):
@@ -366,37 +338,83 @@ class _AlgebraicMap(NamedTuple):
     rest: Triplets
 
 
-class PipeStates:
-    """Pipe states with one input pair per pipe, x = [z | mu | ...].
+class GlobalSystem:
+    """Assembled network DAE with residual, Jacobian pattern and diagnostics.
 
-    z holds every pipe's densities then momenta, pipe by pipe; mu_p and
-    mu_m (inlet pressure, minus outlet momentum) follow it, pipe by pipe.
-    Everything that reads only the pipe bank and the stations lives here:
-    the pipe rows and their couplings, the station pass, inputs, residual
-    closures, row scaling, records and the state diagnostics. `GlobalSystem`
-    and `twopipe.TwoPipeDirect` both build on it: each sets `boundary_inputs`,
-    `stations` and `input_ids` and defines `_residual_core` and
-    `algebraic_solve`.
+    x = [z | mu | lambda] (module docstring): z holds every pipe's densities
+    then momenta, pipe by pipe; mu_p and mu_m (inlet pressure, minus outlet
+    momentum) follow it, pipe by pipe, then one potential per node.
     """
 
-    def __init__(self, pipes: list[PipeSystem], gas: GasProperties):
-        self.pipes = pipes
-        self.gas = gas
+    def __init__(self, spec: NetworkSpec, n_cells_override: int | None = None):
+        report = validate_topology(spec)
+        if not report.ok:
+            raise ConfigurationError(f"invalid network:\n{report}")
+        self.spec = spec
+        self.gas = spec.gas
+        self.pipes: list[PipeSystem] = []
+        for pe in spec.pipes:
+            ps = pe.spec
+            if n_cells_override is not None:
+                ps = PipeSpec(ps.id, ps.length, ps.diameter, ps.friction, n_cells_override)
+            self.pipes.append(discretize_pipe(ps, spec.gas))
+
+        # --- unknown layout ------------------------------------------
         self.rho_sl, self.mom_sl = [], []
         off = 0
-        for p in pipes:
+        for p in self.pipes:
             self.rho_sl.append(slice(off, off + p.n))
             self.mom_sl.append(slice(off + p.n, off + 2 * p.n))
             off += 2 * p.n
         self.n_z = off
-        self.mu_p = off + 2 * np.arange(len(pipes))
+        P = len(self.pipes)
+        self.mu_p = off + 2 * np.arange(P)
         self.mu_m = self.mu_p + 1
         # energy weights over the differential states
-        self.energy_weights = np.concatenate([p.weights for p in pipes])
+        self.energy_weights = np.concatenate([p.weights for p in self.pipes])
         self.bank = self._build_bank()
+        boundary, compressor, internal = _node_classes(spec)
+        self.node_order = boundary + compressor + internal
+        self.lam = {nd.id: self.n_z + 2 * P + i for i, nd in enumerate(self.node_order)}
+        self.n_alg = 2 * P + len(self.node_order)
+        self.n = self.n_z + self.n_alg
+
+        # per-node attachments: (pipe index, is_outlet)
+        self.attached: dict[str, list[tuple[int, bool]]] = {nd.id: [] for nd in spec.nodes}
+        for k, pe in enumerate(spec.pipes):
+            self.attached[pe.from_node].append((k, False))
+            self.attached[pe.to_node].append((k, True))
+
+        # --- inputs and station bindings ---------------------------
+        # (validate_topology leaves each station one upstream, one downstream pipe)
+        self.boundary_inputs = [(nd.id, "pressure" if nd.kind is NodeKind.SUPPLY else "momentum")
+                                for nd in self.node_order if nd.kind in BOUNDARY_KINDS]
+        self.stations: list[StationBinding] = []
+        for st in spec.compressors:
+            up = next(k for k, isout in self.attached[st.inlet_node] if isout)
+            down = next(k for k, isout in self.attached[st.outlet_node] if not isout)
+            self.stations.append(StationBinding(
+                st.id, st.model(spec.gas.isentropic_exponent), st.default_setpoint(),
+                up, down, len(self.boundary_inputs) + len(self.stations),
+                self.lam[st.inlet_node], self.lam[st.outlet_node]))
+
+        self.input_ids = [key for key, _ in self.boundary_inputs] + [s.id for s in self.stations]
+        self.coupling = self._build_coupling()
+
+        # --- row kinds for residual scaling --------------------------
+        kind = np.empty(self.n, dtype="U1")
+        kind[self.bank.rho] = "m"   # mass rows carry momentum-flux units
+        # momentum, port and pressure-rule rows carry pressure units
+        kind[self.bank.mom] = kind[self.mu_p] = kind[self.mu_m] = "p"
+        for nd in self.node_order:
+            pressure_rule = nd.kind in (NodeKind.SUPPLY, NodeKind.COMPRESSOR_OUT)
+            kind[self.lam[nd.id]] = "p" if pressure_rule else "m"
+        self.row_kind = kind
+
         self.references = (1.0, 1.0)   # (p_ref, m_ref), set before solving
         self._colors = None
         self._names = None
+        self._alg_map = None
 
     def _build_bank(self) -> PipeBank:
         n_cells = np.array([p.n for p in self.pipes])
@@ -417,203 +435,6 @@ class PipeStates:
             prev=prev, dx=dx, w=np.where(is_first, 0.5 * dx, dx),
             fric=np.repeat([p.fric_coef for p in self.pipes], n_cells),
             tail=rho[is_last], m_in=mom[is_first])
-
-    def _pipe_rows(self, F, x, zdot):
-        """Write every continuity and momentum row of F at x = [z | mu ...]."""
-        b, c2 = self.bank, self.gas.c2
-        rho, mom = x[b.rho], x[b.mom]
-        pres = c2 * rho
-        F[b.rho] = b.dx * zdot[b.rho] + (b.down_sign * x[b.down] - mom)
-        F[b.mom] = (b.w * zdot[b.mom] + (pres - b.up_scale * x[b.up])
-                    + b.w * self._friction(rho, mom))
-
-    def _friction(self, rho, mom):
-        """Friction deceleration (lambda/2D) m |m / rho_bar| per momentum interface.
-
-        rho_bar averages the two cells around the interface; at a pipe inlet
-        `prev` is the cell itself, so rho_bar is the first cell's density.
-        """
-        b = self.bank
-        return b.fric * mom * np.abs(mom / (0.5 * (rho[b.prev] + rho)))
-
-    def _pipe_pattern(self):
-        """(rows, cols) pairs of the pipe rows' structural couplings."""
-        b = self.bank
-        return [(b.rho, b.rho), (b.rho, b.mom), (b.rho, b.down),
-                (b.mom, b.mom), (b.mom, b.up), (b.mom, b.rho)]
-
-    def _outlet_pressures(self, x):
-        """Outlet pressure of every pipe, extrapolated from its last two cells."""
-        c2, tail = self.gas.c2, self.bank.tail
-        return 1.5 * (c2 * x[tail]) - 0.5 * (c2 * x[tail - 1])
-
-    def _station_pass(self, p_out, u):
-        """(outlet pressure, inlet factor k) per station, from its variant's rules.
-
-        Each station reads its upstream pipe's entry of p_out
-        (`_outlet_pressures`) and its setpoint in the input vector u. A plain
-        loop: it beats array code for the few stations a network has.
-        """
-        rules = []
-        for s in self.stations:
-            sp, p = u[s.input], p_out[s.pipe_up]
-            rules.append((s.model.outlet_pressure(sp, p), s.model.inlet_match_factor(sp, p)))
-        return rules
-
-    def _input_vector(self, inputs):
-        """Sampled inputs (a mapping) in `input_ids` order, then 0 for junction balances."""
-        if not isinstance(inputs, Mapping):
-            raise ConfigurationError(
-                f"inputs must map input ids to sampled values, got {type(inputs).__name__}")
-        try:
-            return np.array([inputs[key] for key in self.input_ids] + [0.0], dtype=float)
-        except KeyError as exc:
-            raise ConfigurationError(f"missing input value for {exc}") from exc
-
-    def steady_residual(self, x, inputs):
-        return self._residual_core(np.asarray(x, float), np.zeros(self.n_z),
-                                   self._input_vector(inputs))
-
-    def make_step_residual(self, z_prev, dt, inputs_mid):
-        """Implicit-midpoint residual in the endpoint/midpoint unknowns.
-
-        Unknowns: differential states at the step end, algebraic variables at
-        the midpoint. Differential rows are collocated at the midpoint state,
-        algebraic rows are enforced there too.
-        """
-        z_prev = np.asarray(z_prev, float)
-        n_z = self.n_z
-        u = self._input_vector(inputs_mid)
-
-        def fun(x_new):
-            x_eval = x_new.copy()
-            z_new = x_new[:n_z]
-            x_eval[:n_z] = 0.5 * (z_prev + z_new)
-            zdot = (z_new - z_prev) / dt
-            return self._residual_core(x_eval, zdot, u)
-
-        return fun
-
-    def row_scale(self):
-        """Diagonal residual scaling: pressure rows / p_ref, momentum rows / m_ref."""
-        p_ref, m_ref = self.references
-        return np.where(self.row_kind == "p", p_ref, m_ref)
-
-    def record_names(self):
-        """Record column names, built and interned once: every record shares them."""
-        if self._names is None:
-            names = []
-            for p in self.pipes:
-                pid = p.spec.id
-                names += [f"{pid}.in.p_Pa", f"{pid}.in.m", f"{pid}.out.p_Pa", f"{pid}.out.m"]
-            names.append("H_total")
-            names += [f"{s.id}.power" for s in self.stations]
-            self._names = [sys.intern(n) for n in names]
-        return list(self._names)
-
-    def snapshot(self, z, inputs, anchor=None):
-        """(record row in `record_names` order, consistent unknowns) at state z."""
-        x = self.algebraic_solve(z, inputs, anchor)
-        return self._records(x, self._input_vector(inputs)), x
-
-    def _records(self, x, u):
-        """Port pressures/momenta, total energy and station powers at x = [z | mu ...]."""
-        b = self.bank
-        z = x[: self.n_z]
-        p_out = self._outlet_pressures(z)
-        powers = [s.model.power(u[s.input], p_out[s.pipe_up], z[b.m_in[s.pipe_down]])
-                  for s in self.stations]
-        return np.concatenate([
-            np.column_stack([x[self.mu_p], z[b.m_in], p_out, -x[self.mu_m]]).ravel(),
-            [self.hamiltonian_total(z)], powers])
-
-    def effort_vector(self, z):
-        """The effort e(z) = [c^2 rho; m] over the differential states."""
-        e = np.array(z[: self.n_z], dtype=float)
-        e[self.bank.rho] *= self.gas.c2
-        return e
-
-    def hamiltonian_total(self, z):
-        """Stored energy H = z' W e(z) / 2 with the cell-measure weights W.
-
-        The inlet momentum has a half cell (dx/2), so H is the energy whose
-        rate e' W dz/dt (`energy_rate`) the power balance closes.
-        """
-        return 0.5 * float(np.dot(self.effort_vector(z) * self.energy_weights, z[: self.n_z]))
-
-    def total_mass(self, z):
-        return float(np.dot(self.bank.dx, z[self.bank.rho]))
-
-    def min_density(self, z):
-        return float(z[self.bank.rho].min())
-
-    def check_state(self, z, t):
-        positive = z[self.bank.rho] > 0.0
-        if not positive.all():
-            k = int(np.searchsorted(self.bank.tail, self.bank.rho[np.argmin(positive)]))
-            raise StateError(
-                f"non-positive density in pipe {self.pipes[k].spec.id!r} at t={t}")
-
-
-class GlobalSystem(PipeStates):
-    """Assembled network DAE with residual, Jacobian pattern and diagnostics."""
-
-    def __init__(self, spec: NetworkSpec, n_cells_override: int | None = None):
-        report = validate_topology(spec)
-        if not report.ok:
-            raise ConfigurationError(f"invalid network:\n{report}")
-        self.spec = spec
-        pipes = []
-        for pe in spec.pipes:
-            ps = pe.spec
-            if n_cells_override is not None:
-                ps = PipeSpec(ps.id, ps.length, ps.diameter, ps.friction, n_cells_override)
-            pipes.append(discretize_pipe(ps, spec.gas))
-        super().__init__(pipes, spec.gas)
-
-        # --- unknown layout ------------------------------------------
-        P = len(self.pipes)
-        boundary, compressor, internal = _node_classes(spec)
-        self.node_order = boundary + compressor + internal
-        self.lam = {nd.id: self.n_z + 2 * P + i for i, nd in enumerate(self.node_order)}
-        self.n_alg = 2 * P + len(self.node_order)
-        self.n = self.n_z + self.n_alg
-
-        # per-node attachments: (pipe index, is_outlet)
-        self.attached: dict[str, list[tuple[int, bool]]] = {nd.id: [] for nd in spec.nodes}
-        for k, pe in enumerate(spec.pipes):
-            self.attached[pe.from_node].append((k, False))
-            self.attached[pe.to_node].append((k, True))
-
-        # --- inputs and station bindings ---------------------------
-        # (validate_topology leaves each station one upstream, one downstream pipe)
-        self.boundary_inputs = [(nd.id, "pressure" if nd.kind is NodeKind.SUPPLY else "momentum")
-                                for nd in self.node_order if nd.kind in BOUNDARY_KINDS]
-        self.stations: list[StationBinding] = []
-        self.station_rows: list[StationRows] = []
-        for st in spec.compressors:
-            up = next(k for k, isout in self.attached[st.inlet_node] if isout)
-            down = next(k for k, isout in self.attached[st.outlet_node] if not isout)
-            self.stations.append(StationBinding(
-                st.id, st.model(spec.gas.isentropic_exponent), st.default_setpoint(),
-                up, down, len(self.boundary_inputs) + len(self.stations)))
-            self.station_rows.append(StationRows(
-                self.lam[st.inlet_node], self.lam[st.outlet_node], int(self.bank.m_in[down])))
-
-        self.input_ids = [key for key, _ in self.boundary_inputs] + [s.id for s in self.stations]
-        self.coupling = self._build_coupling()
-
-        # --- row kinds for residual scaling --------------------------
-        kind = np.empty(self.n, dtype="U1")
-        kind[self.bank.rho] = "m"   # mass rows carry momentum-flux units
-        # momentum, port and pressure-rule rows carry pressure units
-        kind[self.bank.mom] = kind[self.mu_p] = kind[self.mu_m] = "p"
-        for nd in self.node_order:
-            pressure_rule = nd.kind in (NodeKind.SUPPLY, NodeKind.COMPRESSOR_OUT)
-            kind[self.lam[nd.id]] = "p" if pressure_rule else "m"
-        self.row_kind = kind
-
-        self._alg_map = None
 
     def _build_coupling(self) -> Triplets:
         """The +-1 entries of the port, node and station rows over [x | u].
@@ -646,6 +467,16 @@ class GlobalSystem(PipeStates):
     # residual
     # ------------------------------------------------------------------
 
+    def _input_vector(self, inputs):
+        """Sampled inputs (a mapping) in `input_ids` order, then 0 for junction balances."""
+        if not isinstance(inputs, Mapping):
+            raise ConfigurationError(
+                f"inputs must map input ids to sampled values, got {type(inputs).__name__}")
+        try:
+            return np.array([inputs[key] for key in self.input_ids] + [0.0], dtype=float)
+        except KeyError as exc:
+            raise ConfigurationError(f"missing input value for {exc}") from exc
+
     def residual(self, x, zdot, inputs):
         """DAE residual F(x, dz/dt) at one time; `inputs` maps ids to sampled values.
 
@@ -659,23 +490,76 @@ class GlobalSystem(PipeStates):
         return self._residual_core(x, np.asarray(zdot, dtype=float),
                                    self._input_vector(inputs))
 
+    def steady_residual(self, x, inputs):
+        return self._residual_core(np.asarray(x, float), np.zeros(self.n_z),
+                                   self._input_vector(inputs))
+
+    def make_step_residual(self, z_prev, dt, inputs_mid):
+        """Implicit-midpoint residual in the endpoint/midpoint unknowns.
+
+        Unknowns: differential states at the step end, algebraic variables at
+        the midpoint. Differential rows are collocated at the midpoint state,
+        algebraic rows are enforced there too.
+        """
+        z_prev = np.asarray(z_prev, float)
+        n_z = self.n_z
+        u = self._input_vector(inputs_mid)
+
+        def fun(x_new):
+            x_eval = x_new.copy()
+            z_new = x_new[:n_z]
+            x_eval[:n_z] = 0.5 * (z_prev + z_new)
+            zdot = (z_new - z_prev) / dt
+            return self._residual_core(x_eval, zdot, u)
+
+        return fun
+
     def _residual_core(self, x, zdot, u):
+        """The coupling's rows, then every pipe's continuity and momentum rows."""
+        b = self.bank
         F = self.coupling.matvec(np.concatenate([x, u]), self.n)
-        self._pipe_rows(F, x, zdot)
+        rho, mom = x[b.rho], x[b.mom]
+        pres = self.gas.c2 * rho
+        F[b.rho] = b.dx * zdot[b.rho] + (b.down_sign * x[b.down] - mom)
+        F[b.mom] = (b.w * zdot[b.mom] + (pres - b.up_scale * x[b.up])
+                    + b.w * self._friction(rho, mom))
         self._add_state_terms(F, x, u, 0)
         return F
+
+    def _friction(self, rho, mom):
+        """Friction deceleration (lambda/2D) m |m / rho_bar| per momentum interface.
+
+        rho_bar averages the two cells around the interface; at a pipe inlet
+        `prev` is the cell itself, so rho_bar is the first cell's density.
+        """
+        b = self.bank
+        return b.fric * mom * np.abs(mom / (0.5 * (rho[b.prev] + rho)))
+
+    def _outlet_pressures(self, x):
+        """Outlet pressure of every pipe, extrapolated from its last two cells."""
+        c2, tail = self.gas.c2, self.bank.tail
+        return 1.5 * (c2 * x[tail]) - 0.5 * (c2 * x[tail - 1])
 
     def _add_state_terms(self, F, z, u, base):
         """Add +p_out to the port-out rows, -k m_down and -p_st to the station rows.
 
-        Row 0 of F is the system's row `base`.
+        Row 0 of F is the system's row `base`. Each station applies its
+        variant's rules (`compressor.VARIANTS`) to its upstream pipe's outlet
+        pressure and its setpoint in u; a plain loop beats array code for the
+        few stations a network has.
         """
         p_out = self._outlet_pressures(z)
         F[self.mu_m - base] += p_out
-        for (r_in, r_out, m_down), (p_st, k) in zip(
-                self.station_rows, self._station_pass(p_out, u)):
-            F[r_in - base] -= k * z[m_down]
-            F[r_out - base] -= p_st
+        m_in = self.bank.m_in
+        for s in self.stations:
+            sp, p = u[s.input], p_out[s.pipe_up]
+            F[s.row_in - base] -= s.model.inlet_match_factor(sp, p) * z[m_in[s.pipe_down]]
+            F[s.row_out - base] -= s.model.outlet_pressure(sp, p)
+
+    def row_scale(self):
+        """Diagonal residual scaling: pressure rows / p_ref, momentum rows / m_ref."""
+        p_ref, m_ref = self.references
+        return np.where(self.row_kind == "p", p_ref, m_ref)
 
     # ------------------------------------------------------------------
     # Jacobian sparsity and coloring
@@ -685,13 +569,14 @@ class GlobalSystem(PipeStates):
         """Structural (row, col) couplings of the residual, both solve modes."""
         b, c = self.bank, self.coupling
         on_x = c.cols < self.n
-        pairs = self._pipe_pattern() + [
-            (c.rows[on_x], c.cols[on_x]), (self.mu_m, b.tail), (self.mu_m, b.tail - 1)]
+        pairs = [(b.rho, b.rho), (b.rho, b.mom), (b.rho, b.down),
+                 (b.mom, b.mom), (b.mom, b.up), (b.mom, b.rho),
+                 (c.rows[on_x], c.cols[on_x]), (self.mu_m, b.tail), (self.mu_m, b.tail - 1)]
         ent = [np.column_stack(rc) for rc in pairs]
-        for s, r in zip(self.stations, self.station_rows):
+        for s in self.stations:
             last = b.tail[s.pipe_up]
-            st = [(r.row_in, r.m_down)]
-            for row, reads in zip((r.row_in, r.row_out), s.model.variant.reads_inlet):
+            st = [(s.row_in, b.m_in[s.pipe_down])]
+            for row, reads in zip((s.row_in, s.row_out), s.model.variant.reads_inlet):
                 if reads:
                     st += [(row, last), (row, last - 1)]
             ent.append(np.array(st))
@@ -747,6 +632,61 @@ class GlobalSystem(PipeStates):
         self._add_state_terms(F0, z, u, self.n_z)
         alg = anchored + a.P.matvec(-F0 - a.M.matvec(anchored, na), na)
         return np.concatenate([z, alg])
+
+    def record_names(self):
+        """Record column names, built and interned once: every record shares them."""
+        if self._names is None:
+            names = []
+            for p in self.pipes:
+                pid = p.spec.id
+                names += [f"{pid}.in.p_Pa", f"{pid}.in.m", f"{pid}.out.p_Pa", f"{pid}.out.m"]
+            names.append("H_total")
+            names += [f"{s.id}.power" for s in self.stations]
+            self._names = [sys.intern(n) for n in names]
+        return list(self._names)
+
+    def snapshot(self, z, inputs, anchor=None):
+        """(record row in `record_names` order, consistent unknowns) at state z."""
+        x = self.algebraic_solve(z, inputs, anchor)
+        return self._records(x, self._input_vector(inputs)), x
+
+    def _records(self, x, u):
+        """Port pressures/momenta, total energy and station powers at x = [z | mu ...]."""
+        b = self.bank
+        z = x[: self.n_z]
+        p_out = self._outlet_pressures(z)
+        powers = [s.model.power(u[s.input], p_out[s.pipe_up], z[b.m_in[s.pipe_down]])
+                  for s in self.stations]
+        return np.concatenate([
+            np.column_stack([x[self.mu_p], z[b.m_in], p_out, -x[self.mu_m]]).ravel(),
+            [self.hamiltonian_total(z)], powers])
+
+    def effort_vector(self, z):
+        """The effort e(z) = [c^2 rho; m] over the differential states."""
+        e = np.array(z[: self.n_z], dtype=float)
+        e[self.bank.rho] *= self.gas.c2
+        return e
+
+    def hamiltonian_total(self, z):
+        """Stored energy H = z' W e(z) / 2 with the cell-measure weights W.
+
+        The inlet momentum has a half cell (dx/2), so H is the energy whose
+        rate e' W dz/dt (`energy_rate`) the power balance closes.
+        """
+        return 0.5 * float(np.dot(self.effort_vector(z) * self.energy_weights, z[: self.n_z]))
+
+    def total_mass(self, z):
+        return float(np.dot(self.bank.dx, z[self.bank.rho]))
+
+    def min_density(self, z):
+        return float(z[self.bank.rho].min())
+
+    def check_state(self, z, t):
+        positive = z[self.bank.rho] > 0.0
+        if not positive.all():
+            k = int(np.searchsorted(self.bank.tail, self.bank.rho[np.argmin(positive)]))
+            raise StateError(
+                f"non-positive density in pipe {self.pipes[k].spec.id!r} at t={t}")
 
     def zdot_consistent(self, x, inputs):
         """Differential rates implied by the pipe rows at the given unknowns."""

@@ -14,7 +14,7 @@ exactly to boundary terms minus friction dissipation.
 
 `PipeSystem` holds what one pipe contributes to that form: cell count, dx,
 the weights W and the friction coefficient. The equations themselves are
-evaluated for all pipes at once by the pipe bank (`network.PipeStates`).
+evaluated for all pipes at once by the pipe bank (`network.PipeBank`).
 """
 
 from __future__ import annotations

@@ -8,9 +8,12 @@ The oracles (`PipeField`, `PipeOracle`, `pipe_rhs`) evaluate one pipe's
 semi-discrete port-Hamiltonian form W dz/dt = (J - R(z)) e(z) + B u with
 per-pipe arrays and dense operator matrices. They are written independently
 of the vectorized pipe bank in `gasnetsim.network`, which the tests check
-against them.
+against them. `TwoPipeOracle` builds the direct two-pipe/station form on
+them, the independent check of the assembled network (AC7), and
+`incidence_matrices` reads the node incidence off an assembled system.
 """
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -20,6 +23,7 @@ import numpy as np
 
 import gasnetsim as gn
 from gasnetsim.network import color_columns
+from gasnetsim.timeloop import _fd_jacobian
 
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 
@@ -99,6 +103,38 @@ def record_dict(g, z, inputs, anchor=None):
     """A system's snapshot row at state z as a {record name: value} dict."""
     row, _ = g.snapshot(z, inputs, anchor)
     return dict(zip(g.record_names(), row))
+
+
+def rel_column_diff(ts_a, ts_b, names):
+    """Worst relative difference between two runs' named columns (floored at 1e-9 of scale)."""
+    worst = 0.0
+    for nm in names:
+        a, b = ts_a.column(nm), ts_b.column(nm)
+        scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
+        den = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-9 * scale)
+        worst = max(worst, float(np.max(np.abs(a - b) / den)))
+    return worst
+
+
+def incidence_matrices(g):
+    """0/1 incidence of pipe ports onto boundary, compressor and internal nodes.
+
+    Read from the assembled coupling: the -1 entries of pipe k's mu_p and
+    mu_m rows name its from-node and to-node. Columns are the pipe ports,
+    inlet then outlet per pipe; rows are the nodes of each class in
+    declaration order.
+    """
+    c = g.coupling
+    port = {r: i for i, r in enumerate(np.column_stack([g.mu_p, g.mu_m]).ravel().tolist())}
+    node = {g.lam[nd.id]: i for i, nd in enumerate(g.node_order)}
+    A = np.zeros((len(node), len(port)), dtype=int)
+    for r, col, v in zip(c.rows.tolist(), c.cols.tolist(), c.vals.tolist()):
+        if r in port and col in node and v == -1.0:
+            A[node[col], port[r]] = 1
+    counts = [sum(nd.kind in kinds for nd in g.node_order) for kinds in
+              ((gn.NodeKind.SUPPLY, gn.NodeKind.DEMAND),
+               (gn.NodeKind.COMPRESSOR_IN, gn.NodeKind.COMPRESSOR_OUT))]
+    return np.split(A, np.cumsum(counts))
 
 
 def generated_network(seed):
@@ -325,6 +361,141 @@ def power_terms_oracle(g, x, inputs):
         oracle(p).dissipation_rate(z[g.rho_sl[k]], z[g.mom_sl[k]])
         for k, p in enumerate(g.pipes))
     return parts
+
+
+class TwoPipeOracle:
+    """Two pipes coupled through one station, in the explicit direct form.
+
+    The station's rules are substituted into the four pipe inputs instead of
+    assembled as port, node and station rows: the upstream pipe gets the
+    supply pressure p0 and the outlet flux k m2(0), the downstream pipe the
+    outlet rule at the upstream outlet pressure p1(L) and the demand m_L.
+    The unknowns are the pipe states only, z = [rho1, m1, rho2, m2], and
+    each pipe's rows are its weighted form W (dz/dt - rates) with the rates
+    from `pipe_rhs`. The oracle shares nothing with the assembled network but
+    `color_columns` and the finite-difference Jacobian: its pattern is
+    written by hand, and it has its own steady solve, midpoint loop and
+    plain dense Newton iteration (no line search).
+
+    Inputs are triples u = (p0, m_L, setpoint).
+    """
+
+    def __init__(self, pipe_specs, gas, model, station_id):
+        self.pipes = [PipeOracle(ps, gas) for ps in pipe_specs]
+        self.model = model
+        n1, n2 = (p.n for p in self.pipes)
+        self.sl = [slice(0, 2 * n1), slice(2 * n1, 2 * (n1 + n2))]
+        self.n = 2 * (n1 + n2)
+        self.names = [f"{p.spec.id}.{end}.{q}" for p in self.pipes for end in ("in", "out")
+                      for q in ("p_Pa", "m")] + ["H_total", f"{station_id}.power"]
+        self.colors = color_columns(self.pattern(), self.n, self.n)
+
+    def fields(self, z):
+        return [PipeField(z[s][: p.n], z[s][p.n:]) for p, s in zip(self.pipes, self.sl)]
+
+    def ports(self, z, u):
+        """The pipe inputs [p0, -m_L_up, p_in_dn, -m_L_dn] the station implies at z."""
+        p0, m_L, sp = u
+        up, down = self.fields(z)
+        p1L = self.pipes[0].outlet_pressure(up.rho)
+        k = self.model.inlet_match_factor(sp, p1L)
+        return [p0, -k * down.mom[0], self.model.outlet_pressure(sp, p1L), -m_L]
+
+    def rows(self, z, zdot, u):
+        """Each pipe's weighted rows W (dz/dt - rates) at the substituted inputs."""
+        mu = self.ports(z, u)
+        F = []
+        for k, (p, fld, s) in enumerate(zip(self.pipes, self.fields(z), self.sl)):
+            rates, _ = pipe_rhs(p, fld, mu[2 * k: 2 * k + 2])
+            F.append(p.weights * (zdot[s] - np.concatenate([rates.rho, rates.mom])))
+        return np.concatenate(F)
+
+    def records(self, z, u):
+        """Port pressures and momenta per pipe, the stored energy and the station power."""
+        mu = self.ports(z, u)
+        row, energy = [], 0.0
+        for k, (p, fld) in enumerate(zip(self.pipes, self.fields(z))):
+            row += [mu[2 * k], fld.mom[0], p.outlet_pressure(fld.rho), -mu[2 * k + 1]]
+            energy += p.stored_energy(fld.rho, fld.mom)
+        return np.array(row + [energy, self.model.power(u[2], row[2], row[5])])
+
+    def pattern(self):
+        """Hand-written structural couplings of the rows."""
+        ent = []
+        for p, s in zip(self.pipes, self.sl):
+            r0, m0 = s.start, s.start + p.n
+            for i in range(p.n):
+                ent += [(r0 + i, r0 + i), (r0 + i, m0 + i)]
+                if i + 1 < p.n:
+                    ent.append((r0 + i, m0 + i + 1))
+            ent += [(m0, m0), (m0, r0)]
+            for j in range(1, p.n):
+                ent += [(m0 + j, m0 + j), (m0 + j, r0 + j - 1), (m0 + j, r0 + j)]
+        # the upstream outlet flux k m2(0) closes the last upstream cell; k reads
+        # p1(L) under fp-av, and the fc outlet rule feeds p1(L) to m2(0)'s row
+        n1 = self.pipes[0].n
+        last_up = [n1 - 1, n1 - 2]
+        m2_0 = self.sl[1].start + self.pipes[1].n
+        fc = self.model.framework is gn.Framework.FIXED_RATIO
+        av = self.model.assumption is gn.Assumption.CONST_VELOCITY
+        ent.append((n1 - 1, m2_0))
+        if not fc and av:
+            ent += [(n1 - 1, c) for c in last_up]
+        if fc:
+            ent += [(m2_0, c) for c in last_up]
+        return ent
+
+    def _newton(self, fun, z, tol):
+        F = fun(z)
+        for _ in range(30):
+            if np.max(np.abs(F)) <= tol:
+                return z
+            z = z + np.linalg.solve(_fd_jacobian(fun, z, F, self.colors), -F)
+            F = fun(z)
+        raise AssertionError(f"oracle Newton stalled at residual {np.max(np.abs(F)):.1e}")
+
+    def simulate(self, inputs, t_end, dt, tol):
+        """Steady state at t = 0, then implicit-midpoint steps, as a TimeSeries.
+
+        `inputs(t)` gives u at time t; steps sample it at their midpoints.
+        Rows are scaled like the network's: continuity rows by the largest
+        |m_L| sampled, momentum rows by p0 at t = 0.
+        """
+        t = dt * np.arange(int(round(t_end / dt)) + 1)
+        u0 = inputs(0.0)
+        m_ref = max([abs(inputs(ti)[1]) for ti in t] + [1.0])
+        scale = np.concatenate([np.repeat([m_ref, u0[0]], p.n) for p in self.pipes])
+        z = np.concatenate([np.repeat([u0[0] / p.c2, u0[1]], p.n) for p in self.pipes])
+        z = self._newton(lambda zn: self.rows(zn, np.zeros(self.n), u0) / scale, z, tol)
+        data = [self.records(z, u0)]
+        for t_n, t_next in zip(t[:-1], t[1:]):
+            u_mid, z_prev = inputs(0.5 * (t_n + t_next)), z
+            z = self._newton(lambda zn: self.rows(0.5 * (z_prev + zn), (zn - z_prev) / dt,
+                                                  u_mid) / scale, z_prev, tol)
+            data.append(self.records(z, inputs(t_next)))
+        return gn.TimeSeries(t, self.names, np.array(data))
+
+
+def direct_line(tag, cells=None):
+    """The day line with one station model: (spec, scenario, its TwoPipeOracle, inputs).
+
+    `inputs(t)` is the oracle's input triple at time t; in the network's
+    `input_ids` order it is the network's input mapping too. `cells`
+    overrides the two pipes' cell counts.
+    """
+    spec, scen = benchmark_with_model(tag)
+    if cells is not None:
+        for pe, n in zip(spec.pipes, cells):
+            pe.spec = dataclasses.replace(pe.spec, n_cells=n)
+    st = spec.compressors[0]
+    line = TwoPipeOracle([pe.spec for pe in spec.pipes], spec.gas,
+                         st.model(spec.gas.isentropic_exponent), st.id)
+    setpoint = scen.setpoint_source(st.id, st.variant.setpoint, None)
+
+    def inputs(t):
+        return scen.value("source", t), scen.value("sink", t), scen.value(setpoint, t)
+
+    return spec, scen, line, inputs
 
 
 class ClosedPipe:

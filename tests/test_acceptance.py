@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 import gasnetsim as gn
-from gasnetsim.compressor import CompressorModel
-from gasnetsim.twopipe import TwoPipeDirect
 
-from casekit import benchmark_with_model, closed_pipe, record_dict, single_pipe_system
+from casekit import (benchmark_with_model, closed_pipe, direct_line, incidence_matrices,
+                     record_dict, rel_column_diff, single_pipe_system)
 
 MODELS = ("none", "fc-av", "fc-am", "fp-av", "fp-am")
 
@@ -21,16 +20,6 @@ MODELS = ("none", "fc-av", "fc-am", "fp-av", "fp-am")
 def report(num, ok, detail):
     print(f"\n[AC{num}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"AC{num}: {detail}"
-
-
-def rel_column_diff(ts_a, ts_b, names):
-    worst = 0.0
-    for nm in names:
-        a, b = ts_a.column(nm), ts_b.column(nm)
-        scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
-        den = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-9 * scale)
-        worst = max(worst, float(np.max(np.abs(a - b) / den)))
-    return worst
 
 
 @pytest.fixture(scope="module")
@@ -173,22 +162,17 @@ def test_ac6_conservation_ledger(gas):
 
 
 def test_ac7_direct_two_pipe_equivalence():
+    # the assembled network against the independent direct form, every record
     cfg = gn.SolverConfig(newton_abs_tol=1e-10)
     worst = {}
     for tag in MODELS[1:]:
-        spec, scen = benchmark_with_model(tag)
-        gsys = gn.assemble(spec)
-        ts_net = gn.simulate(gsys, scen, cfg)
-        st = spec.compressors[0]
-        model = CompressorModel(st.framework, st.assumption,
-                                st.default_setpoint(), spec.gas.isentropic_exponent)
-        direct = TwoPipeDirect(gsys.pipes[0], gsys.pipes[1], model,
-                               "source", "sink", "station")
-        ts_dir = gn.simulate(direct, scen, cfg)
-        port_names = [nm for nm in ts_net.names if ".in." in nm or ".out." in nm]
-        worst[tag] = rel_column_diff(ts_net, ts_dir, port_names)
+        spec, scen, line, inputs = direct_line(tag)
+        ts_net = gn.simulate(gn.assemble(spec), scen, cfg)
+        ts_dir = line.simulate(inputs, scen.t_end, scen.dt, cfg.newton_abs_tol)
+        assert ts_dir.names == ts_net.names
+        worst[tag] = rel_column_diff(ts_net, ts_dir, ts_net.names)
     ok = all(w <= 1e-7 for w in worst.values())
-    report(7, ok, "assembled network vs direct coupled form: " +
+    report(7, ok, "assembled network vs direct coupled form (casekit.TwoPipeOracle): " +
            ", ".join(f"{t}={w:.1e}" for t, w in worst.items()) + " (<=1e-7)")
 
 
@@ -206,7 +190,7 @@ def test_ac8_incidence_reproduction(gas):
              gn.PipeEdge(mk(4), "j", "v3")]
     comp = [gn.CompressorStation("C", "ci", "co", gn.Framework.FIXED_RATIO,
                                  gn.Assumption.CONST_MOMENTUM, ratio=1.2)]
-    A_B, A_C, A_I = gn.incidence_matrices(gn.NetworkSpec(gas, nodes, pipes, comp))
+    A_B, A_C, A_I = incidence_matrices(gn.assemble(gn.NetworkSpec(gas, nodes, pipes, comp)))
     ok = (np.array_equal(A_B, [[1, 0, 0, 0, 0, 0, 0, 0],
                                [0, 0, 0, 0, 0, 1, 0, 0],
                                [0, 0, 0, 0, 0, 0, 0, 1]])

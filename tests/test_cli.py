@@ -101,6 +101,24 @@ def test_missing_file_exits_1(tmp_path):
     assert main(["validate", str(tmp_path / "nope.net.json")]) == 1
 
 
+@pytest.mark.parametrize("case", ["out is a directory", "network is a directory",
+                                  "network is not UTF-8"])
+def test_file_errors_exit_1_naming_the_path(files, tmp_path, capsys, case):
+    # file-system and encoding errors are input errors: exit 1 and one
+    # message line naming the path, not a traceback
+    net, scn = files
+    if case == "out is a directory":
+        argv, path = ["steady", str(net), str(scn), "--out", str(tmp_path)], tmp_path
+    elif case == "network is a directory":
+        argv, path = ["validate", str(tmp_path)], tmp_path
+    else:
+        net.write_bytes(b"\xff\xfe")
+        argv, path = ["validate", str(net)], net
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
 def test_fp_model_override_uses_pressure_profile(files, tmp_path):
     net, scn = files
     out = tmp_path / "fp.csv"

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import gasnetsim as gn
 from gasnetsim.compressor import VARIANTS, Assumption, CompressorModel, Framework
 
-from casekit import oracle
+from casekit import SCN_JSON, benchmark_with_model, direct_line, rel_column_diff
 
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 KAPPA = 1.4
@@ -14,11 +16,6 @@ TAGS = ("fc-av", "fc-am", "fp-av", "fp-am")
 def model(tag, setpoint):
     fw, asm = tag.split("-")
     return CompressorModel(Framework(fw), Assumption(asm), setpoint, KAPPA)
-
-
-def two_pipe(tag, setpoint):
-    mk = lambda i: gn.discretize_pipe(gn.PipeSpec(f"P{i}", 60e3, 1.0, 0.002, 6), GAS)
-    return gn.TwoPipeDirect(mk(1), mk(2), model(tag, setpoint), "s", "d", "c")
 
 
 class TestMomentumJump:
@@ -76,19 +73,42 @@ class TestCouplingMatrix:
 
     def test_matrix_times_input_reproduces_boundary_injections(self):
         # pipe-1 inlet gets p0, pipe-1 outlet gets -m2(0), pipe-2 inlet gets
-        # ct * p1(L), pipe-2 outlet gets -mL
+        # ct * p1(L), pipe-2 outlet gets -mL: the network's algebraic solve
+        # against the direct oracle's substitution
         rng = np.random.default_rng(4)
-        direct = two_pipe("fc-am", 1.2)
-        up = direct.pipes[0]
+        spec, _, line, _ = direct_line("fc-am", cells=(6, 6))
+        g = gn.assemble(spec)
+        up = line.pipes[0]
+        ports = np.column_stack([g.mu_p, g.mu_m]).ravel()
         for _ in range(5):
             z = np.concatenate([rng.uniform(30.0, 60.0, 6), rng.normal(0.0, 300.0, 6),
                                 rng.uniform(30.0, 60.0, 6), rng.normal(0.0, 300.0, 6)])
-            p0, mL, ct = rng.uniform(6e6, 9e6), rng.normal(0.0, 300.0), 1.2
-            p1L = oracle(up).outlet_pressure(z[direct.rho_sl[0]])
-            m2 = z[direct.mom_sl[1]][0]
-            u = direct._input_vector({"s": p0, "d": mL, "c": ct})
-            ports = direct._with_ports(z, u)[direct.n_z:]
-            assert np.allclose(ports, [p0, -m2, ct * p1L, -mL], rtol=1e-14)
+            u = (rng.uniform(6e6, 9e6), rng.normal(0.0, 300.0), 1.2)
+            p0, mL, ct = u
+            p1L = up.outlet_pressure(z[:6])
+            x = g.algebraic_solve(z, dict(zip(g.input_ids, u)))
+            assert np.allclose(x[ports], [p0, -z[18], ct * p1L, -mL], rtol=1e-14, atol=1e-12)
+            assert np.allclose(x[ports], line.ports(z, u), rtol=1e-14, atol=1e-12)
+
+
+@pytest.mark.parametrize("tag", ["fc-am", "fc-av"])
+def test_unit_ratio_station_is_a_fused_junction(tag):
+    # over 2 h, a ratio-1 station's port records are the fused junction's and
+    # its power is zero; at the day ratio the same measure sees the station
+    def run(ratio):
+        spec, _ = benchmark_with_model(tag)
+        doc = json.loads(SCN_JSON)
+        doc["t_end"] = 7200
+        doc["profiles"]["station.ratio"] = [[0, ratio]]
+        scen = gn.parse_scenario(json.dumps(doc), spec)
+        return (gn.simulate(gn.assemble(spec), scen),
+                gn.simulate(gn.assemble(gn.fuse_compressors(spec)), scen))
+
+    ts, ts_fused = run(1.0)
+    ports = [nm for nm in ts_fused.names if ".in." in nm or ".out." in nm]
+    assert rel_column_diff(ts, ts_fused, ports) <= 1e-10
+    assert np.all(ts.column("station.power") == 0.0)
+    assert rel_column_diff(*run(1.2), ports) > 0.1
 
 
 class TestSetpointInput:

@@ -7,8 +7,9 @@ from gasnetsim.compressor import Assumption, Framework
 from gasnetsim.network import color_columns
 from gasnetsim.timeloop import FD_STEP, _fd_jacobian, _uncolored
 
-from casekit import (GAS, PipeField, consistent_state, generated_network, ladder_system,
-                     oracle, pipe_rhs, power_terms_oracle, record_dict, single_pipe_system)
+from casekit import (GAS, PipeField, consistent_state, direct_line, generated_network,
+                     incidence_matrices, ladder_system, oracle, pipe_rhs, power_terms_oracle,
+                     record_dict, single_pipe_system)
 
 
 def pipe(i, n=8):
@@ -263,7 +264,7 @@ def test_assemble_rejects_malformed_station_ends(edit, code):
 
 class TestIncidence:
     def test_star_network_matrices(self):
-        A_B, A_C, A_I = gn.incidence_matrices(star_network_spec())
+        A_B, A_C, A_I = incidence_matrices(gn.assemble(star_network_spec()))
         assert np.array_equal(A_B, [[1, 0, 0, 0, 0, 0, 0, 0],
                                     [0, 0, 0, 0, 0, 1, 0, 0],
                                     [0, 0, 0, 0, 0, 0, 0, 1]])
@@ -276,12 +277,12 @@ class TestIncidence:
             GAS,
             [gn.Node("s", gn.NodeKind.SUPPLY), gn.Node("d", gn.NodeKind.DEMAND)],
             [gn.PipeEdge(pipe(1), "s", "d")])
-        A_B, A_C, A_I = gn.incidence_matrices(spec)
+        A_B, A_C, A_I = incidence_matrices(gn.assemble(spec))
         assert np.array_equal(A_B, np.eye(2, dtype=int))
         assert A_C.shape == (0, 2) and A_I.shape == (0, 2)
 
     def test_column_sums_are_one(self):
-        A_B, A_C, A_I = gn.incidence_matrices(star_network_spec())
+        A_B, A_C, A_I = incidence_matrices(gn.assemble(star_network_spec()))
         assert np.all(np.vstack([A_B, A_C, A_I]).sum(axis=0) == 1)
 
 
@@ -393,23 +394,22 @@ class TestJacobianColoring:
         assert np.array_equal(J_csc.toarray(), _fd_jacobian(fun, xp, F0, g.jac_colors()))
 
     @pytest.mark.parametrize("tag", ["fc-av", "fc-am", "fp-av", "fp-am"])
-    def test_direct_two_pipe_pattern_is_complete(self, tag, gas):
-        from gasnetsim.compressor import CompressorModel
-        from gasnetsim.twopipe import TwoPipeDirect
-        fw, asm = tag.split("-")
-        setpoint = 1.2 if fw == "fc" else 66e5
-        model = CompressorModel(Framework(fw), Assumption(asm), setpoint, 1.4)
-        mk = lambda i: gn.discretize_pipe(gn.PipeSpec(f"P{i}", 60e3, 1.0, 0.002, 6), gas)
-        direct = TwoPipeDirect(mk(1), mk(2), model, "s", "d", "c")
-        direct.references = (60e5, 100.0)
-        inputs = {"s": 60e5, "d": 100.0, "c": setpoint}
-        z = gn.steady_state(direct, inputs, set_references=False)
-        fun = direct.make_step_residual(z, 50.0, inputs)
+    def test_direct_two_pipe_pattern_is_complete(self, tag):
+        # the direct oracle's hand-written pattern holds every nonzero of its
+        # step Jacobian near the day line's steady state
+        spec, _, line, inputs = direct_line(tag, cells=(6, 9))
+        g = gn.assemble(spec)
+        u = inputs(0.0)
+        z = gn.steady_state(g, dict(zip(g.input_ids, u)))[: g.n_z]
+
+        def fun(zn):
+            return line.rows(0.5 * (z + zn), (zn - z) / 50.0, u)
+
         rng = np.random.default_rng(3)
-        zp = z + rng.normal(0.0, 1e-3, direct.n) * (1.0 + np.abs(z))
+        zp = z + rng.normal(0.0, 1e-3, line.n) * (1.0 + np.abs(z))
         F0 = fun(zp)
         J_dense = per_column_fd_jacobian(fun, zp, F0)
-        J_color = _fd_jacobian(fun, zp, F0, direct.jac_colors())
+        J_color = _fd_jacobian(fun, zp, F0, line.colors)
         assert np.abs(J_color - J_dense).max() <= 1e-6 * np.abs(J_dense).max()
 
 
