@@ -104,6 +104,12 @@ def _solve(args, transient: bool) -> int:
     out = args.out
     if out is None:
         out = Path("run.csv" if transient else "steady.csv")
+    # fail before the solve on a path that cannot be written; the write itself
+    # still reports what only it can find (permissions, a full disk)
+    if out.is_dir():
+        raise ConfigurationError(f"cannot write {out}: Is a directory")
+    if not out.parent.is_dir():
+        raise ConfigurationError(f"cannot write {out}: No such file or directory")
 
     t0 = time.perf_counter()
     try:

@@ -48,6 +48,13 @@ pattern and the algebraic solve all read it. The station rows' state terms
 (`GlobalSystem._add_state_terms`) apply the rules of `compressor.VARIANTS`
 at p_upstream, the port-out rows' outlet pressure, for the residual and the
 algebraic solve alike.
+
+A pipe's rows read only its own cells and its two port unknowns, so the
+Jacobian is block diagonal over pipe segments once every pipe is cut into
+segments of at most SEGMENT_CELLS cells separated by single cut cells
+(`GlobalSystem._segments`); the cut cells and the algebraic unknowns form
+the border. `block_layout` maps every structural nonzero into that form
+once per system, beside the column coloring (`jac_colors`).
 """
 
 from __future__ import annotations
@@ -64,6 +71,9 @@ from .compressor import VARIANTS, Assumption, CompressorModel, Framework, Varian
 from .errors import ConfigurationError, StateError, require_positive
 from .gas import GasProperties
 from .pipe import PipeSpec, PipeSystem, discretize_pipe
+
+# the Jacobian's block layout cuts every pipe into segments of at most this many cells
+SEGMENT_CELLS = 16
 
 
 class NodeKind(str, Enum):
@@ -582,10 +592,37 @@ class GlobalSystem:
             ent.append(np.array(st))
         return np.concatenate(ent)
 
+    def _segments(self):
+        """Each unknown's pipe segment (-1 on the border), and the segments' names.
+
+        A pipe of n cells is cut into s = ceil((n + 1) / (SEGMENT_CELLS + 1))
+        segments of at most SEGMENT_CELLS cells, separated by s - 1 single
+        cut cells: segment j and the cut after it hold the cells from
+        floor(j (n + 1) / s) to floor((j + 1) (n + 1) / s) - 1. A cell's
+        density and momentum share its label. A segment's rows read only
+        its own cells and two border columns (the density before it and
+        the momentum after it, or the pipe's mu_p and mu_m), so with the cut
+        cells and the algebraic unknowns as the border, the Jacobian is
+        block diagonal over the segments.
+        """
+        n_cells = np.array([p.n for p in self.pipes])
+        n_seg = -(-(n_cells + 1) // (SEGMENT_CELLS + 1))
+        slots, s = np.repeat(n_cells + 1, n_cells), np.repeat(n_seg, n_cells)
+        cell = np.arange(slots.size) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
+        j = ((cell + 1) * s - 1) // slots             # the segment, or the one a cut ends
+        cut = (j + 1) * slots // s == cell + 1       # never the last cell
+        label = np.where(cut, -1, np.repeat(np.cumsum(n_seg) - n_seg, n_cells) + j)
+        segment = np.full(self.n, -1)
+        segment[self.bank.rho] = segment[self.bank.mom] = label
+        names = [f"pipe {p.spec.id!r} cells {j * (p.n + 1) // s}-{(j + 1) * (p.n + 1) // s - 2}"
+                 for p, s in zip(self.pipes, n_seg.tolist()) for j in range(s)]
+        return segment, names
+
     def jac_colors(self):
-        """Column groups for one-sweep finite-difference Jacobians."""
+        """Column groups for one-sweep finite-difference Jacobians, with the
+        pipe-segment block layout."""
         if self._colors is None:
-            self._colors = color_columns(self._pattern(), self.n, self.n)
+            self._colors = color_columns(self._pattern(), self.n, self.n, self._segments())
         return self._colors
 
     # ------------------------------------------------------------------
@@ -778,6 +815,62 @@ def fuse_compressors(spec: NetworkSpec, ids=None) -> NetworkSpec:
     return NetworkSpec(spec.gas, nodes, pipes, comps)
 
 
+def _places(block):
+    """Each item's place among the items of its block, in index order."""
+    order = np.argsort(block, kind="stable")
+    ranked = block[order]
+    place = np.empty_like(block)
+    place[order] = np.arange(block.size) - np.searchsorted(ranked, ranked)
+    return place
+
+
+class ShapeGroup(NamedTuple):
+    """The blocks of one shape of a block-sparse matrix (`stack_by_shape`)."""
+
+    blocks: np.ndarray      # (k,): the blocks' ids, ascending
+    R: np.ndarray           # (k, nr): each block's rows, by place
+    C: np.ndarray           # (k, nc): each block's columns, by place
+    entry: np.ndarray       # the entries inside these blocks ...
+    at: np.ndarray          # ... and their flat positions in a (k, nr, nc) stack
+
+
+def stack_by_shape(row_block, row_place, col_block, col_place, rows, cols) -> list[ShapeGroup]:
+    """Group the blocks of a sparse matrix by shape, for stacked numpy calls.
+
+    Row i sits at place ``row_place[i]`` of block ``row_block[i]``, column j
+    at place ``col_place[j]`` of block ``col_block[j]``; block -1 holds the
+    rows and columns outside every block. An entry (rows[e], cols[e]) whose
+    row lies in a block belongs to that block, and its column must lie in
+    the same block; entries of rows outside every block are left out, and
+    so are blocks without rows or without columns. The blocks of one shape
+    scatter into one (k, nr, nc) array through ``at``.
+    """
+    n_blocks = int(max(row_block.max(initial=-1), col_block.max(initial=-1))) + 1
+    shape = np.column_stack([np.bincount(row_block[row_block >= 0], minlength=n_blocks),
+                             np.bincount(col_block[col_block >= 0], minlength=n_blocks)])
+    inside = row_block[rows] >= 0
+    if np.any(col_block[cols[inside]] != row_block[rows[inside]]):
+        raise ValueError("an entry couples two blocks")
+    key = shape[:, 0] * (shape[:, 1].max(initial=0) + 1) + shape[:, 1]
+    out = []
+    for kind in np.unique(key[shape.min(axis=1) > 0]).tolist():
+        blocks = np.flatnonzero(key == kind)
+        nr, nc = shape[blocks[0]].tolist()
+        rank = np.full(n_blocks + 1, -1)   # the trailing -1 serves block -1
+        rank[blocks] = np.arange(blocks.size)
+        r_rank, c_rank = rank[row_block], rank[col_block]
+        R = np.empty((blocks.size, nr), dtype=int)
+        i = np.flatnonzero(r_rank >= 0)
+        R[r_rank[i], row_place[i]] = i
+        C = np.empty((blocks.size, nc), dtype=int)
+        j = np.flatnonzero(c_rank >= 0)
+        C[c_rank[j], col_place[j]] = j
+        e = np.flatnonzero(r_rank[rows] >= 0)
+        at = (r_rank[rows[e]] * nr + row_place[rows[e]]) * nc + col_place[cols[e]]
+        out.append(ShapeGroup(blocks, R, C, e, at))
+    return out
+
+
 def blockwise_pinv(M: Triplets, n: int, rcond: float) -> Triplets:
     """Pseudo-inverse of a sparse n x n matrix, block by block, as triplets.
 
@@ -788,41 +881,97 @@ def blockwise_pinv(M: Triplets, n: int, rcond: float) -> Triplets:
     through one stacked ``np.linalg.pinv`` with cutoff ``rcond`` each.
     Rows or columns without entries belong to no block and map to zero.
     The components come from a union-find, not scipy's csgraph, because
-    systems on the dense Newton path never import scipy.
+    systems below the sparse threshold never import scipy.
     """
     # rows 0..n-1, columns n..2n-1
     roots = _component_roots(range(2 * n), zip(M.rows.tolist(), (n + M.cols).tolist()))
-    members: dict[int, tuple[list[int], list[int]]] = {}
-    for a, root in enumerate(roots):
-        members.setdefault(root, ([], []))[a >= n].append(a % n)
-    by_shape: dict[tuple[int, int], list] = {}
-    for rs, cs in members.values():
-        if rs and cs:
-            by_shape.setdefault((len(rs), len(cs)), []).append((rs, cs))
-
-    shape_of = np.full(n, -1)          # per row: its block's shape group ...
-    block_of = np.zeros(n, dtype=int)  # ... its block in that group ...
-    row_pos = np.zeros(n, dtype=int)   # ... and its place in the block
-    col_pos = np.zeros(n, dtype=int)
+    block = np.unique(roots, return_inverse=True)[1]
+    row_block, col_block = block[:n], block[n:]
     out = []
-    for g, ((nr, nc), blocks) in enumerate(by_shape.items()):
-        R = np.array([rs for rs, _ in blocks])           # (k, nr)
-        C = np.array([cs for _, cs in blocks])           # (k, nc)
-        shape_of[R] = g
-        block_of[R] = np.arange(len(blocks))[:, None]
-        row_pos[R] = np.arange(nr)
-        col_pos[C] = np.arange(nc)
-        sel = shape_of[M.rows] == g
-        stack = np.zeros((len(blocks), nr, nc))
-        np.add.at(stack, (block_of[M.rows[sel]], row_pos[M.rows[sel]],
-                          col_pos[M.cols[sel]]), M.vals[sel])
-        inv = np.linalg.pinv(stack, rcond)               # (k, nc, nr)
+    for g in stack_by_shape(row_block, _places(row_block), col_block, _places(col_block),
+                            M.rows, M.cols):
+        k, nr = g.R.shape
+        stack = np.zeros(k * nr * g.C.shape[1])
+        np.add.at(stack, g.at, M.vals[g.entry])
+        inv = np.linalg.pinv(stack.reshape(k, nr, -1), rcond)   # (k, nc, nr)
         keep = inv != 0.0
-        out.append((np.broadcast_to(C[:, :, None], inv.shape)[keep],
-                    np.broadcast_to(R[:, None, :], inv.shape)[keep], inv[keep]))
+        out.append((np.broadcast_to(g.C[:, :, None], inv.shape)[keep],
+                    np.broadcast_to(g.R[:, None, :], inv.shape)[keep], inv[keep]))
     if not out:
         return Triplets(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
     return Triplets(*(np.concatenate(parts) for parts in zip(*out)))
+
+
+class SegmentGroup(NamedTuple):
+    """Segment blocks of one shape and their couplings to the border.
+
+    ``stack`` stacks each block's rows as [A | B]: its columns are the
+    block's own unknowns (the same as its rows) and then its ports, the
+    border columns its rows read. C, the border rows' entries in the
+    blocks' columns, is kept as entries.
+    """
+
+    stack: ShapeGroup
+    ports: np.ndarray       # (k, p): the ports' places on the border
+    c_entry: np.ndarray     # C's entries ...
+    c_row: np.ndarray       # ... their rows' places on the border ...
+    c_col: np.ndarray       # ... their columns' flat places in a (k, L) array ...
+    c_S: np.ndarray         # ... and, per port p of that block, the flat place of (row, p) in S
+
+
+class BlockLayout(NamedTuple):
+    """Where each structural Jacobian entry goes in the bordered block form.
+
+    Ordered as segments then border, the Jacobian is [[A, B], [C, D]] with A
+    block diagonal over the segments (one ``SegmentGroup`` per block shape)
+    and D the border block; the factor inverts A by blocks and then the
+    border's Schur complement S = D - C A^-1 B (``timeloop.BlockFactor``).
+    """
+
+    border: np.ndarray      # the border's unknowns, ascending
+    groups: list[SegmentGroup]
+    d_entry: np.ndarray     # D's entries ...
+    d_at: np.ndarray        # ... and their flat places in the (nb, nb) border block
+    names: list[str]        # per segment, for error messages
+
+
+def block_layout(rows, cols, n, segments=None) -> BlockLayout:
+    """The index maps of the bordered block form of a square n x n pattern.
+
+    ``segments`` is (segment, names): ``segment[i]`` is unknown i's
+    segment, -1 on the border, and row i belongs with unknown i. Every
+    entry between two segments must be zero, so segments couple only
+    through the border. Without ``segments`` the whole system is one block
+    with an empty border.
+    """
+    segment, names = segments if segments is not None else (np.zeros(n, dtype=int),
+                                                            ["the system"])
+    border = np.flatnonzero(segment < 0)
+    place = _places(segment)     # in its segment, or on the border
+    size = np.bincount(segment[segment >= 0], minlength=len(names))
+    row_seg, col_seg = segment[rows], segment[cols]
+    port = (row_seg >= 0) & (col_seg < 0)
+    p_seg, p_col = np.divmod(np.unique(row_seg[port] * segment.size + cols[port]), segment.size)
+    col_block, col_place = segment.copy(), place.copy()
+    col_block[p_col] = p_seg
+    col_place[p_col] = size[p_seg] + np.arange(p_seg.size) - np.searchsorted(p_seg, p_seg)
+    on_border = row_seg < 0
+    stacks = stack_by_shape(segment, place, col_block, col_place, rows, cols)
+    group, rank = np.full(len(names) + 1, -1), np.full(len(names) + 1, -1)
+    for i, g in enumerate(stacks):
+        group[g.blocks], rank[g.blocks] = i, np.arange(g.blocks.size)
+    c_all = np.flatnonzero(on_border & (col_seg >= 0))
+    groups = []
+    for i, g in enumerate(stacks):
+        L = g.R.shape[1]
+        ports = place[g.C[:, L:]]
+        c = c_all[group[col_seg[c_all]] == i]
+        k = rank[col_seg[c]]
+        c_row = place[rows[c]]
+        groups.append(SegmentGroup(g, ports, c, c_row, k * L + place[cols[c]],
+                                   c_row[:, None] * border.size + ports[k]))
+    d = np.flatnonzero(on_border & (col_seg < 0))
+    return BlockLayout(border, groups, d, place[rows[d]] * border.size + place[cols[d]], names)
 
 
 class ColumnColoring(NamedTuple):
@@ -833,7 +982,8 @@ class ColumnColoring(NamedTuple):
     column by column (CSC order): entry i sits at (rows[i], cols[i]) and is
     read from the sweep of color ``color[i]``. Column j's entries are
     ``indptr[j]:indptr[j + 1]``, so ``(values, rows, indptr)`` is a CSC
-    matrix as it stands.
+    matrix as it stands, and ``layout`` maps the same values into the
+    bordered block form.
 
     ``factor`` is a one-slot list: the sparse Newton path keeps its last
     SuperLU factor there for chord steps (``timeloop.newton_solve``), so the
@@ -846,31 +996,40 @@ class ColumnColoring(NamedTuple):
     color: np.ndarray
     indptr: np.ndarray
     factor: list
+    layout: BlockLayout
 
 
-def color_columns(pattern, n_rows, n_cols) -> ColumnColoring:
-    """Greedy structural coloring: same-color columns share no residual row."""
+def color_columns(pattern, n_rows, n_cols, segments=None) -> ColumnColoring:
+    """Greedy structural coloring: same-color columns share no residual row.
+
+    Columns are taken by descending row count, each into the first color
+    whose rows it does not touch. A column's rows, and a color's, are held
+    as the bits of a Python int, so the overlap test is one ``&``; a
+    column's int is built when its turn comes, so only the colors' ints
+    stay alive.
+    ``segments`` goes to `block_layout`; without it the layout is one block.
+    """
     ent = np.array(pattern, dtype=int).reshape(-1, 2)
     cols, rows = np.divmod(np.unique(ent[:, 1] * n_rows + ent[:, 0]), n_rows)
     indptr = np.searchsorted(cols, np.arange(n_cols + 1))
-    rows_of_col = np.split(rows, indptr[1:-1])
-    order = sorted(range(n_cols), key=lambda c: -len(rows_of_col[c]))
+    rows_l, ptr = rows.tolist(), indptr.tolist()
     colors: list[list[int]] = []
-    occupied: list[np.ndarray] = []
+    occupied: list[int] = []
     color_of_col = np.empty(n_cols, dtype=int)
-    for c in order:
-        rs = rows_of_col[c]
+    for c in sorted(range(n_cols), key=lambda c: ptr[c] - ptr[c + 1]):
+        bits = 0
+        for r in rows_l[ptr[c]:ptr[c + 1]]:
+            bits |= 1 << r
         for ci, occ in enumerate(occupied):
-            if not occ[rs].any():
+            if not occ & bits:
                 colors[ci].append(c)
-                occ[rs] = True
+                occupied[ci] = occ | bits
                 break
         else:
             ci = len(colors)
-            occ = np.zeros(n_rows, dtype=bool)
-            occ[rs] = True
-            occupied.append(occ)
+            occupied.append(bits)
             colors.append([c])
         color_of_col[c] = ci
     return ColumnColoring([np.array(sorted(cs), dtype=int) for cs in colors],
-                          rows, cols, color_of_col[cols], indptr, [None])
+                          rows, cols, color_of_col[cols], indptr, [None],
+                          block_layout(rows, cols, n_cols, segments))

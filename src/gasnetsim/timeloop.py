@@ -10,13 +10,21 @@ factor and its backtrack limit are module constants (``FD_STEP``,
 ``BACKTRACK_FACTOR``, ``MAX_BACKTRACKS``), not settings.
 
 Up to ``SolverConfig.sparse_threshold`` unknowns (a class constant, 2000,
-not a setting) the gather fills a dense array factored by LAPACK. Above it,
-the gather is a compressed sparse column matrix as it stands, which SuperLU
-(``scipy.sparse.linalg.splu``) factors, so no n x n array is ever
-allocated. The threshold trades the dense Jacobian's 8 n^2 bytes (about
-17 MB with its LU copy at n = 1000) against the roughly 30 MB that
-importing ``scipy.sparse.linalg`` adds to the process; the import happens
-only once a system above the threshold is solved.
+not a setting) the gathered values scatter straight into the coloring's
+block layout (``network.BlockLayout``): in the port-Hamiltonian form a pipe
+touches the rest of the network only through its ports, so with every pipe
+cut into segments of at most ``network.SEGMENT_CELLS`` cells the Jacobian
+is block diagonal over the segments, bordered by the cut cells and the
+algebraic unknowns. ``BlockFactor`` inverts the segment blocks of one shape
+in one stacked LAPACK call and the border's Schur complement
+S = D - C A^-1 B dense (block LU, Golub & Van Loan, Matrix Computations),
+so no n x n array is formed. A system without pipe structure (a coloring
+built without segments, or no coloring at all) is one block with an empty
+border and runs the same code. Above the threshold the gather is a
+compressed sparse column matrix as it stands, which SuperLU
+(``scipy.sparse.linalg.splu``) factors; ``scipy.sparse.linalg`` adds about
+30 MB to the process and is imported only once a system above the
+threshold is solved.
 
 The sparse path is a chord Newton iteration (Hairer & Wanner, Solving ODEs
 II, IV.8): the last SuperLU factor is kept in the coloring's ``factor`` slot
@@ -28,8 +36,8 @@ and factored at the current iterate, and the damped Newton step runs as
 usual. A chord iterate tends to stop just under the tolerance where a full
 Newton step overshoots it, so when a reused-factor step first meets the
 tolerance, one more reused step is tried and kept only if it lowers max|F|.
-The dense path keeps full Newton: numpy exposes no reusable LU, so reusing
-J there would re-run LAPACK's factorization on every solve anyway.
+Below the threshold the iteration stays full Newton, one block factor per
+iteration.
 
 Time stepping follows the implicit midpoint rule: differential states are
 advanced with the right-hand side collocated at the state average, algebraic
@@ -49,7 +57,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, FactorizationError,
                      NonconvergenceError, StateError)
-from .network import ColumnColoring
+from .network import ColumnColoring, block_layout
 
 __all__ = [
     "SolverConfig", "NewtonResult", "TimeSeries", "scale_residual",
@@ -61,15 +69,17 @@ __all__ = [
 class SolverConfig:
     """Newton and time-grid settings (all tolerances in scaled units).
 
-    ``sparse_threshold`` is a class constant, not a setting: systems with
-    more unknowns get the sparse Jacobian and SuperLU; smaller ones a dense
-    Jacobian and LAPACK, which needs 8 n^2 bytes but not the ~30 MB import
-    of scipy.sparse.linalg. The sparse path needs the solve's column
-    coloring; without one the Jacobian stays dense at every size. The
-    sparse path reuses its SuperLU factor across iterations and steps
-    (chord Newton, module docstring) and refactors only when a reused step
-    fails to contract; the dense path builds and factors a Jacobian on
-    every iteration.
+    ``sparse_threshold`` is a class constant, not a setting. It selects the
+    linear solve and the Newton policy: systems with more unknowns get the
+    sparse Jacobian, SuperLU and chord Newton, which reuses its factor
+    across iterations and steps and refactors only when a reused step
+    fails to contract (module docstring); smaller ones get the block factor
+    of the coloring's pipe-segment layout and full Newton, one Jacobian
+    per iteration. The sparse path needs the solve's column coloring;
+    without one the system is one block at every size. The benchmark's
+    tests read the threshold (``bench/tests/test_bench.py``, to check that
+    the ladder workload lies above it), so it stays until the structured
+    factor serves every size.
 
     ``newton_abs_tol`` and ``dt`` must be finite and positive, ``t_end``
     finite and nonnegative (0 solves the steady state only), and
@@ -109,8 +119,9 @@ FD_STEP = 1e-7
 class NewtonResult:
     """Solution, accepted steps, max|F| after each, and Jacobians built and factored.
 
-    On the dense path every iteration builds one Jacobian, so ``jacobians``
-    equals ``iterations``; on the sparse path reused factors make it smaller.
+    Below the sparse threshold every iteration builds and block-factors one
+    Jacobian, so ``jacobians`` equals ``iterations``; above it reused
+    SuperLU factors make it smaller.
     """
 
     x: np.ndarray
@@ -125,19 +136,19 @@ def scale_residual(gsys, raw):
 
 
 def _uncolored(n_rows, n_cols) -> ColumnColoring:
-    """One color per column, every row structural: the plain FD Jacobian."""
-    cols = np.repeat(np.arange(n_cols), n_rows)
-    return ColumnColoring(list(np.arange(n_cols)[:, None]), np.tile(np.arange(n_rows), n_cols),
-                          cols, cols, n_rows * np.arange(n_cols + 1), [None])
+    """One color per column, every row structural: the plain FD Jacobian, one block."""
+    rows, cols = np.tile(np.arange(n_rows), n_cols), np.repeat(np.arange(n_cols), n_rows)
+    return ColumnColoring(list(np.arange(n_cols)[:, None]), rows, cols, cols,
+                          n_rows * np.arange(n_cols + 1), [None],
+                          block_layout(rows, cols, n_cols))
 
 
-def _fd_jacobian(fun, x, F0, coloring, sparse=False):
-    """Forward-difference Jacobian, one residual sweep per column color.
+def _fd_jacobian(fun, x, F0, coloring):
+    """Forward-difference Jacobian values, one residual sweep per column color.
 
     The sweep of color c fills row c of ``dF``; every structural nonzero is
-    then read from the sweep of its column's color in one gather. The gather
-    is in CSC order, so the sparse matrix takes the coloring's index arrays
-    without a sort; the dense one scatters them into an n x n array.
+    then read from the sweep of its column's color in one gather, in the
+    coloring's CSC order (entry i at (rows[i], cols[i])).
     """
     h = FD_STEP * (1.0 + np.abs(x))
     dF = np.empty((len(coloring.groups), F0.size))
@@ -145,36 +156,92 @@ def _fd_jacobian(fun, x, F0, coloring, sparse=False):
         xp = x.copy()
         xp[group] += h[group]
         dF[c] = fun(xp) - F0
-    vals = dF[coloring.color, coloring.rows] / h[coloring.cols]
-    if sparse:
-        from scipy.sparse import csc_matrix
+    return dF[coloring.color, coloring.rows] / h[coloring.cols]
 
-        return csc_matrix((vals, coloring.rows, coloring.indptr), shape=(F0.size, x.size))
-    J = np.zeros((F0.size, x.size))
-    J[coloring.rows, coloring.cols] = vals
-    return J
+
+def _csc(vals, coloring):
+    """The gathered values as a CSC matrix: the coloring's index arrays as they stand."""
+    from scipy.sparse import csc_matrix
+
+    n = coloring.indptr.size - 1
+    return csc_matrix((vals, coloring.rows, coloring.indptr), shape=(n, n))
+
+
+def _inverse(stack, names):
+    """np.linalg.inv of a matrix or a (k, m, m) stack; a singular one raises naming it."""
+    try:
+        return np.linalg.inv(stack)
+    except np.linalg.LinAlgError as exc:
+        sign, _ = np.linalg.slogdet(stack)
+        name = names[int(np.argmin(np.abs(sign)))]
+        raise FactorizationError(f"Jacobian factorization failed: {name} is singular") from exc
+
+
+def _segment_part(vals, sg, names):
+    """(A^-1, A^-1 B, C's values) for one group of same-shape segment blocks."""
+    k, L = sg.stack.R.shape
+    AB = np.zeros(k * L * sg.stack.C.shape[1])
+    AB[sg.stack.at] = vals[sg.stack.entry]
+    AB = AB.reshape(k, L, -1)
+    Ainv = _inverse(AB[:, :, :L], [names[b] for b in sg.stack.blocks])
+    return Ainv, Ainv @ AB[:, :, L:], vals[sg.c_entry]
+
+
+class BlockFactor:
+    """Block LU of the bordered block form (``network.BlockLayout``).
+
+    The gathered values scatter straight into stacked segment blocks [A | B]
+    (B: each block's port columns), the border rows' entries C and the
+    border block D. The blocks of one shape are inverted in one stacked
+    ``np.linalg.inv``, and the Schur complement S = D - C A^-1 B on the
+    border is inverted dense. ``solve`` then eliminates the segments, solves
+    the border and substitutes back, so nothing n x n is formed unless the
+    whole system is one block.
+    """
+
+    def __init__(self, vals, layout):
+        self.layout = layout
+        nb = layout.border.size
+        self.parts = [_segment_part(vals, sg, layout.names) for sg in layout.groups]
+        S = np.zeros(nb * nb)
+        S[layout.d_at] = vals[layout.d_entry]
+        for sg, (_, Y, c) in zip(layout.groups, self.parts):
+            k, L, p = Y.shape
+            np.subtract.at(S, sg.c_S, c[:, None] * Y.reshape(k * L, p)[sg.c_col])
+        self.Sinv = _inverse(S.reshape(nb, nb), [f"the border block ({nb} unknowns)"])
+
+    def solve(self, rhs):
+        """The x with J x = rhs."""
+        border, groups = self.layout.border, list(zip(self.layout.groups, self.parts))
+        ys = [(Ainv @ rhs[sg.stack.R][:, :, None])[:, :, 0] for sg, (Ainv, _, _) in groups]
+        g = rhs[border]
+        for (sg, (_, _, c)), y in zip(groups, ys):
+            g = g - np.bincount(sg.c_row, c * y.ravel()[sg.c_col], minlength=border.size)
+        x = np.empty(rhs.size)
+        x[border] = xb = self.Sinv @ g
+        for (sg, (_, Y, _)), y in zip(groups, ys):
+            x[sg.stack.R] = y - (Y @ xb[sg.ports][:, :, None])[:, :, 0]
+        return x
 
 
 def _newton_step(fun, x, F, colors, sparse):
     """Solve J dx = -F with the finite-difference Jacobian at x.
 
-    On the sparse path the SuperLU factor is stored in ``colors.factor`` for
-    later chord steps.
+    Above the sparse threshold SuperLU factors the CSC Jacobian and the
+    factor is stored in ``colors.factor`` for later chord steps; below it
+    the block factor of the coloring's layout solves the step.
     """
-    J = _fd_jacobian(fun, x, F, colors, sparse)
-    if sparse:
-        from scipy.sparse.linalg import splu
+    vals = _fd_jacobian(fun, x, F, colors)
+    if not sparse:
+        return BlockFactor(vals, colors.layout).solve(-F)
+    from scipy.sparse.linalg import splu
 
-        try:
-            lu = splu(J)
-        except RuntimeError as exc:       # "Factor is exactly singular"
-            raise FactorizationError(f"Jacobian factorization failed: {exc}") from exc
-        colors.factor[0] = lu
-        return lu.solve(-F)
     try:
-        return np.linalg.solve(J, -F)
-    except np.linalg.LinAlgError as exc:
+        lu = splu(_csc(vals, colors))
+    except RuntimeError as exc:       # "Factor is exactly singular"
         raise FactorizationError(f"Jacobian factorization failed: {exc}") from exc
+    colors.factor[0] = lu
+    return lu.solve(-F)
 
 
 def _chord_step(fun, x, F, lu):

@@ -204,6 +204,18 @@ def consistent_state(g, inputs, rng):
     return z
 
 
+def dense_jacobian(fun, x, F0, coloring):
+    """The colored FD Jacobian as a dense array: the gathered values scattered to (row, col)."""
+    J = np.zeros((F0.size, x.size))
+    J[coloring.rows, coloring.cols] = _fd_jacobian(fun, x, F0, coloring)
+    return J
+
+
+def dense_newton_step(fun, x, F, coloring):
+    """The reference linear step: the dense colored FD Jacobian and LAPACK's solve."""
+    return np.linalg.solve(dense_jacobian(fun, x, F, coloring), -F)
+
+
 def single_pipe_system(gas, demand_id="d", supply_id="s", n_cells=32,
                        length=363e3, diameter=1.422, friction=0.0018):
     spec = gn.NetworkSpec(
@@ -375,7 +387,7 @@ class TwoPipeOracle:
     from `pipe_rhs`. The oracle shares nothing with the assembled network but
     `color_columns` and the finite-difference Jacobian: its pattern is
     written by hand, and it has its own steady solve, midpoint loop and
-    plain dense Newton iteration (no line search).
+    plain dense Newton iteration (`dense_newton_step`, no line search).
 
     Inputs are triples u = (p0, m_L, setpoint).
     """
@@ -450,7 +462,7 @@ class TwoPipeOracle:
         for _ in range(30):
             if np.max(np.abs(F)) <= tol:
                 return z
-            z = z + np.linalg.solve(_fd_jacobian(fun, z, F, self.colors), -F)
+            z = z + dense_newton_step(fun, z, F, self.colors)
             F = fun(z)
         raise AssertionError(f"oracle Newton stalled at residual {np.max(np.abs(F)):.1e}")
 

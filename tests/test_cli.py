@@ -119,6 +119,21 @@ def test_file_errors_exit_1_naming_the_path(files, tmp_path, capsys, case):
     assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["steady", "run"])
+@pytest.mark.parametrize("case", ["a directory", "a missing parent"])
+def test_unwritable_out_exits_1_before_solving(files, tmp_path, capsys, monkeypatch,
+                                                command, case):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("simulate ran for an output path that cannot be written")
+
+    monkeypatch.setattr("gasnetsim.cli.simulate", no_solve)
+    net, scn = files
+    out = tmp_path if case == "a directory" else tmp_path / "missing" / "run.csv"
+    assert main([command, str(net), str(scn), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def test_fp_model_override_uses_pressure_profile(files, tmp_path):
     net, scn = files
     out = tmp_path / "fp.csv"

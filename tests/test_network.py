@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 import gasnetsim as gn
 from gasnetsim.compressor import Assumption, Framework
-from gasnetsim.network import color_columns
-from gasnetsim.timeloop import FD_STEP, _fd_jacobian, _uncolored
+from gasnetsim.network import block_layout, color_columns
+from gasnetsim.timeloop import FD_STEP, _csc, _fd_jacobian, _uncolored
 
-from casekit import (GAS, PipeField, consistent_state, direct_line, generated_network,
-                     incidence_matrices, ladder_system, oracle, pipe_rhs, power_terms_oracle,
-                     record_dict, single_pipe_system)
+from casekit import (GAS, PipeField, consistent_state, dense_jacobian, direct_line,
+                     generated_network, incidence_matrices, ladder_system, oracle, pipe_rhs,
+                     power_terms_oracle, record_dict, single_pipe_system)
 
 
 def pipe(i, n=8):
@@ -357,11 +357,11 @@ class TestJacobianColoring:
 
         F0 = fun(x)
         J_dense = per_column_fd_jacobian(fun, x, F0)
-        J_color = _fd_jacobian(fun, x, F0, g.jac_colors())
+        J_color = dense_jacobian(fun, x, F0, g.jac_colors())
         scale = np.abs(J_dense).max()
         assert np.abs(J_color - J_dense).max() <= 1e-6 * scale
         # without a coloring (one color per column) the gather is the per-column loop
-        assert np.array_equal(_fd_jacobian(fun, x, F0, _uncolored(g.n, g.n)), J_dense)
+        assert np.array_equal(dense_jacobian(fun, x, F0, _uncolored(g.n, g.n)), J_dense)
 
     def test_step_mode_pattern_is_complete(self):
         g = gn.assemble(star_network_spec())
@@ -371,7 +371,7 @@ class TestJacobianColoring:
         xp = x + rng.normal(0.0, 1e-3, g.n) * (1.0 + np.abs(x))
         F0 = fun(xp)
         J_dense = per_column_fd_jacobian(fun, xp, F0)
-        J_color = _fd_jacobian(fun, xp, F0, g.jac_colors())
+        J_color = dense_jacobian(fun, xp, F0, g.jac_colors())
         assert np.abs(J_color - J_dense).max() <= 1e-6 * np.abs(J_dense).max()
 
     @pytest.mark.parametrize("mode", ["steady", "step"])
@@ -388,10 +388,10 @@ class TestJacobianColoring:
         rng = np.random.default_rng(4)
         xp = x + rng.normal(0.0, 1e-3, g.n) * (1.0 + np.abs(x))
         F0 = fun(xp)
-        J_csc = _fd_jacobian(fun, xp, F0, g.jac_colors(), sparse=True)
+        J_csc = _csc(_fd_jacobian(fun, xp, F0, g.jac_colors()), g.jac_colors())
         assert J_csc.format == "csc"
         assert J_csc.nnz == g.jac_colors().rows.size
-        assert np.array_equal(J_csc.toarray(), _fd_jacobian(fun, xp, F0, g.jac_colors()))
+        assert np.array_equal(J_csc.toarray(), dense_jacobian(fun, xp, F0, g.jac_colors()))
 
     @pytest.mark.parametrize("tag", ["fc-av", "fc-am", "fp-av", "fp-am"])
     def test_direct_two_pipe_pattern_is_complete(self, tag):
@@ -409,7 +409,7 @@ class TestJacobianColoring:
         zp = z + rng.normal(0.0, 1e-3, line.n) * (1.0 + np.abs(z))
         F0 = fun(zp)
         J_dense = per_column_fd_jacobian(fun, zp, F0)
-        J_color = _fd_jacobian(fun, zp, F0, line.colors)
+        J_color = dense_jacobian(fun, zp, F0, line.colors)
         assert np.abs(J_color - J_dense).max() <= 1e-6 * np.abs(J_dense).max()
 
 
@@ -686,6 +686,15 @@ def test_generated_networks_match_the_oracles(seed):
     m_ref = np.abs(np.concatenate([z[g.bank.mom], demands])).max()
     scale = np.where(g.row_kind[g.n_z:] == "p", p_ref, m_ref)
     assert np.all(np.abs(F[g.n_z:]) <= 1e-12 * scale)
+
+
+def test_block_layout_rejects_segments_that_couple_directly():
+    # segments may couple only through the border: an entry between two
+    # segments has no place in either block
+    rows, cols = np.array([0, 1, 1]), np.array([0, 0, 1])
+    with pytest.raises(ValueError, match="an entry couples two blocks"):
+        block_layout(rows, cols, 2, (np.array([0, 1]), ["a", "b"]))
+    assert len(block_layout(rows, cols, 2, (np.array([0, -1]), ["a"])).groups) == 1
 
 
 def test_missing_input_raises_configuration_error():

@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gasnetsim as gn
 
 from gasnetsim import timeloop
+from gasnetsim.network import SEGMENT_CELLS
 
-from casekit import (benchmark_with_model, closed_pipe, ladder_system, record_dict,
-                     single_pipe_system)
+from casekit import (benchmark_with_model, closed_pipe, consistent_state, dense_newton_step,
+                     generated_network, ladder_system, record_dict, single_pipe_system)
 
 
 class TestSolverConfig:
@@ -93,17 +97,121 @@ def full_newton(fun, x0, cfg=None, colors=None):
     Jacobian and SuperLU factor at every iterate, no line search."""
     from scipy.sparse.linalg import splu
 
-    from gasnetsim.timeloop import _fd_jacobian
+    from gasnetsim.timeloop import _csc, _fd_jacobian
     x = np.array(x0, dtype=float)
     F = fun(x)
     history = [np.abs(F).max()]
     while history[-1] > cfg.newton_abs_tol:
         assert len(history) <= cfg.newton_max_iter
-        J = _fd_jacobian(fun, x, F, colors, sparse=True)
-        x = x + splu(J).solve(-F)
+        x = x + splu(_csc(_fd_jacobian(fun, x, F, colors), colors)).solve(-F)
         F = fun(x)
         history.append(np.abs(F).max())
     return gn.NewtonResult(x, len(history) - 1, history, len(history) - 1)
+
+
+class TestBlockSolve:
+    """The block factor of the pipe-segment layout, below the sparse threshold."""
+
+    def dead_row_newton(self, g, row):
+        """Newton on g's steady residual with `row` made constant: its Jacobian row is zero."""
+        inputs = {"s": 80e5, "d": 250.0}
+        g.references = (80e5, 250.0)
+        scale = g.row_scale()
+
+        def fun(v):
+            F = g.steady_residual(v, inputs) / scale
+            F[row] = 1.0
+            return F
+
+        gn.newton_solve(fun, g.initial_guess(inputs), gn.SolverConfig(), colors=g.jac_colors())
+
+    def test_singular_segment_block_names_its_pipe_and_cells(self, gas):
+        g = single_pipe_system(gas, n_cells=40)
+        segment, names = g._segments()
+        row = g.rho_sl[0].start + 21
+        assert segment[row] >= 1 and names[segment[row]].startswith("pipe 'line' cells ")
+        with pytest.raises(gn.FactorizationError,
+                           match=re.escape(f"{names[segment[row]]} is singular")):
+            self.dead_row_newton(g, row)
+
+    def test_singular_border_block_names_the_border(self, gas):
+        g = single_pipe_system(gas, n_cells=40)
+        with pytest.raises(gn.FactorizationError, match="the border block .* is singular"):
+            self.dead_row_newton(g, g.lam["d"])
+
+    def test_segments_are_at_most_segment_cells_long(self, gas):
+        # cut cells alternate with segments along each pipe, and a pipe no
+        # longer than a segment is one segment with no cut
+        for n_cells in (2, SEGMENT_CELLS, SEGMENT_CELLS + 1, 40, 256):
+            g = single_pipe_system(gas, n_cells=n_cells)
+            segment, names = g._segments()
+            cells = segment[g.rho_sl[0]]
+            assert np.array_equal(cells, segment[g.mom_sl[0]])
+            assert np.all(segment[g.n_z:] == -1)
+            runs = np.split(cells, np.flatnonzero(cells < 0))
+            lengths = [np.count_nonzero(r >= 0) for r in runs]
+            assert min(lengths) >= 1 and max(lengths) <= SEGMENT_CELLS
+            assert cells[0] >= 0 and cells[-1] >= 0
+            assert len(names) == len(runs) == np.count_nonzero(cells < 0) + 1
+            assert (n_cells <= SEGMENT_CELLS) == (len(names) == 1)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["zero", "reverse"]),
+       st.sampled_from([None, SEGMENT_CELLS + 1, 3 * SEGMENT_CELLS]))
+def test_block_solve_matches_the_dense_reference(seed, demand, cells):
+    # generated trees and loops: the structured Newton step equals the dense
+    # colored-FD Jacobian's LAPACK solve on steady and step Jacobians. Zero
+    # demand stops every flow; reverse demand negates the demands and runs
+    # every pipe backwards. At zero flow the steady rows lose their friction
+    # slope, so a loop or a path between two supplies leaves a circulation
+    # undetermined and the steady Jacobian singular: there the steady case
+    # runs on one-supply trees only. The generated 2-5 cells per pipe make
+    # one segment each; the two overrides cut every pipe once and twice.
+    spec, inputs = generated_network(seed)
+    g = gn.assemble(spec, cells)
+    for key, kind in g.boundary_inputs:
+        if kind == "momentum":
+            inputs[key] = 0.0 if demand == "zero" else -inputs[key]
+    g.references = timeloop._references(g, inputs)
+    rng = np.random.default_rng(seed)
+    z = consistent_state(g, inputs, rng)
+    z[g.bank.mom] = 0.0 if demand == "zero" else -np.abs(z[g.bank.mom])
+    x = g.algebraic_solve(z, inputs)
+    scale = g.row_scale()
+    step = g.make_step_residual(z * (1.0 + rng.normal(0.0, 1e-3, g.n_z)), 600.0, inputs)
+    funs = [lambda v: step(v) / scale]
+    supplies = sum(nd.kind is gn.NodeKind.SUPPLY for nd in spec.nodes)
+    tree = len(spec.pipes) + len(spec.compressors) == len(spec.nodes) - 1
+    if demand == "reverse" or (tree and supplies == 1):
+        funs.append(lambda v: g.steady_residual(v, inputs) / scale)
+    colors = g.jac_colors()
+    for fun in funs:
+        F = fun(x)
+        ref = dense_newton_step(fun, x, F, colors)
+        vals = timeloop._fd_jacobian(fun, x, F, colors)
+        dx = timeloop.BlockFactor(vals, colors.layout).solve(-F)
+        assert np.abs(dx - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def newton_peak_bytes(g):
+    """tracemalloc's peak over one steady Newton solve of g from its flat start."""
+    import tracemalloc
+
+    inputs = {"s": 80e5, "d": 250.0}
+    g.references = (80e5, 250.0)
+    scale = g.row_scale()
+    colors = g.jac_colors()
+    x0 = g.initial_guess(inputs)
+    tracemalloc.start()
+    try:
+        res = gn.newton_solve(lambda v: g.steady_residual(v, inputs) / scale,
+                              x0, gn.SolverConfig(), colors=colors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.iterations >= 1
+    return peak
 
 
 def day_transient(tag):
@@ -397,7 +505,6 @@ class TestSimulate:
     def test_sparse_linear_path_matches_dense(self, gas, monkeypatch):
         # the splu path against a plain dense Newton kept here as reference:
         # dense colored FD Jacobian and LAPACK solve, full steps
-        from gasnetsim.timeloop import _fd_jacobian
         g = single_pipe_system(gas, n_cells=16)
         inputs = {"s": 80e5, "d": 250.0}
         g.references = (80e5, 250.0)
@@ -412,8 +519,7 @@ class TestSimulate:
             F = fun(x_ref)
             if np.abs(F).max() <= 1e-8:
                 break
-            J = _fd_jacobian(fun, x_ref, F, colors)
-            x_ref = x_ref + np.linalg.solve(J, -F)
+            x_ref = x_ref + dense_newton_step(fun, x_ref, F, colors)
         assert np.abs(fun(x_ref)).max() <= 1e-8
 
         monkeypatch.setattr(gn.SolverConfig, "sparse_threshold", 4)
@@ -423,26 +529,17 @@ class TestSimulate:
     def test_sparse_newton_allocates_no_dense_jacobian(self, gas):
         # above the threshold one Newton solve stays far below the 8 n^2
         # bytes a dense Jacobian would take
-        import tracemalloc
-
         import scipy.sparse.linalg  # noqa: F401  (import memory is not the solve's)
         g = single_pipe_system(gas, n_cells=1100)
         assert g.n > gn.SolverConfig().sparse_threshold
-        inputs = {"s": 80e5, "d": 250.0}
-        g.references = (80e5, 250.0)
-        scale = g.row_scale()
-        colors = g.jac_colors()
-        x0 = g.initial_guess(inputs)
+        assert newton_peak_bytes(g) < 0.05 * 8 * g.n ** 2
 
-        tracemalloc.start()
-        try:
-            res = gn.newton_solve(lambda v: g.steady_residual(v, inputs) / scale,
-                                  x0, gn.SolverConfig(), colors=colors)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert res.iterations >= 1
-        assert peak < 0.05 * 8 * g.n ** 2
+    def test_block_newton_allocates_no_dense_jacobian(self, gas):
+        # below the threshold the block factor keeps one Newton solve as far
+        # below a dense Jacobian's 8 n^2 bytes
+        g = single_pipe_system(gas, n_cells=900)
+        assert g.n < gn.SolverConfig().sparse_threshold
+        assert newton_peak_bytes(g) < 0.05 * 8 * g.n ** 2
 
     def test_model_variants_contrast_with_baseline(self):
         # station columns: ratio models scale the pressure, pressure models
