@@ -7,7 +7,7 @@ the system into a DAE solved by implicit-midpoint stepping with a damped
 Newton inner iteration.
 """
 
-from .compressor import Assumption, CompressorModel, Framework, adiabatic_enthalpy
+from .compressor import Assumption, Framework, adiabatic_enthalpy, station_power
 from .errors import (ConfigurationError, FactorizationError, FormatError,
                      GasnetError, InfeasibleFlowError, NonconvergenceError,
                      StateError)
@@ -17,7 +17,7 @@ from .gas import GasProperties
 from .network import (CompressorStation, GlobalSystem, NetworkSpec, Node,
                       NodeKind, PipeEdge, ValidationReport, assemble,
                       fuse_compressors, validate_topology)
-from .pipe import PipeSpec, PipeSystem, discretize_pipe, steady_pipe_oracle
+from .pipe import PipeSpec, steady_pipe_oracle
 from .timeloop import (NewtonResult, SolverConfig, TimeSeries, bind_inputs,
                        newton_solve, scale_residual, simulate, steady_state,
                        step_midpoint)
@@ -25,15 +25,14 @@ from .timeloop import (NewtonResult, SolverConfig, TimeSeries, bind_inputs,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assumption", "CompressorModel", "CompressorStation",
-    "ConfigurationError", "FactorizationError", "FormatError", "Framework",
-    "GasnetError", "GasProperties", "GlobalSystem", "InfeasibleFlowError",
-    "NetworkSpec", "NewtonResult", "Node", "NodeKind", "NonconvergenceError",
-    "PipeEdge", "PipeSpec", "PipeSystem", "RunReport", "Scenario",
-    "SolverConfig", "StateError", "TimeSeries", "ValidationReport",
-    "adiabatic_enthalpy", "assemble", "bind_inputs", "discretize_pipe",
-    "fuse_compressors", "newton_solve", "parse_network", "parse_scenario",
-    "read_timeseries", "scale_residual", "serialize_network", "simulate",
-    "steady_pipe_oracle", "steady_state", "step_midpoint", "validate_topology",
-    "write_timeseries",
+    "Assumption", "CompressorStation", "ConfigurationError",
+    "FactorizationError", "FormatError", "Framework", "GasnetError",
+    "GasProperties", "GlobalSystem", "InfeasibleFlowError", "NetworkSpec",
+    "NewtonResult", "Node", "NodeKind", "NonconvergenceError", "PipeEdge",
+    "PipeSpec", "RunReport", "Scenario", "SolverConfig", "StateError",
+    "TimeSeries", "ValidationReport", "adiabatic_enthalpy", "assemble",
+    "bind_inputs", "fuse_compressors", "newton_solve", "parse_network",
+    "parse_scenario", "read_timeseries", "scale_residual", "serialize_network",
+    "simulate", "station_power", "steady_pipe_oracle", "steady_state",
+    "step_midpoint", "validate_topology", "write_timeseries",
 ]

@@ -17,22 +17,21 @@ combination. A row gives, for setpoint sp and inlet pressure p:
   - which station rows read p (the momentum row, the pressure row), for the
     Jacobian sparsity pattern.
 The station power, energy out minus energy in, follows from the first two
-(`CompressorModel.power`): outlet * m - p * k * m, with m the momentum fed
-downstream. The network applies the rules in one place
-(`network.GlobalSystem._add_state_terms`).
+(`station_power`): outlet * m - p * k * m, with m the momentum fed
+downstream. The network binds each station to its row
+(`network.StationBinding`) and applies the rules in one place
+(`network.GlobalSystem._add_state_terms`), with kappa the gas's
+isentropic exponent.
 The compression work per unit mass (adiabatic enthalpy rise) is provided
 as a diagnostic.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .errors import ConfigurationError, require_positive
+from .errors import ConfigurationError
 from .gas import GasProperties
 
 
@@ -78,65 +77,19 @@ VARIANTS = {
 }
 
 
-@dataclass
-class CompressorModel:
-    """One station: framework, momentum assumption, default setpoint, kappa.
+def station_power(variant: Variant, kappa: float, setpoint: float, p_in: float,
+                  m_feed: float) -> float:
+    """Station power per unit area: outlet pressure times m_feed minus p_in times m_in.
 
-    The setpoint is the compression ratio (FC, dimensionless) or the outlet
-    pressure (FP, Pa). Time-varying setpoints come from scenario profiles
-    and are passed per call; the field is the constant default. The table
-    row is looked up once, at construction.
+    m_feed is the momentum at the downstream pipe inlet and
+    m_in = k * m_feed, so the power is (outlet - p_in * k) * m_feed. It
+    vanishes for a neutral setpoint (ratio 1, or outlet pressure equal
+    to the inlet pressure).
     """
-
-    framework: Framework
-    assumption: Assumption
-    setpoint: float
-    kappa: float = 1.4
-    variant: Variant = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.framework = Framework(self.framework)
-        self.assumption = Assumption(self.assumption)
-        self.variant = VARIANTS[self.framework, self.assumption]
-        if not (math.isfinite(self.kappa) and self.kappa > 1):
-            raise ConfigurationError(
-                f"isentropic exponent must be finite and exceed 1, got {self.kappa!r}")
-        require_positive(f"{self.tag} compressor setpoint", self.setpoint)
-        if self.framework is Framework.FIXED_RATIO and self.setpoint < 1.0:
-            warnings.warn(
-                f"FC compressor with ratio {self.setpoint} < 1 acts as an expander",
-                stacklevel=2,
-            )
-
-    @property
-    def tag(self) -> str:
-        return f"{self.framework.value}-{self.assumption.value}"
-
-    def outlet_pressure(self, setpoint: float, p_in: float) -> float:
-        """Pressure the station imposes at the downstream pipe inlet."""
-        return self.variant.outlet(setpoint, p_in)
-
-    def inlet_match_factor(self, setpoint: float, p_in: float) -> float:
-        """Coefficient k in the momentum coupling m_in = k * m_out.
-
-        m_in is the momentum arriving from the upstream pipe, m_out the
-        momentum state at the downstream pipe inlet. AM gives k = 1; AV
-        gives k = ratio^(-1/kappa) with the effective ratio (sp / p_in for FP).
-        """
-        return self.variant.factor(setpoint, p_in, self.kappa)
-
-    def power(self, setpoint: float, p_in: float, m_feed: float) -> float:
-        """Station power per unit area: outlet pressure times m_feed minus p_in times m_in.
-
-        m_feed is the momentum at the downstream pipe inlet and
-        m_in = k * m_feed, so the power is (outlet - p_in * k) * m_feed. It
-        vanishes for a neutral setpoint (ratio 1, or outlet pressure equal
-        to the inlet pressure).
-        """
-        if p_in <= 0:
-            raise ConfigurationError("compressor inlet pressure must be positive")
-        return (self.outlet_pressure(setpoint, p_in)
-                - p_in * self.inlet_match_factor(setpoint, p_in)) * m_feed
+    if p_in <= 0:
+        raise ConfigurationError("compressor inlet pressure must be positive")
+    return (variant.outlet(setpoint, p_in)
+            - p_in * variant.factor(setpoint, p_in, kappa)) * m_feed
 
 
 def adiabatic_enthalpy(gas: GasProperties, p_in: float, p_out: float,

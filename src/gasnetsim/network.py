@@ -60,17 +60,18 @@ once per system, beside the column coloring (`jac_colors`).
 from __future__ import annotations
 
 import sys
+import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .compressor import VARIANTS, Assumption, CompressorModel, Framework, Variant
+from .compressor import VARIANTS, Assumption, Framework, Variant, station_power
 from .errors import ConfigurationError, StateError, require_positive
 from .gas import GasProperties
-from .pipe import PipeSpec, PipeSystem, discretize_pipe
+from .pipe import PipeSpec
 
 # the Jacobian's block layout cuts every pipe into segments of at most this many cells
 SEGMENT_CELLS = 16
@@ -134,12 +135,6 @@ class CompressorStation:
     def default_setpoint(self) -> float | None:
         """The default field the variant's setpoint names (`ratio` or `pressure`)."""
         return getattr(self, self.variant.setpoint)
-
-    def model(self, kappa: float) -> CompressorModel:
-        setpoint = self.default_setpoint()
-        if setpoint is None:
-            setpoint = 1.0  # placeholder; the bound scenario profile governs
-        return CompressorModel(self.framework, self.assumption, setpoint, kappa)
 
 
 @dataclass
@@ -293,14 +288,14 @@ def _node_classes(spec: NetworkSpec):
 
 
 class StationBinding(NamedTuple):
-    """One station as the system binds it: its model, pipes, input and rows.
+    """One station as the system binds it: its variant row, pipes, input and rows.
 
     The momentum rule reads the downstream pipe's inlet momentum,
     `bank.m_in[pipe_down]`.
     """
 
     id: str
-    model: CompressorModel
+    variant: Variant
     default: float | None   # default setpoint; None: a scenario profile must give it
     pipe_up: int            # pipe whose outlet feeds the station
     pipe_down: int          # pipe fed by the station
@@ -362,27 +357,26 @@ class GlobalSystem:
             raise ConfigurationError(f"invalid network:\n{report}")
         self.spec = spec
         self.gas = spec.gas
-        self.pipes: list[PipeSystem] = []
-        for pe in spec.pipes:
-            ps = pe.spec
-            if n_cells_override is not None:
-                ps = PipeSpec(ps.id, ps.length, ps.diameter, ps.friction, n_cells_override)
-            self.pipes.append(discretize_pipe(ps, spec.gas))
+        self.pipes: list[PipeSpec] = [
+            pe.spec if n_cells_override is None else replace(pe.spec, n_cells=n_cells_override)
+            for pe in spec.pipes]
 
         # --- unknown layout ------------------------------------------
         self.rho_sl, self.mom_sl = [], []
         off = 0
         for p in self.pipes:
-            self.rho_sl.append(slice(off, off + p.n))
-            self.mom_sl.append(slice(off + p.n, off + 2 * p.n))
-            off += 2 * p.n
+            self.rho_sl.append(slice(off, off + p.n_cells))
+            self.mom_sl.append(slice(off + p.n_cells, off + 2 * p.n_cells))
+            off += 2 * p.n_cells
         self.n_z = off
         P = len(self.pipes)
         self.mu_p = off + 2 * np.arange(P)
         self.mu_m = self.mu_p + 1
-        # energy weights over the differential states
-        self.energy_weights = np.concatenate([p.weights for p in self.pipes])
         self.bank = self._build_bank()
+        # the cell-measure weights W of H and of the pipe rows
+        self.energy_weights = np.empty(self.n_z)
+        self.energy_weights[self.bank.rho] = self.bank.dx
+        self.energy_weights[self.bank.mom] = self.bank.w
         boundary, compressor, internal = _node_classes(spec)
         self.node_order = boundary + compressor + internal
         self.lam = {nd.id: self.n_z + 2 * P + i for i, nd in enumerate(self.node_order)}
@@ -403,8 +397,12 @@ class GlobalSystem:
         for st in spec.compressors:
             up = next(k for k, isout in self.attached[st.inlet_node] if isout)
             down = next(k for k, isout in self.attached[st.outlet_node] if not isout)
+            default = st.default_setpoint()
+            if st.framework is Framework.FIXED_RATIO and default is not None and default < 1.0:
+                warnings.warn(f"FC compressor {st.id!r} with ratio {default} < 1 acts as an "
+                              "expander", stacklevel=2)
             self.stations.append(StationBinding(
-                st.id, st.model(spec.gas.isentropic_exponent), st.default_setpoint(),
+                st.id, st.variant, default,
                 up, down, len(self.boundary_inputs) + len(self.stations),
                 self.lam[st.inlet_node], self.lam[st.outlet_node]))
 
@@ -427,7 +425,7 @@ class GlobalSystem:
         self._alg_map = None
 
     def _build_bank(self) -> PipeBank:
-        n_cells = np.array([p.n for p in self.pipes])
+        n_cells = np.array([p.n_cells for p in self.pipes])
         rho = np.concatenate([np.arange(sl.start, sl.stop) for sl in self.rho_sl])
         mom = rho + np.repeat(n_cells, n_cells)
         first = np.cumsum(n_cells) - n_cells
@@ -435,7 +433,7 @@ class GlobalSystem:
         is_first[first] = True
         is_last = np.roll(is_first, -1)
         prev = np.arange(rho.size) - ~is_first   # a pipe's inlet cell is its own
-        dx = np.repeat([p.dx for p in self.pipes], n_cells)
+        dx = np.repeat([p.length / p.n_cells for p in self.pipes], n_cells)
         return PipeBank(
             rho=rho, mom=mom,
             down=np.where(is_last, np.repeat(self.mu_m, n_cells), mom + 1),
@@ -443,7 +441,7 @@ class GlobalSystem:
             up=np.where(is_first, np.repeat(self.mu_p, n_cells), rho[prev]),
             up_scale=np.where(is_first, 1.0, self.gas.c2),
             prev=prev, dx=dx, w=np.where(is_first, 0.5 * dx, dx),
-            fric=np.repeat([p.fric_coef for p in self.pipes], n_cells),
+            fric=np.repeat([p.friction / (2.0 * p.diameter) for p in self.pipes], n_cells),
             tail=rho[is_last], m_in=mom[is_first])
 
     def _build_coupling(self) -> Triplets:
@@ -560,11 +558,11 @@ class GlobalSystem:
         """
         p_out = self._outlet_pressures(z)
         F[self.mu_m - base] += p_out
-        m_in = self.bank.m_in
+        m_in, kappa = self.bank.m_in, self.gas.isentropic_exponent
         for s in self.stations:
             sp, p = u[s.input], p_out[s.pipe_up]
-            F[s.row_in - base] -= s.model.inlet_match_factor(sp, p) * z[m_in[s.pipe_down]]
-            F[s.row_out - base] -= s.model.outlet_pressure(sp, p)
+            F[s.row_in - base] -= s.variant.factor(sp, p, kappa) * z[m_in[s.pipe_down]]
+            F[s.row_out - base] -= s.variant.outlet(sp, p)
 
     def row_scale(self):
         """Diagonal residual scaling: pressure rows / p_ref, momentum rows / m_ref."""
@@ -586,7 +584,7 @@ class GlobalSystem:
         for s in self.stations:
             last = b.tail[s.pipe_up]
             st = [(s.row_in, b.m_in[s.pipe_down])]
-            for row, reads in zip((s.row_in, s.row_out), s.model.variant.reads_inlet):
+            for row, reads in zip((s.row_in, s.row_out), s.variant.reads_inlet):
                 if reads:
                     st += [(row, last), (row, last - 1)]
             ent.append(np.array(st))
@@ -605,7 +603,7 @@ class GlobalSystem:
         cells and the algebraic unknowns as the border, the Jacobian is
         block diagonal over the segments.
         """
-        n_cells = np.array([p.n for p in self.pipes])
+        n_cells = np.array([p.n_cells for p in self.pipes])
         n_seg = -(-(n_cells + 1) // (SEGMENT_CELLS + 1))
         slots, s = np.repeat(n_cells + 1, n_cells), np.repeat(n_seg, n_cells)
         cell = np.arange(slots.size) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
@@ -614,8 +612,9 @@ class GlobalSystem:
         label = np.where(cut, -1, np.repeat(np.cumsum(n_seg) - n_seg, n_cells) + j)
         segment = np.full(self.n, -1)
         segment[self.bank.rho] = segment[self.bank.mom] = label
-        names = [f"pipe {p.spec.id!r} cells {j * (p.n + 1) // s}-{(j + 1) * (p.n + 1) // s - 2}"
-                 for p, s in zip(self.pipes, n_seg.tolist()) for j in range(s)]
+        names = [f"pipe {p.id!r} cells {j * (n + 1) // s}-{(j + 1) * (n + 1) // s - 2}"
+                 for p, n, s in zip(self.pipes, n_cells.tolist(), n_seg.tolist())
+                 for j in range(s)]
         return segment, names
 
     def jac_colors(self):
@@ -675,7 +674,7 @@ class GlobalSystem:
         if self._names is None:
             names = []
             for p in self.pipes:
-                pid = p.spec.id
+                pid = p.id
                 names += [f"{pid}.in.p_Pa", f"{pid}.in.m", f"{pid}.out.p_Pa", f"{pid}.out.m"]
             names.append("H_total")
             names += [f"{s.id}.power" for s in self.stations]
@@ -692,7 +691,9 @@ class GlobalSystem:
         b = self.bank
         z = x[: self.n_z]
         p_out = self._outlet_pressures(z)
-        powers = [s.model.power(u[s.input], p_out[s.pipe_up], z[b.m_in[s.pipe_down]])
+        kappa = self.gas.isentropic_exponent
+        powers = [station_power(s.variant, kappa, u[s.input], p_out[s.pipe_up],
+                                z[b.m_in[s.pipe_down]])
                   for s in self.stations]
         return np.concatenate([
             np.column_stack([x[self.mu_p], z[b.m_in], p_out, -x[self.mu_m]]).ravel(),
@@ -723,7 +724,7 @@ class GlobalSystem:
         if not positive.all():
             k = int(np.searchsorted(self.bank.tail, self.bank.rho[np.argmin(positive)]))
             raise StateError(
-                f"non-positive density in pipe {self.pipes[k].spec.id!r} at t={t}")
+                f"non-positive density in pipe {self.pipes[k].id!r} at t={t}")
 
     def zdot_consistent(self, x, inputs):
         """Differential rates implied by the pipe rows at the given unknowns."""
@@ -756,7 +757,7 @@ class GlobalSystem:
         parts["rate"] = self.energy_rate(z, self.zdot_consistent(x, inputs))
         return parts
 
-    def net_mass_influx(self, z_mid, x_new, inputs_mid):
+    def net_mass_influx(self, z_mid, x_new):
         """Net mass inflow rate into all pipes: sum of m(0) + mu_m per pipe.
 
         This is exactly what the continuity rows telescope to, so evaluated
@@ -770,11 +771,19 @@ class GlobalSystem:
     # ------------------------------------------------------------------
 
     def initial_guess(self, inputs0):
-        """Flat initialization: supply density, net-demand momentum, supply potentials."""
+        """Flat initialization: supply density, net-demand momentum, supply potentials.
+
+        Where the net demand is below 1 in magnitude (zero, or demands that
+        cancel up to rounding), every momentum starts at 1 instead: at zero
+        flow the steady rows lose their friction slope, so the Jacobian is
+        singular on a loop or on a path between two supplies.
+        """
         u = self._input_vector(inputs0)
         kinds = [kind for _, kind in self.boundary_inputs]
         p_ref = u[kinds.index("pressure")]
         m_est = sum(u[i] for i, kind in enumerate(kinds) if kind == "momentum")
+        if abs(m_est) < 1.0:
+            m_est = 1.0
         x = np.empty(self.n)
         x[self.bank.rho] = p_ref / self.gas.c2
         x[self.bank.mom] = m_est

@@ -1,4 +1,4 @@
-"""Geometry and grid of one pipe on the staggered port-Hamiltonian grid.
+"""Pipe geometry on the staggered port-Hamiltonian grid, and the steady oracle.
 
 The grid is staggered: densities live at the n cell centers, momenta at the
 inlet interface and the n-1 interior interfaces. The outlet-interface
@@ -12,9 +12,10 @@ where J is skew-symmetric as a matrix, R(z) is the diagonal nonnegative
 friction operator and e(z) = [p; m]. The weighted energy rate then reduces
 exactly to boundary terms minus friction dissipation.
 
-`PipeSystem` holds what one pipe contributes to that form: cell count, dx,
-the weights W and the friction coefficient. The equations themselves are
-evaluated for all pipes at once by the pipe bank (`network.PipeBank`).
+`PipeSpec` holds one pipe's geometry, friction and cell count. The grid,
+the weights W and the equations are built for all pipes at once by the
+pipe bank (`network.PipeBank`); the stored energy and the residual read
+the same weights from it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigurationError, InfeasibleFlowError, require_positive
 from .gas import GasProperties
@@ -53,27 +52,6 @@ class PipeSpec:
             raise ConfigurationError(
                 f"pipe {self.id!r}: need at least 2 cells, got {self.n_cells}"
             )
-
-
-class PipeSystem:
-    """One spatially discretized pipe (immutable after construction)."""
-
-    def __init__(self, spec: PipeSpec, gas: GasProperties):
-        self.spec = spec
-        self.gas = gas
-        self.n = spec.n_cells
-        self.dx = spec.length / spec.n_cells
-        self.c2 = gas.c2
-        # friction force per unit momentum-velocity product: lambda / (2 D)
-        self.fric_coef = spec.friction / (2.0 * spec.diameter)
-        w = np.full(2 * self.n, self.dx)
-        w[self.n] = 0.5 * self.dx  # inlet momentum half cell
-        self.weights = w
-
-
-def discretize_pipe(spec: PipeSpec, gas: GasProperties) -> PipeSystem:
-    """Build the staggered-grid semi-discrete system for one pipe."""
-    return PipeSystem(spec, gas)
 
 
 def steady_pipe_oracle(spec: PipeSpec, gas: GasProperties, p_in: float, m: float) -> float:

@@ -342,7 +342,7 @@ def bind_inputs(gsys, scenario):
             raise ConfigurationError(f"scenario lacks a profile for {key!r}")
         sources[key] = key
     for s in gsys.stations:
-        sources[s.id] = scenario.setpoint_source(s.id, s.model.variant.setpoint, s.default)
+        sources[s.id] = scenario.setpoint_source(s.id, s.variant.setpoint, s.default)
         if sources[s.id] is None:
             raise ConfigurationError(f"no setpoint profile or default for compressor {s.id!r}")
 
@@ -474,7 +474,7 @@ def simulate(gsys, scenario, cfg: SolverConfig | None = None) -> TimeSeries:
         t_n = tgrid[i]
         x_new, res = step_midpoint(gsys, x, t_n, dt, input_fn, cfg)
         z_mid = 0.5 * (x[:n_z] + x_new[:n_z])
-        influx[i] = gsys.net_mass_influx(z_mid, x_new, input_fn(t_n + 0.5 * dt))
+        influx[i] = gsys.net_mass_influx(z_mid, x_new)
         iters[i] = res.iterations
         x = x_new
         record(i + 1, x[:n_z], tgrid[i + 1], x)

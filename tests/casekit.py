@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import gasnetsim as gn
+from gasnetsim.compressor import VARIANTS
 from gasnetsim.network import color_columns
 from gasnetsim.timeloop import _fd_jacobian
 
@@ -249,8 +250,22 @@ class PipeField:
             raise gn.StateError("non-positive density in pipe state")
 
 
-class PipeOracle(gn.PipeSystem):
-    """One pipe with its per-pipe state maps and dense operator views."""
+class PipeOracle:
+    """One pipe with its own staggered grid, per-pipe state maps and dense operator views.
+
+    The grid is built here from the spec, not read from the pipe bank, so the
+    bank's weights are checked against an independent construction: dx per
+    degree of freedom, dx/2 for the inlet momentum half cell.
+    """
+
+    def __init__(self, spec, gas):
+        self.spec = spec
+        self.n = spec.n_cells
+        self.dx = spec.length / spec.n_cells
+        self.c2 = gas.c2
+        self.fric_coef = spec.friction / (2.0 * spec.diameter)
+        self.weights = np.full(2 * self.n, self.dx)
+        self.weights[self.n] = 0.5 * self.dx
 
     def pressures(self, rho):
         return self.c2 * rho
@@ -313,9 +328,9 @@ class PipeOracle(gn.PipeSystem):
         return np.diag(diag)
 
 
-def oracle(pipe):
-    """The per-pipe oracle of a pipe of an assembled system."""
-    return PipeOracle(pipe.spec, pipe.gas)
+def oracle(g, k):
+    """The per-pipe oracle of pipe k of an assembled system."""
+    return PipeOracle(g.pipes[k], g.gas)
 
 
 def pipe_rhs(sys, fld, u):
@@ -363,15 +378,15 @@ def power_terms_oracle(g, x, inputs):
         else:
             bucket = "internal"
         for k, isout in g.attached[nd.id]:
-            p = oracle(g.pipes[k])
+            p = oracle(g, k)
             if isout:
                 m_L = -x[g.mu_m[k]]
                 parts[bucket] += -p.conjugate_outlet_pressure(z[g.rho_sl[k]]) * m_L
             else:
                 parts[bucket] += x[g.mu_p[k]] * z[g.mom_sl[k]][0]
     parts["dissipation"] = sum(
-        oracle(p).dissipation_rate(z[g.rho_sl[k]], z[g.mom_sl[k]])
-        for k, p in enumerate(g.pipes))
+        oracle(g, k).dissipation_rate(z[g.rho_sl[k]], z[g.mom_sl[k]])
+        for k in range(len(g.pipes)))
     return parts
 
 
@@ -384,17 +399,21 @@ class TwoPipeOracle:
     outlet rule at the upstream outlet pressure p1(L) and the demand m_L.
     The unknowns are the pipe states only, z = [rho1, m1, rho2, m2], and
     each pipe's rows are its weighted form W (dz/dt - rates) with the rates
-    from `pipe_rhs`. The oracle shares nothing with the assembled network but
-    `color_columns` and the finite-difference Jacobian: its pattern is
-    written by hand, and it has its own steady solve, midpoint loop and
-    plain dense Newton iteration (`dense_newton_step`, no line search).
+    from `pipe_rhs`. The station is its row of `compressor.VARIANTS`,
+    applied with the gas's isentropic exponent. The oracle shares nothing
+    else with the assembled network but `color_columns` and the
+    finite-difference Jacobian: its pattern is written by hand, and it has
+    its own steady solve, midpoint loop and plain dense Newton iteration
+    (`dense_newton_step`, no line search).
 
     Inputs are triples u = (p0, m_L, setpoint).
     """
 
-    def __init__(self, pipe_specs, gas, model, station_id):
+    def __init__(self, pipe_specs, gas, variant, station_id):
         self.pipes = [PipeOracle(ps, gas) for ps in pipe_specs]
-        self.model = model
+        self.variant, self.kappa = variant, gas.isentropic_exponent
+        self.framework, self.assumption = next(
+            key for key, row in VARIANTS.items() if row is variant)
         n1, n2 = (p.n for p in self.pipes)
         self.sl = [slice(0, 2 * n1), slice(2 * n1, 2 * (n1 + n2))]
         self.n = 2 * (n1 + n2)
@@ -410,8 +429,8 @@ class TwoPipeOracle:
         p0, m_L, sp = u
         up, down = self.fields(z)
         p1L = self.pipes[0].outlet_pressure(up.rho)
-        k = self.model.inlet_match_factor(sp, p1L)
-        return [p0, -k * down.mom[0], self.model.outlet_pressure(sp, p1L), -m_L]
+        k = self.variant.factor(sp, p1L, self.kappa)
+        return [p0, -k * down.mom[0], self.variant.outlet(sp, p1L), -m_L]
 
     def rows(self, z, zdot, u):
         """Each pipe's weighted rows W (dz/dt - rates) at the substituted inputs."""
@@ -429,7 +448,8 @@ class TwoPipeOracle:
         for k, (p, fld) in enumerate(zip(self.pipes, self.fields(z))):
             row += [mu[2 * k], fld.mom[0], p.outlet_pressure(fld.rho), -mu[2 * k + 1]]
             energy += p.stored_energy(fld.rho, fld.mom)
-        return np.array(row + [energy, self.model.power(u[2], row[2], row[5])])
+        return np.array(row + [energy, gn.station_power(self.variant, self.kappa, u[2],
+                                                        row[2], row[5])])
 
     def pattern(self):
         """Hand-written structural couplings of the rows."""
@@ -448,8 +468,8 @@ class TwoPipeOracle:
         n1 = self.pipes[0].n
         last_up = [n1 - 1, n1 - 2]
         m2_0 = self.sl[1].start + self.pipes[1].n
-        fc = self.model.framework is gn.Framework.FIXED_RATIO
-        av = self.model.assumption is gn.Assumption.CONST_VELOCITY
+        fc = self.framework is gn.Framework.FIXED_RATIO
+        av = self.assumption is gn.Assumption.CONST_VELOCITY
         ent.append((n1 - 1, m2_0))
         if not fc and av:
             ent += [(n1 - 1, c) for c in last_up]
@@ -500,8 +520,7 @@ def direct_line(tag, cells=None):
         for pe, n in zip(spec.pipes, cells):
             pe.spec = dataclasses.replace(pe.spec, n_cells=n)
     st = spec.compressors[0]
-    line = TwoPipeOracle([pe.spec for pe in spec.pipes], spec.gas,
-                         st.model(spec.gas.isentropic_exponent), st.id)
+    line = TwoPipeOracle([pe.spec for pe in spec.pipes], spec.gas, st.variant, st.id)
     setpoint = scen.setpoint_source(st.id, st.variant.setpoint, None)
 
     def inputs(t):

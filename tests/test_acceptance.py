@@ -43,7 +43,7 @@ def test_ac1_steady_pipe_oracle_and_convergence(gas):
         inputs = {"s": 80e5, "d": 300.0}
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
         snap = record_dict(g, x[: g.n_z], inputs)
-        oracle = gn.steady_pipe_oracle(g.pipes[0].spec, gas, 80e5, 300.0)
+        oracle = gn.steady_pipe_oracle(g.pipes[0], gas, 80e5, 300.0)
         errs[n] = abs(snap["line.out.p_Pa"] - oracle)
     elapsed = time.perf_counter() - t0
     rel32 = errs[32] / gn.steady_pipe_oracle(
@@ -123,8 +123,8 @@ def test_ac5_power_balance_identity():
     for _ in range(100):
         z = x0[: gsys.n_z].copy()
         for k, p in enumerate(gsys.pipes):
-            z[gsys.rho_sl[k]] *= 1.0 + 0.05 * rng.standard_normal(p.n)
-            z[gsys.mom_sl[k]] += 30.0 * rng.standard_normal(p.n)
+            z[gsys.rho_sl[k]] *= 1.0 + 0.05 * rng.standard_normal(p.n_cells)
+            z[gsys.mom_sl[k]] += 30.0 * rng.standard_normal(p.n_cells)
         x = gsys.algebraic_solve(z, inputs)
         terms = gsys.power_terms(x, inputs)
         lhs = terms["rate"]

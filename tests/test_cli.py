@@ -1,4 +1,9 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,3 +208,28 @@ def test_malformed_structure_validate_exits_1(tmp_path, capsys, path, value, key
     assert main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+def test_day_line_at_256_cells_imports_no_scipy(tmp_path):
+    # the day line at 256 cells (n = 1032) lies below the sparse threshold, so
+    # every Newton step runs on the block factor: the run never imports
+    # scipy.sparse.linalg (about 32 MB), nor any other scipy module
+    net, scn, out = tmp_path / "yamal.net.json", tmp_path / "day.scn.json", tmp_path / "o.csv"
+    net.write_text(NET_JSON)
+    scn.write_text(SCN_JSON)
+    code = ("import sys\n"
+            "from gasnetsim.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(status)\n")
+    src = str(Path(gn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code, "run", str(net), str(scn),
+                           "--cells", "256", "--dt", "900", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert gn.read_timeseries(out).t.size == 97      # 24 h at dt 900
+    imported = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert "scipy.sparse.linalg" not in imported
+    assert imported == []

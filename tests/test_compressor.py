@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import gasnetsim as gn
-from gasnetsim.compressor import VARIANTS, Assumption, CompressorModel, Framework
+from gasnetsim.cli import _apply_model_override
+from gasnetsim.compressor import VARIANTS, Assumption, Framework
 
 from casekit import SCN_JSON, benchmark_with_model, direct_line, rel_column_diff
 
@@ -13,9 +15,28 @@ KAPPA = 1.4
 TAGS = ("fc-av", "fc-am", "fp-av", "fp-am")
 
 
-def model(tag, setpoint):
+def row(tag):
+    """The station-variant table's row for a CLI tag."""
     fw, asm = tag.split("-")
-    return CompressorModel(Framework(fw), Assumption(asm), setpoint, KAPPA)
+    return VARIANTS[Framework(fw), Assumption(asm)]
+
+
+def factor(tag, sp, p_in):
+    return row(tag).factor(sp, p_in, KAPPA)
+
+
+def outlet(tag, sp, p_in):
+    return row(tag).outlet(sp, p_in)
+
+
+def power(tag, sp, p_in, m_feed):
+    return gn.station_power(row(tag), KAPPA, sp, p_in, m_feed)
+
+
+def station(tag, **setpoints):
+    fw, asm = tag.split("-")
+    return gn.CompressorStation("c", "c.in", "c.out", Framework(fw), Assumption(asm),
+                                **setpoints)
 
 
 class TestMomentumJump:
@@ -24,23 +45,22 @@ class TestMomentumJump:
     def test_constant_momentum_is_identity(self):
         for tag, sp in (("fc-am", 1.7), ("fp-am", 8.4e6)):
             for p_in in (5e6, 7e6, 9e6):
-                assert model(tag, sp).inlet_match_factor(sp, p_in) == 1.0
+                assert factor(tag, sp, p_in) == 1.0
 
     def test_constant_velocity_benchmark_value(self):
-        k = model("fc-av", 1.2).inlet_match_factor(1.2, 7e6)
+        k = factor("fc-av", 1.2, 7e6)
         assert k == pytest.approx(1.2 ** (-1.0 / 1.4), rel=1e-14)
         assert 1.0 / k == pytest.approx(1.1391, rel=1e-4)
 
     def test_unit_ratio_collapses_to_identity(self):
-        assert model("fc-av", 1.0).inlet_match_factor(1.0, 7e6) == pytest.approx(1.0, rel=1e-14)
+        assert factor("fc-av", 1.0, 7e6) == pytest.approx(1.0, rel=1e-14)
 
     def test_fp_av_needs_current_ratio(self):
         # the effective ratio is the current sp / p_in, so k moves with p_in
-        m = model("fp-av", 8.4e6)
         for p_in in (6e6, 8e6, 8.4e6):
-            assert m.inlet_match_factor(8.4e6, p_in) == pytest.approx(
+            assert factor("fp-av", 8.4e6, p_in) == pytest.approx(
                 (8.4e6 / p_in) ** (-1.0 / 1.4), rel=1e-14)
-        assert m.inlet_match_factor(8.4e6, 8e6) != m.inlet_match_factor(8.4e6, 6e6)
+        assert factor("fp-av", 8.4e6, 8e6) != factor("fp-av", 8.4e6, 6e6)
 
 
 class TestCouplingMatrix:
@@ -49,7 +69,7 @@ class TestCouplingMatrix:
     def test_fixed_ratio_layout(self):
         for tag in ("fc-av", "fc-am"):
             v = VARIANTS[Framework.FIXED_RATIO, Assumption(tag[3:])]
-            assert model(tag, 1.2).outlet_pressure(1.2, 7e6) == 1.2 * 7e6
+            assert outlet(tag, 1.2, 7e6) == 1.2 * 7e6
             assert v.setpoint == "ratio"
             assert v.reads_inlet == (False, True)
 
@@ -58,7 +78,7 @@ class TestCouplingMatrix:
         v_am = VARIANTS[Framework.FIXED_PRESSURE, Assumption.CONST_MOMENTUM]
         for tag in ("fp-av", "fp-am"):
             for p_in in (6e6, 7e6):
-                assert model(tag, 8.4e6).outlet_pressure(8.4e6, p_in) == 8.4e6
+                assert outlet(tag, 8.4e6, p_in) == 8.4e6
         for v in (v_av, v_am):
             assert v.setpoint == "pressure"
         # only fp-av's momentum row reads the inlet pressure, through k
@@ -67,9 +87,8 @@ class TestCouplingMatrix:
 
     def test_zero_flow_makes_jump_row_inert(self):
         for tag, sp in (("fc-av", 1.2), ("fc-am", 1.2), ("fp-av", 8.4e6), ("fp-am", 8.4e6)):
-            m = model(tag, sp)
-            assert m.inlet_match_factor(sp, 7e6) * 0.0 == 0.0
-            assert m.power(sp, 7e6, 0.0) == 0.0
+            assert factor(tag, sp, 7e6) * 0.0 == 0.0
+            assert power(tag, sp, 7e6, 0.0) == 0.0
 
     def test_matrix_times_input_reproduces_boundary_injections(self):
         # pipe-1 inlet gets p0, pipe-1 outlet gets -m2(0), pipe-2 inlet gets
@@ -115,37 +134,36 @@ class TestSetpointInput:
     """The per-variant setpoint entries: inlet factor and outlet rule."""
 
     def test_fc_am_benchmark_vector(self):
-        m = model("fc-am", 1.2)
-        assert m.inlet_match_factor(1.2, 8e6) == 1.0
-        assert m.outlet_pressure(1.2, 8e6) == pytest.approx(1.2 * 8e6, rel=1e-14)
+        assert factor("fc-am", 1.2, 8e6) == 1.0
+        assert outlet("fc-am", 1.2, 8e6) == pytest.approx(1.2 * 8e6, rel=1e-14)
 
     def test_unit_ratio_is_inert(self):
         for tag in ("fc-am", "fc-av"):
-            m = model(tag, 1.0)
-            assert m.inlet_match_factor(1.0, 8e6) == pytest.approx(1.0, rel=1e-14)
-            assert m.outlet_pressure(1.0, 8e6) == 8e6
-            assert m.power(1.0, 8e6, 250.0) == 0.0
+            assert factor(tag, 1.0, 8e6) == pytest.approx(1.0, rel=1e-14)
+            assert outlet(tag, 1.0, 8e6) == 8e6
+            assert power(tag, 1.0, 8e6, 250.0) == 0.0
 
     def test_fp_av_second_entry(self):
         # k = sp^(-1/kappa) * p_in^(1/kappa): the setpoint entry times the state
-        k = model("fp-av", 8.4e6).inlet_match_factor(8.4e6, 8e6)
+        k = factor("fp-av", 8.4e6, 8e6)
         assert 8.4e6 ** (-1.0 / 1.4) == pytest.approx(1.133e-5, rel=1e-2)
         assert k == pytest.approx(8.4e6 ** (-1.0 / 1.4) * 8e6 ** (1.0 / 1.4), rel=1e-14)
 
     def test_fp_rejects_nonpositive_pressure(self):
-        with pytest.raises(gn.ConfigurationError):
-            model("fp-am", -1.0)
+        # a negative default setpoint fails where the station is declared, a
+        # zero inlet pressure where the power is evaluated
+        with pytest.raises(gn.ConfigurationError, match="pressure must be finite and positive"):
+            station("fp-am", pressure=-1.0)
         for tag in TAGS:
             with pytest.raises(gn.ConfigurationError, match="inlet pressure must be positive"):
-                model(tag, 1.2 if tag.startswith("fc") else 8.4e6).power(1.2, 0.0, 250.0)
+                power(tag, 1.2, 0.0, 250.0)
 
     def test_station_injection_vectors(self):
         # the four per-station pairs (k, outlet) at unit inlet pressure
         pairs = {"fc-av": (1.2, [1.2 ** (-1 / 1.4), 1.2]), "fc-am": (1.2, [1.0, 1.2]),
                  "fp-av": (8.4e6, [8.4e6 ** (-1 / 1.4), 8.4e6]), "fp-am": (8.4e6, [1.0, 8.4e6])}
         for tag, (sp, want) in pairs.items():
-            m = model(tag, sp)
-            got = [m.inlet_match_factor(sp, 1.0), m.outlet_pressure(sp, 1.0)]
+            got = [factor(tag, sp, 1.0), outlet(tag, sp, 1.0)]
             assert np.allclose(got, want, rtol=1e-14)
 
 
@@ -154,21 +172,21 @@ class TestExternalPower:
 
     def test_neutral_ratio_adds_nothing(self):
         for tag in ("fc-av", "fc-am"):
-            assert model(tag, 1.0).power(1.0, 7e6, 250.0) == 0.0
+            assert power(tag, 1.0, 7e6, 250.0) == 0.0
 
     def test_matched_pressure_adds_nothing(self):
         for tag in ("fp-av", "fp-am"):
-            assert model(tag, 8.4e6).power(8.4e6, 8.4e6, 250.0) == pytest.approx(0.0, abs=1e-6)
+            assert power(tag, 8.4e6, 8.4e6, 250.0) == pytest.approx(0.0, abs=1e-6)
 
     def test_fc_am_benchmark_value(self):
-        assert model("fc-am", 1.2).power(1.2, 7e6, 250.0) == pytest.approx(
+        assert power("fc-am", 1.2, 7e6, 250.0) == pytest.approx(
             0.2 * 7e6 * 250.0, rel=1e-14)
 
     def test_sign_follows_setpoint(self):
-        assert model("fc-am", 1.3).power(1.3, 7e6, 250.0) > 0
-        assert model("fc-av", 1.3).power(1.3, 7e6, 250.0) > 0
-        assert model("fp-am", 8.4e6).power(8.4e6, 7e6, 250.0) > 0
-        assert model("fp-av", 6.0e6).power(6.0e6, 7e6, 250.0) < 0
+        assert power("fc-am", 1.3, 7e6, 250.0) > 0
+        assert power("fc-av", 1.3, 7e6, 250.0) > 0
+        assert power("fp-am", 8.4e6, 7e6, 250.0) > 0
+        assert power("fp-av", 6.0e6, 7e6, 250.0) < 0
 
     def test_power_is_energy_out_minus_energy_in(self):
         # outlet pressure times m_feed, minus inlet pressure times m_in = k m_feed
@@ -178,10 +196,9 @@ class TestExternalPower:
                 p_in = rng.uniform(3e6, 9e6)
                 m_feed = rng.normal(0.0, 300.0)
                 sp = rng.uniform(1.0, 1.6) if tag.startswith("fc") else rng.uniform(3e6, 9e6)
-                m = model(tag, sp)
-                out, k = m.outlet_pressure(sp, p_in), m.inlet_match_factor(sp, p_in)
+                out, k = outlet(tag, sp, p_in), factor(tag, sp, p_in)
                 want = out * m_feed - p_in * k * m_feed
-                assert m.power(sp, p_in, m_feed) == pytest.approx(want, rel=1e-10)
+                assert power(tag, sp, p_in, m_feed) == pytest.approx(want, rel=1e-10)
 
 
 class TestAdiabaticEnthalpy:
@@ -204,13 +221,22 @@ class TestAdiabaticEnthalpy:
 
 
 def test_fc_ratio_below_one_warns():
-    with pytest.warns(UserWarning):
-        CompressorModel(Framework.FIXED_RATIO, Assumption.CONST_MOMENTUM, 0.9, 1.4)
+    # the warning comes where the system binds the station, so it follows the
+    # framework the station has then, a --model override included
+    spec, _ = benchmark_with_model("fp-am")
+    spec.compressors[0].ratio = 0.9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gn.assemble(spec)                 # fp reads the pressure, not the ratio
+    with pytest.warns(UserWarning, match="FC compressor 'station' with ratio 0.9 < 1 acts as an "
+                                         "expander"):
+        gn.assemble(_apply_model_override(spec, "fc-am"))
 
 
 def test_fp_nonpositive_pressure_is_error():
-    with pytest.raises(gn.ConfigurationError):
-        CompressorModel(Framework.FIXED_PRESSURE, Assumption.CONST_MOMENTUM, 0.0, 1.4)
+    with pytest.raises(gn.ConfigurationError,
+                       match="compressor 'c': pressure must be finite and positive, got 0.0"):
+        station("fp-am", pressure=0.0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -220,17 +246,27 @@ NAN, INF = float("nan"), float("inf")
     ("fc-av", 1.2, NAN, "isentropic exponent must be finite and exceed 1, got nan"),
     ("fp-am", 7e6, INF, "isentropic exponent must be finite and exceed 1, got inf"),
     ("fc-am", 1.2, 1.0, "isentropic exponent must be finite and exceed 1, got 1.0"),
-    ("fp-av", NAN, 1.4, "fp-av compressor setpoint must be finite and positive, got nan"),
-    ("fp-am", INF, 1.4, "fp-am compressor setpoint must be finite and positive, got inf"),
-    ("fc-av", INF, 1.4, "fc-av compressor setpoint must be finite and positive, got inf"),
-    ("fc-am", NAN, 1.4, "fc-am compressor setpoint must be finite and positive, got nan"),
-    ("fc-am", 0.0, 1.4, "fc-am compressor setpoint must be finite and positive, got 0.0"),
 ])
 def test_nonfinite_kappa_or_setpoint_is_rejected(tag, setpoint, kappa, message):
-    # NaN passes a plain `<=` check; the model would then give NaN factors
-    fw, asm = tag.split("-")
+    # NaN passes a plain `<=` check; the station rows would then give NaN
+    # factors. The station takes its setpoint; the gas carries kappa, so the
+    # gas rejects it (`test_nonfinite_station_setpoint_is_rejected`: the setpoint)
+    station(tag, **{row(tag).setpoint: setpoint})
     with pytest.raises(gn.ConfigurationError, match=message):
-        CompressorModel(Framework(fw), Assumption(asm), setpoint, kappa)
+        gn.GasProperties(530.0, 276.25, 1.0, kappa)
+
+
+@pytest.mark.parametrize("tag, setpoint, message", [
+    ("fp-av", NAN, "compressor 'c': pressure must be finite and positive, got nan"),
+    ("fp-am", INF, "compressor 'c': pressure must be finite and positive, got inf"),
+    ("fc-av", INF, "compressor 'c': ratio must be finite and positive, got inf"),
+    ("fc-am", NAN, "compressor 'c': ratio must be finite and positive, got nan"),
+    ("fc-am", 0.0, "compressor 'c': ratio must be finite and positive, got 0.0"),
+])
+def test_nonfinite_station_setpoint_is_rejected(tag, setpoint, message):
+    # the default setpoint the variant reads is checked where the station is declared
+    with pytest.raises(gn.ConfigurationError, match=message):
+        station(tag, **{row(tag).setpoint: setpoint})
 
 
 def test_neutral_setpoint_identity_for_all_models():
@@ -239,7 +275,6 @@ def test_neutral_setpoint_identity_for_all_models():
     p_in = 7e6
     for tag in TAGS:
         sp = 1.0 if tag.startswith("fc") else p_in
-        m = model(tag, sp)
-        assert m.inlet_match_factor(sp, p_in) == pytest.approx(1.0, rel=1e-14)
-        assert m.outlet_pressure(sp, p_in) == p_in
-        assert m.power(sp, p_in, 77.0) == pytest.approx(0.0, abs=1e-14 * p_in * 77.0)
+        assert factor(tag, sp, p_in) == pytest.approx(1.0, rel=1e-14)
+        assert outlet(tag, sp, p_in) == p_in
+        assert power(tag, sp, p_in, 77.0) == pytest.approx(0.0, abs=1e-14 * p_in * 77.0)

@@ -3,7 +3,7 @@ import pytest
 
 import gasnetsim as gn
 
-from casekit import PipeField, PipeOracle, pipe_rhs
+from casekit import PipeField, PipeOracle, pipe_rhs, single_pipe_system
 
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 C2 = GAS.c2
@@ -18,12 +18,14 @@ def steady_profile(sys, p_in, m):
 
 
 def test_discretize_benchmark_dimensions():
-    spec = gn.PipeSpec("yamal", 363e3, 1.422, 0.0018, 32)
-    sys = gn.discretize_pipe(spec, GAS)
-    assert sys.dx == pytest.approx(11343.75)
-    assert sys.weights.size == 64              # 64 differential states
-    assert sys.weights[32] == pytest.approx(sys.dx / 2.0)
-    assert np.all(sys.weights[:32] == sys.dx)
+    # the pipe bank's grid and the weights W that H and the pipe rows read
+    g = single_pipe_system(GAS, length=363e3, n_cells=32)
+    dx = 11343.75
+    assert np.all(g.bank.dx == dx)
+    assert g.energy_weights.size == 64         # 64 differential states
+    assert g.energy_weights[32] == dx / 2.0    # the inlet momentum half cell
+    assert np.all(np.delete(g.energy_weights, 32) == dx)
+    assert np.array_equal(g.energy_weights, PipeOracle(g.pipes[0], GAS).weights)
 
 
 def test_discretize_rejects_single_cell():
