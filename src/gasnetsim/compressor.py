@@ -11,7 +11,9 @@ combined with one of two momentum assumptions,
 `VARIANTS` holds one row per combination, and no other module tests the
 combination. A row gives, for setpoint sp and inlet pressure p:
   - the outlet rule (sp * p or sp);
-  - the inlet factor k in m_in = k * m_out (1, or ratio^(-1/kappa));
+  - the inlet factor k in m_in = k * m_out (1, or ratio^(-1/kappa); NaN,
+    without a warning, where an fp-av ratio would need p <= 0, so a Newton
+    trial state there reads as non-finite and the line search rejects it);
   - the name of the station's default setpoint field, which is also its
     scenario profile suffix;
   - which station rows read p (the momentum row, the pressure row), for the
@@ -28,6 +30,7 @@ as a diagnostic.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -69,7 +72,7 @@ VARIANTS = {
                         lambda sp, p, k: 1.0,
                         (False, True)),
     (_FP, _AV): Variant("pressure", lambda sp, p: sp,
-                        lambda sp, p, k: (sp / p) ** (-1.0 / k),
+                        lambda sp, p, k: (sp / p) ** (-1.0 / k) if p > 0 else math.nan,
                         (True, False)),
     (_FP, _AM): Variant("pressure", lambda sp, p: sp,
                         lambda sp, p, k: 1.0,

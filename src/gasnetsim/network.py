@@ -59,6 +59,7 @@ once per system, beside the column coloring (`jac_colors`).
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from collections.abc import Mapping
@@ -423,6 +424,7 @@ class GlobalSystem:
         self._colors = None
         self._names = None
         self._alg_map = None
+        self._flows = None
 
     def _build_bank(self) -> PipeBank:
         n_cells = np.array([p.n_cells for p in self.pipes])
@@ -747,11 +749,13 @@ class GlobalSystem:
         b, z, pipes = self.bank, x[: self.n_z], self.spec.pipes
         bucket = {nd.id: 0 if nd.kind in BOUNDARY_KINDS else 1 if nd.kind in COMPRESSOR_KINDS
                   else 2 for nd in self.node_order}
-        ports = [bucket[pe.from_node] for pe in pipes] + [bucket[pe.to_node] for pe in pipes]
-        # inlet: p_in m(0); outlet: the conjugate pressure times minus the flux -mu_m
+        ports = np.array([bucket[pe.from_node] for pe in pipes]
+                         + [bucket[pe.to_node] for pe in pipes])
+        # inlet: p_in m(0); outlet: the conjugate pressure times minus the flux -mu_m;
+        # summed exactly, because inlet and outlet powers nearly cancel
         power = np.concatenate([x[self.mu_p] * z[b.m_in], self.gas.c2 * z[b.tail] * x[self.mu_m]])
-        sums = np.bincount(ports, weights=power, minlength=3).tolist()
-        parts = dict(zip(("boundary", "compressor", "internal"), sums))
+        parts = {name: math.fsum(power[ports == i].tolist())
+                 for i, name in enumerate(("boundary", "compressor", "internal"))}
         mom = z[b.mom]
         parts["dissipation"] = float(np.dot(b.w * self._friction(z[b.rho], mom), mom))
         parts["rate"] = self.energy_rate(z, self.zdot_consistent(x, inputs))
@@ -770,25 +774,77 @@ class GlobalSystem:
 
     # ------------------------------------------------------------------
 
-    def initial_guess(self, inputs0):
-        """Flat initialization: supply density, net-demand momentum, supply potentials.
+    def _flow_map(self):
+        """(G, pipe of each cell): the Kirchhoff flows q = G u at the input vector u.
 
-        Where the net demand is below 1 in magnitude (zero, or demands that
-        cancel up to rounding), every momentum starts at 1 instead: at zero
-        flow the steady rows lose their friction slope, so the Jacobian is
-        singular on a loop or on a path between two supplies.
+        Each station's two ends merge into one vertex and every supply into
+        one root. With A the pipes' incidence (+1 at the inlet end, -1 at
+        the outlet end), W each pipe's linear conductance 1 / (L lambda/2D)
+        and d the demands, A W A' phi = -d is solved on the vertices other
+        than the root (phi = 0 there), and q = W A' phi. So every demand
+        and junction balance holds, and loops split their flow by
+        conductance. A pipe without friction counts with 1e-9 of the largest
+        resistance (with 1 if no pipe has friction). Built once per system:
+        only u changes between calls.
+        """
+        if self._flows is None:
+            N, lam = len(self.node_order), self.lam
+            base = self.n - N
+            # each node's vertex (boundary nodes lead node_order in boundary_inputs
+            # order): the supplies share row N, which is then cut off (phi = 0 there),
+            # and a station's outlet is its inlet
+            vertex = list(range(N))
+            demand = []
+            for i, (_, kind) in enumerate(self.boundary_inputs):
+                if kind == "pressure":
+                    vertex[i] = N
+                else:
+                    demand.append(i)
+            for st in self.spec.compressors:
+                vertex[lam[st.outlet_node] - base] = lam[st.inlet_node] - base
+            ends = [(vertex[lam[pe.from_node] - base], vertex[lam[pe.to_node] - base])
+                    for pe in self.spec.pipes]
+            start, end = zip(*ends)
+            pipes = np.arange(len(ends))
+            incidence = np.zeros((N + 1, pipes.size))
+            incidence[start, pipes] = 1.0
+            incidence[end, pipes] -= 1.0
+            r = [p.length * p.friction / (2.0 * p.diameter) for p in self.pipes]
+            floor = 1e-9 * max(r) or 1.0
+            At = incidence[:N].T / np.array([[max(rk, floor)] for rk in r])
+            laplacian = incidence[:N] @ At
+            # no pipe end reaches a supply's or a station outlet's own row: phi = 0 there
+            idle = sorted(set(range(N)) - set(start) - set(end))
+            laplacian[idle, idle] = 1.0
+            rhs = np.zeros((N, len(self.input_ids) + 1))
+            rhs[demand, demand] = -1.0
+            self._flows = (At @ np.linalg.solve(laplacian, rhs),
+                           np.searchsorted(self.bank.tail, self.bank.rho))
+        return self._flows
+
+    def initial_guess(self, inputs0):
+        """Kirchhoff flow start: supply density and potentials, linear-resistance flows.
+
+        Densities, inlet pressures and node potentials start at the first
+        supply's pressure. Every pipe's momenta and its -mu_m start at its
+        Kirchhoff flow (`_flow_map`), which meets every demand and junction
+        balance with the stations taken as plain junctions. Where a pipe's
+        flow is below 1 in magnitude (no demand, demands that cancel, or a
+        loop that carries none) it starts at 1 instead: at zero flow the
+        steady rows lose their friction slope, so the Jacobian is singular
+        on a loop or on a path between two supplies.
         """
         u = self._input_vector(inputs0)
         kinds = [kind for _, kind in self.boundary_inputs]
         p_ref = u[kinds.index("pressure")]
-        m_est = sum(u[i] for i, kind in enumerate(kinds) if kind == "momentum")
-        if abs(m_est) < 1.0:
-            m_est = 1.0
+        G, cell_pipe = self._flow_map()
+        q = G @ u
+        q[np.abs(q) < 1.0] = 1.0
         x = np.empty(self.n)
         x[self.bank.rho] = p_ref / self.gas.c2
-        x[self.bank.mom] = m_est
+        x[self.bank.mom] = q[cell_pipe]
         x[self.mu_p] = p_ref
-        x[self.mu_m] = -m_est
+        x[self.mu_m] = -q
         x[self.n - len(self.node_order):] = p_ref   # node potentials
         return x
 
@@ -889,8 +945,8 @@ def blockwise_pinv(M: Triplets, n: int, rcond: float) -> Triplets:
     pseudo-inverses, so nothing n x n is formed. Blocks of one shape go
     through one stacked ``np.linalg.pinv`` with cutoff ``rcond`` each.
     Rows or columns without entries belong to no block and map to zero.
-    The components come from a union-find, not scipy's csgraph, because
-    systems below the sparse threshold never import scipy.
+    The components come from a union-find, so the solver needs nothing
+    beyond numpy.
     """
     # rows 0..n-1, columns n..2n-1
     roots = _component_roots(range(2 * n), zip(M.rows.tolist(), (n + M.cols).tolist()))
@@ -989,21 +1045,19 @@ class ColumnColoring(NamedTuple):
     ``groups[c]`` lists the columns of color c (no two share a residual
     row). ``rows``, ``cols`` and ``color`` flatten the structural nonzeros
     column by column (CSC order): entry i sits at (rows[i], cols[i]) and is
-    read from the sweep of color ``color[i]``. Column j's entries are
-    ``indptr[j]:indptr[j + 1]``, so ``(values, rows, indptr)`` is a CSC
-    matrix as it stands, and ``layout`` maps the same values into the
-    bordered block form.
+    read from the sweep of color ``color[i]``, and ``layout`` maps the same
+    values into the bordered block form.
 
-    ``factor`` is a one-slot list: the sparse Newton path keeps its last
-    SuperLU factor there for chord steps (``timeloop.newton_solve``), so the
-    factor lives as long as the system that caches this coloring.
+    ``factor`` is a one-slot list: chord Newton, above the sparse
+    threshold, keeps its last ``timeloop.BlockFactor`` there for reuse
+    across iterations and steps (``timeloop.newton_solve``), so the factor
+    lives as long as the system that caches this coloring.
     """
 
     groups: list[np.ndarray]
     rows: np.ndarray
     cols: np.ndarray
     color: np.ndarray
-    indptr: np.ndarray
     factor: list
     layout: BlockLayout
 
@@ -1020,8 +1074,8 @@ def color_columns(pattern, n_rows, n_cols, segments=None) -> ColumnColoring:
     """
     ent = np.array(pattern, dtype=int).reshape(-1, 2)
     cols, rows = np.divmod(np.unique(ent[:, 1] * n_rows + ent[:, 0]), n_rows)
-    indptr = np.searchsorted(cols, np.arange(n_cols + 1))
-    rows_l, ptr = rows.tolist(), indptr.tolist()
+    rows_l = rows.tolist()
+    ptr = np.searchsorted(cols, np.arange(n_cols + 1)).tolist()
     colors: list[list[int]] = []
     occupied: list[int] = []
     color_of_col = np.empty(n_cols, dtype=int)
@@ -1040,5 +1094,5 @@ def color_columns(pattern, n_rows, n_cols, segments=None) -> ColumnColoring:
             colors.append([c])
         color_of_col[c] = ci
     return ColumnColoring([np.array(sorted(cs), dtype=int) for cs in colors],
-                          rows, cols, color_of_col[cols], indptr, [None],
+                          rows, cols, color_of_col[cols], [None],
                           block_layout(rows, cols, n_cols, segments))

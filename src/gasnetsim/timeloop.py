@@ -9,35 +9,32 @@ every column is its own color. The difference step, the line search's shrink
 factor and its backtrack limit are module constants (``FD_STEP``,
 ``BACKTRACK_FACTOR``, ``MAX_BACKTRACKS``), not settings.
 
-Up to ``SolverConfig.sparse_threshold`` unknowns (a class constant, 2000,
-not a setting) the gathered values scatter straight into the coloring's
-block layout (``network.BlockLayout``): in the port-Hamiltonian form a pipe
-touches the rest of the network only through its ports, so with every pipe
-cut into segments of at most ``network.SEGMENT_CELLS`` cells the Jacobian
-is block diagonal over the segments, bordered by the cut cells and the
-algebraic unknowns. ``BlockFactor`` inverts the segment blocks of one shape
-in one stacked LAPACK call and the border's Schur complement
-S = D - C A^-1 B dense (block LU, Golub & Van Loan, Matrix Computations),
-so no n x n array is formed. A system without pipe structure (a coloring
-built without segments, or no coloring at all) is one block with an empty
-border and runs the same code. Above the threshold the gather is a
-compressed sparse column matrix as it stands, which SuperLU
-(``scipy.sparse.linalg.splu``) factors; ``scipy.sparse.linalg`` adds about
-30 MB to the process and is imported only once a system above the
-threshold is solved.
+Every Newton step solves with one factor, ``BlockFactor``: the gathered
+values scatter straight into the coloring's block layout
+(``network.BlockLayout``). In the port-Hamiltonian form a pipe touches the
+rest of the network only through its ports, so with every pipe cut into
+segments of at most ``network.SEGMENT_CELLS`` cells the Jacobian is block
+diagonal over the segments, bordered by the cut cells and the algebraic
+unknowns. ``BlockFactor`` inverts the segment blocks of one shape in one
+stacked LAPACK call and the border's Schur complement S = D - C A^-1 B
+dense (block LU, Golub & Van Loan, Matrix Computations), so no n x n array
+is formed and nothing beyond numpy is imported. A system without pipe
+structure (a coloring built without segments, or no coloring at all) is
+one block with an empty border and runs the same code.
 
-The sparse path is a chord Newton iteration (Hairer & Wanner, Solving ODEs
-II, IV.8): the last SuperLU factor is kept in the coloring's ``factor`` slot
-and reused across iterations and time steps, because over one step the
-Jacobian barely moves. A reused-factor step is taken in full, without a
-line search, when it cuts max|F| by at least ``CHORD_CONTRACTION``;
-otherwise the factor is dropped, the finite-difference Jacobian is rebuilt
-and factored at the current iterate, and the damped Newton step runs as
-usual. A chord iterate tends to stop just under the tolerance where a full
-Newton step overshoots it, so when a reused-factor step first meets the
-tolerance, one more reused step is tried and kept only if it lowers max|F|.
-Below the threshold the iteration stays full Newton, one block factor per
-iteration.
+``SolverConfig.sparse_threshold`` (a class constant, 2000 unknowns, not a
+setting) selects only the Newton policy. Above it the iteration is chord
+Newton (Hairer & Wanner, Solving ODEs II, IV.8): the last block factor is
+kept in the coloring's ``factor`` slot and reused across iterations and
+time steps, because over one step the Jacobian barely moves. A
+reused-factor step is taken in full, without a line search, when it cuts
+max|F| by at least ``CHORD_CONTRACTION``; otherwise the factor is dropped,
+the finite-difference Jacobian is rebuilt and factored at the current
+iterate, and the damped Newton step runs as usual. A chord iterate tends to
+stop just under the tolerance where a full Newton step overshoots it, so
+when a reused-factor step first meets the tolerance, one more reused step
+is tried and kept only if it lowers max|F|. Below the threshold the
+iteration stays full Newton, one block factor per iteration.
 
 Time stepping follows the implicit midpoint rule: differential states are
 advanced with the right-hand side collocated at the state average, algebraic
@@ -69,17 +66,17 @@ __all__ = [
 class SolverConfig:
     """Newton and time-grid settings (all tolerances in scaled units).
 
-    ``sparse_threshold`` is a class constant, not a setting. It selects the
-    linear solve and the Newton policy: systems with more unknowns get the
-    sparse Jacobian, SuperLU and chord Newton, which reuses its factor
-    across iterations and steps and refactors only when a reused step
-    fails to contract (module docstring); smaller ones get the block factor
-    of the coloring's pipe-segment layout and full Newton, one Jacobian
-    per iteration. The sparse path needs the solve's column coloring;
-    without one the system is one block at every size. The benchmark's
+    ``sparse_threshold`` is a class constant, not a setting. It selects
+    only the Newton policy; every size solves with the block factor of the
+    coloring's pipe-segment layout. Systems with more unknowns get chord
+    Newton, which reuses its factor across iterations and steps and
+    refactors only when a reused step fails to contract (module
+    docstring); smaller ones get full Newton, one Jacobian per iteration.
+    Chord Newton needs the solve's column coloring, which holds the
+    factor; without one every size runs full Newton. The benchmark's
     tests read the threshold (``bench/tests/test_bench.py``, to check that
-    the ladder workload lies above it), so it stays until the structured
-    factor serves every size.
+    the ladder workload lies above it), so it stays until chord Newton
+    serves every size.
 
     ``newton_abs_tol`` and ``dt`` must be finite and positive, ``t_end``
     finite and nonnegative (0 solves the steady state only), and
@@ -120,8 +117,8 @@ class NewtonResult:
     """Solution, accepted steps, max|F| after each, and Jacobians built and factored.
 
     Below the sparse threshold every iteration builds and block-factors one
-    Jacobian, so ``jacobians`` equals ``iterations``; above it reused
-    SuperLU factors make it smaller.
+    Jacobian, so ``jacobians`` equals ``iterations``; above it chord steps
+    on a reused block factor make it smaller.
     """
 
     x: np.ndarray
@@ -138,8 +135,7 @@ def scale_residual(gsys, raw):
 def _uncolored(n_rows, n_cols) -> ColumnColoring:
     """One color per column, every row structural: the plain FD Jacobian, one block."""
     rows, cols = np.tile(np.arange(n_rows), n_cols), np.repeat(np.arange(n_cols), n_rows)
-    return ColumnColoring(list(np.arange(n_cols)[:, None]), rows, cols, cols,
-                          n_rows * np.arange(n_cols + 1), [None],
+    return ColumnColoring(list(np.arange(n_cols)[:, None]), rows, cols, cols, [None],
                           block_layout(rows, cols, n_cols))
 
 
@@ -157,14 +153,6 @@ def _fd_jacobian(fun, x, F0, coloring):
         xp[group] += h[group]
         dF[c] = fun(xp) - F0
     return dF[coloring.color, coloring.rows] / h[coloring.cols]
-
-
-def _csc(vals, coloring):
-    """The gathered values as a CSC matrix: the coloring's index arrays as they stand."""
-    from scipy.sparse import csc_matrix
-
-    n = coloring.indptr.size - 1
-    return csc_matrix((vals, coloring.rows, coloring.indptr), shape=(n, n))
 
 
 def _inverse(stack, names):
@@ -224,23 +212,15 @@ class BlockFactor:
         return x
 
 
-def _newton_step(fun, x, F, colors, sparse):
-    """Solve J dx = -F with the finite-difference Jacobian at x.
+def _newton_step(fun, x, F, colors, slot):
+    """Solve J dx = -F with the block factor of the finite-difference Jacobian at x.
 
-    Above the sparse threshold SuperLU factors the CSC Jacobian and the
-    factor is stored in ``colors.factor`` for later chord steps; below it
-    the block factor of the coloring's layout solves the step.
+    With a ``slot`` (chord Newton, above the sparse threshold) the factor
+    is stored there for later chord steps.
     """
-    vals = _fd_jacobian(fun, x, F, colors)
-    if not sparse:
-        return BlockFactor(vals, colors.layout).solve(-F)
-    from scipy.sparse.linalg import splu
-
-    try:
-        lu = splu(_csc(vals, colors))
-    except RuntimeError as exc:       # "Factor is exactly singular"
-        raise FactorizationError(f"Jacobian factorization failed: {exc}") from exc
-    colors.factor[0] = lu
+    lu = BlockFactor(_fd_jacobian(fun, x, F, colors), colors.layout)
+    if slot is not None:
+        slot[0] = lu
     return lu.solve(-F)
 
 
@@ -271,10 +251,9 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> Newto
     norm = float(np.max(np.abs(F)))
     history = [norm]
     best_x, best_norm = x.copy(), norm
-    sparse = colors is not None and x.size > cfg.sparse_threshold
+    slot = colors.factor if colors is not None and x.size > cfg.sparse_threshold else None
     if colors is None:
         colors = _uncolored(F.size, x.size)
-    slot = colors.factor if sparse else None
     jacobians = 0
     if norm <= cfg.newton_abs_tol:
         return NewtonResult(x, 0, history, jacobians)
@@ -287,7 +266,7 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> Newto
             if not chord:
                 slot[0] = None
         if not chord:
-            dx = _newton_step(fun, x, F, colors, sparse)
+            dx = _newton_step(fun, x, F, colors, slot)
             jacobians += 1
             f2 = float(np.dot(F, F))
             alpha = 1.0
@@ -384,7 +363,7 @@ def _solve(sys, raw, x0, cfg, t, what):
 
 def steady_state(gsys, inputs0, cfg: SolverConfig | None = None,
                  set_references=True) -> np.ndarray:
-    """Solve the DAE with all time derivatives dropped, from flat initialization."""
+    """Solve the DAE with all time derivatives dropped, from the Kirchhoff flow start."""
     x0 = gsys.initial_guess(inputs0)
     if set_references:
         gsys.references = _references(gsys, inputs0)

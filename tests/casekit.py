@@ -212,6 +212,14 @@ def dense_jacobian(fun, x, F0, coloring):
     return J
 
 
+def csc_jacobian(vals, coloring):
+    """The gathered values as a scipy CSC matrix, for SuperLU as a reference factor."""
+    from scipy.sparse import csc_matrix
+
+    n = sum(group.size for group in coloring.groups)    # every column has one color
+    return csc_matrix((vals, (coloring.rows, coloring.cols)), shape=(n, n))
+
+
 def dense_newton_step(fun, x, F, coloring):
     """The reference linear step: the dense colored FD Jacobian and LAPACK's solve."""
     return np.linalg.solve(dense_jacobian(fun, x, F, coloring), -F)

@@ -210,10 +210,14 @@ def test_malformed_structure_validate_exits_1(tmp_path, capsys, path, value, key
     assert err.startswith("error: ") and key in err and "Traceback" not in err
 
 
-def test_day_line_at_256_cells_imports_no_scipy(tmp_path):
-    # the day line at 256 cells (n = 1032) lies below the sparse threshold, so
-    # every Newton step runs on the block factor: the run never imports
-    # scipy.sparse.linalg (about 32 MB), nor any other scipy module
+@pytest.mark.parametrize("cells", [256, 600])
+def test_day_line_imports_no_scipy(tmp_path, cells):
+    # the day line at 256 cells (n = 1032) lies below the sparse threshold
+    # (full Newton), at 600 (n = 2408) above it (chord Newton); at both every
+    # Newton step runs on the block factor, so the run never imports
+    # scipy.sparse.linalg (about 30 MB), nor any other scipy module
+    n = gn.assemble(gn.parse_network(NET_JSON), cells).n
+    assert (n > gn.SolverConfig.sparse_threshold) == (cells == 600)
     net, scn, out = tmp_path / "yamal.net.json", tmp_path / "day.scn.json", tmp_path / "o.csv"
     net.write_text(NET_JSON)
     scn.write_text(SCN_JSON)
@@ -226,7 +230,7 @@ def test_day_line_at_256_cells_imports_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code, "run", str(net), str(scn),
-                           "--cells", "256", "--dt", "900", "--out", str(out)],
+                           "--cells", str(cells), "--dt", "900", "--out", str(out)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert gn.read_timeseries(out).t.size == 97      # 24 h at dt 900

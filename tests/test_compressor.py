@@ -62,6 +62,16 @@ class TestMomentumJump:
                 (8.4e6 / p_in) ** (-1.0 / 1.4), rel=1e-14)
         assert factor("fp-av", 8.4e6, 8e6) != factor("fp-av", 8.4e6, 6e6)
 
+    @pytest.mark.parametrize("p_in", [0.0, -1.0, -3e6, float("nan")])
+    def test_fp_av_factor_is_nan_without_a_warning_at_nonpositive_pressure(self, p_in):
+        # a Newton trial state can extrapolate a negative outlet pressure
+        # upstream of the station; the factor reads NaN there, which the
+        # line search rejects, and says nothing on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(factor("fp-av", 8.4e6, p_in))
+            assert np.isnan(factor("fp-av", 8.4e6, np.float64(p_in)))
+
 
 class TestCouplingMatrix:
     """The station coupling of the two-pipe form, read off the variant table."""

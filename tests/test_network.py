@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 import gasnetsim as gn
 from gasnetsim.compressor import Assumption, Framework
 from gasnetsim.network import block_layout, color_columns
-from gasnetsim.timeloop import FD_STEP, _csc, _fd_jacobian, _uncolored
+from gasnetsim.timeloop import FD_STEP, _fd_jacobian, _uncolored
 
-from casekit import (GAS, PipeField, consistent_state, dense_jacobian, direct_line,
-                     generated_network, incidence_matrices, ladder_system, oracle, pipe_rhs,
-                     power_terms_oracle, record_dict, single_pipe_system)
+from casekit import (GAS, PipeField, benchmark_with_model, consistent_state, csc_jacobian,
+                     dense_jacobian, direct_line, generated_network, incidence_matrices,
+                     ladder_system, oracle, pipe_rhs, power_terms_oracle, record_dict,
+                     single_pipe_system)
 
 
 def pipe(i, n=8):
@@ -389,7 +390,7 @@ class TestJacobianColoring:
         rng = np.random.default_rng(4)
         xp = x + rng.normal(0.0, 1e-3, g.n) * (1.0 + np.abs(x))
         F0 = fun(xp)
-        J_csc = _csc(_fd_jacobian(fun, xp, F0, g.jac_colors()), g.jac_colors())
+        J_csc = csc_jacobian(_fd_jacobian(fun, xp, F0, g.jac_colors()), g.jac_colors())
         assert J_csc.format == "csc"
         assert J_csc.nnz == g.jac_colors().rows.size
         assert np.array_equal(J_csc.toarray(), dense_jacobian(fun, xp, F0, g.jac_colors()))
@@ -688,6 +689,65 @@ def test_generated_networks_match_the_oracles(seed):
     m_ref = np.abs(np.concatenate([z[g.bank.mom], demands])).max()
     scale = np.where(g.row_kind[g.n_z:] == "p", p_ref, m_ref)
     assert np.all(np.abs(F[g.n_z:]) <= 1e-12 * scale)
+
+
+class TestKirchhoffStart:
+    """`initial_guess` starts every pipe at its linear-resistance Kirchhoff flow."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_flows_meet_every_balance_with_stations_merged(self, seed):
+        # trees and loops, one or two supplies, up to three stations: with
+        # each station's two ends one vertex, every demand and junction
+        # balance holds to rounding, and the drops L lambda/2D q are
+        # differences of potentials that vanish at the supplies (no loop
+        # circulates); the start itself floors |q| < 1 at 1, pipe by pipe
+        spec, inputs = generated_network(seed)
+        g = gn.assemble(spec)
+        q = g._flow_map()[0] @ g._input_vector(inputs)
+        vertex = {nd.id: nd.id for nd in spec.nodes}
+        for st_ in spec.compressors:
+            vertex[st_.outlet_node] = st_.inlet_node
+        net = dict.fromkeys(vertex.values(), 0.0)
+        for pe, qk in zip(spec.pipes, q.tolist()):
+            net[vertex[pe.to_node]] += qk
+            net[vertex[pe.from_node]] -= qk
+        demands = {nd.id: inputs[nd.id] for nd in spec.nodes if nd.kind is gn.NodeKind.DEMAND}
+        scale = max([1.0, *np.abs(q).tolist(), *map(abs, demands.values())])
+        for nd in spec.nodes:
+            if nd.kind is not gn.NodeKind.SUPPLY:
+                assert abs(net[vertex[nd.id]] - demands.get(nd.id, 0.0)) <= 1e-12 * scale
+        free = sorted({v for nid, v in vertex.items()
+                       if spec.node_by_id(nid).kind is not gn.NodeKind.SUPPLY})
+        B = np.zeros((len(spec.pipes), len(free)))
+        for k, pe in enumerate(spec.pipes):
+            for end, sign in ((pe.from_node, 1.0), (pe.to_node, -1.0)):
+                if vertex[end] in free:
+                    B[k, free.index(vertex[end])] += sign
+        drop = np.array([pe.spec.length * pe.spec.friction / (2.0 * pe.spec.diameter) * qk
+                         for pe, qk in zip(spec.pipes, q.tolist())])
+        phi = np.linalg.lstsq(B, drop, rcond=None)[0]
+        assert np.abs(B @ phi - drop).max() <= 1e-9 * max(np.abs(drop).max(), 1e-300)
+        x = g.initial_guess(inputs)
+        start = np.where(np.abs(q) < 1.0, 1.0, q)
+        for k in range(len(spec.pipes)):
+            assert np.all(x[g.mom_sl[k]] == start[k]) and x[g.mu_m[k]] == -start[k]
+
+    @pytest.mark.parametrize("tag", ["none", "fc-av", "fc-am", "fp-av", "fp-am"])
+    def test_equals_the_flat_start_on_the_day_line(self, tag):
+        # a line has one path, so every pipe carries the net demand, the
+        # flat start's momentum, at every demand level of the day and at none
+        spec, scen = benchmark_with_model(tag)
+        g = gn.assemble(spec)
+        fn, p_ref, _ = gn.bind_inputs(g, scen)
+        for inputs in [fn(t) for t in np.arange(0.0, 86400.0, 3600.0)] + [
+                {**fn(0.0), "sink": 0.0}, {**fn(0.0), "sink": -0.5}]:
+            m = inputs["sink"] if abs(inputs["sink"]) >= 1.0 else 1.0
+            flat = np.full(g.n, p_ref)
+            flat[g.bank.rho] = p_ref / g.gas.c2
+            flat[g.bank.mom] = m
+            flat[g.mu_m] = -m
+            assert np.allclose(g.initial_guess(inputs), flat, rtol=1e-14, atol=0.0)
 
 
 def test_block_layout_rejects_segments_that_couple_directly():
