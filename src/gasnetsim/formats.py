@@ -5,9 +5,11 @@ units (pressure in Pa or bar, lengths in m or km, temperature in K); all
 values are converted to SI on ingestion and everything downstream is SI.
 
 Network file (.net.json): top-level keys `gas {Rs, T, z, kappa}`, `units`,
-`nodes []`, `pipes []`, `compressors []`. A compressor is a single element
-between two declared nodes; the two-node incidence representation is
-derived internally.
+`nodes []`, `pipes []`, `compressors []`. A node's `type` is `supply`,
+`demand` or `junction` (the default). A compressor is a single element
+between two declared junctions, its `from` and `to`; station ends are not
+created for undeclared ids, and `validate_topology` checks them with the
+rest of the topology.
 
 Scenario file (.scn.json): keys `t_end`, `dt`, `units`, and `profiles`
 mapping input ids to piecewise-constant schedules [[t, value], ...]. A
@@ -93,13 +95,6 @@ def _load_json(text: str):
         ) from exc
 
 
-_NODE_TYPES = {
-    "supply": NodeKind.SUPPLY,
-    "demand": NodeKind.DEMAND,
-    "junction": NodeKind.JUNCTION,
-}
-
-
 @contextlib.contextmanager
 def _entry(name: str):
     """Report a missing key or a bad value inside one file entry as a FormatError."""
@@ -127,7 +122,9 @@ def parse_network(text: str) -> NetworkSpec:
     A block or entry that is not an object or a list as required, a missing
     key, a value that is not a JSON number, or one that fails the checks of
     `GasProperties`, `PipeSpec` or `CompressorStation` raises a FormatError
-    naming the entry and the key.
+    naming the entry and the key. Entries are converted as they stand;
+    every topology check (duplicate ids, undeclared ends, station ends)
+    is `validate_topology`'s, reported as a FormatError too.
     """
     doc = _object(_load_json(text), "the top level")
     units = _parse_units(doc.get("units"))
@@ -141,18 +138,13 @@ def parse_network(text: str) -> NetworkSpec:
                             _number(gas_doc, "z", 1.0), _number(gas_doc, "kappa", 1.4))
 
     nodes: list[Node] = []
-    index: dict[str, Node] = {}
     for i, nd in enumerate(_list(doc, "nodes")):
         with _entry(f"nodes[{i}]"):
             nid = str(_object(nd, f"nodes[{i}]")["id"])
-        if nid in index:
-            raise FormatError(f"duplicate node id {nid!r}")
         typ = nd.get("type", "junction")
-        if not isinstance(typ, str) or typ not in _NODE_TYPES:
+        if typ not in list(NodeKind):
             raise FormatError(f"node {nid!r}: unknown type {typ!r}")
-        node = Node(nid, _NODE_TYPES[typ])
-        nodes.append(node)
-        index[nid] = node
+        nodes.append(Node(nid, NodeKind(typ)))
 
     comps: list[CompressorStation] = []
     for i, cd in enumerate(_list(doc, "compressors")):
@@ -160,7 +152,7 @@ def parse_network(text: str) -> NetworkSpec:
             cid = str(_object(cd, f"compressors[{i}]")["id"])
             ratio = cd.get("ratio")
             pressure = cd.get("pressure")
-            st = CompressorStation(
+            comps.append(CompressorStation(
                 id=cid,
                 inlet_node=str(cd["from"]),
                 outlet_node=str(cd["to"]),
@@ -169,34 +161,17 @@ def parse_network(text: str) -> NetworkSpec:
                 ratio=_number(cd, "ratio") if ratio is not None else None,
                 pressure=(_number(cd, "pressure") * units.pressure
                           if pressure is not None else None),
-            )
-        for nid, kind in ((st.inlet_node, NodeKind.COMPRESSOR_IN),
-                          (st.outlet_node, NodeKind.COMPRESSOR_OUT)):
-            if nid in index:
-                if index[nid].kind is not NodeKind.JUNCTION:
-                    raise FormatError(
-                        f"compressor {cid!r}: node {nid!r} is {index[nid].kind.value}, "
-                        "expected a plain junction")
-                index[nid].kind = kind
-                index[nid].compressor_id = cid
-            else:
-                node = Node(nid, kind, cid)
-                nodes.append(node)
-                index[nid] = node
-        comps.append(st)
+            ))
 
     pipes: list[PipeEdge] = []
     for i, pd in enumerate(_list(doc, "pipes")):
         with _entry(f"pipes[{i}]"):
-            spec = PipeSpec(str(_object(pd, f"pipes[{i}]")["id"]),
-                            _number(pd, "length") * units.length,
-                            _number(pd, "diameter") * units.diameter,
-                            _number(pd, "friction"), pd.get("cells", 32))
-            ends = (str(pd["from"]), str(pd["to"]))
-        for end in ends:
-            if end not in index:
-                raise FormatError(f"pipe {spec.id!r} references undeclared node {end!r}")
-        pipes.append(PipeEdge(spec, *ends))
+            pipes.append(PipeEdge(
+                PipeSpec(str(_object(pd, f"pipes[{i}]")["id"]),
+                         _number(pd, "length") * units.length,
+                         _number(pd, "diameter") * units.diameter,
+                         _number(pd, "friction"), pd.get("cells", 32)),
+                str(pd["from"]), str(pd["to"])))
 
     spec = NetworkSpec(gas, nodes, pipes, comps)
     report = validate_topology(spec)
@@ -215,11 +190,7 @@ def serialize_network(spec: NetworkSpec) -> str:
             "kappa": spec.gas.isentropic_exponent,
         },
         "units": {"pressure": "Pa", "length": "m", "diameter": "m"},
-        "nodes": [
-            {"id": nd.id,
-             "type": nd.kind.value if nd.kind in _NODE_TYPES.values() else "junction"}
-            for nd in spec.nodes
-        ],
+        "nodes": [{"id": nd.id, "type": nd.kind.value} for nd in spec.nodes],
         "pipes": [
             {"id": pe.spec.id, "from": pe.from_node, "to": pe.to_node,
              "length": pe.spec.length, "diameter": pe.spec.diameter,
@@ -351,16 +322,34 @@ def write_timeseries(ts: TimeSeries, destination) -> None:
 
 
 def read_timeseries(source) -> TimeSeries:
-    """Read a CSV produced by write_timeseries back into a TimeSeries."""
+    """Read a CSV produced by write_timeseries back into a TimeSeries.
+
+    Blank lines are skipped. A file without the time_s header or without
+    data rows, a field that is not a number, or a row whose field count
+    differs from the header's raises a FormatError naming the line.
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), 1) if ln]
+    first, head = lines[0] if lines else (1, "")
+    header = head.split(",")
     if header[0] != "time_s":
-        raise FormatError("not a time-series CSV (missing time_s column)")
-    body = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        raise FormatError(f"line {first}: not a time-series CSV (missing time_s column)")
+    if len(lines) < 2:
+        raise FormatError(f"line {first + 1}: no data rows after the header")
+    rows = []
+    for i, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != len(header):
+            raise FormatError(f"line {i}: expected {len(header)} fields as in the header, "
+                              f"got {len(fields)}")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError:
+            raise FormatError(f"line {i}: a field is not a number: {ln!r}") from None
+    body = np.array(rows)
     return TimeSeries(body[:, 0], header[1:], body[:, 1:])
 
 

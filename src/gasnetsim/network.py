@@ -7,8 +7,8 @@ Unknown vector layout (length = sum(2 n_cells) + 2 * n_pipes + n_nodes):
     z       all pipe differential states, pipe by pipe (densities then momenta)
     mu      one input pair per pipe: (inlet pressure, minus outlet momentum)
     lambda  one pressure-valued potential per node, ordered boundary nodes
-            first, then compressor nodes (inlet before outlet per station),
-            then internal nodes
+            first, then station end nodes (per station in declaration
+            order, inlet before outlet), then the other junctions
 
 Residual rows mirror it: row i pairs with unknown i.
 
@@ -79,22 +79,26 @@ SEGMENT_CELLS = 16
 
 
 class NodeKind(str, Enum):
+    """A node's type as the network file names it.
+
+    A station's end nodes are junctions: `CompressorStation.inlet_node` and
+    `outlet_node` are the only statement that a node is a station end.
+    """
+
     SUPPLY = "supply"
     DEMAND = "demand"
     JUNCTION = "junction"
-    COMPRESSOR_IN = "compressor-in"
-    COMPRESSOR_OUT = "compressor-out"
 
 
 BOUNDARY_KINDS = (NodeKind.SUPPLY, NodeKind.DEMAND)
-COMPRESSOR_KINDS = (NodeKind.COMPRESSOR_IN, NodeKind.COMPRESSOR_OUT)
 
 
 @dataclass
 class Node:
+    """A declared node: its id and its kind (a station's ends are junctions)."""
+
     id: str
     kind: NodeKind
-    compressor_id: str | None = None
 
 
 @dataclass
@@ -173,11 +177,16 @@ class ValidationReport:
 
 
 def validate_topology(spec: NetworkSpec) -> ValidationReport:
-    """Check all structural invariants; returns a report, never raises."""
+    """Check all structural invariants; returns a report, never raises.
+
+    Each station's ends must be declared junctions that no other station
+    uses, its inlet must terminate exactly one pipe and its outlet start
+    exactly one, and the two must differ.
+    """
     out: list[Violation] = []
     ids = [nd.id for nd in spec.nodes]
-    known = set(ids)
-    if len(known) != len(ids):
+    kind = {nd.id: nd.kind for nd in spec.nodes}
+    if len(kind) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         out.append(Violation("duplicate-node", f"duplicate node ids: {dupes}"))
 
@@ -186,66 +195,54 @@ def validate_topology(spec: NetworkSpec) -> ValidationReport:
         dupes = sorted({i for i in pipe_ids if pipe_ids.count(i) > 1})
         out.append(Violation("duplicate-pipe", f"duplicate pipe ids: {dupes}"))
 
+    out_degree = dict.fromkeys(kind, 0)   # pipe inlets attached (from)
+    in_degree = dict.fromkeys(kind, 0)    # pipe outlets attached (to)
     for pe in spec.pipes:
-        for end in (pe.from_node, pe.to_node):
-            if end not in known:
+        for end, degree in ((pe.from_node, out_degree), (pe.to_node, in_degree)):
+            if end in kind:
+                degree[end] += 1
+            else:
                 out.append(Violation(
                     "unknown-node",
                     f"pipe {pe.spec.id!r} references undeclared node {end!r}"))
 
-    out_degree = {nid: 0 for nid in known}   # pipe inlets attached (from)
-    in_degree = {nid: 0 for nid in known}    # pipe outlets attached (to)
-    for pe in spec.pipes:
-        if pe.from_node in known:
-            out_degree[pe.from_node] += 1
-        if pe.to_node in known:
-            in_degree[pe.to_node] += 1
-
-    comp_nodes = {}
+    station_of = {}
     for st in spec.compressors:
-        for nid, want in ((st.inlet_node, NodeKind.COMPRESSOR_IN),
-                          (st.outlet_node, NodeKind.COMPRESSOR_OUT)):
-            if nid not in known:
-                out.append(Violation(
-                    "unknown-node",
-                    f"compressor {st.id!r} references undeclared node {nid!r}"))
-                continue
-            nd = spec.node_by_id(nid)
-            if nd.kind is not want:
-                out.append(Violation(
-                    "compressor-node-kind",
-                    f"compressor {st.id!r}: node {nid!r} has kind {nd.kind.value}, "
-                    f"expected {want.value}"))
-            if nid in comp_nodes:
-                out.append(Violation(
-                    "compressor-node-shared",
-                    f"node {nid!r} belongs to compressors {comp_nodes[nid]!r} and {st.id!r}"))
-            comp_nodes[nid] = st.id
         if st.inlet_node == st.outlet_node:
             out.append(Violation(
                 "compressor-degenerate",
                 f"compressor {st.id!r} has identical end nodes"))
-
-    for nd in spec.nodes:
-        deg = out_degree.get(nd.id, 0) + in_degree.get(nd.id, 0)
-        if nd.kind in COMPRESSOR_KINDS:
+            continue
+        for nid, role, degree, verb in ((st.inlet_node, "inlet", in_degree, "terminate"),
+                                        (st.outlet_node, "outlet", out_degree, "start")):
+            if nid not in kind:
+                out.append(Violation(
+                    "unknown-node",
+                    f"compressor {st.id!r} references undeclared node {nid!r}"))
+                continue
+            if kind[nid] is not NodeKind.JUNCTION:
+                out.append(Violation(
+                    "compressor-node-kind",
+                    f"compressor {st.id!r}: node {nid!r} is {kind[nid].value}, "
+                    "expected a junction"))
+            if nid in station_of:
+                out.append(Violation(
+                    "compressor-node-shared",
+                    f"node {nid!r} belongs to compressors {station_of[nid]!r} and {st.id!r}"))
+                continue
+            station_of[nid] = st.id
+            deg = out_degree[nid] + in_degree[nid]
             if deg != 1:
                 out.append(Violation(
                     "compressor-end-degree",
-                    f"compressor end node {nd.id!r} has degree {deg}, expected 1"))
-            elif nd.kind is NodeKind.COMPRESSOR_IN and in_degree[nd.id] != 1:
+                    f"compressor {role} node {nid!r} has degree {deg}, expected 1"))
+            elif degree[nid] != 1:
                 out.append(Violation(
                     "compressor-end-orientation",
-                    f"compressor inlet node {nd.id!r} must terminate a pipe"))
-            elif nd.kind is NodeKind.COMPRESSOR_OUT and out_degree[nd.id] != 1:
-                out.append(Violation(
-                    "compressor-end-orientation",
-                    f"compressor outlet node {nd.id!r} must start a pipe"))
-            if nd.compressor_id is None or nd.id not in comp_nodes:
-                out.append(Violation(
-                    "compressor-node-unbound",
-                    f"node {nd.id!r} is a compressor end but no station references it"))
-        elif nd.kind in BOUNDARY_KINDS and deg < 1:
+                    f"compressor {role} node {nid!r} must {verb} a pipe"))
+
+    for nd in spec.nodes:
+        if nd.kind in BOUNDARY_KINDS and out_degree[nd.id] + in_degree[nd.id] < 1:
             out.append(Violation(
                 "dangling-boundary",
                 f"{nd.kind.value} node {nd.id!r} has no attached pipe"))
@@ -255,9 +252,9 @@ def validate_topology(spec: NetworkSpec) -> ValidationReport:
                              "network has no supply (pressure-specified) node"))
 
     # connectivity over pipes and compressor links
-    if known and not out:
+    if kind and not out:
         roots = set(_component_roots(
-            known, [(pe.from_node, pe.to_node) for pe in spec.pipes]
+            kind, [(pe.from_node, pe.to_node) for pe in spec.pipes]
             + [(st.inlet_node, st.outlet_node) for st in spec.compressors]))
         if len(roots) > 1:
             out.append(Violation("disconnected",
@@ -279,13 +276,6 @@ def _component_roots(items, links):
     for a, b in links:
         parent[find(a)] = find(b)
     return [find(a) for a in parent]
-
-
-def _node_classes(spec: NetworkSpec):
-    boundary = [nd for nd in spec.nodes if nd.kind in BOUNDARY_KINDS]
-    compressor = [nd for nd in spec.nodes if nd.kind in COMPRESSOR_KINDS]
-    internal = [nd for nd in spec.nodes if nd.kind is NodeKind.JUNCTION]
-    return boundary, compressor, internal
 
 
 class StationBinding(NamedTuple):
@@ -378,8 +368,17 @@ class GlobalSystem:
         self.energy_weights = np.empty(self.n_z)
         self.energy_weights[self.bank.rho] = self.bank.dx
         self.energy_weights[self.bank.mom] = self.bank.w
-        boundary, compressor, internal = _node_classes(spec)
-        self.node_order = boundary + compressor + internal
+        # station ends (inlet then outlet, per station) and the pressure-rule rows
+        ends = [nid for st in spec.compressors for nid in (st.inlet_node, st.outlet_node)]
+        self.station_ends = frozenset(ends)
+        self.pressure_rule = frozenset(
+            [nd.id for nd in spec.nodes if nd.kind is NodeKind.SUPPLY]
+            + [st.outlet_node for st in spec.compressors])
+        by_id = {nd.id: nd for nd in spec.nodes}
+        self.node_order = ([nd for nd in spec.nodes if nd.kind in BOUNDARY_KINDS]
+                           + [by_id[nid] for nid in ends]
+                           + [nd for nd in spec.nodes if nd.kind is NodeKind.JUNCTION
+                              and nd.id not in self.station_ends])
         self.lam = {nd.id: self.n_z + 2 * P + i for i, nd in enumerate(self.node_order)}
         self.n_alg = 2 * P + len(self.node_order)
         self.n = self.n_z + self.n_alg
@@ -416,8 +415,7 @@ class GlobalSystem:
         # momentum, port and pressure-rule rows carry pressure units
         kind[self.bank.mom] = kind[self.mu_p] = kind[self.mu_m] = "p"
         for nd in self.node_order:
-            pressure_rule = nd.kind in (NodeKind.SUPPLY, NodeKind.COMPRESSOR_OUT)
-            kind[self.lam[nd.id]] = "p" if pressure_rule else "m"
+            kind[self.lam[nd.id]] = "p" if nd.id in self.pressure_rule else "m"
         self.row_kind = kind
 
         self.references = (1.0, 1.0)   # (p_ref, m_ref), set before solving
@@ -463,9 +461,9 @@ class GlobalSystem:
                     (mu_m[k], lam[pe.to_node], -1)]
         for nd in self.node_order:
             r = lam[nd.id]
-            if nd.kind not in COMPRESSOR_KINDS:
+            if nd.id not in self.station_ends:
                 ent.append((r, slot.get(nd.id, zero), -1))
-            if nd.kind in (NodeKind.SUPPLY, NodeKind.COMPRESSOR_OUT):
+            if nd.id in self.pressure_rule:
                 ent.append((r, r, 1))
             else:   # flux balances, and the station inlet's -mu_m of its upstream pipe
                 ent += [(r, mu_m[k] if isout else m_in[k], -1)
@@ -747,7 +745,7 @@ class GlobalSystem:
         """
         x = np.asarray(x, float)
         b, z, pipes = self.bank, x[: self.n_z], self.spec.pipes
-        bucket = {nd.id: 0 if nd.kind in BOUNDARY_KINDS else 1 if nd.kind in COMPRESSOR_KINDS
+        bucket = {nd.id: 0 if nd.kind in BOUNDARY_KINDS else 1 if nd.id in self.station_ends
                   else 2 for nd in self.node_order}
         ports = np.array([bucket[pe.from_node] for pe in pipes]
                          + [bucket[pe.to_node] for pe in pipes])
@@ -854,21 +852,16 @@ def assemble(spec: NetworkSpec, n_cells_override: int | None = None) -> GlobalSy
     return GlobalSystem(spec, n_cells_override)
 
 
-def fuse_compressors(spec: NetworkSpec, ids=None) -> NetworkSpec:
-    """Replace stations by plain junctions (the no-compressor baseline).
+def fuse_compressors(spec: NetworkSpec) -> NetworkSpec:
+    """Replace every station by a plain junction (the no-compressor baseline).
 
-    Each station's node pair collapses into a single internal node, so the
-    adjacent pipes couple through ordinary pressure continuity and flow
-    balance.
+    Each station's node pair collapses into a single internal node
+    `<id>.junction`, so the adjacent pipes couple through ordinary pressure
+    continuity and flow balance.
     """
-    keep = set(ids) if ids is not None else {st.id for st in spec.compressors}
-    nodes = [Node(nd.id, nd.kind, nd.compressor_id) for nd in spec.nodes]
+    nodes = [Node(nd.id, nd.kind) for nd in spec.nodes]
     pipes = [PipeEdge(pe.spec, pe.from_node, pe.to_node) for pe in spec.pipes]
-    comps = []
     for st in spec.compressors:
-        if st.id not in keep:
-            comps.append(st)
-            continue
         fused = f"{st.id}.junction"
         nodes = [nd for nd in nodes if nd.id not in (st.inlet_node, st.outlet_node)]
         nodes.append(Node(fused, NodeKind.JUNCTION))
@@ -877,7 +870,7 @@ def fuse_compressors(spec: NetworkSpec, ids=None) -> NetworkSpec:
                 pe.to_node = fused
             if pe.from_node == st.outlet_node:
                 pe.from_node = fused
-    return NetworkSpec(spec.gas, nodes, pipes, comps)
+    return NetworkSpec(spec.gas, nodes, pipes)
 
 
 def _places(block):

@@ -5,9 +5,10 @@ forward finite-difference Jacobian (Curtis, Powell & Reid 1974). Structural
 column coloring (provided by the system object) evaluates all independent
 Jacobian columns in one residual sweep; one gather then reads every
 structural nonzero from the sweep of its column's color. Without a coloring
-every column is its own color. The difference step, the line search's shrink
-factor and its backtrack limit are module constants (``FD_STEP``,
-``BACKTRACK_FACTOR``, ``MAX_BACKTRACKS``), not settings.
+every column is its own color. The difference step, the iteration limit,
+the line search's shrink factor and its backtrack limit are module
+constants (``FD_STEP``, ``MAX_ITERATIONS``, ``BACKTRACK_FACTOR``,
+``MAX_BACKTRACKS``), not settings.
 
 Every Newton step solves with one factor, ``BlockFactor``: the gathered
 values scatter straight into the coloring's block layout
@@ -78,14 +79,13 @@ class SolverConfig:
     the ladder workload lies above it), so it stays until chord Newton
     serves every size.
 
-    ``newton_abs_tol`` and ``dt`` must be finite and positive, ``t_end``
-    finite and nonnegative (0 solves the steady state only), and
-    ``newton_max_iter`` at least 1; anything else raises
-    ``ConfigurationError`` here, before a solve starts.
+    ``newton_abs_tol`` and ``dt`` must be finite and positive, and
+    ``t_end`` finite and nonnegative (0 solves the steady state only);
+    anything else raises ``ConfigurationError`` here, before a solve
+    starts.
     """
 
     newton_abs_tol: float = 1e-8
-    newton_max_iter: int = 50
     dt: float | None = None
     t_end: float | None = None
     sparse_threshold: ClassVar[int] = 2000
@@ -94,15 +94,14 @@ class SolverConfig:
         if not (math.isfinite(self.newton_abs_tol) and self.newton_abs_tol > 0):
             raise ConfigurationError(
                 f"newton_abs_tol must be finite and positive, got {self.newton_abs_tol}")
-        if self.newton_max_iter < 1:
-            raise ConfigurationError(
-                f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigurationError(f"dt must be finite and positive, got {self.dt}")
         if self.t_end is not None and not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ConfigurationError(f"t_end must be finite and nonnegative, got {self.t_end}")
 
 
+# a Newton solve that has not converged after this many iterations fails
+MAX_ITERATIONS = 50
 # a reused-factor (chord) step is accepted when it cuts max|F| at least this much
 CHORD_CONTRACTION = 0.5
 # the line search shrinks a rejected step by this factor, at most this often
@@ -258,7 +257,7 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> Newto
     if norm <= cfg.newton_abs_tol:
         return NewtonResult(x, 0, history, jacobians)
 
-    for it in range(1, cfg.newton_max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         chord = False
         if slot is not None and slot[0] is not None:
             x_try, F_try, norm_try = _chord_step(fun, x, F, slot[0])
@@ -299,7 +298,7 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> Newto
             return NewtonResult(x, len(history) - 1, history, jacobians)
 
     raise NonconvergenceError(
-        f"no convergence in {cfg.newton_max_iter} iterations "
+        f"no convergence in {MAX_ITERATIONS} iterations "
         f"(residual {norm:.3e}, tol {cfg.newton_abs_tol:.1e})",
         x_best=best_x, history=history)
 

@@ -117,13 +117,18 @@ def rel_column_diff(ts_a, ts_b, names):
     return worst
 
 
+def station_ends(spec):
+    """The ids of every station's inlet and outlet nodes, read off the stations."""
+    return {nid for st in spec.compressors for nid in (st.inlet_node, st.outlet_node)}
+
+
 def incidence_matrices(g):
     """0/1 incidence of pipe ports onto boundary, compressor and internal nodes.
 
     Read from the assembled coupling: the -1 entries of pipe k's mu_p and
     mu_m rows name its from-node and to-node. Columns are the pipe ports,
-    inlet then outlet per pipe; rows are the nodes of each class in
-    declaration order.
+    inlet then outlet per pipe; rows are the nodes of each class in the
+    system's node order.
     """
     c = g.coupling
     port = {r: i for i, r in enumerate(np.column_stack([g.mu_p, g.mu_m]).ravel().tolist())}
@@ -132,9 +137,8 @@ def incidence_matrices(g):
     for r, col, v in zip(c.rows.tolist(), c.cols.tolist(), c.vals.tolist()):
         if r in port and col in node and v == -1.0:
             A[node[col], port[r]] = 1
-    counts = [sum(nd.kind in kinds for nd in g.node_order) for kinds in
-              ((gn.NodeKind.SUPPLY, gn.NodeKind.DEMAND),
-               (gn.NodeKind.COMPRESSOR_IN, gn.NodeKind.COMPRESSOR_OUT))]
+    counts = [sum(nd.kind in (gn.NodeKind.SUPPLY, gn.NodeKind.DEMAND) for nd in g.node_order),
+              len(station_ends(g.spec))]
     return np.split(A, np.cumsum(counts))
 
 
@@ -165,8 +169,8 @@ def generated_network(seed):
     for c, k in enumerate(rng.choice(len(edges), min(len(edges), rng.integers(0, 4)),
                                      replace=False)):
         cid = f"c{c}"
-        nodes += [gn.Node(f"{cid}.in", gn.NodeKind.COMPRESSOR_IN, cid),
-                  gn.Node(f"{cid}.out", gn.NodeKind.COMPRESSOR_OUT, cid)]
+        nodes += [gn.Node(f"{cid}.in", gn.NodeKind.JUNCTION),
+                  gn.Node(f"{cid}.out", gn.NodeKind.JUNCTION)]
         edges.append([f"{cid}.out", edges[k][1]])
         edges[k][1] = f"{cid}.in"
         fw, asm = rng.choice(["fc-av", "fc-am", "fp-av", "fp-am"]).split("-")
@@ -198,8 +202,9 @@ def consistent_state(g, inputs, rng):
     z = np.empty(g.n_z)
     z[b.rho] = rng.uniform(55e5, 70e5, b.rho.size) / c2
     z[b.mom] = rng.uniform(-100.0, 200.0, b.mom.size)
+    inlets = {st.inlet_node for st in g.spec.compressors}
     for k, pe in enumerate(g.spec.pipes):
-        if g.spec.node_by_id(pe.to_node).kind is not gn.NodeKind.COMPRESSOR_IN:
+        if pe.to_node not in inlets:
             last = b.tail[k]
             z[last] = (p_node[pe.to_node] / c2 + 0.5 * z[last - 1]) / 1.5
     return z
@@ -378,10 +383,11 @@ def power_terms_oracle(g, x, inputs):
     """
     z = x[: g.n_z]
     parts = {"boundary": 0.0, "compressor": 0.0, "internal": 0.0}
+    ends = station_ends(g.spec)
     for nd in g.node_order:
         if nd.kind in (gn.NodeKind.SUPPLY, gn.NodeKind.DEMAND):
             bucket = "boundary"
-        elif nd.kind in (gn.NodeKind.COMPRESSOR_IN, gn.NodeKind.COMPRESSOR_OUT):
+        elif nd.id in ends:
             bucket = "compressor"
         else:
             bucket = "internal"

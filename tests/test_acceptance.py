@@ -180,8 +180,8 @@ def test_ac8_incidence_reproduction(gas):
     nodes = [gn.Node("v1", gn.NodeKind.SUPPLY),
              gn.Node("v2", gn.NodeKind.DEMAND),
              gn.Node("v3", gn.NodeKind.DEMAND),
-             gn.Node("ci", gn.NodeKind.COMPRESSOR_IN, "C"),
-             gn.Node("co", gn.NodeKind.COMPRESSOR_OUT, "C"),
+             gn.Node("ci", gn.NodeKind.JUNCTION),
+             gn.Node("co", gn.NodeKind.JUNCTION),
              gn.Node("j", gn.NodeKind.JUNCTION)]
     mk = lambda i: gn.PipeSpec(f"P{i}", 50e3, 1.0, 0.002, 4)
     pipes = [gn.PipeEdge(mk(1), "v1", "ci"),

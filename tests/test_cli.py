@@ -177,6 +177,8 @@ def test_invalid_solver_flags_exit_1_before_solving(files, tmp_path, capsys, arg
     (("gas", "T"), float("nan"), "temperature"),
     (("pipes", 0, "length"), float("inf"), "length"),
     (("pipes", 0, "cells"), 2.5, "cell count"),
+    (("nodes", 2), {"id": "elsewhere"}, "undeclared node 'station_out'"),   # a station end
+    (("nodes", 1, "type"), "supply", "node 'station_in' is supply"),
 ])
 @pytest.mark.parametrize("command", ["validate", "steady"])
 def test_malformed_network_exits_1_naming_the_key(files, tmp_path, capsys, path, value,

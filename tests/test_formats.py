@@ -22,9 +22,10 @@ class TestParseNetwork:
         st = spec.compressors[0]
         assert st.ratio == 1.2
         assert st.pressure == pytest.approx(84e5)   # bar converted to Pa
-        kinds = {nd.id: nd.kind for nd in spec.nodes}
-        assert kinds["station_in"] is gn.NodeKind.COMPRESSOR_IN
-        assert kinds["station_out"] is gn.NodeKind.COMPRESSOR_OUT
+        # the file's nodes, as declared: station ends stay junctions
+        assert [(nd.id, nd.kind) for nd in spec.nodes] == [
+            ("source", gn.NodeKind.SUPPLY), ("station_in", gn.NodeKind.JUNCTION),
+            ("station_out", gn.NodeKind.JUNCTION), ("sink", gn.NodeKind.DEMAND)]
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(gn.FormatError, match=r"line \d+, column \d+"):
@@ -89,6 +90,8 @@ MALFORMED = [
     (("compressors", 0, "ratio"), NAN, r"compressor 'station': ratio must be finite and positive"),
     (("compressors", 0, "pressure"), -84.0, r"pressure must be finite and positive"),
     (("pipes", 0, "cells"), 2.5, r"pipe 'west': cell count must be an integer, got 2.5"),
+    (("gas",), DELETE, r"missing 'gas' block"),
+    (("units", "volume"), "m3", r"unknown unit dimension 'volume'"),
 ]
 
 
@@ -160,11 +163,8 @@ def random_spec(rng):
                         int(rng.integers(2, 40))),
             last, nxt))
     if n_pipes >= 2 and rng.random() < 0.7:
-        # turn an interior junction into a compressor pair
-        mid = nodes[1]
-        mid.kind = gn.NodeKind.COMPRESSOR_IN
-        mid.compressor_id = "c0"
-        nodes.insert(2, gn.Node("n1b", gn.NodeKind.COMPRESSOR_OUT, "c0"))
+        # split an interior junction into a station's two ends
+        nodes.insert(2, gn.Node("n1b", gn.NodeKind.JUNCTION))
         pipes[1].from_node = "n1b"
         comps.append(gn.CompressorStation(
             "c0", "n1", "n1b",
@@ -226,6 +226,17 @@ class TestParseScenario:
         doc = json.loads(SCN_JSON)
         doc["profiles"]["ghost"] = [[0, 1.0]]
         with pytest.raises(gn.FormatError, match="ghost"):
+            gn.parse_scenario(json.dumps(doc), spec)
+
+    @pytest.mark.parametrize("profile, message", [
+        ([], r"profile 'sink' is empty"),
+        ([[10, 200.0], [3600, 250.0]], r"profile 'sink': first breakpoint must be t=0"),
+    ])
+    def test_profile_must_start_at_zero(self, profile, message):
+        spec = gn.parse_network(NET_JSON)
+        doc = json.loads(SCN_JSON)
+        doc["profiles"]["sink"] = profile
+        with pytest.raises(gn.FormatError, match=message):
             gn.parse_scenario(json.dumps(doc), spec)
 
     def test_missing_boundary_profile(self):
@@ -428,6 +439,22 @@ class TestTimeseriesCSV:
     def test_benchmark_row_count(self):
         ts = self.run_short()
         assert ts.data.shape == (11, 10)
+
+    def test_empty_series_is_not_written(self):
+        ts = gn.TimeSeries(np.zeros(0), ["a"], np.zeros((0, 1)))
+        with pytest.raises(gn.FormatError, match="refusing to write an empty time series"):
+            gn.write_timeseries(ts, io.StringIO())
+
+    @pytest.mark.parametrize("text, message", [
+        ("", r"^line 1: not a time-series CSV"),
+        ("time_s,a\n", r"^line 2: no data rows after the header$"),
+        ("time_s,a\n0,1\n\n100,abc\n", r"^line 4: a field is not a number: '100,abc'$"),
+        ("time_s,a\n0,1,2\n", r"^line 2: expected 2 fields as in the header, got 3$"),
+        ("time_s,a,b\n0,1,2\n100,1\n", r"^line 3: expected 3 fields as in the header, got 2$"),
+    ])
+    def test_malformed_csv_names_the_line(self, text, message):
+        with pytest.raises(gn.FormatError, match=message):
+            gn.read_timeseries(io.StringIO(text))
 
 
 def test_run_report_summary():

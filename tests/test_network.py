@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from gasnetsim.timeloop import FD_STEP, _fd_jacobian, _uncolored
 from casekit import (GAS, PipeField, benchmark_with_model, consistent_state, csc_jacobian,
                      dense_jacobian, direct_line, generated_network, incidence_matrices,
                      ladder_system, oracle, pipe_rhs, power_terms_oracle, record_dict,
-                     single_pipe_system)
+                     single_pipe_system, station_ends)
 
 
 def pipe(i, n=8):
@@ -22,8 +24,8 @@ def star_network_spec():
     nodes = [gn.Node("v1", gn.NodeKind.SUPPLY),
              gn.Node("v2", gn.NodeKind.DEMAND),
              gn.Node("v3", gn.NodeKind.DEMAND),
-             gn.Node("ci", gn.NodeKind.COMPRESSOR_IN, "C"),
-             gn.Node("co", gn.NodeKind.COMPRESSOR_OUT, "C"),
+             gn.Node("ci", gn.NodeKind.JUNCTION),
+             gn.Node("co", gn.NodeKind.JUNCTION),
              gn.Node("j", gn.NodeKind.JUNCTION)]
     pipes = [gn.PipeEdge(pipe(1), "v1", "ci"),
              gn.PipeEdge(pipe(2), "co", "j"),
@@ -54,10 +56,10 @@ DIAMOND_INPUTS = {"s": 70e5, "d": 260.0}
 def series_stations_spec():
     """Supply - pipe - fc-am station - pipe - fp-av station - pipe - demand."""
     nodes = [gn.Node("s", gn.NodeKind.SUPPLY),
-             gn.Node("c1i", gn.NodeKind.COMPRESSOR_IN, "C1"),
-             gn.Node("c1o", gn.NodeKind.COMPRESSOR_OUT, "C1"),
-             gn.Node("c2i", gn.NodeKind.COMPRESSOR_IN, "C2"),
-             gn.Node("c2o", gn.NodeKind.COMPRESSOR_OUT, "C2"),
+             gn.Node("c1i", gn.NodeKind.JUNCTION),
+             gn.Node("c1o", gn.NodeKind.JUNCTION),
+             gn.Node("c2i", gn.NodeKind.JUNCTION),
+             gn.Node("c2o", gn.NodeKind.JUNCTION),
              gn.Node("d", gn.NodeKind.DEMAND)]
     pipes = [gn.PipeEdge(gn.PipeSpec("P1", 80e3, 1.0, 0.003, 8), "s", "c1i"),
              gn.PipeEdge(gn.PipeSpec("P2", 80e3, 1.0, 0.003, 8), "c1o", "c2i"),
@@ -130,11 +132,12 @@ def reference_residual(g, x, zdot, inputs):
         F[g.mu_m[k]] = (1.5 * pres[-1] - 0.5 * pres[-2]) \
             - x[g.lam[g.spec.pipes[k].to_node]]
 
+    ends = station_ends(g.spec)
     for nd in g.node_order:
         r = g.lam[nd.id]
         if nd.kind is gn.NodeKind.SUPPLY:
             F[r] = x[r] - inputs[nd.id]
-        elif nd.kind in (gn.NodeKind.COMPRESSOR_IN, gn.NodeKind.COMPRESSOR_OUT):
+        elif nd.id in ends:
             continue
         else:
             extraction = inputs[nd.id] if nd.kind is gn.NodeKind.DEMAND else 0.0
@@ -192,11 +195,12 @@ def reference_pattern(g):
                 (g.mu_p[k], g.lam[g.spec.pipes[k].from_node])]
         ent += [(g.mu_m[k], r0 + n - 1), (g.mu_m[k], r0 + n - 2),
                 (g.mu_m[k], g.lam[g.spec.pipes[k].to_node])]
+    ends = station_ends(g.spec)
     for nd in g.node_order:
         r = g.lam[nd.id]
         if nd.kind is gn.NodeKind.SUPPLY:
             ent.append((r, r))
-        elif nd.kind not in (gn.NodeKind.COMPRESSOR_IN, gn.NodeKind.COMPRESSOR_OUT):
+        elif nd.id not in ends:
             for k, isout in g.attached[nd.id]:
                 ent.append((r, g.mu_m[k] if isout else g.mom_sl[k].start))
     for b, st in zip(g.stations, g.spec.compressors):
@@ -249,19 +253,65 @@ class TestValidateTopology:
 @pytest.mark.parametrize("edit, code", [
     ("second pipe at the station inlet", "compressor-end-degree"),
     ("station inlet starts a pipe", "compressor-end-orientation"),
-    ("no station for the end nodes", "compressor-node-unbound"),
 ])
 def test_assemble_rejects_malformed_station_ends(edit, code):
     # validate_topology runs first, so the station binding never sees these
     spec = star_network_spec()
     if edit == "second pipe at the station inlet":
         spec.pipes.append(gn.PipeEdge(pipe(5), "v1", "ci"))
-    elif edit == "station inlet starts a pipe":
-        spec.pipes[0].from_node, spec.pipes[0].to_node = "ci", "v1"
     else:
-        spec.compressors.clear()
+        spec.pipes[0].from_node, spec.pipes[0].to_node = "ci", "v1"
     with pytest.raises(gn.ConfigurationError, match=code):
         gn.assemble(spec)
+
+
+def _station_edit(spec, edit):
+    """Apply one named edit to the star network (node ids: module top)."""
+    if edit == "duplicate node":
+        spec.nodes.append(gn.Node("j", gn.NodeKind.JUNCTION))
+    elif edit == "duplicate pipe":
+        spec.pipes[3] = gn.PipeEdge(pipe(3), "j", "v3")
+    elif edit == "undeclared station end":
+        spec.nodes = [nd for nd in spec.nodes if nd.id != "co"]
+    elif edit == "station end not a junction":
+        spec.node_by_id("ci").kind = gn.NodeKind.SUPPLY
+    elif edit == "shared station end":
+        spec.compressors.append(gn.CompressorStation(
+            "C2", "ci", "co", Framework.FIXED_RATIO, Assumption.CONST_MOMENTUM, ratio=1.1))
+    elif edit == "degenerate station":
+        spec.compressors[0].outlet_node = "ci"
+    elif edit == "station outlet ends a pipe":
+        spec.pipes[1].from_node, spec.pipes[1].to_node = "j", "co"
+    return spec
+
+
+# (edit, violation code, the message's reference to the node or the station)
+STATION_VIOLATIONS = [
+    ("duplicate node", "duplicate-node", "duplicate node ids: ['j']"),
+    ("duplicate pipe", "duplicate-pipe", "duplicate pipe ids: ['P3']"),
+    ("undeclared station end", "unknown-node", "compressor 'C' references undeclared node 'co'"),
+    ("station end not a junction", "compressor-node-kind",
+     "compressor 'C': node 'ci' is supply, expected a junction"),
+    ("shared station end", "compressor-node-shared",
+     "node 'ci' belongs to compressors 'C' and 'C2'"),
+    ("degenerate station", "compressor-degenerate", "compressor 'C' has identical end nodes"),
+    ("station outlet ends a pipe", "compressor-end-orientation",
+     "compressor outlet node 'co' must start a pipe"),
+]
+
+
+@pytest.mark.parametrize("edit, code, message", STATION_VIOLATIONS)
+def test_validate_topology_names_the_node_or_the_station(edit, code, message):
+    report = gn.validate_topology(_station_edit(star_network_spec(), edit))
+    assert any(v.code == code and v.message == message for v in report.violations), report
+
+
+@pytest.mark.parametrize("edit, code, message", STATION_VIOLATIONS)
+def test_parse_network_rejects_through_the_validator(edit, code, message):
+    # a file with the same fault is a FormatError carrying the same violation
+    text = gn.serialize_network(_station_edit(star_network_spec(), edit))
+    with pytest.raises(gn.FormatError, match=re.escape(f"[{code}] {message}")):
+        gn.parse_network(text)
 
 
 class TestIncidence:
@@ -589,8 +639,9 @@ class TestGeneralTopologies:
 def test_fuse_compressors_removes_station():
     fused = gn.fuse_compressors(star_network_spec())
     assert not fused.compressors
-    kinds = {nd.kind for nd in fused.nodes}
-    assert gn.NodeKind.COMPRESSOR_IN not in kinds
+    ids = [nd.id for nd in fused.nodes]
+    assert "ci" not in ids and "co" not in ids
+    assert fused.node_by_id("C.junction").kind is gn.NodeKind.JUNCTION
     assert gn.validate_topology(fused).ok
     g = gn.assemble(fused)
     x = gn.steady_state(g, {"v1": 60e5, "v2": 120.0, "v3": 80.0})

@@ -21,18 +21,17 @@ class TestSolverConfig:
         dict(newton_abs_tol=0.0), dict(newton_abs_tol=-1.0),
         dict(newton_abs_tol=float("nan")), dict(newton_abs_tol=float("inf")),
         dict(t_end=-1.0), dict(t_end=float("nan")), dict(t_end=float("inf")),
-        dict(newton_max_iter=0),
     ])
     def test_invalid_settings_are_rejected(self, kwargs):
         with pytest.raises(gn.ConfigurationError, match=next(iter(kwargs))):
             gn.SolverConfig(**kwargs)
 
-    def test_four_settings(self):
-        # the difference step, the line-search knobs and the sparse
-        # threshold are constants, not settings
+    def test_three_settings(self):
+        # the difference step, the iteration limit, the line-search knobs
+        # and the sparse threshold are constants, not settings
         from dataclasses import fields
-        assert [f.name for f in fields(gn.SolverConfig)] == [
-            "newton_abs_tol", "newton_max_iter", "dt", "t_end"]
+        assert [f.name for f in fields(gn.SolverConfig)] == ["newton_abs_tol", "dt", "t_end"]
+        assert timeloop.MAX_ITERATIONS == 50
         assert gn.SolverConfig().sparse_threshold == 2000
         with pytest.raises(TypeError):
             gn.SolverConfig(sparse_threshold=0)
@@ -60,10 +59,11 @@ class TestNewton:
         for a, b in zip(h[1:-1], h[2:]):
             assert b <= 0.3 * a * a + 1e-12
 
-    def test_nonconvergence_carries_history(self):
+    def test_nonconvergence_carries_history(self, monkeypatch):
+        monkeypatch.setattr(timeloop, "MAX_ITERATIONS", 8)
         with pytest.raises(gn.NonconvergenceError) as err:
             gn.newton_solve(lambda x: x * x + 1.0, np.array([1.0]),
-                            gn.SolverConfig(newton_abs_tol=1e-12, newton_max_iter=8))
+                            gn.SolverConfig(newton_abs_tol=1e-12))
         assert err.value.history
         assert err.value.x_best is not None
 
@@ -115,7 +115,7 @@ def full_newton(fun, x0, cfg=None, colors=None):
     F = fun(x)
     history = [np.abs(F).max()]
     while history[-1] > cfg.newton_abs_tol:
-        assert len(history) <= cfg.newton_max_iter
+        assert len(history) <= timeloop.MAX_ITERATIONS
         x = x + superlu_newton_step(fun, x, F, colors, None)
         F = fun(x)
         history.append(np.abs(F).max())
@@ -708,7 +708,8 @@ class TestSimulate:
                            1.2 ** (1.0 / 1.4), rtol=1e-9)
         assert np.allclose(fc.column("east.in.m"), fc.column("west.out.m"), rtol=1e-12)
 
-    def test_nonconvergence_carries_time_stamp(self, gas):
+    def test_nonconvergence_carries_time_stamp(self, gas, monkeypatch):
+        monkeypatch.setattr(timeloop, "MAX_ITERATIONS", 12)
         g = single_pipe_system(gas, n_cells=8)
         scen = gn.Scenario(t_end=400.0, dt=100.0, profiles={
             "s": (np.array([0.0]), np.array([80e5])),
@@ -716,7 +717,7 @@ class TestSimulate:
             "d": (np.array([0.0, 100.0]), np.array([100.0, 1e5])),
         })
         with pytest.raises((gn.NonconvergenceError, gn.StateError)) as err:
-            gn.simulate(g, scen, gn.SolverConfig(newton_max_iter=12))
+            gn.simulate(g, scen)
         if isinstance(err.value, gn.NonconvergenceError):
             assert err.value.time is not None
 
