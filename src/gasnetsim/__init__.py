@@ -7,7 +7,7 @@ the system into a DAE solved by implicit-midpoint stepping with a damped
 Newton inner iteration.
 """
 
-from .compressor import Assumption, Framework, adiabatic_enthalpy, station_power
+from .compressor import Assumption, Framework, station_power
 from .errors import (ConfigurationError, FactorizationError, FormatError,
                      GasnetError, InfeasibleFlowError, NonconvergenceError,
                      StateError)
@@ -19,8 +19,7 @@ from .network import (CompressorStation, GlobalSystem, NetworkSpec, Node,
                       fuse_compressors, validate_topology)
 from .pipe import PipeSpec, steady_pipe_oracle
 from .timeloop import (NewtonResult, SolverConfig, TimeSeries, bind_inputs,
-                       newton_solve, scale_residual, simulate, steady_state,
-                       step_midpoint)
+                       newton_solve, simulate, steady_state, step_midpoint)
 
 __version__ = "0.1.0"
 
@@ -30,9 +29,9 @@ __all__ = [
     "GasProperties", "GlobalSystem", "InfeasibleFlowError", "NetworkSpec",
     "NewtonResult", "Node", "NodeKind", "NonconvergenceError", "PipeEdge",
     "PipeSpec", "RunReport", "Scenario", "SolverConfig", "StateError",
-    "TimeSeries", "ValidationReport", "adiabatic_enthalpy", "assemble",
-    "bind_inputs", "fuse_compressors", "newton_solve", "parse_network",
-    "parse_scenario", "read_timeseries", "scale_residual", "serialize_network",
-    "simulate", "station_power", "steady_pipe_oracle", "steady_state",
-    "step_midpoint", "validate_topology", "write_timeseries",
+    "TimeSeries", "ValidationReport", "assemble", "bind_inputs",
+    "fuse_compressors", "newton_solve", "parse_network", "parse_scenario",
+    "read_timeseries", "serialize_network", "simulate", "station_power",
+    "steady_pipe_oracle", "steady_state", "step_midpoint", "validate_topology",
+    "write_timeseries",
 ]

@@ -16,7 +16,7 @@ from .errors import (ConfigurationError, GasnetError, NonconvergenceError,
                      StateError)
 from .formats import (RunReport, parse_network, parse_scenario,
                       write_timeseries)
-from .network import assemble, fuse_compressors
+from .network import assemble, fuse_compressors, require_valid
 from .timeloop import SolverConfig, simulate
 
 EXIT_OK = 0
@@ -64,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_model_override(spec, model_tag):
+    """The spec to assemble: `spec` with every station set to the model, or fused."""
     if model_tag is None:
         return spec
     if model_tag == "none":
@@ -93,13 +94,10 @@ def _solve(args, transient: bool) -> int:
     cfg = SolverConfig(**overrides)     # validates the flags before any file is read
 
     spec = parse_network(_read_text(args.network))
-    if args.model != "none":
-        spec = _apply_model_override(spec, args.model)
-    # bind profiles before fusing so station profiles stay resolvable
+    # fusing or assembling checks the topology; profile keys are read against
+    # the file's stations, and simulate's bind_inputs checks gsys has every input
+    gsys = assemble(_apply_model_override(spec, args.model), n_cells_override=args.cells)
     scenario = parse_scenario(_read_text(args.scenario), spec)
-    if args.model == "none":
-        spec = _apply_model_override(spec, args.model)
-    gsys = assemble(spec, n_cells_override=args.cells)
 
     out = args.out
     if out is None:
@@ -140,8 +138,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "validate":
-            # parse_network raises FormatError on any topology violation
-            parse_network(_read_text(args.network))
+            require_valid(parse_network(_read_text(args.network)))
             print("topology valid")
             return EXIT_OK
         if args.command == "steady":

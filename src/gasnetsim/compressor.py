@@ -24,8 +24,6 @@ downstream. The network binds each station to its row
 (`network.StationBinding`) and applies the rules in one place
 (`network.GlobalSystem._add_state_terms`), with kappa the gas's
 isentropic exponent.
-The compression work per unit mass (adiabatic enthalpy rise at the gas
-temperature) is provided as a diagnostic.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError
-from .gas import GasProperties
 
 
 class Framework(str, Enum):
@@ -94,14 +91,3 @@ def station_power(variant: Variant, kappa: float, setpoint: float, p_in: float,
     return (variant.outlet(setpoint, p_in)
             - p_in * variant.factor(setpoint, p_in, kappa)) * m_feed
 
-
-def adiabatic_enthalpy(gas: GasProperties, p_in: float, p_out: float) -> float:
-    """Specific work of ideal adiabatic compression from p_in to p_out, J/kg,
-    at the gas temperature."""
-    if p_in <= 0 or p_out <= 0:
-        raise ConfigurationError("compression pressures must be positive")
-    k = gas.isentropic_exponent
-    return (
-        gas.compressibility * gas.temperature * gas.specific_gas_constant
-        * k / (k - 1.0) * ((p_out / p_in) ** ((k - 1.0) / k) - 1.0)
-    )

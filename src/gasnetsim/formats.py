@@ -7,9 +7,10 @@ values are converted to SI on ingestion and everything downstream is SI.
 Network file (.net.json): top-level keys `gas {Rs, T, z, kappa}`, `units`,
 `nodes []`, `pipes []`, `compressors []`. A node's `type` is `supply`,
 `demand` or `junction` (the default). A compressor is a single element
-between two declared junctions, its `from` and `to`; station ends are not
-created for undeclared ids, and `validate_topology` checks them with the
-rest of the topology.
+between two declared junctions, its `from` and `to`. Parsing converts
+entries only: the topology (ids, ends, station ends, connectivity) is
+checked once, by `network.validate_topology`, when the spec is assembled,
+fused or validated.
 
 Scenario file (.scn.json): keys `t_end`, `dt`, `units`, and `profiles`
 mapping input ids to piecewise-constant schedules [[t, value], ...]. A
@@ -18,6 +19,9 @@ the bare id, read per the active framework), so one scenario file can
 drive every model variant; `Scenario.setpoint_source` gives the order in
 which a station looks for its setpoint. Profile values must be finite, and supply
 pressures and station setpoints positive; demands may take either sign.
+A key that names no input of the network is rejected here; that every
+boundary node and station has a source is checked once, by
+`timeloop.bind_inputs`, against the assembled system.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ import numpy as np
 from .compressor import Assumption, Framework
 from .errors import ConfigurationError, FormatError
 from .gas import GasProperties
-from .network import (CompressorStation, NetworkSpec, Node, NodeKind, PipeEdge,
-                      validate_topology)
+from .network import CompressorStation, NetworkSpec, Node, NodeKind, PipeEdge
 from .pipe import PipeSpec
 from .timeloop import TimeSeries
 
@@ -117,14 +120,14 @@ def _number(doc, key: str, default=None) -> float:
 
 
 def parse_network(text: str) -> NetworkSpec:
-    """Parse and validate a network description; all values returned in SI.
+    """Convert a network description into a spec; all values returned in SI.
 
     A block or entry that is not an object or a list as required, a missing
     key, a value that is not a JSON number, or one that fails the checks of
     `GasProperties`, `PipeSpec` or `CompressorStation` raises a FormatError
-    naming the entry and the key. Entries are converted as they stand;
-    every topology check (duplicate ids, undeclared ends, station ends)
-    is `validate_topology`'s, reported as a FormatError too.
+    naming the entry and the key. Entries are converted as they stand; the
+    topology is not checked here but by `validate_topology`, which
+    `assemble`, `fuse_compressors` and `gasnetsim validate` run.
     """
     doc = _object(_load_json(text), "the top level")
     units = _parse_units(doc.get("units"))
@@ -173,11 +176,7 @@ def parse_network(text: str) -> NetworkSpec:
                          _number(pd, "friction"), pd.get("cells", 32)),
                 str(pd["from"]), str(pd["to"])))
 
-    spec = NetworkSpec(gas, nodes, pipes, comps)
-    report = validate_topology(spec)
-    if not report.ok:
-        raise FormatError(f"invalid network:\n{report}")
-    return spec
+    return NetworkSpec(gas, nodes, pipes, comps)
 
 
 def serialize_network(spec: NetworkSpec) -> str:
@@ -237,7 +236,11 @@ class Scenario:
 
 
 def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
-    """Parse a scenario and bind every profile against the network."""
+    """Parse a scenario whose profile keys each name an input of `spec`.
+
+    Syntax, units, values and unknown keys raise a FormatError naming the
+    key (module docstring); a missing profile is `bind_inputs`'s check.
+    """
     doc = _object(_load_json(text), "the top level")
     units = _parse_units(doc.get("units"))
     with _entry("t_end and dt must be numbers"):
@@ -245,15 +248,13 @@ def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
     if not (math.isfinite(t_end) and math.isfinite(dt)) or t_end <= 0 or dt <= 0:
         raise FormatError("t_end and dt must be positive and finite")
 
-    boundary_ids = {nd.id: nd.kind for nd in spec.nodes
-                    if nd.kind in (NodeKind.SUPPLY, NodeKind.DEMAND)}
-    supply_ids = {nid for nid, kind in boundary_ids.items() if kind is NodeKind.SUPPLY}
-    stations = {st.id: st for st in spec.compressors}
+    boundary_ids = {nd.id for nd in spec.nodes if nd.kind is not NodeKind.JUNCTION}
+    supply_ids = {nd.id for nd in spec.nodes if nd.kind is NodeKind.SUPPLY}
     setpoint_of = {}   # station profile key -> 'ratio' or 'pressure'
-    for cid, st in stations.items():
+    for st in spec.compressors:
         # the bare id reads as the setpoint the station's variant asks for
-        setpoint_of.update({f"{cid}.ratio": "ratio", f"{cid}.pressure": "pressure",
-                            cid: st.variant.setpoint})
+        setpoint_of.update({f"{st.id}.ratio": "ratio", f"{st.id}.pressure": "pressure",
+                            st.id: st.variant.setpoint})
 
     profiles_doc = doc.get("profiles", {})
     if not isinstance(profiles_doc, dict):
@@ -286,14 +287,7 @@ def parse_scenario(text: str, spec: NetworkSpec) -> Scenario:
             values = values * units.pressure
         profiles[key] = (times, values)
 
-    for nid in boundary_ids:
-        if nid not in profiles:
-            raise FormatError(f"missing profile for boundary node {nid!r}")
-    scenario = Scenario(t_end, dt, profiles)
-    for cid, st in stations.items():
-        if scenario.setpoint_source(cid, st.variant.setpoint, st.default_setpoint()) is None:
-            raise FormatError(f"missing setpoint profile for compressor {cid!r}")
-    return scenario
+    return Scenario(t_end, dt, profiles)
 
 
 # ----------------------------------------------------------------------

@@ -149,12 +149,6 @@ class NetworkSpec:
     pipes: list[PipeEdge]
     compressors: list[CompressorStation] = field(default_factory=list)
 
-    def node_by_id(self, nid: str) -> Node:
-        for nd in self.nodes:
-            if nd.id == nid:
-                return nd
-        raise ConfigurationError(f"unknown node id {nid!r}")
-
 
 @dataclass
 class Violation:
@@ -263,6 +257,13 @@ def validate_topology(spec: NetworkSpec) -> ValidationReport:
     return ValidationReport(out)
 
 
+def require_valid(spec: NetworkSpec) -> None:
+    """Raise ConfigurationError listing every violation unless the topology is valid."""
+    report = validate_topology(spec)
+    if not report.ok:
+        raise ConfigurationError(f"invalid network:\n{report}")
+
+
 def _component_roots(items, links):
     """Union-find: the root of each item's component, joining the pairs in `links`."""
     parent = {a: a for a in items}
@@ -343,9 +344,7 @@ class GlobalSystem:
     """
 
     def __init__(self, spec: NetworkSpec, n_cells_override: int | None = None):
-        report = validate_topology(spec)
-        if not report.ok:
-            raise ConfigurationError(f"invalid network:\n{report}")
+        require_valid(spec)
         self.spec = spec
         self.gas = spec.gas
         self.pipes: list[PipeSpec] = [
@@ -485,19 +484,6 @@ class GlobalSystem:
         except KeyError as exc:
             raise ConfigurationError(f"missing input value for {exc}") from exc
 
-    def residual(self, x, zdot, inputs):
-        """DAE residual F(x, dz/dt) at one time; `inputs` maps ids to sampled values.
-
-        Pure function; differential rows carry the cell-measure weights so
-        that the effort pairing of the differential block is the exact
-        stored-energy rate.
-        """
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise StateError("non-finite values in unknown vector")
-        return self._residual_core(x, np.asarray(zdot, dtype=float),
-                                   self._input_vector(inputs))
-
     def steady_residual(self, x, inputs):
         return self._residual_core(np.asarray(x, float), np.zeros(self.n_z),
                                    self._input_vector(inputs))
@@ -523,7 +509,11 @@ class GlobalSystem:
         return fun
 
     def _residual_core(self, x, zdot, u):
-        """The coupling's rows, then every pipe's continuity and momentum rows."""
+        """The coupling's rows, then every pipe's continuity and momentum rows.
+
+        The differential rows carry the cell measures (dx, w), so their
+        pairing with the efforts is the stored-energy rate.
+        """
         b = self.bank
         F = self.coupling.matvec(np.concatenate([x, u]), self.n)
         rho, mom = x[b.rho], x[b.mom]
@@ -857,8 +847,10 @@ def fuse_compressors(spec: NetworkSpec) -> NetworkSpec:
 
     Each station's node pair collapses into a single internal node
     `<id>.junction`, so the adjacent pipes couple through ordinary pressure
-    continuity and flow balance.
+    continuity and flow balance. The given spec must be valid (a
+    ConfigurationError otherwise), so fusing never repairs a bad station.
     """
+    require_valid(spec)
     nodes = [Node(nd.id, nd.kind) for nd in spec.nodes]
     pipes = [PipeEdge(pe.spec, pe.from_node, pe.to_node) for pe in spec.pipes]
     for st in spec.compressors:

@@ -58,8 +58,8 @@ from .errors import (ConfigurationError, FactorizationError,
 from .network import ColumnColoring, block_layout
 
 __all__ = [
-    "SolverConfig", "NewtonResult", "TimeSeries", "scale_residual",
-    "newton_solve", "steady_state", "step_midpoint", "simulate", "bind_inputs",
+    "SolverConfig", "NewtonResult", "TimeSeries", "newton_solve", "steady_state",
+    "step_midpoint", "simulate", "bind_inputs",
 ]
 
 
@@ -124,11 +124,6 @@ class NewtonResult:
     iterations: int
     history: list[float]
     jacobians: int = 0
-
-
-def scale_residual(gsys, raw):
-    """Divide pressure-type rows by p_ref and momentum-type rows by m_ref."""
-    return np.asarray(raw, float) / gsys.row_scale()
 
 
 def _uncolored(n_rows, n_cols) -> ColumnColoring:
@@ -312,17 +307,20 @@ def bind_inputs(gsys, scenario):
 
     Returns (input_fn, p_ref, m_ref): input_fn(t) yields the id->value dict
     the residual consumes; the references scale pressure and momentum rows
-    (supply pressure at t=0; largest extraction over the run).
+    (supply pressure at t=0; largest extraction over the run). This is the
+    one check that the scenario drives the assembled system: a boundary
+    node without a profile, or a station with neither a setpoint profile
+    nor a default, raises ConfigurationError.
     """
     sources = {}
     for key, _ in gsys.boundary_inputs:
         if not scenario.has(key):
-            raise ConfigurationError(f"scenario lacks a profile for {key!r}")
+            raise ConfigurationError(f"missing profile for boundary node {key!r}")
         sources[key] = key
     for s in gsys.stations:
         sources[s.id] = scenario.setpoint_source(s.id, s.variant.setpoint, s.default)
         if sources[s.id] is None:
-            raise ConfigurationError(f"no setpoint profile or default for compressor {s.id!r}")
+            raise ConfigurationError(f"missing setpoint profile for compressor {s.id!r}")
 
     def input_fn(t):
         return {key: (scenario.value(src, t) if isinstance(src, str) else src)

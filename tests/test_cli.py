@@ -180,20 +180,74 @@ def test_invalid_solver_flags_exit_1_before_solving(files, tmp_path, capsys, arg
     (("nodes", 2), {"id": "elsewhere"}, "undeclared node 'station_out'"),   # a station end
     (("nodes", 1, "type"), "supply", "node 'station_in' is supply"),
 ])
-@pytest.mark.parametrize("command", ["validate", "steady"])
+@pytest.mark.parametrize("command", ["validate", "steady", "run --model none"])
 def test_malformed_network_exits_1_naming_the_key(files, tmp_path, capsys, path, value,
                                                    key, command):
     # an input error is reported as one, before any solve: never a
-    # traceback, a solver failure (exit 2) or a CSV
+    # traceback, a solver failure (exit 2) or a CSV; fusing the stations
+    # away does not repair a bad station end
     _, scn = files
     bad = tmp_path / "bad.net.json"
     bad.write_text(malformed_network(path, value))
     out = tmp_path / "bad.csv"
-    argv = [command, str(bad)] + ([str(scn), "--out", str(out)] if command == "steady" else [])
+    name, *flags = command.split()
+    argv = [name, str(bad)] + ([str(scn), "--out", str(out)] + flags if name != "validate" else [])
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["steady"], 1), (["run"], 1), (["run", "--model", "fp-av"], 1),
+    (["run", "--model", "none"], 2),        # the file's spec, then the fused one
+])
+def test_topology_is_validated_once_per_spec(files, tmp_path, monkeypatch, argv, calls):
+    counted = []
+    validate = gn.network.validate_topology
+
+    def counting(spec):
+        counted.append(spec)
+        return validate(spec)
+
+    monkeypatch.setattr(gn.network, "validate_topology", counting)
+    net, scn = files
+    out = tmp_path / "o.csv"
+    assert main([argv[0], str(net), str(scn), "--out", str(out)] + argv[1:]) == 0
+    assert len(counted) == calls
+    assert len({id(spec) for spec in counted}) == calls
+
+
+@pytest.mark.parametrize("command", ["steady", "run", "run --model none"])
+def test_missing_boundary_profile_exits_1(files, tmp_path, capsys, command):
+    net, scn = files
+    doc = json.loads(scn.read_text())
+    del doc["profiles"]["sink"]
+    scn.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    name, *flags = command.split()
+    assert main([name, str(net), str(scn), "--out", str(out)] + flags) == 1
+    assert capsys.readouterr().err == "error: missing profile for boundary node 'sink'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, code", [("fc-am", 1), ("fp-av", 1), ("none", 0)])
+def test_station_without_setpoint_fails_unless_fused(files, tmp_path, capsys, model, code):
+    # the setpoint is asked of the stations the run assembles, so a station
+    # fused into a junction needs none
+    net, scn = files
+    doc = json.loads(NET_JSON)
+    del doc["compressors"][0]["ratio"], doc["compressors"][0]["pressure"]
+    net.write_text(json.dumps(doc))
+    doc = json.loads(scn.read_text())
+    del doc["profiles"]["station.ratio"], doc["profiles"]["station.pressure"]
+    scn.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert main(["run", str(net), str(scn), "--model", model, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "error: missing setpoint profile for compressor 'station'\n"
+    assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("path, value, key", [

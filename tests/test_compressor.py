@@ -10,7 +10,6 @@ from gasnetsim.compressor import VARIANTS, Assumption, Framework
 
 from casekit import SCN_JSON, benchmark_with_model, direct_line, rel_column_diff
 
-GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 KAPPA = 1.4
 TAGS = ("fc-av", "fc-am", "fp-av", "fp-am")
 
@@ -209,25 +208,6 @@ class TestExternalPower:
                 out, k = outlet(tag, sp, p_in), factor(tag, sp, p_in)
                 want = out * m_feed - p_in * k * m_feed
                 assert power(tag, sp, p_in, m_feed) == pytest.approx(want, rel=1e-10)
-
-
-class TestAdiabaticEnthalpy:
-    def test_equal_pressures_give_zero(self):
-        assert gn.adiabatic_enthalpy(GAS, 7e6, 7e6) == 0.0
-
-    def test_benchmark_value(self):
-        h = gn.adiabatic_enthalpy(GAS, 7e6, 1.2 * 7e6)
-        expected = 276.25 * 530.0 * 3.5 * (1.2 ** (0.4 / 1.4) - 1.0)
-        assert h == pytest.approx(expected, rel=1e-14)
-        assert h == pytest.approx(2.74e4, rel=1e-2)
-
-    def test_monotone_in_ratio(self):
-        hs = [gn.adiabatic_enthalpy(GAS, 7e6, r * 7e6) for r in (1.0, 1.1, 1.2, 1.5)]
-        assert all(a < b for a, b in zip(hs, hs[1:]))
-
-    def test_rejects_nonpositive_pressure(self):
-        with pytest.raises(gn.ConfigurationError):
-            gn.adiabatic_enthalpy(GAS, -1.0, 7e6)
 
 
 def test_fc_ratio_below_one_warns():

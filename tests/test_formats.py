@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,17 +32,22 @@ class TestParseNetwork:
         with pytest.raises(gn.FormatError, match=r"line \d+, column \d+"):
             gn.parse_network("{\n  \"gas\": ,\n}")
 
+    # parsing converts entries only; the topology is checked on assembly
     def test_missing_supply_is_semantic_error(self):
         doc = json.loads(NET_JSON)
         doc["nodes"][0]["type"] = "demand"
-        with pytest.raises(gn.FormatError, match="no-pressure-reference"):
-            gn.parse_network(json.dumps(doc))
+        spec = gn.parse_network(json.dumps(doc))
+        with pytest.raises(gn.ConfigurationError,
+                           match=re.escape("[no-pressure-reference] network has no supply")):
+            gn.assemble(spec)
 
     def test_undeclared_node_reference(self):
         doc = json.loads(NET_JSON)
         doc["pipes"][0]["from"] = "nowhere"
-        with pytest.raises(gn.FormatError, match="nowhere"):
-            gn.parse_network(json.dumps(doc))
+        spec = gn.parse_network(json.dumps(doc))
+        with pytest.raises(gn.ConfigurationError, match=re.escape(
+                "[unknown-node] pipe 'west' references undeclared node 'nowhere'")):
+            gn.assemble(spec)
 
     def test_unknown_unit_tag(self):
         doc = json.loads(NET_JSON)
@@ -240,11 +246,14 @@ class TestParseScenario:
             gn.parse_scenario(json.dumps(doc), spec)
 
     def test_missing_boundary_profile(self):
+        # the file parses; binding it to the assembled system finds the gap
         spec = gn.parse_network(NET_JSON)
         doc = json.loads(SCN_JSON)
         del doc["profiles"]["sink"]
-        with pytest.raises(gn.FormatError, match="sink"):
-            gn.parse_scenario(json.dumps(doc), spec)
+        scen = gn.parse_scenario(json.dumps(doc), spec)
+        with pytest.raises(gn.ConfigurationError,
+                           match="missing profile for boundary node 'sink'"):
+            gn.bind_inputs(gn.assemble(spec), scen)
 
     def test_fp_setpoint_pressure_units(self):
         spec, _ = benchmark_with_model("fp-am")
@@ -381,15 +390,16 @@ class TestSetpointSource:
         assert station_input(station=_one(83e5)) == 83e5
         assert station_input(**{"station.ratio": _one(1.3)}) == 84e5
 
-    def test_no_source_fails_on_both_paths(self):
+    def test_no_source_fails_in_bind_inputs(self):
+        # a parsed and a hand-built scenario fail the same one check
         spec, text = self.parsed("fc-am", {"station.pressure": [[0, 85.0]]}, defaults=False)
-        with pytest.raises(gn.FormatError, match="missing setpoint profile for compressor 'station'"):
-            gn.parse_scenario(text, spec)
-        scen = gn.Scenario(100.0, 100.0, {"source": _one(80e5), "sink": _one(200.0)})
-        assert scen.setpoint_source("station", "ratio", None) is None
-        with pytest.raises(gn.ConfigurationError,
-                           match="no setpoint profile or default for compressor 'station'"):
-            gn.bind_inputs(gn.assemble(spec), scen)
+        g = gn.assemble(spec)
+        hand_built = gn.Scenario(100.0, 100.0, {"source": _one(80e5), "sink": _one(200.0)})
+        assert hand_built.setpoint_source("station", "ratio", None) is None
+        for scen in (gn.parse_scenario(text, spec), hand_built):
+            with pytest.raises(gn.ConfigurationError,
+                               match="missing setpoint profile for compressor 'station'"):
+                gn.bind_inputs(g, scen)
 
 
 class TestTimeseriesCSV:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gasnetsim as gn
+from gasnetsim.cli import main
 from gasnetsim.compressor import Assumption, Framework
 from gasnetsim.network import block_layout, color_columns
 from gasnetsim.timeloop import FD_STEP, _fd_jacobian, _uncolored
@@ -274,7 +275,7 @@ def _station_edit(spec, edit):
     elif edit == "undeclared station end":
         spec.nodes = [nd for nd in spec.nodes if nd.id != "co"]
     elif edit == "station end not a junction":
-        spec.node_by_id("ci").kind = gn.NodeKind.SUPPLY
+        next(nd for nd in spec.nodes if nd.id == "ci").kind = gn.NodeKind.SUPPLY
     elif edit == "shared station end":
         spec.compressors.append(gn.CompressorStation(
             "C2", "ci", "co", Framework.FIXED_RATIO, Assumption.CONST_MOMENTUM, ratio=1.1))
@@ -306,12 +307,24 @@ def test_validate_topology_names_the_node_or_the_station(edit, code, message):
     assert any(v.code == code and v.message == message for v in report.violations), report
 
 
+@pytest.mark.parametrize("caller", ["assemble", "fuse_compressors", "gasnetsim validate"])
 @pytest.mark.parametrize("edit, code, message", STATION_VIOLATIONS)
-def test_parse_network_rejects_through_the_validator(edit, code, message):
-    # a file with the same fault is a FormatError carrying the same violation
+def test_bad_file_is_rejected_through_the_validator(tmp_path, capsys, edit, code, message,
+                                                     caller):
+    # parsing a file with the same fault only converts it; each caller of
+    # the validator rejects it with the same violation, fusing included
     text = gn.serialize_network(_station_edit(star_network_spec(), edit))
-    with pytest.raises(gn.FormatError, match=re.escape(f"[{code}] {message}")):
-        gn.parse_network(text)
+    spec = gn.parse_network(text)
+    violation = f"[{code}] {message}"
+    if caller == "gasnetsim validate":
+        path = tmp_path / "bad.net.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid network:\n") and violation in err.splitlines()
+        return
+    with pytest.raises(gn.ConfigurationError, match=re.escape(violation)):
+        getattr(gn, caller)(spec)
 
 
 class TestIncidence:
@@ -349,9 +362,9 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         d = np.zeros(g.n)
         d[g.n_z:] = rng.normal(0.0, 1.0, g.n_alg)
-        F0 = g.residual(x, np.zeros(g.n_z), STAR_INPUTS)
-        F1 = g.residual(x + d, np.zeros(g.n_z), STAR_INPUTS)
-        F2 = g.residual(x + 2.0 * d, np.zeros(g.n_z), STAR_INPUTS)
+        F0 = g.steady_residual(x, STAR_INPUTS)
+        F1 = g.steady_residual(x + d, STAR_INPUTS)
+        F2 = g.steady_residual(x + 2.0 * d, STAR_INPUTS)
         assert np.allclose(F2 - F0, 2.0 * (F1 - F0), rtol=1e-9, atol=1e-9)
 
     def test_junction_kirchhoff_semantics(self):
@@ -377,15 +390,15 @@ class TestAssemble:
 
     def test_nonfinite_unknowns_rejected(self):
         g = gn.assemble(star_network_spec())
-        x = np.zeros(g.n)
+        x = g.initial_guess(STAR_INPUTS)
         x[0] = np.nan
-        with pytest.raises(gn.StateError):
-            g.residual(x, np.zeros(g.n_z), STAR_INPUTS)
+        with pytest.raises(gn.StateError, match="residual not finite at the initial guess"):
+            gn.newton_solve(lambda v: g.steady_residual(v, STAR_INPUTS), x)
 
     def test_residual_at_converged_state_is_small(self):
         g = gn.assemble(star_network_spec())
         x = gn.steady_state(g, STAR_INPUTS)
-        F = gn.scale_residual(g, g.steady_residual(x, STAR_INPUTS))
+        F = g.steady_residual(x, STAR_INPUTS) / g.row_scale()
         assert np.abs(F).max() <= 1e-8
 
 
@@ -641,7 +654,7 @@ def test_fuse_compressors_removes_station():
     assert not fused.compressors
     ids = [nd.id for nd in fused.nodes]
     assert "ci" not in ids and "co" not in ids
-    assert fused.node_by_id("C.junction").kind is gn.NodeKind.JUNCTION
+    assert fused.nodes[ids.index("C.junction")].kind is gn.NodeKind.JUNCTION
     assert gn.validate_topology(fused).ok
     g = gn.assemble(fused)
     x = gn.steady_state(g, {"v1": 60e5, "v2": 120.0, "v3": 80.0})
@@ -675,7 +688,7 @@ class TestPipeBank:
         rng = np.random.default_rng(8)
         x = gn.steady_state(g, inputs) * (1.0 + rng.normal(0.0, 1e-2, g.n))
         zdot = rng.normal(0.0, 1e-2, g.n_z) * np.abs(x[: g.n_z])
-        F = g.residual(x, zdot, inputs)
+        F = g._residual_core(x, zdot, g._input_vector(inputs))
         for k in range(len(g.pipes)):
             p = oracle(g, k)
             rates, _ = pipe_rhs(p, PipeField(x[g.rho_sl[k]], x[g.mom_sl[k]]),
@@ -757,6 +770,7 @@ class TestKirchhoffStart:
         g = gn.assemble(spec)
         q = g._flow_map()[0] @ g._input_vector(inputs)
         vertex = {nd.id: nd.id for nd in spec.nodes}
+        kind = {nd.id: nd.kind for nd in spec.nodes}
         for st_ in spec.compressors:
             vertex[st_.outlet_node] = st_.inlet_node
         net = dict.fromkeys(vertex.values(), 0.0)
@@ -769,7 +783,7 @@ class TestKirchhoffStart:
             if nd.kind is not gn.NodeKind.SUPPLY:
                 assert abs(net[vertex[nd.id]] - demands.get(nd.id, 0.0)) <= 1e-12 * scale
         free = sorted({v for nid, v in vertex.items()
-                       if spec.node_by_id(nid).kind is not gn.NodeKind.SUPPLY})
+                       if kind[nid] is not gn.NodeKind.SUPPLY})
         B = np.zeros((len(spec.pipes), len(free)))
         for k, pe in enumerate(spec.pipes):
             for end, sign in ((pe.from_node, 1.0), (pe.to_node, -1.0)):

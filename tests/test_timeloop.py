@@ -382,7 +382,7 @@ class TestScaling:
         g.references = (8e6, 1.0)
         raw = np.zeros(g.n)
         raw[g.mom_sl[0].start] = 80.0      # momentum row carries pressure units
-        scaled = gn.scale_residual(g, raw)
+        scaled = raw / g.row_scale()
         assert scaled[g.mom_sl[0].start] == pytest.approx(1e-5)
 
     def test_momentum_reference_floors_at_one(self, gas):
@@ -391,12 +391,12 @@ class TestScaling:
         assert g.references[1] == 1.0
 
     def test_scaling_is_diagonal(self, gas):
+        # one reference per row: the solver divides the residual row by row
         g = single_pipe_system(gas)
         g.references = (8e6, 300.0)
-        rng = np.random.default_rng(1)
-        raw = rng.normal(0.0, 1.0, g.n)
-        twice = gn.scale_residual(g, gn.scale_residual(g, raw))
-        assert np.allclose(twice * g.row_scale() ** 2, raw, rtol=1e-14)
+        scale = g.row_scale()
+        assert scale.shape == (g.n,)
+        assert set(scale.tolist()) == {8e6, 300.0}
 
 
 class TestSteadyState:
@@ -515,7 +515,7 @@ class TestMidpointStep:
         inputs = {"s": 80e5, "d": 250.0}
         x = gn.steady_state(g, inputs)
         x1, _ = gn.step_midpoint(g, x, 0.0, 100.0, lambda t: inputs)
-        assert np.abs(gn.scale_residual(g, g.steady_residual(x1, inputs))).max() <= 1e-7
+        assert np.abs(g.steady_residual(x1, inputs) / g.row_scale()).max() <= 1e-7
         snap0 = record_dict(g, x[: g.n_z], inputs)
         snap1 = record_dict(g, x1[: g.n_z], inputs)
         for name in snap0:
