@@ -1,7 +1,8 @@
 """Command-line interface: validate topologies, solve steady states, run transients.
 
 Exit codes: 0 success, 1 validation/configuration error, 2 solver
-nonconvergence, 64 usage error.
+failure (nonconvergence, a singular Jacobian or an inadmissible state),
+64 usage error.
 """
 
 from __future__ import annotations
@@ -9,11 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from .compressor import Assumption, Framework
-from .errors import (ConfigurationError, GasnetError, NonconvergenceError,
-                     StateError)
+from .errors import (ConfigurationError, FactorizationError, GasnetError,
+                     NonconvergenceError, StateError)
 from .formats import (RunReport, parse_network, parse_scenario,
                       write_timeseries)
 from .network import assemble, fuse_compressors, require_valid
@@ -63,16 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_model_override(spec, model_tag):
-    """The spec to assemble: `spec` with every station set to the model, or fused."""
-    if model_tag is None:
-        return spec
-    if model_tag == "none":
+def _apply_model_override(spec, model, cells):
+    """A new spec to solve, per `--model` and `--cells` (None keeps the file's); `spec` stays."""
+    if cells is not None:
+        spec = replace(spec, pipes=[replace(pe, spec=replace(pe.spec, n_cells=cells))
+                                    for pe in spec.pipes])
+    if model == "none":
         return fuse_compressors(spec)
-    fw, asm = model_tag.split("-")
-    for st in spec.compressors:
-        st.framework = Framework(fw)
-        st.assumption = Assumption(asm)
+    if model is not None:
+        fw, asm = model.split("-")
+        spec = replace(spec, compressors=[replace(st, framework=fw, assumption=asm)
+                                          for st in spec.compressors])
     return spec
 
 
@@ -95,9 +97,11 @@ def _solve(args, transient: bool) -> int:
 
     spec = parse_network(_read_text(args.network))
     # fusing or assembling checks the topology; profile keys are read against
-    # the file's stations, and simulate's bind_inputs checks gsys has every input
-    gsys = assemble(_apply_model_override(spec, args.model), n_cells_override=args.cells)
-    scenario = parse_scenario(_read_text(args.scenario), spec)
+    # the stations as solved, or the file's when fused away, and simulate's
+    # bind_inputs checks gsys has every input
+    solved = _apply_model_override(spec, args.model, args.cells)
+    gsys = assemble(solved)
+    scenario = parse_scenario(_read_text(args.scenario), spec if args.model == "none" else solved)
 
     out = args.out
     if out is None:
@@ -145,7 +149,7 @@ def main(argv=None) -> int:
             return _solve(args, transient=False)
         if args.command == "run":
             return _solve(args, transient=True)
-    except StateError as exc:
+    except (StateError, FactorizationError) as exc:
         sys.stderr.write(f"solver aborted: {exc}\n")
         return EXIT_NONCONVERGED
     except GasnetError as exc:

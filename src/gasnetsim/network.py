@@ -39,15 +39,16 @@ rho_i with the momentum m_i on its inlet-side interface:
                  up = rho_(i-1) with a = c^2, or mu_p with a = 1 at the
                  inlet, where w = dx/2 (dx elsewhere)
 
-Inputs are resolved once per closure into a vector u in `input_ids` order
-(boundary ids, then station ids). Every +-1 entry of the port, node and
+Inputs are resolved once per closure into a vector u that is exactly
+`input_ids`: the boundary nodes (`GlobalSystem.boundary`, which lead the
+node order), then the stations. Every +-1 entry of the port, node and
 station rows sits in one constant table, `GlobalSystem.coupling`, over
-[x | u] (columns from n on index u; a node row lists minus its input
-first, then its links in attachment order). The residual, the Jacobian
-pattern and the algebraic solve all read it. The station rows' state terms
-(`GlobalSystem._add_state_terms`) apply the rules of `compressor.VARIANTS`
-at p_upstream, the port-out rows' outlet pressure, for the residual and the
-algebraic solve alike.
+[x | u] (columns from n on index u; only a boundary node's row lists an
+input, minus it first, then its links in attachment order). The residual,
+the Jacobian pattern and the algebraic solve all read it. The station rows'
+state terms (`GlobalSystem._add_state_terms`) apply the rules of
+`compressor.VARIANTS` at p_upstream, the port-out rows' outlet pressure,
+for the residual and the algebraic solve alike.
 
 A pipe's rows read only its own cells and its two port unknowns, so the
 Jacobian is block diagonal over pipe segments once every pipe is cut into
@@ -63,7 +64,7 @@ import math
 import sys
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -343,13 +344,11 @@ class GlobalSystem:
     momentum) follow it, pipe by pipe, then one potential per node.
     """
 
-    def __init__(self, spec: NetworkSpec, n_cells_override: int | None = None):
+    def __init__(self, spec: NetworkSpec):
         require_valid(spec)
         self.spec = spec
         self.gas = spec.gas
-        self.pipes: list[PipeSpec] = [
-            pe.spec if n_cells_override is None else replace(pe.spec, n_cells=n_cells_override)
-            for pe in spec.pipes]
+        self.pipes: list[PipeSpec] = [pe.spec for pe in spec.pipes]
 
         # --- unknown layout ------------------------------------------
         self.rho_sl, self.mom_sl = [], []
@@ -374,8 +373,8 @@ class GlobalSystem:
             [nd.id for nd in spec.nodes if nd.kind is NodeKind.SUPPLY]
             + [st.outlet_node for st in spec.compressors])
         by_id = {nd.id: nd for nd in spec.nodes}
-        self.node_order = ([nd for nd in spec.nodes if nd.kind in BOUNDARY_KINDS]
-                           + [by_id[nid] for nid in ends]
+        self.boundary = [nd for nd in spec.nodes if nd.kind in BOUNDARY_KINDS]
+        self.node_order = (self.boundary + [by_id[nid] for nid in ends]
                            + [nd for nd in spec.nodes if nd.kind is NodeKind.JUNCTION
                               and nd.id not in self.station_ends])
         self.lam = {nd.id: self.n_z + 2 * P + i for i, nd in enumerate(self.node_order)}
@@ -390,8 +389,6 @@ class GlobalSystem:
 
         # --- inputs and station bindings ---------------------------
         # (validate_topology leaves each station one upstream, one downstream pipe)
-        self.boundary_inputs = [(nd.id, "pressure" if nd.kind is NodeKind.SUPPLY else "momentum")
-                                for nd in self.node_order if nd.kind in BOUNDARY_KINDS]
         self.stations: list[StationBinding] = []
         for st in spec.compressors:
             up = next(k for k, isout in self.attached[st.inlet_node] if isout)
@@ -402,10 +399,10 @@ class GlobalSystem:
                               "expander", stacklevel=2)
             self.stations.append(StationBinding(
                 st.id, st.variant, default,
-                up, down, len(self.boundary_inputs) + len(self.stations),
+                up, down, len(self.boundary) + len(self.stations),
                 self.lam[st.inlet_node], self.lam[st.outlet_node]))
 
-        self.input_ids = [key for key, _ in self.boundary_inputs] + [s.id for s in self.stations]
+        self.input_ids = [nd.id for nd in self.boundary] + [s.id for s in self.stations]
         self.coupling = self._build_coupling()
 
         # --- row kinds for residual scaling --------------------------
@@ -447,21 +444,19 @@ class GlobalSystem:
         """The +-1 entries of the port, node and station rows over [x | u].
 
         Columns from n on index the input vector u. Within a row the entries
-        keep their summation order: a node row lists minus its input first,
-        then its links in attachment order.
+        keep their summation order: a boundary node's row lists minus its
+        input first, then its links in attachment order.
         """
         n, lam = self.n, self.lam
         mu_p, mu_m, m_in = self.mu_p.tolist(), self.mu_m.tolist(), self.bank.m_in.tolist()
-        slot = {key: n + i for i, (key, _) in enumerate(self.boundary_inputs)}
-        zero = n + len(self.input_ids)   # the trailing 0 of the input vector
         ent = []
         for k, pe in enumerate(self.spec.pipes):
             ent += [(mu_p[k], mu_p[k], 1), (mu_p[k], lam[pe.from_node], -1),
                     (mu_m[k], lam[pe.to_node], -1)]
-        for nd in self.node_order:
+        for i, nd in enumerate(self.node_order):
             r = lam[nd.id]
-            if nd.id not in self.station_ends:
-                ent.append((r, slot.get(nd.id, zero), -1))
+            if nd.kind in BOUNDARY_KINDS:   # the boundary leads node_order and u alike
+                ent.append((r, n + i, -1))
             if nd.id in self.pressure_rule:
                 ent.append((r, r, 1))
             else:   # flux balances, and the station inlet's -mu_m of its upstream pipe
@@ -475,12 +470,12 @@ class GlobalSystem:
     # ------------------------------------------------------------------
 
     def _input_vector(self, inputs):
-        """Sampled inputs (a mapping) in `input_ids` order, then 0 for junction balances."""
+        """Sampled inputs (a mapping) in `input_ids` order."""
         if not isinstance(inputs, Mapping):
             raise ConfigurationError(
                 f"inputs must map input ids to sampled values, got {type(inputs).__name__}")
         try:
-            return np.array([inputs[key] for key in self.input_ids] + [0.0], dtype=float)
+            return np.array([inputs[key] for key in self.input_ids], dtype=float)
         except KeyError as exc:
             raise ConfigurationError(f"missing input value for {exc}") from exc
 
@@ -553,6 +548,12 @@ class GlobalSystem:
             sp, p = u[s.input], p_out[s.pipe_up]
             F[s.row_in - base] -= s.variant.factor(sp, p, kappa) * z[m_in[s.pipe_down]]
             F[s.row_out - base] -= s.variant.outlet(sp, p)
+
+    def reference_levels(self, levels):
+        """(p_ref, m_ref): the first supply's level; the largest |demand level|, floored at 1."""
+        p_ref = next(levels[nd.id] for nd in self.boundary if nd.kind is NodeKind.SUPPLY)
+        demands = [abs(levels[nd.id]) for nd in self.boundary if nd.kind is NodeKind.DEMAND]
+        return p_ref, max(demands + [1.0])
 
     def row_scale(self):
         """Diagonal residual scaling: pressure rows / p_ref, momentum rows / m_ref."""
@@ -778,16 +779,12 @@ class GlobalSystem:
         if self._flows is None:
             N, lam = len(self.node_order), self.lam
             base = self.n - N
-            # each node's vertex (boundary nodes lead node_order in boundary_inputs
-            # order): the supplies share row N, which is then cut off (phi = 0 there),
-            # and a station's outlet is its inlet
-            vertex = list(range(N))
-            demand = []
-            for i, (_, kind) in enumerate(self.boundary_inputs):
-                if kind == "pressure":
-                    vertex[i] = N
-                else:
-                    demand.append(i)
+            # each node's vertex (the boundary leads node_order and u alike): the
+            # supplies share row N, which is then cut off (phi = 0 there), and a
+            # station's outlet is its inlet
+            vertex = [N if nd.kind is NodeKind.SUPPLY else i
+                      for i, nd in enumerate(self.node_order)]
+            demand = [i for i, nd in enumerate(self.boundary) if nd.kind is NodeKind.DEMAND]
             for st in self.spec.compressors:
                 vertex[lam[st.outlet_node] - base] = lam[st.inlet_node] - base
             ends = [(vertex[lam[pe.from_node] - base], vertex[lam[pe.to_node] - base])
@@ -804,7 +801,7 @@ class GlobalSystem:
             # no pipe end reaches a supply's or a station outlet's own row: phi = 0 there
             idle = sorted(set(range(N)) - set(start) - set(end))
             laplacian[idle, idle] = 1.0
-            rhs = np.zeros((N, len(self.input_ids) + 1))
+            rhs = np.zeros((N, len(self.input_ids)))
             rhs[demand, demand] = -1.0
             self._flows = (At @ np.linalg.solve(laplacian, rhs),
                            np.searchsorted(self.bank.tail, self.bank.rho))
@@ -823,8 +820,7 @@ class GlobalSystem:
         on a loop or on a path between two supplies.
         """
         u = self._input_vector(inputs0)
-        kinds = [kind for _, kind in self.boundary_inputs]
-        p_ref = u[kinds.index("pressure")]
+        p_ref, _ = self.reference_levels(inputs0)
         G, cell_pipe = self._flow_map()
         q = G @ u
         q[np.abs(q) < 1.0] = 1.0
@@ -837,9 +833,9 @@ class GlobalSystem:
         return x
 
 
-def assemble(spec: NetworkSpec, n_cells_override: int | None = None) -> GlobalSystem:
+def assemble(spec: NetworkSpec) -> GlobalSystem:
     """Build the global DAE for a validated network description."""
-    return GlobalSystem(spec, n_cells_override)
+    return GlobalSystem(spec)
 
 
 def fuse_compressors(spec: NetworkSpec) -> NetworkSpec:

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, FactorizationError,
                      NonconvergenceError, StateError)
-from .network import ColumnColoring, block_layout
+from .network import ColumnColoring, NodeKind, block_layout
 
 __all__ = [
     "SolverConfig", "NewtonResult", "TimeSeries", "newton_solve", "steady_state",
@@ -307,16 +307,17 @@ def bind_inputs(gsys, scenario):
 
     Returns (input_fn, p_ref, m_ref): input_fn(t) yields the id->value dict
     the residual consumes; the references scale pressure and momentum rows
-    (supply pressure at t=0; largest extraction over the run). This is the
+    (`GlobalSystem.reference_levels` of the supply pressures at t=0 and the
+    largest extractions over the run). This is the
     one check that the scenario drives the assembled system: a boundary
     node without a profile, or a station with neither a setpoint profile
     nor a default, raises ConfigurationError.
     """
     sources = {}
-    for key, _ in gsys.boundary_inputs:
-        if not scenario.has(key):
-            raise ConfigurationError(f"missing profile for boundary node {key!r}")
-        sources[key] = key
+    for nd in gsys.boundary:
+        if not scenario.has(nd.id):
+            raise ConfigurationError(f"missing profile for boundary node {nd.id!r}")
+        sources[nd.id] = nd.id
     for s in gsys.stations:
         sources[s.id] = scenario.setpoint_source(s.id, s.variant.setpoint, s.default)
         if sources[s.id] is None:
@@ -326,16 +327,9 @@ def bind_inputs(gsys, scenario):
         return {key: (scenario.value(src, t) if isinstance(src, str) else src)
                 for key, src in sources.items()}
 
-    levels = {key: scenario.max_abs(key) if kind == "momentum" else scenario.value(key, 0.0)
-              for key, kind in gsys.boundary_inputs}
-    return (input_fn, *_references(gsys, levels))
-
-
-def _references(gsys, levels):
-    """(p_ref, m_ref): the first supply's level, else 1; max |demand level|, floored at 1."""
-    supplies = [levels[key] for key, kind in gsys.boundary_inputs if kind == "pressure"]
-    demands = [abs(levels[key]) for key, kind in gsys.boundary_inputs if kind == "momentum"]
-    return (supplies[0] if supplies else 1.0), max(demands + [1.0])
+    levels = {nd.id: scenario.max_abs(nd.id) if nd.kind is NodeKind.DEMAND
+              else scenario.value(nd.id, 0.0) for nd in gsys.boundary}
+    return (input_fn, *gsys.reference_levels(levels))
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +337,7 @@ def _references(gsys, levels):
 # ----------------------------------------------------------------------
 
 def _solve(sys, raw, x0, cfg, t, what):
-    """Newton on the row-scaled `raw` residual; failure and state checks report time t."""
+    """Newton on the row-scaled `raw` residual; a failure names `what`, state checks time t."""
     scale = sys.row_scale()
 
     def fun(x):
@@ -354,6 +348,8 @@ def _solve(sys, raw, x0, cfg, t, what):
     except NonconvergenceError as exc:
         raise NonconvergenceError(f"{what} failed: {exc}", x_best=exc.x_best,
                                   history=exc.history, time=t) from exc
+    except FactorizationError as exc:
+        raise FactorizationError(f"{what} failed: {exc}") from exc
     sys.check_state(res.x[: sys.n_z], t)
     return res
 
@@ -363,7 +359,7 @@ def steady_state(gsys, inputs0, cfg: SolverConfig | None = None,
     """Solve the DAE with all time derivatives dropped, from the Kirchhoff flow start."""
     x0 = gsys.initial_guess(inputs0)
     if set_references:
-        gsys.references = _references(gsys, inputs0)
+        gsys.references = gsys.reference_levels(inputs0)
     gsys.jac_colors().factor[0] = None    # every steady solve starts from a fresh Jacobian
     return _solve(gsys, lambda x: gsys.steady_residual(x, inputs0), x0, cfg,
                   0.0, "steady-state solve").x
@@ -410,24 +406,29 @@ def simulate(gsys, scenario, cfg: SolverConfig | None = None) -> TimeSeries:
     t_end = cfg.t_end if cfg.t_end is not None else scenario.t_end
     if dt is None or t_end is None:
         raise ConfigurationError("dt and t_end must come from the scenario or config")
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
-        raise ConfigurationError(f"t_end={t_end} is not a multiple of dt={dt}")
-    if scenario.t_end < t_end - 1e-9:
-        raise ConfigurationError("scenario does not cover the requested horizon")
+    names = gsys.record_names()
+    # before the steady solve: a grid the records cannot hold (an infinite step
+    # count at a subnormal dt included) fails at once, without touching memory
+    try:
+        n_steps = int(round(t_end / dt))
+        if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
+            raise ConfigurationError(f"t_end={t_end} is not a multiple of dt={dt}")
+        if scenario.t_end < t_end - 1e-9:
+            raise ConfigurationError("scenario does not cover the requested horizon")
+        data = np.empty((n_steps + 1, len(names)))
+        tgrid = dt * np.arange(n_steps + 1)
+        iters = np.zeros(n_steps, dtype=int)
+        mass = np.empty(n_steps + 1)
+        influx = np.zeros(n_steps)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"t_end={t_end:g} s at dt={dt:g} s gives {t_end / dt:.4g} "
+                                 "steps, more than the records can hold") from exc
 
     input_fn, p_ref, m_ref = bind_inputs(gsys, scenario)
     gsys.references = (p_ref, m_ref)
 
     x = steady_state(gsys, input_fn(0.0), cfg, set_references=False)
     n_z = gsys.n_z
-
-    names = gsys.record_names()
-    data = np.empty((n_steps + 1, len(names)))
-    tgrid = dt * np.arange(n_steps + 1)
-    iters = np.zeros(n_steps, dtype=int)
-    mass = np.empty(n_steps + 1)
-    influx = np.zeros(n_steps)
     warnings: list[str] = []
     flagged: set[str] = set()
 

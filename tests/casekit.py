@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import gasnetsim as gn
+from gasnetsim.cli import _apply_model_override
 from gasnetsim.compressor import VARIANTS
 from gasnetsim.network import color_columns
 from gasnetsim.timeloop import _fd_jacobian
@@ -63,6 +64,34 @@ SCN_JSON = """{
 }
 """
 
+# s -> a, two frictionless parallel pipes a -> b, b -> d, with d closed: the
+# steady rows fix the parallel pipes' total flow but not its split, so the
+# steady Jacobian is singular
+PARALLEL_NET_JSON = """{
+  "gas": {"Rs": 530.0, "T": 276.25, "z": 1.0, "kappa": 1.4},
+  "units": {"pressure": "bar", "length": "km"},
+  "nodes": [{"id": "s", "type": "supply"}, {"id": "a"}, {"id": "b"},
+            {"id": "d", "type": "demand"}],
+  "pipes": [
+    {"id": "in", "from": "s", "to": "a", "length": 10, "diameter": 0.5, "friction": 0.01,
+     "cells": 4},
+    {"id": "p1", "from": "a", "to": "b", "length": 10, "diameter": 0.5, "friction": 0,
+     "cells": 4},
+    {"id": "p2", "from": "a", "to": "b", "length": 10, "diameter": 0.5, "friction": 0,
+     "cells": 4},
+    {"id": "out", "from": "b", "to": "d", "length": 10, "diameter": 0.5, "friction": 0.01,
+     "cells": 4}
+  ]
+}
+"""
+
+PARALLEL_SCN_JSON = """{"t_end": 3600, "dt": 600, "units": {"pressure": "bar"},
+                        "profiles": {"s": [[0, 50.0]], "d": [[0, 0.0]]}}
+"""
+
+PARALLEL_SINGULAR = ("Jacobian factorization failed: the border block (12 unknowns) "
+                     "is singular")
+
 
 DELETE = object()
 
@@ -87,17 +116,12 @@ def malformed_network(path, value):
 
 
 def benchmark_with_model(tag):
-    """Benchmark network with the compressor model overridden by CLI tag."""
+    """Benchmark network with the compressor model overridden by CLI tag, as
+    `gasnetsim run --model tag` reads it: the scenario is parsed against the
+    stations as solved, or the file's when they are fused away."""
     spec = gn.parse_network(NET_JSON)
-    if tag == "none":
-        scen = gn.parse_scenario(SCN_JSON, spec)
-        return gn.fuse_compressors(spec), scen
-    fw, asm = tag.split("-")
-    for st in spec.compressors:
-        st.framework = gn.Framework(fw)
-        st.assumption = gn.Assumption(asm)
-    scen = gn.parse_scenario(SCN_JSON, spec)
-    return spec, scen
+    solved = _apply_model_override(spec, tag, None)
+    return solved, gn.parse_scenario(SCN_JSON, spec if tag == "none" else solved)
 
 
 def record_dict(g, z, inputs, anchor=None):

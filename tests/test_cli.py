@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import gasnetsim as gn
-from gasnetsim.cli import main
+from gasnetsim.cli import _apply_model_override, main
 
-from casekit import DELETE, NET_JSON, SCN_JSON, malformed_network
+from casekit import (DELETE, NET_JSON, PARALLEL_NET_JSON, PARALLEL_SCN_JSON, PARALLEL_SINGULAR,
+                     SCN_JSON, malformed_network)
 
 
 @pytest.fixture()
@@ -272,7 +273,7 @@ def test_day_line_imports_no_scipy(tmp_path, cells):
     # (full Newton), at 600 (n = 2408) above it (chord Newton); at both every
     # Newton step runs on the block factor, so the run never imports
     # scipy.sparse.linalg (about 30 MB), nor any other scipy module
-    n = gn.assemble(gn.parse_network(NET_JSON), cells).n
+    n = gn.assemble(_apply_model_override(gn.parse_network(NET_JSON), None, cells)).n
     assert (n > gn.SolverConfig.sparse_threshold) == (cells == 600)
     net, scn, out = tmp_path / "yamal.net.json", tmp_path / "day.scn.json", tmp_path / "o.csv"
     net.write_text(NET_JSON)
@@ -293,3 +294,85 @@ def test_day_line_imports_no_scipy(tmp_path, cells):
     imported = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert "scipy.sparse.linalg" not in imported
     assert imported == []
+
+
+def test_model_and_cell_overrides_leave_the_parsed_spec_as_read():
+    # --model and --cells build the spec that is solved; the parsed one
+    # keeps the file's station model and cell count
+    spec = gn.parse_network(NET_JSON)
+    read = gn.serialize_network(spec)
+    solved = gn.assemble(_apply_model_override(spec, "fp-av", 8)).spec
+    assert gn.serialize_network(spec) == read
+    for text, model, cells in [(read, ["fc", "am"], 32),
+                               (gn.serialize_network(solved), ["fp", "av"], 8)]:
+        doc = json.loads(text)
+        assert [[c["framework"], c["assumption"]] for c in doc["compressors"]] == [model]
+        assert [p["cells"] for p in doc["pipes"]] == [cells, cells]
+
+
+def test_bad_cells_is_reported_before_topology_faults(files, tmp_path, capsys):
+    # --cells builds a new spec before anything assembles or fuses it
+    _, scn = files
+    bad = tmp_path / "bad.net.json"
+    bad.write_text(malformed_network(("nodes", 2), {"id": "elsewhere"}))
+    out = tmp_path / "o.csv"
+    assert main(["run", str(bad), str(scn), "--cells", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: pipe 'west': need at least 2 cells, got 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt, steps", [("1e-300", "8.64e+304"), ("1e-12", "8.64e+16"),
+                                       ("1e-310", "inf")])
+def test_step_count_the_records_cannot_hold_exits_1(tmp_path, capsys, dt, steps):
+    # numpy refuses these record sizes without touching memory, and the run
+    # stops before its steady solve; a dt whose records numpy could allocate
+    # (1e-3 s is 86.4 M steps) is never tried
+    net, scn, out = tmp_path / "yamal.net.json", tmp_path / "day.scn.json", tmp_path / "o.csv"
+    net.write_text(NET_JSON)
+    scn.write_text(SCN_JSON)
+    assert main(["run", str(net), str(scn), "--dt", dt, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: t_end=86400 s at dt={dt} s gives {steps} steps, "
+                                       "more than the records can hold\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["steady", "run"])
+def test_singular_jacobian_exits_2(tmp_path, capsys, command):
+    net, scn, out = tmp_path / "par.net.json", tmp_path / "par.scn.json", tmp_path / "o.csv"
+    net.write_text(PARALLEL_NET_JSON)
+    scn.write_text(PARALLEL_SCN_JSON)
+    assert main([command, str(net), str(scn), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"solver aborted: steady-state solve failed: {PARALLEL_SINGULAR}\n")
+    assert not out.exists()
+
+
+def test_singular_step_jacobian_exits_2(files, tmp_path, capsys, monkeypatch):
+    # a step residual that ignores the last unknown has a zero Jacobian column
+    make = gn.GlobalSystem.make_step_residual
+
+    def frozen(self, *args):
+        fun = make(self, *args)
+        return lambda v: fun(np.concatenate([v[:-1], [80e5]]))
+
+    monkeypatch.setattr(gn.GlobalSystem, "make_step_residual", frozen)
+    net, scn = files
+    out = tmp_path / "o.csv"
+    assert main(["run", str(net), str(scn), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver aborted: step at t=300 s failed: "
+                          "Jacobian factorization failed: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bare_setpoint_reads_per_the_overridden_model(files, tmp_path):
+    # the scenario is parsed against the stations as solved: under --model
+    # fp-av a bare station key is a pressure, in the scenario's bar
+    net, scn = files
+    doc = json.loads(scn.read_text())
+    del doc["profiles"]["station.ratio"], doc["profiles"]["station.pressure"]
+    doc["profiles"]["station"] = [[0, 84.0]]
+    scn.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert main(["run", str(net), str(scn), "--model", "fp-av", "--out", str(out)]) == 0
+    assert np.allclose(gn.read_timeseries(out).column("east.in.p_Pa"), 84e5, rtol=1e-9)

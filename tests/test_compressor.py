@@ -220,7 +220,7 @@ def test_fc_ratio_below_one_warns():
         gn.assemble(spec)                 # fp reads the pressure, not the ratio
     with pytest.warns(UserWarning, match="FC compressor 'station' with ratio 0.9 < 1 acts as an "
                                          "expander"):
-        gn.assemble(_apply_model_override(spec, "fc-am"))
+        gn.assemble(_apply_model_override(spec, "fc-am", None))
 
 
 def test_fp_nonpositive_pressure_is_error():

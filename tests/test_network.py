@@ -748,11 +748,29 @@ def test_generated_networks_match_the_oracles(seed):
     assert np.array_equal(g.make_step_residual(z_prev, 50.0, inputs)(x),
                           reference_residual(g, x_mid, (z - z_prev) / 50.0, inputs))
     assert set(map(tuple, g._pattern().tolist())) == set(reference_pattern(g))
-    demands = [inputs[key] for key, kind in g.boundary_inputs if kind == "momentum"]
+    demands = [inputs[nd.id] for nd in g.boundary if nd.kind is gn.NodeKind.DEMAND]
     p_ref = np.abs(x[list(g.lam.values())]).max()
     m_ref = np.abs(np.concatenate([z[g.bank.mom], demands])).max()
     scale = np.where(g.row_kind[g.n_z:] == "p", p_ref, m_ref)
     assert np.all(np.abs(F[g.n_z:]) <= 1e-12 * scale)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_input_vector_is_exactly_the_input_ids(seed):
+    # u holds one value per input id; the boundary nodes lead node_order and
+    # u alike, and only a boundary node's row lists an input: a plain
+    # junction's or a station end's balance lists its links only
+    spec, inputs = generated_network(seed)
+    g = gn.assemble(spec)
+    assert g._input_vector(inputs).tolist() == [float(inputs[key]) for key in g.input_ids]
+    assert g.node_order[: len(g.boundary)] == g.boundary
+    assert g.input_ids[: len(g.boundary)] == [nd.id for nd in g.boundary]
+    c = g.coupling
+    on_u = c.cols >= g.n
+    assert c.rows[on_u].tolist() == [g.lam[nd.id] for nd in g.boundary]
+    assert c.cols[on_u].tolist() == list(range(g.n, g.n + len(g.boundary)))
+    assert np.all(c.vals[on_u] == -1.0)
 
 
 class TestKirchhoffStart:

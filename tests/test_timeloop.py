@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 import gasnetsim as gn
 
 from gasnetsim import timeloop
+from gasnetsim.cli import _apply_model_override
 from gasnetsim.network import SEGMENT_CELLS
 
-from casekit import (benchmark_with_model, closed_pipe, consistent_state, csc_jacobian,
-                     dense_newton_step, generated_network, ladder_system, record_dict,
-                     single_pipe_system)
+from casekit import (PARALLEL_NET_JSON, PARALLEL_SINGULAR, benchmark_with_model, closed_pipe,
+                     consistent_state, csc_jacobian, dense_newton_step, generated_network,
+                     ladder_system, record_dict, single_pipe_system)
 
 
 class TestSolverConfig:
@@ -182,11 +183,11 @@ def test_block_solve_matches_the_dense_reference(seed, demand, cells):
     # runs on one-supply trees only. The generated 2-5 cells per pipe make
     # one segment each; the two overrides cut every pipe once and twice.
     spec, inputs = generated_network(seed)
-    g = gn.assemble(spec, cells)
-    for key, kind in g.boundary_inputs:
-        if kind == "momentum":
-            inputs[key] = 0.0 if demand == "zero" else -inputs[key]
-    g.references = timeloop._references(g, inputs)
+    g = gn.assemble(_apply_model_override(spec, None, cells))
+    for nd in g.boundary:
+        if nd.kind is gn.NodeKind.DEMAND:
+            inputs[nd.id] = 0.0 if demand == "zero" else -inputs[nd.id]
+    g.references = g.reference_levels(inputs)
     rng = np.random.default_rng(seed)
     z = consistent_state(g, inputs, rng)
     z[g.bank.mom] = 0.0 if demand == "zero" else -np.abs(z[g.bank.mom])
@@ -390,6 +391,30 @@ class TestScaling:
         gn.steady_state(g, {"s": 80e5, "d": 0.0})
         assert g.references[1] == 1.0
 
+    def test_one_reference_rule(self, gas):
+        # p_ref is the first declared supply's level, m_ref the largest
+        # |demand level| floored at 1; bind_inputs, steady_state and
+        # initial_guess all read it from GlobalSystem.reference_levels
+        kinds = {"d1": gn.NodeKind.DEMAND, "s2": gn.NodeKind.SUPPLY, "j": gn.NodeKind.JUNCTION,
+                 "s1": gn.NodeKind.SUPPLY, "d2": gn.NodeKind.DEMAND}
+        ends = [("s2", "j"), ("s1", "j"), ("j", "d1"), ("j", "d2")]
+        g = gn.assemble(gn.NetworkSpec(gas, [gn.Node(k, v) for k, v in kinds.items()], [
+            gn.PipeEdge(gn.PipeSpec(f"P{i}", 40e3, 1.0, 0.003, 6), a, b)
+            for i, (a, b) in enumerate(ends)]))
+        assert g.reference_levels({"s2": 70e5, "s1": 72e5, "d1": -150.0, "d2": 120.0}) == (
+            70e5, 150.0)
+        assert g.reference_levels({"s2": 70e5, "s1": 72e5, "d1": 0.5, "d2": -0.25}) == (
+            70e5, 1.0)
+        inputs = {"s2": 70e5, "s1": 71e5, "d1": 150.0, "d2": -120.0}
+        assert np.all(g.initial_guess(inputs)[g.mu_p] == 70e5)
+        gn.steady_state(g, inputs)
+        assert g.references == (70e5, 150.0)
+        t = np.array([0.0, 1800.0])
+        scen = gn.Scenario(3600.0, 600.0, {
+            "s2": (t, np.array([69e5, 75e5])), "s1": (t, np.array([72e5, 72e5])),
+            "d1": (t, np.array([100.0, -180.0])), "d2": (t, np.array([50.0, 20.0]))})
+        assert gn.bind_inputs(g, scen)[1:] == (69e5, 180.0)
+
     def test_scaling_is_diagonal(self, gas):
         # one reference per row: the solver divides the residual row by row
         g = single_pipe_system(gas)
@@ -450,7 +475,7 @@ class TestSteadyState:
         assert [(st.id, st.framework.value, st.assumption.value)
                 for st in spec.compressors] == [("c0", "fp", "av")]
         g = gn.assemble(spec)
-        g.references = timeloop._references(g, inputs)
+        g.references = g.reference_levels(inputs)
         scale = g.row_scale()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -507,6 +532,35 @@ class TestSteadyState:
                               g.initial_guess(inputs0), gn.SolverConfig(),
                               colors=g.jac_colors())
         assert res.iterations <= 25
+
+
+class TestSolveFailures:
+    """A singular Jacobian names the solve it stopped, as a nonconvergence does."""
+
+    def test_steady_solve(self):
+        g = gn.assemble(gn.parse_network(PARALLEL_NET_JSON))
+        with pytest.raises(gn.FactorizationError) as info:
+            gn.steady_state(g, {"s": 50e5, "d": 0.0})
+        assert str(info.value) == f"steady-state solve failed: {PARALLEL_SINGULAR}"
+
+    def test_step(self):
+        # a step residual that ignores the last unknown (station_out's
+        # potential, on the border) has a zero Jacobian column
+        spec, scen = benchmark_with_model("fc-am")
+        g = gn.assemble(spec)
+        fn = gn.bind_inputs(g, scen)[0]
+        x = gn.steady_state(g, fn(0.0))
+        make = g.make_step_residual
+
+        def frozen(*args):
+            fun = make(*args)
+            return lambda v: fun(np.concatenate([v[:-1], x[-1:]]))
+
+        g.make_step_residual = frozen
+        with pytest.raises(gn.FactorizationError) as info:
+            gn.step_midpoint(g, x, 600.0, 300.0, lambda t: {**fn(0.0), "sink": 300.0})
+        assert re.fullmatch(r"step at t=900 s failed: Jacobian factorization failed: "
+                            r"the border block \(\d+ unknowns\) is singular", str(info.value))
 
 
 class TestMidpointStep:
@@ -575,6 +629,21 @@ class TestSimulate:
         assert ts.n_samples == 37
         assert ts.newton_iters.size == 36
         assert np.all(np.diff(ts.t) > 0)
+
+    @pytest.mark.parametrize("dt", [1e-300, 1e-12, 1e-310])
+    def test_a_grid_the_records_cannot_hold_fails_before_the_steady_solve(
+            self, monkeypatch, dt):
+        # numpy refuses these sizes without touching memory; a dt whose
+        # records it could allocate (1e-3 s is 86.4 M steps) is never tried
+        def no_steady(*args, **kwargs):
+            raise AssertionError("the steady solve ran before the records were allocated")
+
+        monkeypatch.setattr(timeloop, "steady_state", no_steady)
+        spec, scen = benchmark_with_model("fc-am")
+        with pytest.raises(gn.ConfigurationError,
+                           match=rf"^t_end=86400 s at dt={dt:g} s gives \S+ steps, "
+                                 "more than the records can hold$"):
+            gn.simulate(gn.assemble(spec), scen, gn.SolverConfig(dt=dt))
 
     def test_constant_scenario_keeps_records_fixed(self, gas):
         g = single_pipe_system(gas, n_cells=16)
