@@ -356,6 +356,7 @@ class RunReport:
     n_steps: int = 0
     newton_total: int = 0
     newton_max: int = 0
+    jacobians: int = 0
     warnings: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
@@ -365,7 +366,7 @@ class RunReport:
         buf.write(f"steps: {self.n_steps}\n")
         if self.n_steps:
             buf.write(f"newton iterations: total {self.newton_total}, "
-                      f"max {self.newton_max}/step\n")
+                      f"max {self.newton_max}/step, jacobians {self.jacobians}\n")
         for w in self.warnings:
             buf.write(f"warning: {w}\n")
         return buf.getvalue()
@@ -375,4 +376,4 @@ class RunReport:
         iters = np.asarray(ts.newton_iters, dtype=int)
         return cls(status=status, wall_time=wall_time, n_steps=int(iters.size),
                    newton_total=int(iters.sum()), newton_max=int(iters.max(initial=0)),
-                   warnings=list(ts.warnings))
+                   jacobians=int(np.sum(ts.jacobians)), warnings=list(ts.warnings))

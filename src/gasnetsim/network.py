@@ -970,8 +970,8 @@ class BlockLayout(NamedTuple):
 
     Ordered as segments then border, the Jacobian is [[A, B], [C, D]] with A
     block diagonal over the segments (one ``SegmentGroup`` per block shape)
-    and D the border block; the factor inverts A by blocks and then the
-    border's Schur complement S = D - C A^-1 B (``timeloop.BlockFactor``).
+    and D the border block; the factor (``timeloop.BlockFactor``) solves A by
+    blocks, then S = D - C A^-1 B, and forms inverses only when it is kept.
     """
 
     border: np.ndarray      # the border's unknowns, ascending
@@ -1030,9 +1030,9 @@ class ColumnColoring(NamedTuple):
     values into the bordered block form.
 
     ``factor`` is a one-slot list: chord Newton, above the sparse
-    threshold, keeps its last ``timeloop.BlockFactor`` there for reuse
-    across iterations and steps (``timeloop.newton_solve``), so the factor
-    lives as long as the system that caches this coloring.
+    threshold, keeps its last ``timeloop.BlockFactor`` there, the only
+    factor that holds inverses, for reuse across iterations and steps
+    (``timeloop.newton_solve``); it lives as long as this coloring's system.
     """
 
     groups: list[np.ndarray]

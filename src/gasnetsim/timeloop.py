@@ -16,12 +16,12 @@ values scatter straight into the coloring's block layout
 rest of the network only through its ports, so with every pipe cut into
 segments of at most ``network.SEGMENT_CELLS`` cells the Jacobian is block
 diagonal over the segments, bordered by the cut cells and the algebraic
-unknowns. ``BlockFactor`` inverts the segment blocks of one shape in one
+unknowns. ``BlockFactor`` factors the segment blocks of one shape in one
 stacked LAPACK call and the border's Schur complement S = D - C A^-1 B
-dense (block LU, Golub & Van Loan, Matrix Computations), so no n x n array
-is formed and nothing beyond numpy is imported. A system without pipe
-structure (a coloring built without segments, or no coloring at all) is
-one block with an empty border and runs the same code.
+dense (block LU, Golub & Van Loan, Matrix Computations), forming inverses
+only when it is kept (chord Newton below), so no n x n array is formed and
+nothing beyond numpy is imported. A system without pipe structure (no
+segments, or no coloring) is one block with an empty border.
 
 ``SolverConfig.sparse_threshold`` (a class constant, 2000 unknowns, not a
 setting) selects only the Newton policy. Above it the iteration is chord
@@ -149,58 +149,66 @@ def _fd_jacobian(fun, x, F0, coloring):
     return dF[coloring.color, coloring.rows] / h[coloring.cols]
 
 
-def _inverse(stack, names):
-    """np.linalg.inv of a matrix or a (k, m, m) stack; a singular one raises naming it."""
+def _lapack(stack, rhs, names):
+    """np.linalg.solve(stack, rhs), or inv(stack) for a None ``rhs``, naming a singular matrix
+    from ``names``. ``rhs`` is 2-D or 3-D, never a vector: numpy 1 and 2 read those apart."""
     try:
-        return np.linalg.inv(stack)
+        return np.linalg.inv(stack) if rhs is None else np.linalg.solve(stack, rhs)
     except np.linalg.LinAlgError as exc:
         sign, _ = np.linalg.slogdet(stack)
         name = names[int(np.argmin(np.abs(sign)))]
         raise FactorizationError(f"Jacobian factorization failed: {name} is singular") from exc
 
 
-def _segment_part(vals, sg, names):
-    """(A^-1, A^-1 B, C's values) for one group of same-shape segment blocks."""
-    k, L = sg.stack.R.shape
-    AB = np.zeros(k * L * sg.stack.C.shape[1])
-    AB[sg.stack.at] = vals[sg.stack.entry]
+def _segment_part(vals, sg, names, rhs, keep):
+    """(A^-1, or A^-1 rhs if not ``keep``; A^-1 B; C's values) for same-shape segment blocks."""
+    (k, L), p = sg.stack.R.shape, sg.ports.shape[1]
+    AB = np.zeros(k * L * (L + p + (not keep)))     # [A | B], or [A | B | rhs]
+    AB[sg.stack.at if keep else sg.stack.at + sg.stack.at // (L + p)] = vals[sg.stack.entry]
     AB = AB.reshape(k, L, -1)
-    Ainv = _inverse(AB[:, :, :L], [names[b] for b in sg.stack.blocks])
-    return Ainv, Ainv @ AB[:, :, L:], vals[sg.c_entry]
+    if not keep:
+        AB[:, :, -1] = rhs[sg.stack.R]
+    X = _lapack(AB[:, :, :L], None if keep else AB[:, :, L:], [names[b] for b in sg.stack.blocks])
+    Y = X @ AB[:, :, L:] if keep else X[:, :, :p]
+    return X if keep else X[:, :, p], Y, vals[sg.c_entry]
 
 
 class BlockFactor:
-    """Block LU of the bordered block form (``network.BlockLayout``).
+    """Block LU of the bordered block form (``network.BlockLayout``); ``x`` solves J x = rhs.
 
     The gathered values scatter straight into stacked segment blocks [A | B]
     (B: each block's port columns), the border rows' entries C and the
-    border block D. The blocks of one shape are inverted in one stacked
-    ``np.linalg.inv``, and the Schur complement S = D - C A^-1 B on the
-    border is inverted dense. ``solve`` then eliminates the segments, solves
-    the border and substitutes back, so nothing n x n is formed unless the
-    whole system is one block.
+    border block D; the border is solved with S = D - C A^-1 B, then the
+    segments, so nothing n x n is formed unless the system is one block. A
+    one-use factor forms no inverse: one stacked ``np.linalg.solve`` per block
+    shape gives A^-1 [B | rhs], then one dense solve with S. A kept (chord)
+    factor holds the blocks' and S's inverses for ``solve``.
     """
 
-    def __init__(self, vals, layout):
-        self.layout = layout
-        nb = layout.border.size
-        self.parts = [_segment_part(vals, sg, layout.names) for sg in layout.groups]
+    def __init__(self, vals, layout, rhs, keep):
+        self.layout, nb = layout, layout.border.size
+        self.parts = [_segment_part(vals, sg, layout.names, rhs, keep) for sg in layout.groups]
         S = np.zeros(nb * nb)
         S[layout.d_at] = vals[layout.d_entry]
         for sg, (_, Y, c) in zip(layout.groups, self.parts):
             k, L, p = Y.shape
             np.subtract.at(S, sg.c_S, c[:, None] * Y.reshape(k * L, p)[sg.c_col])
-        self.Sinv = _inverse(S.reshape(nb, nb), [f"the border block ({nb} unknowns)"])
+        if keep:
+            self.Sinv = _lapack(S.reshape(nb, nb), None, [f"the border block ({nb} unknowns)"])
+            del S       # before the solve, so a kept factor peaks no higher than its inverses
+        self.x = self.solve(rhs) if keep else self.solve(rhs, [y for y, _, _ in self.parts], S)
 
-    def solve(self, rhs):
-        """The x with J x = rhs."""
+    def solve(self, rhs, ys=None, S=None):
+        """J^-1 rhs on a kept factor; a one-use one passes each stack's A^-1 rhs and flat S."""
         border, groups = self.layout.border, list(zip(self.layout.groups, self.parts))
-        ys = [(Ainv @ rhs[sg.stack.R][:, :, None])[:, :, 0] for sg, (Ainv, _, _) in groups]
+        if ys is None:
+            ys = [(Ainv @ rhs[sg.stack.R][:, :, None])[:, :, 0] for sg, (Ainv, _, _) in groups]
         g = rhs[border]
         for (sg, (_, _, c)), y in zip(groups, ys):
             g = g - np.bincount(sg.c_row, c * y.ravel()[sg.c_col], minlength=border.size)
         x = np.empty(rhs.size)
-        x[border] = xb = self.Sinv @ g
+        x[border] = xb = self.Sinv @ g if S is None else _lapack(
+            S.reshape(g.size, g.size), g[:, None], [f"the border block ({g.size} unknowns)"])[:, 0]
         for (sg, (_, Y, _)), y in zip(groups, ys):
             x[sg.stack.R] = y - (Y @ xb[sg.ports][:, :, None])[:, :, 0]
         return x
@@ -210,12 +218,12 @@ def _newton_step(fun, x, F, colors, slot):
     """Solve J dx = -F with the block factor of the finite-difference Jacobian at x.
 
     With a ``slot`` (chord Newton, above the sparse threshold) the factor
-    is stored there for later chord steps.
+    is kept there for later chord steps; without one it forms no inverse.
     """
-    lu = BlockFactor(_fd_jacobian(fun, x, F, colors), colors.layout)
+    lu = BlockFactor(_fd_jacobian(fun, x, F, colors), colors.layout, -F, keep=slot is not None)
     if slot is not None:
         slot[0] = lu
-    return lu.solve(-F)
+    return lu.x
 
 
 def _chord_step(fun, x, F, lu):
@@ -380,7 +388,7 @@ def step_midpoint(sys, x_prev, t_n, dt, input_fn, cfg: SolverConfig | None = Non
 
 @dataclass
 class TimeSeries:
-    """Simulation record: sample times, named port/energy columns, diagnostics."""
+    """Simulation record: sample times, named port/energy columns, per-step Newton counts."""
 
     t: np.ndarray
     names: list[str]
@@ -389,6 +397,7 @@ class TimeSeries:
     mass_total: np.ndarray = field(default_factory=lambda: np.zeros(0))
     influx_mid: np.ndarray = field(default_factory=lambda: np.zeros(0))
     warnings: list[str] = field(default_factory=list)
+    jacobians: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, self.names.index(name)]
@@ -417,7 +426,7 @@ def simulate(gsys, scenario, cfg: SolverConfig | None = None) -> TimeSeries:
             raise ConfigurationError("scenario does not cover the requested horizon")
         data = np.empty((n_steps + 1, len(names)))
         tgrid = dt * np.arange(n_steps + 1)
-        iters = np.zeros(n_steps, dtype=int)
+        iters, jacobians = np.zeros(n_steps, dtype=int), np.zeros(n_steps, dtype=int)
         mass = np.empty(n_steps + 1)
         influx = np.zeros(n_steps)
     except (OverflowError, ValueError, MemoryError) as exc:
@@ -452,8 +461,8 @@ def simulate(gsys, scenario, cfg: SolverConfig | None = None) -> TimeSeries:
         x_new, res = step_midpoint(gsys, x, t_n, dt, input_fn, cfg)
         z_mid = 0.5 * (x[:n_z] + x_new[:n_z])
         influx[i] = gsys.net_mass_influx(z_mid, x_new)
-        iters[i] = res.iterations
+        iters[i], jacobians[i] = res.iterations, res.jacobians
         x = x_new
         record(i + 1, x[:n_z], tgrid[i + 1], x)
 
-    return TimeSeries(tgrid, names, data, iters, mass, influx, warnings)
+    return TimeSeries(tgrid, names, data, iters, mass, influx, warnings, jacobians)

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,13 +95,24 @@ def test_steady_writes_single_row(files, tmp_path):
     assert ts.column("east.in.p_Pa")[0] / ts.column("west.out.p_Pa")[0] == pytest.approx(1.2)
 
 
-def test_run_reports_to_stderr(files, tmp_path, capsys):
+@pytest.mark.parametrize("policy", ["full", "chord"])
+def test_run_reports_to_stderr(files, tmp_path, capsys, monkeypatch, policy):
+    # the report prints the Jacobians built beside the Newton iterations
+    # over a demand step at 600 s: one per iteration under full Newton,
+    # fewer under chord Newton (forced here by a sparse threshold of 0)
+    if policy == "chord":
+        monkeypatch.setattr(gn.SolverConfig, "sparse_threshold", 0)
     net, scn = files
+    doc = json.loads(scn.read_text())
+    doc["profiles"]["sink"] = [[0, 200.0], [600, 260.0]]
+    scn.write_text(json.dumps(doc))
     out = tmp_path / "r.csv"
     assert main(["run", str(net), str(scn), "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert "status: ok" in err
-    assert "newton iterations" in err
+    total, jacobians = map(int, re.search(
+        r"^newton iterations: total (\d+), max \d+/step, jacobians (\d+)$", err, re.M).groups())
+    assert (jacobians == total) if policy == "full" else (0 < jacobians < total)
 
 
 def test_missing_file_exits_1(tmp_path):

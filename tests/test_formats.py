@@ -469,8 +469,9 @@ class TestTimeseriesCSV:
 
 def test_run_report_summary():
     ts = gn.TimeSeries(np.array([0.0, 1.0]), ["a"], np.zeros((2, 1)),
-                       newton_iters=np.array([3]), warnings=["w1"])
+                       newton_iters=np.array([3]), warnings=["w1"], jacobians=np.array([2]))
     rep = gn.RunReport.from_timeseries(ts, 1.25)
     text = rep.summary()
     assert "steps: 1" in text
+    assert "newton iterations: total 3, max 3/step, jacobians 2" in text
     assert "w1" in text

@@ -126,6 +126,28 @@ def full_newton(fun, x0, cfg=None, colors=None):
 class TestBlockSolve:
     """The block factor of the pipe-segment layout."""
 
+    @pytest.fixture(params=["one-use", "kept"])
+    def factor_form(self, request, monkeypatch):
+        """Full Newton's one-use factor, or chord Newton's kept one (a sparse threshold of 0)."""
+        if request.param == "kept":
+            monkeypatch.setattr(gn.SolverConfig, "sparse_threshold", 0)
+        return request.param
+
+    def test_one_use_factor_forms_no_inverse(self, gas, monkeypatch):
+        # below the threshold every factor serves one solve: LAPACK solves,
+        # np.linalg.inv never runs
+        def inv(*args):
+            raise AssertionError("np.linalg.inv called below the sparse threshold")
+
+        g = single_pipe_system(gas, n_cells=40)
+        inputs = {"s": 80e5, "d": 250.0}
+        g.references = (80e5, 250.0)
+        scale = g.row_scale()
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        res = gn.newton_solve(lambda v: g.steady_residual(v, inputs) / scale,
+                              g.initial_guess(inputs), gn.SolverConfig(), colors=g.jac_colors())
+        assert res.jacobians == res.iterations >= 1
+
     def dead_row_newton(self, g, row):
         """Newton on g's steady residual with `row` made constant: its Jacobian row is zero."""
         inputs = {"s": 80e5, "d": 250.0}
@@ -139,7 +161,7 @@ class TestBlockSolve:
 
         gn.newton_solve(fun, g.initial_guess(inputs), gn.SolverConfig(), colors=g.jac_colors())
 
-    def test_singular_segment_block_names_its_pipe_and_cells(self, gas):
+    def test_singular_segment_block_names_its_pipe_and_cells(self, gas, factor_form):
         g = single_pipe_system(gas, n_cells=40)
         segment, names = g._segments()
         row = g.rho_sl[0].start + 21
@@ -148,7 +170,7 @@ class TestBlockSolve:
                            match=re.escape(f"{names[segment[row]]} is singular")):
             self.dead_row_newton(g, row)
 
-    def test_singular_border_block_names_the_border(self, gas):
+    def test_singular_border_block_names_the_border(self, gas, factor_form):
         g = single_pipe_system(gas, n_cells=40)
         with pytest.raises(gn.FactorizationError, match="the border block .* is singular"):
             self.dead_row_newton(g, g.lam["d"])
@@ -204,8 +226,11 @@ def test_block_solve_matches_the_dense_reference(seed, demand, cells):
         F = fun(x)
         ref = dense_newton_step(fun, x, F, colors)
         vals = timeloop._fd_jacobian(fun, x, F, colors)
-        dx = timeloop.BlockFactor(vals, colors.layout).solve(-F)
+        # both factor forms: one-use (one pass, no inverse) and kept (chord)
+        dx = timeloop.BlockFactor(vals, colors.layout, -F, False).x
+        dx_kept = timeloop.BlockFactor(vals, colors.layout, -F, True).solve(-F)
         assert np.abs(dx - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.abs(dx - dx_kept).max() <= 1e-12 * np.abs(dx).max()
 
 
 def newton_peak_bytes(g):
