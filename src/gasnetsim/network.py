@@ -50,12 +50,8 @@ state terms (`GlobalSystem._add_state_terms`) apply the rules of
 `compressor.VARIANTS` at p_upstream, the port-out rows' outlet pressure,
 for the residual and the algebraic solve alike.
 
-A pipe's rows read only its own cells and its two port unknowns, so the
-Jacobian is block diagonal over pipe segments once every pipe is cut into
-segments of at most SEGMENT_CELLS cells separated by single cut cells
-(`GlobalSystem._segments`); the cut cells and the algebraic unknowns form
-the border. `block_layout` maps every structural nonzero into that form
-once per system, beside the column coloring (`jac_colors`).
+The Jacobian's pattern (`_pattern`) and segment labels (`_segments`) go to
+`blocks`, which owns its coloring and block form (`jac_colors`).
 """
 
 from __future__ import annotations
@@ -70,6 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blocks import Triplets, blockwise_pinv, color_columns, component_roots
 from .compressor import VARIANTS, Assumption, Framework, Variant, station_power
 from .errors import ConfigurationError, StateError, require_positive
 from .gas import GasProperties
@@ -248,7 +245,7 @@ def validate_topology(spec: NetworkSpec) -> ValidationReport:
 
     # connectivity over pipes and compressor links
     if kind and not out:
-        roots = set(_component_roots(
+        roots = set(component_roots(
             kind, [(pe.from_node, pe.to_node) for pe in spec.pipes]
             + [(st.inlet_node, st.outlet_node) for st in spec.compressors]))
         if len(roots) > 1:
@@ -263,21 +260,6 @@ def require_valid(spec: NetworkSpec) -> None:
     report = validate_topology(spec)
     if not report.ok:
         raise ConfigurationError(f"invalid network:\n{report}")
-
-
-def _component_roots(items, links):
-    """Union-find: the root of each item's component, joining the pairs in `links`."""
-    parent = {a: a for a in items}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in links:
-        parent[find(a)] = find(b)
-    return [find(a) for a in parent]
 
 
 class StationBinding(NamedTuple):
@@ -312,17 +294,6 @@ class PipeBank(NamedTuple):
     fric: np.ndarray        # cell: friction coefficient lambda / (2 D)
     tail: np.ndarray        # pipe: density column of the last cell
     m_in: np.ndarray        # pipe: inlet momentum column
-
-
-class Triplets(NamedTuple):
-    """A sparse matrix as (row, column, value) entries; duplicates add, in listed order."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    def matvec(self, v, n_rows):
-        return np.bincount(self.rows, weights=self.vals * v[self.cols], minlength=n_rows)
 
 
 class _AlgebraicMap(NamedTuple):
@@ -415,7 +386,7 @@ class GlobalSystem:
         self.row_kind = kind
 
         self.references = (1.0, 1.0)   # (p_ref, m_ref), set before solving
-        self._colors = None
+        self._coloring = None
         self._names = None
         self._alg_map = None
         self._flows = None
@@ -609,11 +580,10 @@ class GlobalSystem:
         return segment, names
 
     def jac_colors(self):
-        """Column groups for one-sweep finite-difference Jacobians, with the
-        pipe-segment block layout."""
-        if self._colors is None:
-            self._colors = color_columns(self._pattern(), self.n, self.n, self._segments())
-        return self._colors
+        """The `blocks.ColumnColoring` of the pattern and the segments, built once."""
+        if self._coloring is None:
+            self._coloring = color_columns(self._pattern(), self._segments())
+        return self._coloring
 
     # ------------------------------------------------------------------
     # consistent algebraic variables and derived records
@@ -711,11 +681,20 @@ class GlobalSystem:
         return float(z[self.bank.rho].min())
 
     def check_state(self, z, t):
-        positive = z[self.bank.rho] > 0.0
-        if not positive.all():
-            k = int(np.searchsorted(self.bank.tail, self.bank.rho[np.argmin(positive)]))
-            raise StateError(
-                f"non-positive density in pipe {self.pipes[k].id!r} at t={t}")
+        """Raise StateError naming the first pipe with a non-positive density,
+        else the first with a non-positive outlet pressure.
+
+        The outlet pressure is extrapolated from the last two cells, so it can
+        fall to zero while both densities stay positive; a station's power
+        then has no value.
+        """
+        b = self.bank
+        bad = {"density": np.searchsorted(b.tail, b.rho[~(z[b.rho] > 0.0)]),
+               "outlet pressure": np.flatnonzero(~(self._outlet_pressures(z) > 0.0))}
+        for what, pipes in bad.items():
+            if pipes.size:
+                raise StateError(
+                    f"non-positive {what} in pipe {self.pipes[pipes[0]].id!r} at t={t}")
 
     def zdot_consistent(self, x, inputs):
         """Differential rates implied by the pipe rows at the given unknowns."""
@@ -859,221 +838,3 @@ def fuse_compressors(spec: NetworkSpec) -> NetworkSpec:
             if pe.from_node == st.outlet_node:
                 pe.from_node = fused
     return NetworkSpec(spec.gas, nodes, pipes)
-
-
-def _places(block):
-    """Each item's place among the items of its block, in index order."""
-    order = np.argsort(block, kind="stable")
-    ranked = block[order]
-    place = np.empty_like(block)
-    place[order] = np.arange(block.size) - np.searchsorted(ranked, ranked)
-    return place
-
-
-class ShapeGroup(NamedTuple):
-    """The blocks of one shape of a block-sparse matrix (`stack_by_shape`)."""
-
-    blocks: np.ndarray      # (k,): the blocks' ids, ascending
-    R: np.ndarray           # (k, nr): each block's rows, by place
-    C: np.ndarray           # (k, nc): each block's columns, by place
-    entry: np.ndarray       # the entries inside these blocks ...
-    at: np.ndarray          # ... and their flat positions in a (k, nr, nc) stack
-
-
-def stack_by_shape(row_block, row_place, col_block, col_place, rows, cols) -> list[ShapeGroup]:
-    """Group the blocks of a sparse matrix by shape, for stacked numpy calls.
-
-    Row i sits at place ``row_place[i]`` of block ``row_block[i]``, column j
-    at place ``col_place[j]`` of block ``col_block[j]``; block -1 holds the
-    rows and columns outside every block. An entry (rows[e], cols[e]) whose
-    row lies in a block belongs to that block, and its column must lie in
-    the same block; entries of rows outside every block are left out, and
-    so are blocks without rows or without columns. The blocks of one shape
-    scatter into one (k, nr, nc) array through ``at``.
-    """
-    n_blocks = int(max(row_block.max(initial=-1), col_block.max(initial=-1))) + 1
-    shape = np.column_stack([np.bincount(row_block[row_block >= 0], minlength=n_blocks),
-                             np.bincount(col_block[col_block >= 0], minlength=n_blocks)])
-    inside = row_block[rows] >= 0
-    if np.any(col_block[cols[inside]] != row_block[rows[inside]]):
-        raise ValueError("an entry couples two blocks")
-    key = shape[:, 0] * (shape[:, 1].max(initial=0) + 1) + shape[:, 1]
-    out = []
-    for kind in np.unique(key[shape.min(axis=1) > 0]).tolist():
-        blocks = np.flatnonzero(key == kind)
-        nr, nc = shape[blocks[0]].tolist()
-        rank = np.full(n_blocks + 1, -1)   # the trailing -1 serves block -1
-        rank[blocks] = np.arange(blocks.size)
-        r_rank, c_rank = rank[row_block], rank[col_block]
-        R = np.empty((blocks.size, nr), dtype=int)
-        i = np.flatnonzero(r_rank >= 0)
-        R[r_rank[i], row_place[i]] = i
-        C = np.empty((blocks.size, nc), dtype=int)
-        j = np.flatnonzero(c_rank >= 0)
-        C[c_rank[j], col_place[j]] = j
-        e = np.flatnonzero(r_rank[rows] >= 0)
-        at = (r_rank[rows[e]] * nr + row_place[rows[e]]) * nc + col_place[cols[e]]
-        out.append(ShapeGroup(blocks, R, C, e, at))
-    return out
-
-
-def blockwise_pinv(M: Triplets, n: int, rcond: float) -> Triplets:
-    """Pseudo-inverse of a sparse n x n matrix, block by block, as triplets.
-
-    The blocks are the connected components of the graph joining each row
-    to the columns it has entries in. Permuted to block-diagonal form, the
-    matrix's pseudo-inverse is the block-diagonal of the blocks'
-    pseudo-inverses, so nothing n x n is formed. Blocks of one shape go
-    through one stacked ``np.linalg.pinv`` with cutoff ``rcond`` each.
-    Rows or columns without entries belong to no block and map to zero.
-    The components come from a union-find, so the solver needs nothing
-    beyond numpy.
-    """
-    # rows 0..n-1, columns n..2n-1
-    roots = _component_roots(range(2 * n), zip(M.rows.tolist(), (n + M.cols).tolist()))
-    block = np.unique(roots, return_inverse=True)[1]
-    row_block, col_block = block[:n], block[n:]
-    out = []
-    for g in stack_by_shape(row_block, _places(row_block), col_block, _places(col_block),
-                            M.rows, M.cols):
-        k, nr = g.R.shape
-        stack = np.zeros(k * nr * g.C.shape[1])
-        np.add.at(stack, g.at, M.vals[g.entry])
-        inv = np.linalg.pinv(stack.reshape(k, nr, -1), rcond)   # (k, nc, nr)
-        keep = inv != 0.0
-        out.append((np.broadcast_to(g.C[:, :, None], inv.shape)[keep],
-                    np.broadcast_to(g.R[:, None, :], inv.shape)[keep], inv[keep]))
-    if not out:
-        return Triplets(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-    return Triplets(*(np.concatenate(parts) for parts in zip(*out)))
-
-
-class SegmentGroup(NamedTuple):
-    """Segment blocks of one shape and their couplings to the border.
-
-    ``stack`` stacks each block's rows as [A | B]: its columns are the
-    block's own unknowns (the same as its rows) and then its ports, the
-    border columns its rows read. C, the border rows' entries in the
-    blocks' columns, is kept as entries.
-    """
-
-    stack: ShapeGroup
-    ports: np.ndarray       # (k, p): the ports' places on the border
-    c_entry: np.ndarray     # C's entries ...
-    c_row: np.ndarray       # ... their rows' places on the border ...
-    c_col: np.ndarray       # ... their columns' flat places in a (k, L) array ...
-    c_S: np.ndarray         # ... and, per port p of that block, the flat place of (row, p) in S
-
-
-class BlockLayout(NamedTuple):
-    """Where each structural Jacobian entry goes in the bordered block form.
-
-    Ordered as segments then border, the Jacobian is [[A, B], [C, D]] with A
-    block diagonal over the segments (one ``SegmentGroup`` per block shape)
-    and D the border block; the factor (``timeloop.BlockFactor``) solves A by
-    blocks, then S = D - C A^-1 B, and forms inverses only when it is kept.
-    """
-
-    border: np.ndarray      # the border's unknowns, ascending
-    groups: list[SegmentGroup]
-    d_entry: np.ndarray     # D's entries ...
-    d_at: np.ndarray        # ... and their flat places in the (nb, nb) border block
-    names: list[str]        # per segment, for error messages
-
-
-def block_layout(rows, cols, n, segments=None) -> BlockLayout:
-    """The index maps of the bordered block form of a square n x n pattern.
-
-    ``segments`` is (segment, names): ``segment[i]`` is unknown i's
-    segment, -1 on the border, and row i belongs with unknown i. Every
-    entry between two segments must be zero, so segments couple only
-    through the border. Without ``segments`` the whole system is one block
-    with an empty border.
-    """
-    segment, names = segments if segments is not None else (np.zeros(n, dtype=int),
-                                                            ["the system"])
-    border = np.flatnonzero(segment < 0)
-    place = _places(segment)     # in its segment, or on the border
-    size = np.bincount(segment[segment >= 0], minlength=len(names))
-    row_seg, col_seg = segment[rows], segment[cols]
-    port = (row_seg >= 0) & (col_seg < 0)
-    p_seg, p_col = np.divmod(np.unique(row_seg[port] * segment.size + cols[port]), segment.size)
-    col_block, col_place = segment.copy(), place.copy()
-    col_block[p_col] = p_seg
-    col_place[p_col] = size[p_seg] + np.arange(p_seg.size) - np.searchsorted(p_seg, p_seg)
-    on_border = row_seg < 0
-    stacks = stack_by_shape(segment, place, col_block, col_place, rows, cols)
-    group, rank = np.full(len(names) + 1, -1), np.full(len(names) + 1, -1)
-    for i, g in enumerate(stacks):
-        group[g.blocks], rank[g.blocks] = i, np.arange(g.blocks.size)
-    c_all = np.flatnonzero(on_border & (col_seg >= 0))
-    groups = []
-    for i, g in enumerate(stacks):
-        L = g.R.shape[1]
-        ports = place[g.C[:, L:]]
-        c = c_all[group[col_seg[c_all]] == i]
-        k = rank[col_seg[c]]
-        c_row = place[rows[c]]
-        groups.append(SegmentGroup(g, ports, c, c_row, k * L + place[cols[c]],
-                                   c_row[:, None] * border.size + ports[k]))
-    d = np.flatnonzero(on_border & (col_seg < 0))
-    return BlockLayout(border, groups, d, place[rows[d]] * border.size + place[cols[d]], names)
-
-
-class ColumnColoring(NamedTuple):
-    """Column groups for one-sweep finite-difference Jacobians.
-
-    ``groups[c]`` lists the columns of color c (no two share a residual
-    row). ``rows``, ``cols`` and ``color`` flatten the structural nonzeros
-    column by column (CSC order): entry i sits at (rows[i], cols[i]) and is
-    read from the sweep of color ``color[i]``, and ``layout`` maps the same
-    values into the bordered block form.
-
-    ``factor`` is a one-slot list: chord Newton, above the sparse
-    threshold, keeps its last ``timeloop.BlockFactor`` there, the only
-    factor that holds inverses, for reuse across iterations and steps
-    (``timeloop.newton_solve``); it lives as long as this coloring's system.
-    """
-
-    groups: list[np.ndarray]
-    rows: np.ndarray
-    cols: np.ndarray
-    color: np.ndarray
-    factor: list
-    layout: BlockLayout
-
-
-def color_columns(pattern, n_rows, n_cols, segments=None) -> ColumnColoring:
-    """Greedy structural coloring: same-color columns share no residual row.
-
-    Columns are taken by descending row count, each into the first color
-    whose rows it does not touch. A column's rows, and a color's, are held
-    as the bits of a Python int, so the overlap test is one ``&``; a
-    column's int is built when its turn comes, so only the colors' ints
-    stay alive.
-    ``segments`` goes to `block_layout`; without it the layout is one block.
-    """
-    ent = np.array(pattern, dtype=int).reshape(-1, 2)
-    cols, rows = np.divmod(np.unique(ent[:, 1] * n_rows + ent[:, 0]), n_rows)
-    rows_l = rows.tolist()
-    ptr = np.searchsorted(cols, np.arange(n_cols + 1)).tolist()
-    colors: list[list[int]] = []
-    occupied: list[int] = []
-    color_of_col = np.empty(n_cols, dtype=int)
-    for c in sorted(range(n_cols), key=lambda c: ptr[c] - ptr[c + 1]):
-        bits = 0
-        for r in rows_l[ptr[c]:ptr[c + 1]]:
-            bits |= 1 << r
-        for ci, occ in enumerate(occupied):
-            if not occ & bits:
-                colors[ci].append(c)
-                occupied[ci] = occ | bits
-                break
-        else:
-            ci = len(colors)
-            occupied.append(bits)
-            colors.append([c])
-        color_of_col[c] = ci
-    return ColumnColoring([np.array(sorted(cs), dtype=int) for cs in colors],
-                          rows, cols, color_of_col[cols], [None],
-                          block_layout(rows, cols, n_cols, segments))

@@ -1,33 +1,17 @@
 """Steady-state initialization and implicit-midpoint transient integration.
 
-The inner solver is a damped Newton iteration on the scaled residual with a
-forward finite-difference Jacobian (Curtis, Powell & Reid 1974). Structural
-column coloring (provided by the system object) evaluates all independent
-Jacobian columns in one residual sweep; one gather then reads every
-structural nonzero from the sweep of its column's color. Without a coloring
-every column is its own color. The difference step, the iteration limit,
-the line search's shrink factor and its backtrack limit are module
-constants (``FD_STEP``, ``MAX_ITERATIONS``, ``BACKTRACK_FACTOR``,
-``MAX_BACKTRACKS``), not settings.
-
-Every Newton step solves with one factor, ``BlockFactor``: the gathered
-values scatter straight into the coloring's block layout
-(``network.BlockLayout``). In the port-Hamiltonian form a pipe touches the
-rest of the network only through its ports, so with every pipe cut into
-segments of at most ``network.SEGMENT_CELLS`` cells the Jacobian is block
-diagonal over the segments, bordered by the cut cells and the algebraic
-unknowns. ``BlockFactor`` factors the segment blocks of one shape in one
-stacked LAPACK call and the border's Schur complement S = D - C A^-1 B
-dense (block LU, Golub & Van Loan, Matrix Computations), forming inverses
-only when it is kept (chord Newton below), so no n x n array is formed and
-nothing beyond numpy is imported. A system without pipe structure (no
-segments, or no coloring) is one block with an empty border.
+The inner solver is a damped Newton iteration on the scaled residual. Each
+step solves with the block factor of the colored finite-difference Jacobian
+that the system's coloring lays out (``gasnetsim.blocks``). The iteration
+limit, the line search's shrink factor and its backtrack limit are module
+constants (``MAX_ITERATIONS``, ``BACKTRACK_FACTOR``, ``MAX_BACKTRACKS``),
+not settings.
 
 ``SolverConfig.sparse_threshold`` (a class constant, 2000 unknowns, not a
 setting) selects only the Newton policy. Above it the iteration is chord
 Newton (Hairer & Wanner, Solving ODEs II, IV.8): the last block factor is
-kept in the coloring's ``factor`` slot and reused across iterations and
-time steps, because over one step the Jacobian barely moves. A
+kept in the coloring's chord slot and reused across iterations and time
+steps, because over one step the Jacobian barely moves. A
 reused-factor step is taken in full, without a line search, when it cuts
 max|F| by at least ``CHORD_CONTRACTION``; otherwise the factor is dropped,
 the finite-difference Jacobian is rebuilt and factored at the current
@@ -53,9 +37,10 @@ from typing import ClassVar
 
 import numpy as np
 
+from .blocks import BlockFactor, fd_jacobian
 from .errors import (ConfigurationError, FactorizationError,
                      NonconvergenceError, StateError)
-from .network import ColumnColoring, NodeKind, block_layout
+from .network import NodeKind
 
 __all__ = [
     "SolverConfig", "NewtonResult", "TimeSeries", "newton_solve", "steady_state",
@@ -68,16 +53,17 @@ class SolverConfig:
     """Newton and time-grid settings (all tolerances in scaled units).
 
     ``sparse_threshold`` is a class constant, not a setting. It selects
-    only the Newton policy; every size solves with the block factor of the
-    coloring's pipe-segment layout. Systems with more unknowns get chord
-    Newton, which reuses its factor across iterations and steps and
-    refactors only when a reused step fails to contract (module
-    docstring); smaller ones get full Newton, one Jacobian per iteration.
-    Chord Newton needs the solve's column coloring, which holds the
-    factor; without one every size runs full Newton. The benchmark's
-    tests read the threshold (``bench/tests/test_bench.py``, to check that
-    the ladder workload lies above it), so it stays until chord Newton
-    serves every size.
+    only the Newton policy (module docstring); every size solves with the
+    block factor of ``gasnetsim.blocks``. Systems with more unknowns get
+    chord Newton, smaller ones full Newton, one Jacobian per iteration.
+    The benchmark's tests read the threshold (``bench/tests/test_bench.py``,
+    to check that the ladder workload lies above it), so it stays until
+    chord Newton serves every size.
+
+    ``newton_abs_tol`` bounds max|F| of the row-scaled residual, not the
+    records: on the shipped day case (fc-am) the default leaves them
+    1.2e-6 at 32 cells and 4.4e-6 at 256 cells and dt 900 s, column-scaled,
+    from a 1e-12 solve (``TestToleranceDistance`` in the tests).
 
     ``newton_abs_tol`` and ``dt`` must be finite and positive, and
     ``t_end`` finite and nonnegative (0 solves the steady state only);
@@ -107,8 +93,6 @@ CHORD_CONTRACTION = 0.5
 # the line search shrinks a rejected step by this factor, at most this often
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 20
-# forward-difference step relative to 1 + |x_j|
-FD_STEP = 1e-7
 
 
 @dataclass
@@ -126,101 +110,13 @@ class NewtonResult:
     jacobians: int = 0
 
 
-def _uncolored(n_rows, n_cols) -> ColumnColoring:
-    """One color per column, every row structural: the plain FD Jacobian, one block."""
-    rows, cols = np.tile(np.arange(n_rows), n_cols), np.repeat(np.arange(n_cols), n_rows)
-    return ColumnColoring(list(np.arange(n_cols)[:, None]), rows, cols, cols, [None],
-                          block_layout(rows, cols, n_cols))
-
-
-def _fd_jacobian(fun, x, F0, coloring):
-    """Forward-difference Jacobian values, one residual sweep per column color.
-
-    The sweep of color c fills row c of ``dF``; every structural nonzero is
-    then read from the sweep of its column's color in one gather, in the
-    coloring's CSC order (entry i at (rows[i], cols[i])).
-    """
-    h = FD_STEP * (1.0 + np.abs(x))
-    dF = np.empty((len(coloring.groups), F0.size))
-    for c, group in enumerate(coloring.groups):
-        xp = x.copy()
-        xp[group] += h[group]
-        dF[c] = fun(xp) - F0
-    return dF[coloring.color, coloring.rows] / h[coloring.cols]
-
-
-def _lapack(stack, rhs, names):
-    """np.linalg.solve(stack, rhs), or inv(stack) for a None ``rhs``, naming a singular matrix
-    from ``names``. ``rhs`` is 2-D or 3-D, never a vector: numpy 1 and 2 read those apart."""
-    try:
-        return np.linalg.inv(stack) if rhs is None else np.linalg.solve(stack, rhs)
-    except np.linalg.LinAlgError as exc:
-        sign, _ = np.linalg.slogdet(stack)
-        name = names[int(np.argmin(np.abs(sign)))]
-        raise FactorizationError(f"Jacobian factorization failed: {name} is singular") from exc
-
-
-def _segment_part(vals, sg, names, rhs, keep):
-    """(A^-1, or A^-1 rhs if not ``keep``; A^-1 B; C's values) for same-shape segment blocks."""
-    (k, L), p = sg.stack.R.shape, sg.ports.shape[1]
-    AB = np.zeros(k * L * (L + p + (not keep)))     # [A | B], or [A | B | rhs]
-    AB[sg.stack.at if keep else sg.stack.at + sg.stack.at // (L + p)] = vals[sg.stack.entry]
-    AB = AB.reshape(k, L, -1)
-    if not keep:
-        AB[:, :, -1] = rhs[sg.stack.R]
-    X = _lapack(AB[:, :, :L], None if keep else AB[:, :, L:], [names[b] for b in sg.stack.blocks])
-    Y = X @ AB[:, :, L:] if keep else X[:, :, :p]
-    return X if keep else X[:, :, p], Y, vals[sg.c_entry]
-
-
-class BlockFactor:
-    """Block LU of the bordered block form (``network.BlockLayout``); ``x`` solves J x = rhs.
-
-    The gathered values scatter straight into stacked segment blocks [A | B]
-    (B: each block's port columns), the border rows' entries C and the
-    border block D; the border is solved with S = D - C A^-1 B, then the
-    segments, so nothing n x n is formed unless the system is one block. A
-    one-use factor forms no inverse: one stacked ``np.linalg.solve`` per block
-    shape gives A^-1 [B | rhs], then one dense solve with S. A kept (chord)
-    factor holds the blocks' and S's inverses for ``solve``.
-    """
-
-    def __init__(self, vals, layout, rhs, keep):
-        self.layout, nb = layout, layout.border.size
-        self.parts = [_segment_part(vals, sg, layout.names, rhs, keep) for sg in layout.groups]
-        S = np.zeros(nb * nb)
-        S[layout.d_at] = vals[layout.d_entry]
-        for sg, (_, Y, c) in zip(layout.groups, self.parts):
-            k, L, p = Y.shape
-            np.subtract.at(S, sg.c_S, c[:, None] * Y.reshape(k * L, p)[sg.c_col])
-        if keep:
-            self.Sinv = _lapack(S.reshape(nb, nb), None, [f"the border block ({nb} unknowns)"])
-            del S       # before the solve, so a kept factor peaks no higher than its inverses
-        self.x = self.solve(rhs) if keep else self.solve(rhs, [y for y, _, _ in self.parts], S)
-
-    def solve(self, rhs, ys=None, S=None):
-        """J^-1 rhs on a kept factor; a one-use one passes each stack's A^-1 rhs and flat S."""
-        border, groups = self.layout.border, list(zip(self.layout.groups, self.parts))
-        if ys is None:
-            ys = [(Ainv @ rhs[sg.stack.R][:, :, None])[:, :, 0] for sg, (Ainv, _, _) in groups]
-        g = rhs[border]
-        for (sg, (_, _, c)), y in zip(groups, ys):
-            g = g - np.bincount(sg.c_row, c * y.ravel()[sg.c_col], minlength=border.size)
-        x = np.empty(rhs.size)
-        x[border] = xb = self.Sinv @ g if S is None else _lapack(
-            S.reshape(g.size, g.size), g[:, None], [f"the border block ({g.size} unknowns)"])[:, 0]
-        for (sg, (_, Y, _)), y in zip(groups, ys):
-            x[sg.stack.R] = y - (Y @ xb[sg.ports][:, :, None])[:, :, 0]
-        return x
-
-
 def _newton_step(fun, x, F, colors, slot):
     """Solve J dx = -F with the block factor of the finite-difference Jacobian at x.
 
     With a ``slot`` (chord Newton, above the sparse threshold) the factor
     is kept there for later chord steps; without one it forms no inverse.
     """
-    lu = BlockFactor(_fd_jacobian(fun, x, F, colors), colors.layout, -F, keep=slot is not None)
+    lu = BlockFactor(fd_jacobian(fun, x, F, colors), colors.layout, -F, keep=slot is not None)
     if slot is not None:
         slot[0] = lu
     return lu.x
@@ -235,12 +131,13 @@ def _chord_step(fun, x, F, lu):
     return x_try, F_try, float(np.max(np.abs(F_try)))
 
 
-def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> NewtonResult:
+def newton_solve(fun, x0, cfg: SolverConfig | None = None, *, colors) -> NewtonResult:
     """Damped Newton with backtracking line search on the residual norm.
 
     Converges when the max norm of fun(x) drops below cfg.newton_abs_tol.
-    Above ``cfg.sparse_threshold`` (with a coloring) the iteration is chord
-    Newton on the factor held in ``colors.factor`` (module docstring).
+    ``colors`` is a ``blocks.ColumnColoring`` of fun's Jacobian pattern.
+    Above ``cfg.sparse_threshold`` the iteration is chord Newton on the
+    factor held in ``colors.factor`` (module docstring).
     Raises NonconvergenceError (carrying the best iterate and the norm
     history) on stagnation or iteration exhaustion.
     """
@@ -253,9 +150,7 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, colors=None) -> Newto
     norm = float(np.max(np.abs(F)))
     history = [norm]
     best_x, best_norm = x.copy(), norm
-    slot = colors.factor if colors is not None and x.size > cfg.sparse_threshold else None
-    if colors is None:
-        colors = _uncolored(F.size, x.size)
+    slot = colors.factor if x.size > cfg.sparse_threshold else None
     jacobians = 0
     if norm <= cfg.newton_abs_tol:
         return NewtonResult(x, 0, history, jacobians)

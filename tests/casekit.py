@@ -24,8 +24,7 @@ import numpy as np
 import gasnetsim as gn
 from gasnetsim.cli import _apply_model_override
 from gasnetsim.compressor import VARIANTS
-from gasnetsim.network import color_columns
-from gasnetsim.timeloop import _fd_jacobian
+from gasnetsim.blocks import color_columns, fd_jacobian
 
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 
@@ -234,10 +233,15 @@ def consistent_state(g, inputs, rng):
     return z
 
 
+def one_block(n):
+    """Segments that make an n-unknown system one block with an empty border."""
+    return np.zeros(n, dtype=int), ["the system"]
+
+
 def dense_jacobian(fun, x, F0, coloring):
     """The colored FD Jacobian as a dense array: the gathered values scattered to (row, col)."""
     J = np.zeros((F0.size, x.size))
-    J[coloring.rows, coloring.cols] = _fd_jacobian(fun, x, F0, coloring)
+    J[coloring.rows, coloring.cols] = fd_jacobian(fun, x, F0, coloring)
     return J
 
 
@@ -457,7 +461,7 @@ class TwoPipeOracle:
         self.n = 2 * (n1 + n2)
         self.names = [f"{p.spec.id}.{end}.{q}" for p in self.pipes for end in ("in", "out")
                       for q in ("p_Pa", "m")] + ["H_total", f"{station_id}.power"]
-        self.colors = color_columns(self.pattern(), self.n, self.n)
+        self.colors = color_columns(self.pattern(), one_block(self.n))
 
     def fields(self, z):
         return [PipeField(z[s][: p.n], z[s][p.n:]) for p, s in zip(self.pipes, self.sl)]
@@ -622,7 +626,7 @@ class ClosedPipe:
             ent += [(n, n), (n, 0)]
             for j in range(1, n):
                 ent += [(n + j, n + j), (n + j, j - 1), (n + j, j)]
-            self._colors = color_columns(ent, self.n, self.n)
+            self._colors = color_columns(ent, one_block(self.n))
         return self._colors
 
     def check_state(self, z, t):

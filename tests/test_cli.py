@@ -359,6 +359,21 @@ def test_singular_jacobian_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, sink, t", [(40.0, 1000.0, "7900.0"), (60.0, 1500.0, "9300.0")])
+def test_non_positive_outlet_pressure_exits_2(tmp_path, capsys, source, sink, t):
+    # a demand surge drains the upstream pipe until its extrapolated outlet
+    # pressure, which the fp-am station's power reads, falls to zero or below
+    doc = json.loads(SCN_JSON)
+    doc["profiles"].update(source=[[0, source]], sink=[[0, 150], [3600, sink]])
+    net, scn, out = tmp_path / "yamal.net.json", tmp_path / "surge.scn.json", tmp_path / "o.csv"
+    net.write_text(NET_JSON)
+    scn.write_text(json.dumps(doc))
+    assert main(["run", str(net), str(scn), "--model", "fp-am", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"solver aborted: non-positive outlet pressure in pipe 'west' at t={t}\n")
+    assert not out.exists()
+
+
 def test_singular_step_jacobian_exits_2(files, tmp_path, capsys, monkeypatch):
     # a step residual that ignores the last unknown has a zero Jacobian column
     make = gn.GlobalSystem.make_step_residual

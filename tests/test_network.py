@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 import gasnetsim as gn
 from gasnetsim.cli import main
 from gasnetsim.compressor import Assumption, Framework
-from gasnetsim.network import block_layout, color_columns
-from gasnetsim.timeloop import FD_STEP, _fd_jacobian, _uncolored
+from gasnetsim.blocks import FD_STEP, block_layout, color_columns, fd_jacobian
 
 from casekit import (GAS, PipeField, benchmark_with_model, consistent_state, csc_jacobian,
                      dense_jacobian, direct_line, generated_network, incidence_matrices,
@@ -393,7 +392,8 @@ class TestAssemble:
         x = g.initial_guess(STAR_INPUTS)
         x[0] = np.nan
         with pytest.raises(gn.StateError, match="residual not finite at the initial guess"):
-            gn.newton_solve(lambda v: g.steady_residual(v, STAR_INPUTS), x)
+            gn.newton_solve(lambda v: g.steady_residual(v, STAR_INPUTS), x,
+                            colors=g.jac_colors())
 
     def test_residual_at_converged_state_is_small(self):
         g = gn.assemble(star_network_spec())
@@ -425,8 +425,6 @@ class TestJacobianColoring:
         J_color = dense_jacobian(fun, x, F0, g.jac_colors())
         scale = np.abs(J_dense).max()
         assert np.abs(J_color - J_dense).max() <= 1e-6 * scale
-        # without a coloring (one color per column) the gather is the per-column loop
-        assert np.array_equal(dense_jacobian(fun, x, F0, _uncolored(g.n, g.n)), J_dense)
 
     def test_step_mode_pattern_is_complete(self):
         g = gn.assemble(star_network_spec())
@@ -453,7 +451,7 @@ class TestJacobianColoring:
         rng = np.random.default_rng(4)
         xp = x + rng.normal(0.0, 1e-3, g.n) * (1.0 + np.abs(x))
         F0 = fun(xp)
-        J_csc = csc_jacobian(_fd_jacobian(fun, xp, F0, g.jac_colors()), g.jac_colors())
+        J_csc = csc_jacobian(fd_jacobian(fun, xp, F0, g.jac_colors()), g.jac_colors())
         assert J_csc.format == "csc"
         assert J_csc.nnz == g.jac_colors().rows.size
         assert np.array_equal(J_csc.toarray(), dense_jacobian(fun, xp, F0, g.jac_colors()))
@@ -705,7 +703,7 @@ class TestPipeBank:
         ref = reference_pattern(g)
         assert set(map(tuple, np.asarray(g._pattern()).tolist())) == set(ref)
         groups = g.jac_colors()[0]
-        ref_groups = color_columns(ref, g.n, g.n).groups
+        ref_groups = color_columns(ref, g._segments()).groups
         assert len(groups) == len(ref_groups)
         assert all(np.array_equal(a, b) for a, b in zip(groups, ref_groups))
 
@@ -838,8 +836,8 @@ def test_block_layout_rejects_segments_that_couple_directly():
     # segments has no place in either block
     rows, cols = np.array([0, 1, 1]), np.array([0, 0, 1])
     with pytest.raises(ValueError, match="an entry couples two blocks"):
-        block_layout(rows, cols, 2, (np.array([0, 1]), ["a", "b"]))
-    assert len(block_layout(rows, cols, 2, (np.array([0, -1]), ["a"])).groups) == 1
+        block_layout(rows, cols, (np.array([0, 1]), ["a", "b"]))
+    assert len(block_layout(rows, cols, (np.array([0, -1]), ["a"])).groups) == 1
 
 
 def test_missing_input_raises_configuration_error():
@@ -872,6 +870,21 @@ def test_check_state_names_the_first_offending_pipe_and_time():
     z[g.rho_sl[2].start] = 0.0         # P3, the first offending pipe
     with pytest.raises(gn.StateError, match=r"non-positive density in pipe 'P3' at t=1234\.5"):
         g.check_state(z, 1234.5)
+
+
+def test_check_state_names_a_pipe_with_a_non_positive_outlet_pressure(benchmark_spec):
+    # the outlet pressure is extrapolated from the last two cells, so it can
+    # fall below zero while every density stays positive
+    g = gn.assemble(benchmark_spec)
+    z = np.zeros(g.n_z)
+    z[g.bank.rho] = 50.0
+    g.check_state(z, 0.0)
+    z[g.bank.tail[0]] = 10.0           # west: 1.5 * 10 - 0.5 * 50 < 0
+    assert z[g.bank.rho].min() > 0.0
+    assert g._outlet_pressures(z)[0] < 0.0 < g._outlet_pressures(z)[1]
+    with pytest.raises(gn.StateError,
+                       match=r"^non-positive outlet pressure in pipe 'west' at t=7900\.0$"):
+        g.check_state(z, 7900.0)
 
 
 def test_record_names_are_shared_between_systems():

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import gasnetsim as gn
 
-from gasnetsim import timeloop
+from gasnetsim import blocks, timeloop
 from gasnetsim.cli import _apply_model_override
 from gasnetsim.network import SEGMENT_CELLS
 
 from casekit import (PARALLEL_NET_JSON, PARALLEL_SINGULAR, benchmark_with_model, closed_pipe,
                      consistent_state, csc_jacobian, dense_newton_step, generated_network,
-                     ladder_system, record_dict, single_pipe_system)
+                     ladder_system, one_block, record_dict, single_pipe_system)
 
 
 class TestSolverConfig:
@@ -38,6 +38,11 @@ class TestSolverConfig:
             gn.SolverConfig(sparse_threshold=0)
 
 
+def dense_coloring(n):
+    """Every entry structural, one color per column, one block: the plain FD Jacobian."""
+    return blocks.color_columns([(r, c) for r in range(n) for c in range(n)], one_block(n))
+
+
 class TestNewton:
     def test_linear_system_converges_in_one_iteration(self):
         rng = np.random.default_rng(0)
@@ -45,14 +50,14 @@ class TestNewton:
         b = rng.normal(0.0, 1.0, 5)
 
         res = gn.newton_solve(lambda x: A @ x - b, np.zeros(5),
-                              gn.SolverConfig(newton_abs_tol=1e-9))
+                              gn.SolverConfig(newton_abs_tol=1e-9), colors=dense_coloring(5))
         assert res.iterations == 1
-        assert res.jacobians == 1          # the dense path builds one per iteration
+        assert res.jacobians == 1          # full Newton builds one per iteration
         assert np.allclose(res.x, np.linalg.solve(A, b), rtol=1e-8)
 
     def test_scalar_quadratic_tail(self):
         res = gn.newton_solve(lambda x: x * x - 4.0, np.array([3.0]),
-                              gn.SolverConfig(newton_abs_tol=1e-9))
+                              gn.SolverConfig(newton_abs_tol=1e-9), colors=dense_coloring(1))
         assert res.x[0] == pytest.approx(2.0, abs=1e-9)
         h = res.history
         # classical iterates 3 -> 13/6 -> 2.00641 -> ... up to FD-Jacobian error
@@ -64,7 +69,7 @@ class TestNewton:
         monkeypatch.setattr(timeloop, "MAX_ITERATIONS", 8)
         with pytest.raises(gn.NonconvergenceError) as err:
             gn.newton_solve(lambda x: x * x + 1.0, np.array([1.0]),
-                            gn.SolverConfig(newton_abs_tol=1e-12))
+                            gn.SolverConfig(newton_abs_tol=1e-12), colors=dense_coloring(1))
         assert err.value.history
         assert err.value.x_best is not None
 
@@ -77,24 +82,21 @@ class TestNewton:
 
         with pytest.raises(gn.FactorizationError):
             gn.newton_solve(fun, np.array([3.0, -1.0]),
-                            gn.SolverConfig(newton_abs_tol=1e-12))
+                            gn.SolverConfig(newton_abs_tol=1e-12), colors=dense_coloring(2))
 
     def test_singular_jacobian_raises_on_sparse_path(self, monkeypatch):
         # the same rank-deficient map above the sparse threshold, on chord
         # Newton's path: the block factor names the singular block, here the
-        # whole system (a coloring without segments is one block)
-        from gasnetsim.network import color_columns
-
+        # whole system (one block)
         def fun(x):
             s = x[0] + x[1]
             return np.array([s - 1.0, s - 1.0])
 
         monkeypatch.setattr(gn.SolverConfig, "sparse_threshold", 1)
-        full = color_columns([(r, c) for r in range(2) for c in range(2)], 2, 2)
         with pytest.raises(gn.FactorizationError,
                            match="^Jacobian factorization failed: the system is singular$"):
             gn.newton_solve(fun, np.array([3.0, -1.0]),
-                            gn.SolverConfig(newton_abs_tol=1e-12), colors=full)
+                            gn.SolverConfig(newton_abs_tol=1e-12), colors=dense_coloring(2))
 
 
 def superlu_newton_step(fun, x, F, colors, slot):
@@ -103,13 +105,13 @@ def superlu_newton_step(fun, x, F, colors, slot):
     block factor."""
     from scipy.sparse.linalg import splu
 
-    lu = splu(csc_jacobian(timeloop._fd_jacobian(fun, x, F, colors), colors))
+    lu = splu(csc_jacobian(blocks.fd_jacobian(fun, x, F, colors), colors))
     if slot is not None:
         slot[0] = lu
     return lu.solve(-F)
 
 
-def full_newton(fun, x0, cfg=None, colors=None):
+def full_newton(fun, x0, cfg=None, *, colors):
     """Reference for the chord path: full Newton steps, a fresh colored FD
     Jacobian and SuperLU factor at every iterate, no line search."""
     x = np.array(x0, dtype=float)
@@ -225,10 +227,10 @@ def test_block_solve_matches_the_dense_reference(seed, demand, cells):
     for fun in funs:
         F = fun(x)
         ref = dense_newton_step(fun, x, F, colors)
-        vals = timeloop._fd_jacobian(fun, x, F, colors)
+        vals = blocks.fd_jacobian(fun, x, F, colors)
         # both factor forms: one-use (one pass, no inverse) and kept (chord)
-        dx = timeloop.BlockFactor(vals, colors.layout, -F, False).x
-        dx_kept = timeloop.BlockFactor(vals, colors.layout, -F, True).solve(-F)
+        dx = blocks.BlockFactor(vals, colors.layout, -F, False).x
+        dx_kept = blocks.BlockFactor(vals, colors.layout, -F, True).solve(-F)
         assert np.abs(dx - ref).max() <= 1e-10 * np.abs(ref).max()
         assert np.abs(dx - dx_kept).max() <= 1e-12 * np.abs(dx).max()
 
@@ -278,6 +280,61 @@ def generated_transient(seed, demand, dt=600.0, steps=20):
     for d, a, b in zip(demands, start.tolist(), (1.1 * levels).tolist()):
         profiles[d] = (np.array([0.0, 5 * dt]), np.array([a, b]))
     return spec, gn.Scenario(t_end=steps * dt, dt=dt, profiles=profiles)
+
+
+def test_station_contracts_hold_at_every_sample_on_generated_networks():
+    # AC3's two rules, read off the records of every generated network with
+    # a station (seeds 0-38), across the 10% demand step: the outlet rule
+    # (fc: ratio x upstream outlet pressure, fp: the setpoint) and the
+    # momentum rule m_out(upstream) = k m_in(downstream), k = 1 (am) or
+    # c^(-1/kappa) with c the ratio (fc) or setpoint / upstream pressure (fp).
+    # The momentum rule is relative to its column's scale: flows may cross
+    # zero. Both held to 2.6e-16 when this test was written.
+    stations = 0
+    for seed in range(39):
+        spec, scen = generated_transient(seed, "generated")
+        if not spec.compressors:
+            continue
+        ts = gn.simulate(gn.assemble(spec), scen)
+        for st in spec.compressors:
+            stations += 1
+            up = next(pe.spec.id for pe in spec.pipes if pe.to_node == st.inlet_node)
+            down = next(pe.spec.id for pe in spec.pipes if pe.from_node == st.outlet_node)
+            p_up, m_up = ts.column(f"{up}.out.p_Pa"), ts.column(f"{up}.out.m")
+            p_down, m_down = ts.column(f"{down}.in.p_Pa"), ts.column(f"{down}.in.m")
+            fc = st.framework is gn.Framework.FIXED_RATIO
+            outlet = st.ratio * p_up if fc else np.full_like(p_up, st.pressure)
+            c = st.ratio if fc else st.pressure / p_up
+            av = st.assumption is gn.Assumption.CONST_VELOCITY
+            k = c ** (-1.0 / spec.gas.isentropic_exponent) if av else 1.0
+            where = f"seed {seed} station {st.id}"
+            assert np.all(np.abs(p_down - outlet) <= 1e-9 * outlet), where
+            assert np.all(np.abs(m_up - k * m_down) <= 1e-9 * np.abs(k * m_down).max()), where
+    assert stations >= 30
+
+
+class TestToleranceDistance:
+    """How far the default ``newton_abs_tol`` leaves the records from a 1e-12 solve.
+
+    The tolerance bounds the row-scaled residual, not the records. Measured
+    column-scaled distances, max|d| / max|column| over the shipped day case:
+    32 cells fc-am 1.21e-6 (west.out.m), fp-av 1.46e-6 (station.power);
+    256 cells at dt 900 s fc-am 4.40e-6 (station.power). Each bound is 10x
+    its measurement, so a change to the Newton policy's accuracy shows here.
+    """
+
+    @pytest.mark.parametrize("tag, cells, dt, measured", [
+        ("fc-am", None, None, 1.21e-6),
+        ("fp-av", None, None, 1.46e-6),
+        ("fc-am", 256, 900.0, 4.40e-6),
+    ])
+    def test_default_tolerance_distance_to_a_tight_reference(self, tag, cells, dt, measured):
+        spec, scen = benchmark_with_model(tag)
+        spec = _apply_model_override(spec, None, cells)
+        run, ref = (gn.simulate(gn.assemble(spec), scen, cfg).data
+                    for cfg in (gn.SolverConfig(dt=dt), gn.SolverConfig(1e-12, dt)))
+        distance = (np.abs(run - ref).max(axis=0) / np.abs(ref).max(axis=0)).max()
+        assert distance < 10.0 * measured
 
 
 class TestChordNewton:
