@@ -11,8 +11,8 @@ from .compressor import Assumption, Framework, station_power
 from .errors import (ConfigurationError, FactorizationError, FormatError,
                      GasnetError, InfeasibleFlowError, NonconvergenceError,
                      StateError)
-from .formats import (RunReport, Scenario, parse_network, parse_scenario,
-                      read_timeseries, serialize_network, write_timeseries)
+from .formats import (Scenario, parse_network, parse_scenario, read_timeseries,
+                      run_report, serialize_network, write_timeseries)
 from .gas import GasProperties
 from .network import (CompressorStation, GlobalSystem, NetworkSpec, Node,
                       NodeKind, PipeEdge, ValidationReport, assemble,
@@ -28,10 +28,10 @@ __all__ = [
     "FactorizationError", "FormatError", "Framework", "GasnetError",
     "GasProperties", "GlobalSystem", "InfeasibleFlowError", "NetworkSpec",
     "NewtonResult", "Node", "NodeKind", "NonconvergenceError", "PipeEdge",
-    "PipeSpec", "RunReport", "Scenario", "SolverConfig", "StateError",
-    "TimeSeries", "ValidationReport", "assemble", "bind_inputs",
-    "fuse_compressors", "newton_solve", "parse_network", "parse_scenario",
-    "read_timeseries", "serialize_network", "simulate", "station_power",
+    "PipeSpec", "Scenario", "SolverConfig", "StateError", "TimeSeries",
+    "ValidationReport", "assemble", "bind_inputs", "fuse_compressors",
+    "newton_solve", "parse_network", "parse_scenario", "read_timeseries",
+    "run_report", "serialize_network", "simulate", "station_power",
     "steady_pipe_oracle", "steady_state", "step_midpoint", "validate_topology",
     "write_timeseries",
 ]

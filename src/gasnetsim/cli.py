@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation/configuration error, 2 solver
 failure (nonconvergence, a singular Jacobian or an inadmissible state),
-64 usage error.
+64 usage error. A solver failure prints one line, `solver aborted: <message>`.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from pathlib import Path
 
 from .errors import (ConfigurationError, FactorizationError, GasnetError,
                      NonconvergenceError, StateError)
-from .formats import (RunReport, parse_network, parse_scenario,
-                      write_timeseries)
+from .formats import parse_network, parse_scenario, run_report, write_timeseries
 from .network import assemble, fuse_compressors, require_valid
 from .timeloop import SolverConfig, simulate
 
 EXIT_OK = 0
 EXIT_INVALID = 1
-EXIT_NONCONVERGED = 2
+EXIT_SOLVER_FAILED = 2
 EXIT_USAGE = 64
 
 MODEL_CHOICES = ("none", "fc-av", "fc-am", "fp-av", "fp-am")
@@ -114,21 +113,14 @@ def _solve(args, transient: bool) -> int:
         raise ConfigurationError(f"cannot write {out}: No such file or directory")
 
     t0 = time.perf_counter()
-    try:
-        ts = simulate(gsys, scenario, cfg)
-    except NonconvergenceError as exc:
-        elapsed = time.perf_counter() - t0
-        report = RunReport(status=f"nonconvergence: {exc}", wall_time=elapsed)
-        sys.stderr.write(report.summary())
-        return EXIT_NONCONVERGED
+    ts = simulate(gsys, scenario, cfg)
     elapsed = time.perf_counter() - t0
 
     try:
         write_timeseries(ts, out)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    report = RunReport.from_timeseries(ts, elapsed)
-    sys.stderr.write(report.summary())
+    sys.stderr.write(run_report(ts, elapsed))
     sys.stderr.write(f"wrote {out}\n")
     return EXIT_OK
 
@@ -149,9 +141,9 @@ def main(argv=None) -> int:
             return _solve(args, transient=False)
         if args.command == "run":
             return _solve(args, transient=True)
-    except (StateError, FactorizationError) as exc:
+    except (NonconvergenceError, StateError, FactorizationError) as exc:
         sys.stderr.write(f"solver aborted: {exc}\n")
-        return EXIT_NONCONVERGED
+        return EXIT_SOLVER_FAILED
     except GasnetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

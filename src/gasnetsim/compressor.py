@@ -58,8 +58,8 @@ class Variant(NamedTuple):
     reads_inlet: tuple[bool, bool]   # (momentum row, pressure row) read p
 
 
-_FC, _FP = Framework.FIXED_RATIO, Framework.FIXED_PRESSURE
-_AV, _AM = Assumption.CONST_VELOCITY, Assumption.CONST_MOMENTUM
+_FC, _FP = Framework("fc"), Framework("fp")       # the tags of --model and the file
+_AV, _AM = Assumption("av"), Assumption("am")
 
 VARIANTS = {
     (_FC, _AV): Variant("ratio", lambda sp, p: sp * p,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the positivity check."""
+"""Exception types shared across the package, and the positivity and id checks."""
 
 import math
 
@@ -31,6 +31,13 @@ def require_positive(what: str, value) -> None:
     """Raise ConfigurationError unless value is finite and positive (NaN is not)."""
     if not (math.isfinite(value) and value > 0):
         raise ConfigurationError(f"{what} must be finite and positive, got {value!r}")
+
+
+def require_column_id(what: str, ident: str) -> None:
+    """Raise ConfigurationError if ident, which names CSV columns, holds a ',' or a line break."""
+    if any(ch in ident for ch in ",\n\r"):
+        raise ConfigurationError(f"{what} {ident!r}: an id names CSV columns and must not "
+                                 "contain ',', '\\n' or '\\r'")
 
 
 class NonconvergenceError(GasnetError):

@@ -1,4 +1,4 @@
-"""File formats: network and scenario JSON, CSV output, run reports.
+"""File formats: network and scenario JSON, CSV output, the run report.
 
 This is the only module that touches the filesystem. Files may declare
 units (pressure in Pa or bar, lengths in m or km, temperature in K); all
@@ -27,7 +27,6 @@ boundary node and station has a source is checked once, by
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -347,33 +346,16 @@ def read_timeseries(source) -> TimeSeries:
     return TimeSeries(body[:, 0], header[1:], body[:, 1:])
 
 
-@dataclass
-class RunReport:
-    """Outcome summary of one solver run, printed to standard error."""
+def run_report(ts: TimeSeries, wall_time: float) -> str:
+    """The outcome summary of a completed run, printed to standard error.
 
-    status: str
-    wall_time: float
-    n_steps: int = 0
-    newton_total: int = 0
-    newton_max: int = 0
-    jacobians: int = 0
-    warnings: list[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"status: {self.status}\n")
-        buf.write(f"wall time: {self.wall_time:.3f} s\n")
-        buf.write(f"steps: {self.n_steps}\n")
-        if self.n_steps:
-            buf.write(f"newton iterations: total {self.newton_total}, "
-                      f"max {self.newton_max}/step, jacobians {self.jacobians}\n")
-        for w in self.warnings:
-            buf.write(f"warning: {w}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_timeseries(cls, ts: TimeSeries, wall_time: float, status="ok"):
-        iters = np.asarray(ts.newton_iters, dtype=int)
-        return cls(status=status, wall_time=wall_time, n_steps=int(iters.size),
-                   newton_total=int(iters.sum()), newton_max=int(iters.max(initial=0)),
-                   jacobians=int(np.sum(ts.jacobians)), warnings=list(ts.warnings))
+    Steps, Newton iterations and Jacobians from the series' per-step
+    counts, then one `warning:` line per entry of `ts.warnings`.
+    """
+    iters = np.asarray(ts.newton_iters, dtype=int)
+    lines = ["status: ok", f"wall time: {wall_time:.3f} s", f"steps: {iters.size}"]
+    if iters.size:
+        lines.append(f"newton iterations: total {iters.sum()}, max {iters.max()}/step, "
+                     f"jacobians {np.sum(ts.jacobians)}")
+    lines += [f"warning: {w}" for w in ts.warnings]
+    return "".join(line + "\n" for line in lines)

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -68,7 +67,7 @@ import numpy as np
 
 from .blocks import Triplets, blockwise_pinv, color_columns, component_roots
 from .compressor import VARIANTS, Assumption, Framework, Variant, station_power
-from .errors import ConfigurationError, StateError, require_positive
+from .errors import ConfigurationError, StateError, require_column_id, require_positive
 from .gas import GasProperties
 from .pipe import PipeSpec
 
@@ -125,6 +124,7 @@ class CompressorStation:
     pressure: float | None = None
 
     def __post_init__(self):
+        require_column_id("compressor", self.id)
         self.framework = Framework(self.framework)
         self.assumption = Assumption(self.assumption)
         for name, value in (("ratio", self.ratio), ("pressure", self.pressure)):
@@ -364,12 +364,8 @@ class GlobalSystem:
         for st in spec.compressors:
             up = next(k for k, isout in self.attached[st.inlet_node] if isout)
             down = next(k for k, isout in self.attached[st.outlet_node] if not isout)
-            default = st.default_setpoint()
-            if st.framework is Framework.FIXED_RATIO and default is not None and default < 1.0:
-                warnings.warn(f"FC compressor {st.id!r} with ratio {default} < 1 acts as an "
-                              "expander", stacklevel=2)
             self.stations.append(StationBinding(
-                st.id, st.variant, default,
+                st.id, st.variant, st.default_setpoint(),
                 up, down, len(self.boundary) + len(self.stations),
                 self.lam[st.inlet_node], self.lam[st.outlet_node]))
 

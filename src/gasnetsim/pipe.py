@@ -24,7 +24,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, InfeasibleFlowError, require_positive
+from .errors import (ConfigurationError, InfeasibleFlowError, require_column_id,
+                     require_positive)
 from .gas import GasProperties
 
 
@@ -39,6 +40,7 @@ class PipeSpec:
     n_cells: int = 32
 
     def __post_init__(self):
+        require_column_id("pipe", self.id)
         require_positive(f"pipe {self.id!r}: length", self.length)
         require_positive(f"pipe {self.id!r}: diameter", self.diameter)
         if not (math.isfinite(self.friction) and self.friction >= 0):

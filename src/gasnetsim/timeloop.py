@@ -303,7 +303,14 @@ class TimeSeries:
 
 
 def simulate(gsys, scenario, cfg: SolverConfig | None = None) -> TimeSeries:
-    """Steady initialization followed by implicit-midpoint transient stepping."""
+    """Steady initialization followed by implicit-midpoint transient stepping.
+
+    `TimeSeries.warnings` is the run's one diagnostics channel. Each of
+    these is flagged once, at the first sample that shows it: an FC
+    station whose sampled ratio is below 1 (an expander, per station),
+    reverse flow through a station (per station), and a density below 5%
+    of the supply level.
+    """
     if cfg is None:
         cfg = SolverConfig()
     dt = cfg.dt if cfg.dt is not None else scenario.dt
@@ -333,22 +340,27 @@ def simulate(gsys, scenario, cfg: SolverConfig | None = None) -> TimeSeries:
 
     x = steady_state(gsys, input_fn(0.0), cfg, set_references=False)
     n_z = gsys.n_z
-    warnings: list[str] = []
-    flagged: set[str] = set()
+    flagged: dict[str, str] = {}    # the first warning per key, in the order seen
 
     rho_floor = 0.05 * p_ref / gsys.gas.c2
 
+    def flag(key, what, t):
+        if key not in flagged:
+            flagged[key] = f"{what} at t={t:g} s"
+
     def record(i, z, t, anchor):
-        data[i], _ = gsys.snapshot(z, input_fn(t), anchor)
+        inputs = input_fn(t)
+        data[i], _ = gsys.snapshot(z, inputs, anchor)
         mass[i] = gsys.total_mass(z)
         for b in gsys.stations:
-            key = f"reverse-flow:{b.id}"
-            if z[gsys.bank.m_in[b.pipe_down]] < 0.0 and key not in flagged:
-                flagged.add(key)
-                warnings.append(f"reverse flow through compressor {b.id!r} at t={t:g} s")
-        if gsys.min_density(z) < rho_floor and "low-density" not in flagged:
-            flagged.add("low-density")
-            warnings.append(f"density below 5% of the supply level at t={t:g} s")
+            sp = inputs[b.id]
+            if b.variant.setpoint == "ratio" and sp < 1.0:
+                flag(f"expander:{b.id}",
+                     f"FC compressor {b.id!r} with ratio {sp} < 1 acts as an expander", t)
+            if z[gsys.bank.m_in[b.pipe_down]] < 0.0:
+                flag(f"reverse-flow:{b.id}", f"reverse flow through compressor {b.id!r}", t)
+        if gsys.min_density(z) < rho_floor:
+            flag("low-density", "density below 5% of the supply level", t)
 
     record(0, x[:n_z], 0.0, x)
     for i in range(n_steps):
@@ -360,4 +372,5 @@ def simulate(gsys, scenario, cfg: SolverConfig | None = None) -> TimeSeries:
         x = x_new
         record(i + 1, x[:n_z], tgrid[i + 1], x)
 
-    return TimeSeries(tgrid, names, data, iters, mass, influx, warnings, jacobians)
+    return TimeSeries(tgrid, names, data, iters, mass, influx, list(flagged.values()),
+                      jacobians)

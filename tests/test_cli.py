@@ -190,6 +190,8 @@ def test_invalid_solver_flags_exit_1_before_solving(files, tmp_path, capsys, arg
     (("gas", "T"), float("nan"), "temperature"),
     (("pipes", 0, "length"), float("inf"), "length"),
     (("pipes", 0, "cells"), 2.5, "cell count"),
+    (("pipes", 0, "id"), "west,1", "pipe 'west,1': an id names CSV columns"),   # one CSV column
+    (("compressors", 0, "id"), "cs\n2", "compressor 'cs\\n2': an id names CSV columns"),
     (("nodes", 2), {"id": "elsewhere"}, "undeclared node 'station_out'"),   # a station end
     (("nodes", 1, "type"), "supply", "node 'station_in' is supply"),
 ])
@@ -389,6 +391,48 @@ def test_singular_step_jacobian_exits_2(files, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("solver aborted: step at t=300 s failed: "
                           "Jacobian factorization failed: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+STEADY_2500 = ("solver aborted: steady-state solve failed: no convergence in 50 iterations "
+               "(residual 1.970e-01, tol 1.0e-08)\n")
+
+
+@pytest.mark.parametrize("command, sink, message", [
+    ("steady", [[0, 2500]], STEADY_2500),
+    ("run", [[0, 2500]], STEADY_2500),
+    ("run", [[0, 200], [3600, 3000]],
+     "solver aborted: non-positive outlet pressure in pipe 'east' at t=4700.0\n"),
+], ids=["steady-demand-steady", "steady-demand-run", "surge-run"])
+def test_solver_failure_prints_one_line(tmp_path, capsys, command, sink, message):
+    # every exit-2 cause prints one line and nothing else: a steady demand
+    # the line cannot carry (the steady Newton solve stalls) and a demand
+    # surge that drains the downstream pipe after accepted steps alike
+    doc = json.loads(SCN_JSON)
+    doc["profiles"]["sink"] = sink
+    net, scn, out = tmp_path / "yamal.net.json", tmp_path / "s.scn.json", tmp_path / "o.csv"
+    net.write_text(NET_JSON)
+    scn.write_text(json.dumps(doc))
+    assert main([command, str(net), str(scn), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_step_nonconvergence_prints_one_line(files, tmp_path, capsys, monkeypatch):
+    # a step residual that cannot vanish stalls the first step's line search
+    make = gn.GlobalSystem.make_step_residual
+
+    def unsolvable(self, *args):
+        fun = make(self, *args)
+        return lambda v: np.abs(fun(v)) + 1
+
+    monkeypatch.setattr(gn.GlobalSystem, "make_step_residual", unsolvable)
+    net, scn = files
+    out = tmp_path / "o.csv"
+    assert main(["run", str(net), str(scn), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver aborted: step at t=300 s failed: "
+                          "line search stalled at iteration 0 ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -211,16 +211,29 @@ class TestExternalPower:
 
 
 def test_fc_ratio_below_one_warns():
-    # the warning comes where the system binds the station, so it follows the
-    # framework the station has then, a --model override included
-    spec, _ = benchmark_with_model("fp-am")
-    spec.compressors[0].ratio = 0.9
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        gn.assemble(spec)                 # fp reads the pressure, not the ratio
-    with pytest.warns(UserWarning, match="FC compressor 'station' with ratio 0.9 < 1 acts as an "
-                                         "expander"):
-        gn.assemble(_apply_model_override(spec, "fc-am", None))
+    # an FC ratio below 1 makes the station an expander; simulate flags it in
+    # ts.warnings once per station, at the first sample whose setpoint (a
+    # default or a profile alike) is below 1, and assembling warns nothing.
+    # The check follows the variant as bound: under a --model fp-am override
+    # the station reads its pressure, and the ratio says nothing
+    cfg = gn.SolverConfig(dt=3600.0, t_end=3600.0)
+    line = "FC compressor 'station' with ratio 0.9 < 1 acts as an expander at t={} s"
+    for source, want in [("default", [line.format(0)]), ("profile", [line.format(3600)]),
+                         ("neutral", [])]:
+        spec, scen = benchmark_with_model("fc-am")
+        if source == "default":
+            del scen.profiles["station.ratio"]
+            spec.compressors[0].ratio = 0.9
+        else:
+            ratios = [1.2, 0.9] if source == "profile" else [1.2, 1.0]
+            scen.profiles["station.ratio"] = (np.array([0.0, 3600.0]), np.array(ratios))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = gn.assemble(spec)
+        expander = [w for w in gn.simulate(g, scen, cfg).warnings if "expander" in w]
+        assert expander == want, source
+        fp = gn.assemble(_apply_model_override(spec, "fp-am", None))
+        assert gn.simulate(fp, scen, cfg).warnings == [], source
 
 
 def test_fp_nonpositive_pressure_is_error():

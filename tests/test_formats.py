@@ -109,6 +109,21 @@ def test_malformed_network_names_the_entry_and_the_key(path, value, message):
         gn.parse_network(malformed_network(path, value))
 
 
+@pytest.mark.parametrize("bad", ["west,1", "west\n1", "west\r"])
+def test_ids_that_would_split_a_csv_column_are_rejected(bad):
+    # pipe and station ids name CSV columns: a ',' or a line break in one
+    # would write rows that read_timeseries cannot read back
+    message = re.escape(f"{bad!r}: an id names CSV columns")
+    with pytest.raises(gn.ConfigurationError, match="pipe " + message):
+        gn.PipeSpec(bad, 1e3, 0.5, 0.01)
+    with pytest.raises(gn.ConfigurationError, match="compressor " + message):
+        gn.CompressorStation(bad, "a", "b", "fc", "am", ratio=1.2)
+    with pytest.raises(gn.FormatError, match=r"^pipes\[0\]: pipe " + message):
+        gn.parse_network(malformed_network(("pipes", 0, "id"), bad))
+    with pytest.raises(gn.FormatError, match=r"^compressors\[0\]: compressor " + message):
+        gn.parse_network(malformed_network(("compressors", 0, "id"), bad))
+
+
 # (path, new value, expected message): blocks and entries of the wrong JSON type
 STRUCTURE = [
     ((), 5, r"the top level must be an object, got a number"),
@@ -468,10 +483,17 @@ class TestTimeseriesCSV:
 
 
 def test_run_report_summary():
+    # the exact text, so a change to the report is a change to this test:
+    # a transient with warnings, and a steady run (no steps, no Newton line)
     ts = gn.TimeSeries(np.array([0.0, 1.0]), ["a"], np.zeros((2, 1)),
-                       newton_iters=np.array([3]), warnings=["w1"], jacobians=np.array([2]))
-    rep = gn.RunReport.from_timeseries(ts, 1.25)
-    text = rep.summary()
-    assert "steps: 1" in text
-    assert "newton iterations: total 3, max 3/step, jacobians 2" in text
-    assert "w1" in text
+                       newton_iters=np.array([3]), warnings=["w1", "w2"],
+                       jacobians=np.array([2]))
+    assert gn.run_report(ts, 1.25) == (
+        "status: ok\n"
+        "wall time: 1.250 s\n"
+        "steps: 1\n"
+        "newton iterations: total 3, max 3/step, jacobians 2\n"
+        "warning: w1\n"
+        "warning: w2\n")
+    steady = gn.TimeSeries(np.array([0.0]), ["a"], np.zeros((1, 1)))
+    assert gn.run_report(steady, 0.0004) == "status: ok\nwall time: 0.000 s\nsteps: 0\n"

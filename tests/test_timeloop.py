@@ -313,6 +313,45 @@ def test_station_contracts_hold_at_every_sample_on_generated_networks():
     assert stations >= 30
 
 
+def test_zero_and_reverse_flow_through_a_transient():
+    # the day line's demand falls to zero at 6 h and turns into an injection
+    # at 12 h, so the flow through the station stops and reverses. At every
+    # sample each station model keeps its two rules, the fused junction
+    # passes p and m through, and the per-step mass ledger closes to the
+    # solver tolerance: n_cells rows, each within tol x m_ref per second.
+    # Momenta cross zero, so the momentum rule is held absolutely, against
+    # the 200 of the starting demand. The station reports one reverse flow,
+    # at the first sample that shows it (measured when the test was written)
+    first_reverse = {"none": None, "fc-av": 23400, "fc-am": 24600,
+                     "fp-av": 22800, "fp-am": 22800}
+    cfg = gn.SolverConfig(dt=600.0)
+    for tag, t_reverse in first_reverse.items():
+        spec, scen = benchmark_with_model(tag)
+        scen.profiles["sink"] = (np.array([0.0, 21600.0, 43200.0]),
+                                 np.array([200.0, 0.0, -100.0]))
+        g = gn.assemble(spec)
+        ts = gn.simulate(g, scen, cfg)
+        p_up, m_up = ts.column("west.out.p_Pa"), ts.column("west.out.m")
+        p_down, m_down = ts.column("east.in.p_Pa"), ts.column("east.in.m")
+        assert m_down.min() < -100.0, tag
+        if tag == "none":
+            outlet, k = p_up, 1.0
+        else:
+            fc = tag.startswith("fc")
+            sp = scen.value("station.ratio" if fc else "station.pressure", 0.0)
+            outlet = sp * p_up if fc else np.full_like(p_up, sp)
+            c = sp if fc else sp / p_up
+            k = c ** (-1.0 / spec.gas.isentropic_exponent) if tag.endswith("av") else 1.0
+        assert np.all(np.abs(p_down - outlet) <= 1e-9 * outlet), tag
+        assert np.all(np.abs(m_up - k * m_down) <= 1e-9 * 200.0), tag
+        n_cells = sum(p.n_cells for p in g.pipes)
+        defect = np.diff(ts.mass_total) - cfg.dt * ts.influx_mid
+        assert np.all(np.abs(defect) <= n_cells * cfg.newton_abs_tol * g.references[1] * cfg.dt)
+        want = [] if t_reverse is None else [
+            f"reverse flow through compressor 'station' at t={t_reverse} s"]
+        assert ts.warnings == want, tag
+
+
 class TestToleranceDistance:
     """How far the default ``newton_abs_tol`` leaves the records from a 1e-12 solve.
 
