@@ -22,31 +22,36 @@ Residual rows mirror it: row i pairs with unknown i.
                 station outlet node:  lambda - ratio * p_upstream(z)   (FC)
                                       lambda - p_set(t)                (FP)
 
-All nonlinearity lives in e(z), the friction operator and the
-state-dependent station couplings; the rows are linear in mu and lambda at
-fixed z. The residual is a pure function of its arguments, so concurrent
-evaluations (finite-difference Jacobian columns) are safe.
+The effort e(z) = [c^2 rho; m] is linear, so the residual is stated once,
+with K one constant linear map over [x | u]:
 
-All pipes' rows come from one vectorized pass over the pipe bank
-(`PipeBank`): flat index and weight arrays built once per system. The
-stored energy, the friction power and the port powers of
-`GlobalSystem.power_terms` read the same bank. Cell i of a pipe pairs
-rho_i with the momentum m_i on its inlet-side interface:
+    F = W dz/dt + K [x | u] + w f(rho_bar, m) + outlet and station terms
 
-    continuity   dx rho_i' + (s_i x[down_i] - m_i)      down = m_(i+1), or
-                 mu_m with s = -1 at the last cell
-    momentum     w_i m_i' + (c^2 rho_i - a_i x[up_i]) + w_i f_i
+F is a pure function of its arguments, so concurrent evaluations
+(finite-difference Jacobian columns) are safe. Cell i of a pipe pairs
+rho_i with the momentum m_i on its inlet-side interface; each of its rows
+lists two entries of K:
+
+    continuity   dx rho_i' + (s x[down] - m_i)     down = m_(i+1) with s = 1,
+                                                   or mu_m with s = -1 at the last cell
+    momentum     w m_i' + (c^2 rho_i - a x[up]) + w f_i
                  up = rho_(i-1) with a = c^2, or mu_p with a = 1 at the
                  inlet, where w = dx/2 (dx elsewhere)
 
+The pipe bank (`PipeBank`), index and weight arrays built once per
+system, gives W and f; the stored energy and `GlobalSystem.power_terms`
+read it too.
+
 Inputs are resolved once per closure into a vector u that is exactly
 `input_ids`: the boundary nodes (`GlobalSystem.boundary`, which lead the
-node order), then the stations. Every +-1 entry of the port, node and
-station rows sits in one constant table, `GlobalSystem.coupling`, over
-[x | u] (columns from n on index u; only a boundary node's row lists an
-input, minus it first, then its links in attachment order). The residual,
-the Jacobian pattern and the algebraic solve all read it. The station rows'
-state terms (`GlobalSystem._add_state_terms`) apply the rules of
+node order), then the stations. K is the triplet table
+`GlobalSystem.coupling`: the pipe rows' entries, then every +-1 entry of
+the port, node and station rows (columns from n on index u; only a
+boundary node's row lists an input, minus it first, then its links in
+attachment order). The residual, the Jacobian pattern and the algebraic
+solve all read it. The outlet pressure 1.5 (c^2 rho) - 0.5 (c^2 rho) is a
+state term, since K's (1.5 c^2) rho would round differently. The station
+rows' state terms (`GlobalSystem._add_state_terms`) apply the rules of
 `compressor.VARIANTS` at p_upstream, the port-out rows' outlet pressure,
 for the residual and the algebraic solve alike.
 
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -173,19 +179,25 @@ def validate_topology(spec: NetworkSpec) -> ValidationReport:
 
     Each station's ends must be declared junctions that no other station
     uses, its inlet must terminate exactly one pipe and its outlet start
-    exactly one, and the two must differ.
+    exactly one, and the two must differ. A station's id keys its input and
+    its profiles (`<id>`, `<id>.ratio`, `<id>.pressure`), so it must not
+    repeat, and no supply or demand node may hold one of those keys.
     """
     out: list[Violation] = []
-    ids = [nd.id for nd in spec.nodes]
     kind = {nd.id: nd.kind for nd in spec.nodes}
-    if len(kind) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        out.append(Violation("duplicate-node", f"duplicate node ids: {dupes}"))
-
-    pipe_ids = [pe.spec.id for pe in spec.pipes]
-    if len(set(pipe_ids)) != len(pipe_ids):
-        dupes = sorted({i for i in pipe_ids if pipe_ids.count(i) > 1})
-        out.append(Violation("duplicate-pipe", f"duplicate pipe ids: {dupes}"))
+    for what, ids in (("node", [nd.id for nd in spec.nodes]),
+                      ("pipe", [pe.spec.id for pe in spec.pipes]),
+                      ("compressor", [st.id for st in spec.compressors])):
+        dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
+        if dupes:
+            out.append(Violation(f"duplicate-{what}", f"duplicate {what} ids: {dupes}"))
+    for st in spec.compressors:
+        for key in (st.id, f"{st.id}.ratio", f"{st.id}.pressure"):
+            if kind.get(key) in BOUNDARY_KINDS:
+                out.append(Violation(
+                    "compressor-id-collision",
+                    f"compressor {st.id!r} and {kind[key].value} node {key!r} "
+                    f"share the input key {key!r}"))
 
     out_degree = dict.fromkeys(kind, 0)   # pipe inlets attached (from)
     in_degree = dict.fromkeys(kind, 0)    # pipe outlets attached (to)
@@ -280,15 +292,14 @@ class StationBinding(NamedTuple):
 
 
 class PipeBank(NamedTuple):
-    """Flat index and weight arrays over all pipes (layout: module docstring)."""
+    """Flat index and weight arrays over all pipes (layout: module docstring).
+
+    The pipe rows' constant entries are K's (`GlobalSystem.coupling`).
+    """
 
     rho: np.ndarray         # cell: density column (continuity row)
     mom: np.ndarray         # cell: momentum column (momentum row)
-    down: np.ndarray        # cell: downstream momentum column
-    down_sign: np.ndarray   # cell: +1, -1 where `down` is mu_m
-    up: np.ndarray          # cell: upstream pressure source column
-    up_scale: np.ndarray    # cell: c^2, 1 where `up` is mu_p
-    prev: np.ndarray        # cell: position of the upstream cell (itself at the inlet)
+    prev: np.ndarray        # cell: position of the upstream cell (itself at the inlet), for rho_bar
     dx: np.ndarray          # cell: continuity weight
     w: np.ndarray           # cell: momentum weight
     fric: np.ndarray        # cell: friction coefficient lambda / (2 D)
@@ -394,28 +405,29 @@ class GlobalSystem:
         first = np.cumsum(n_cells) - n_cells
         is_first = np.zeros(rho.size, dtype=bool)
         is_first[first] = True
-        is_last = np.roll(is_first, -1)
         prev = np.arange(rho.size) - ~is_first   # a pipe's inlet cell is its own
         dx = np.repeat([p.length / p.n_cells for p in self.pipes], n_cells)
         return PipeBank(
-            rho=rho, mom=mom,
-            down=np.where(is_last, np.repeat(self.mu_m, n_cells), mom + 1),
-            down_sign=np.where(is_last, -1.0, 1.0),
-            up=np.where(is_first, np.repeat(self.mu_p, n_cells), rho[prev]),
-            up_scale=np.where(is_first, 1.0, self.gas.c2),
-            prev=prev, dx=dx, w=np.where(is_first, 0.5 * dx, dx),
+            rho=rho, mom=mom, prev=prev, dx=dx, w=np.where(is_first, 0.5 * dx, dx),
             fric=np.repeat([p.friction / (2.0 * p.diameter) for p in self.pipes], n_cells),
-            tail=rho[is_last], m_in=mom[is_first])
+            tail=rho[np.roll(is_first, -1)], m_in=mom[is_first])
 
     def _build_coupling(self) -> Triplets:
-        """The +-1 entries of the port, node and station rows over [x | u].
+        """K, every constant entry of the residual, over [x | u].
 
-        Columns from n on index the input vector u. Within a row the entries
-        keep their summation order: a boundary node's row lists minus its
-        input first, then its links in attachment order.
+        Columns from n on index the input vector u. The pipe rows' two
+        entries each (module docstring) come first, then the +-1 entries of
+        the port, node and station rows, each row in summation order: a
+        boundary node's row lists minus its input first, then its links in
+        attachment order.
         """
-        n, lam = self.n, self.lam
-        mu_p, mu_m, m_in = self.mu_p.tolist(), self.mu_m.tolist(), self.bank.m_in.tolist()
+        b, n, lam, c2 = self.bank, self.n, self.lam, self.gas.c2
+        first = b.prev == np.arange(b.rho.size)   # a pipe's inlet cell
+        last, pipe, one = np.roll(first, -1), np.cumsum(first) - 1, np.ones(b.rho.size)
+        # continuity: s x[down] - m_i; momentum: c^2 rho_i - a x[up]
+        down = np.where(last, self.mu_m[pipe], b.mom + 1)
+        up = np.where(first, self.mu_p[pipe], b.rho[b.prev])
+        mu_p, mu_m, m_in = self.mu_p.tolist(), self.mu_m.tolist(), b.m_in.tolist()
         ent = []
         for k, pe in enumerate(self.spec.pipes):
             ent += [(mu_p[k], mu_p[k], 1), (mu_p[k], lam[pe.from_node], -1),
@@ -430,7 +442,10 @@ class GlobalSystem:
                 ent += [(r, mu_m[k] if isout else m_in[k], -1)
                         for k, isout in self.attached[nd.id]]
         rows, cols, vals = np.array(ent, dtype=int).T
-        return Triplets(rows, cols, vals.astype(float))
+        return Triplets(np.concatenate([b.rho, b.rho, b.mom, b.mom, rows]),
+                        np.concatenate([b.mom, down, b.rho, up, cols]),
+                        np.concatenate([-one, np.where(last, -1.0, 1.0), c2 * one,
+                                        -np.where(first, 1.0, c2), vals]))
 
     # ------------------------------------------------------------------
     # residual
@@ -471,18 +486,15 @@ class GlobalSystem:
         return fun
 
     def _residual_core(self, x, zdot, u):
-        """The coupling's rows, then every pipe's continuity and momentum rows.
+        """F = W dz/dt + K [x | u] + w f(rho_bar, m) + the state terms.
 
-        The differential rows carry the cell measures (dx, w), so their
-        pairing with the efforts is the stored-energy rate.
+        K is `coupling`. The differential rows carry the cell measures W,
+        so their pairing with the efforts is the stored-energy rate.
         """
         b = self.bank
         F = self.coupling.matvec(np.concatenate([x, u]), self.n)
-        rho, mom = x[b.rho], x[b.mom]
-        pres = self.gas.c2 * rho
-        F[b.rho] = b.dx * zdot[b.rho] + (b.down_sign * x[b.down] - mom)
-        F[b.mom] = (b.w * zdot[b.mom] + (pres - b.up_scale * x[b.up])
-                    + b.w * self._friction(rho, mom))
+        F[: self.n_z] += self.energy_weights * zdot
+        F[b.mom] += b.w * self._friction(x[b.rho], x[b.mom])
         self._add_state_terms(F, x, u, 0)
         return F
 
@@ -532,12 +544,14 @@ class GlobalSystem:
     # ------------------------------------------------------------------
 
     def _pattern(self):
-        """Structural (row, col) couplings of the residual, both solve modes."""
-        b, c = self.bank, self.coupling
+        """Structural (row, col) couplings of the residual, both solve modes.
+
+        K's x-columns, the z diagonal of W dz/dt (friction reads no column
+        beyond these), the outlet pressures' cells and the station rules'.
+        """
+        b, c, z = self.bank, self.coupling, np.arange(self.n_z)
         on_x = c.cols < self.n
-        pairs = [(b.rho, b.rho), (b.rho, b.mom), (b.rho, b.down),
-                 (b.mom, b.mom), (b.mom, b.up), (b.mom, b.rho),
-                 (c.rows[on_x], c.cols[on_x]), (self.mu_m, b.tail), (self.mu_m, b.tail - 1)]
+        pairs = [(c.rows[on_x], c.cols[on_x]), (z, z), (self.mu_m, b.tail), (self.mu_m, b.tail - 1)]
         ent = [np.column_stack(rc) for rc in pairs]
         for s in self.stations:
             last = b.tail[s.pipe_up]
@@ -586,7 +600,7 @@ class GlobalSystem:
     # ------------------------------------------------------------------
 
     def _algebraic_map(self) -> _AlgebraicMap:
-        """The coupling split at the algebraic columns, with M's pseudo-inverse.
+        """K's port and node rows split at the algebraic columns, with M's pseudo-inverse.
 
         M, the port/node rows' matrix in (mu, lambda), is constant, so all
         of it is built once per system; only the rest's values depend on z
@@ -598,11 +612,12 @@ class GlobalSystem:
         """
         if self._alg_map is None:
             na, base, c = self.n_alg, self.n_z, self.coupling
-            alg = (c.cols >= base) & (c.cols < self.n)
-            M = Triplets(c.rows[alg] - base, c.cols[alg] - base, c.vals[alg])
+            rows, cols, vals = (a[c.rows >= base] for a in c)
+            alg = (cols >= base) & (cols < self.n)
+            M = Triplets(rows[alg] - base, cols[alg] - base, vals[alg])
             self._alg_map = _AlgebraicMap(
                 M, blockwise_pinv(M, na, na * np.finfo(float).eps),
-                Triplets(c.rows[~alg] - base, c.cols[~alg], c.vals[~alg]))
+                Triplets(rows[~alg] - base, cols[~alg], vals[~alg]))
         return self._alg_map
 
     def algebraic_solve(self, z, inputs, anchor=None):

@@ -12,10 +12,11 @@ where J is skew-symmetric as a matrix, R(z) is the diagonal nonnegative
 friction operator and e(z) = [p; m]. The weighted energy rate then reduces
 exactly to boundary terms minus friction dissipation.
 
-`PipeSpec` holds one pipe's geometry, friction and cell count. The grid,
-the weights W and the equations are built for all pipes at once by the
-pipe bank (`network.PipeBank`); the stored energy and the residual read
-the same weights from it.
+`PipeSpec` holds one pipe's geometry, friction and cell count. The grid
+and the weights W are built for all pipes at once by the pipe bank
+(`network.PipeBank`), and J e + B u by the residual's constant table
+(`network.GlobalSystem.coupling`); the stored energy and the residual read
+the same weights.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import gasnetsim as gn
 from gasnetsim.cli import _apply_model_override, main
 
 from casekit import (DELETE, NET_JSON, PARALLEL_NET_JSON, PARALLEL_SCN_JSON, PARALLEL_SINGULAR,
-                     SCN_JSON, malformed_network)
+                     SCN_JSON, generated_network, malformed_network)
 
 
 @pytest.fixture()
@@ -434,6 +434,31 @@ def test_step_nonconvergence_prints_one_line(files, tmp_path, capsys, monkeypatc
     assert err.startswith("solver aborted: step at t=300 s failed: "
                           "line search stalled at iteration 0 ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_generated_runs_exit_0_or_2_with_one_line(tmp_path, capsys):
+    # seeded trees and loops with a demand step of x1, x10, x100, 0 or -1 at
+    # 1800 s: a run either completes and writes its CSV, or exits 2 with one
+    # line (nonconvergence, a stalled line search, a non-positive density or
+    # outlet pressure, a steady solve that fails) and writes nothing
+    codes = []
+    for seed in range(40):
+        spec, inputs = generated_network(seed)
+        factor, dt = (1.0, 10.0, 100.0, 0.0, -1.0)[seed % 5], (600.0, 3600.0)[seed // 5 % 2]
+        demands = {nd.id for nd in spec.nodes if nd.kind is gn.NodeKind.DEMAND}
+        profiles = {key: [[0.0, v]] + ([[1800.0, factor * v]] if key in demands else [])
+                    for key, v in inputs.items()}
+        net, scn = tmp_path / f"{seed}.net.json", tmp_path / f"{seed}.scn.json"
+        out = tmp_path / f"{seed}.csv"
+        net.write_text(gn.serialize_network(spec))
+        scn.write_text(json.dumps({"t_end": 7200.0, "dt": dt, "profiles": profiles}))
+        codes.append(main(["run", str(net), str(scn), "--out", str(out)]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 2) and "Traceback" not in err, (seed, err)
+        if codes[-1] == 2:
+            assert err.startswith("solver aborted: ") and err.count("\n") == 1, (seed, err)
+        assert out.exists() == (codes[-1] == 0), seed
+    assert codes.count(0) >= 3 and codes.count(2) >= 3, codes
 
 
 def test_bare_setpoint_reads_per_the_overridden_model(files, tmp_path):

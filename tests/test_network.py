@@ -282,6 +282,16 @@ def _station_edit(spec, edit):
         spec.compressors[0].outlet_node = "ci"
     elif edit == "station outlet ends a pipe":
         spec.pipes[1].from_node, spec.pipes[1].to_node = "j", "co"
+    elif edit == "duplicate station":     # a second station 'C', between j and v2
+        spec.nodes += [gn.Node("c2i", gn.NodeKind.JUNCTION), gn.Node("c2o", gn.NodeKind.JUNCTION)]
+        spec.pipes[2] = gn.PipeEdge(pipe(3), "j", "c2i")
+        spec.pipes.append(gn.PipeEdge(pipe(5), "c2o", "v2"))
+        spec.compressors.append(gn.CompressorStation(
+            "C", "c2i", "c2o", Framework.FIXED_RATIO, Assumption.CONST_MOMENTUM, ratio=1.1))
+    elif edit == "station named like a demand":
+        spec.compressors[0].id = "v2"
+    elif edit == "demand named like a station setpoint":
+        spec.nodes[1].id = spec.pipes[2].to_node = "C.ratio"
     return spec
 
 
@@ -297,6 +307,11 @@ STATION_VIOLATIONS = [
     ("degenerate station", "compressor-degenerate", "compressor 'C' has identical end nodes"),
     ("station outlet ends a pipe", "compressor-end-orientation",
      "compressor outlet node 'co' must start a pipe"),
+    ("duplicate station", "duplicate-compressor", "duplicate compressor ids: ['C']"),
+    ("station named like a demand", "compressor-id-collision",
+     "compressor 'v2' and demand node 'v2' share the input key 'v2'"),
+    ("demand named like a station setpoint", "compressor-id-collision",
+     "compressor 'C' and demand node 'C.ratio' share the input key 'C.ratio'"),
 ]
 
 

@@ -741,6 +741,28 @@ class TestMidpointStep:
             assert dmass == pytest.approx(dt * influx, rel=1e-9, abs=1e-6)
             x = x_new
 
+    @pytest.mark.parametrize("tag", ["none", "fc-av", "fc-am", "fp-av", "fp-am"])
+    def test_energy_ledger_per_step(self, tag):
+        # H is quadratic, so a midpoint step changes it by exactly dt times its
+        # rate at the midpoint state; at the step's midpoint unknowns
+        # power_terms splits that rate into port, station and friction powers
+        spec, scen = benchmark_with_model(tag)
+        g = gn.assemble(spec)
+        fn, _, _ = gn.bind_inputs(g, scen)
+        cfg = gn.SolverConfig(newton_abs_tol=1e-11)
+        x = gn.steady_state(g, fn(0.0), cfg)
+        dt, nz = 900.0, g.n_z
+        for i in range(int(scen.t_end / dt)):     # the day's four demand levels
+            x_new, _ = gn.step_midpoint(g, x, i * dt, dt, fn, cfg)
+            x_mid = np.concatenate([0.5 * (x[:nz] + x_new[:nz]), x_new[nz:]])
+            P = g.power_terms(x_mid, fn((i + 0.5) * dt))
+            supplied = P["boundary"] + P["compressor"] + P["internal"] - P["dissipation"]
+            dH = g.hamiltonian_total(x_new[:nz]) - g.hamiltonian_total(x[:nz])
+            scale = dt * max(abs(P[k]) for k in ("boundary", "compressor", "internal",
+                                                   "dissipation"))
+            assert abs(dH - dt * supplied) <= 1e-9 * scale
+            x = x_new
+
 
 class TestSimulate:
     def test_sample_counts(self):
