@@ -32,6 +32,7 @@ the coupling relations so every sample is internally consistent.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -226,9 +227,14 @@ def bind_inputs(gsys, scenario):
         if sources[s.id] is None:
             raise ConfigurationError(f"missing setpoint profile for compressor {s.id!r}")
 
+    # per input, its breakpoints and values as lists (a default: none and one
+    # value), sampled as `Scenario.value` does, by one bisect_right per input
+    tables = [(key, [], [src]) if not isinstance(src, str) else
+              (key, *(np.asarray(a, dtype=float).tolist() for a in scenario.profiles[src]))
+              for key, src in sources.items()]
+
     def input_fn(t):
-        return {key: (scenario.value(src, t) if isinstance(src, str) else src)
-                for key, src in sources.items()}
+        return {key: values[max(bisect_right(times, t) - 1, 0)] for key, times, values in tables}
 
     levels = {nd.id: scenario.max_abs(nd.id) if nd.kind is NodeKind.DEMAND
               else scenario.value(nd.id, 0.0) for nd in gsys.boundary}

@@ -417,6 +417,41 @@ class TestSetpointSource:
                 gn.bind_inputs(g, scen)
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_sampled_inputs_equal_scenario_value(seed, data):
+    # generated networks with random profiles and station defaults: bind_inputs'
+    # sampler gives Scenario.value at, and just either side of, every
+    # breakpoint, before the first and past the last
+    spec, _ = generated_network(seed)
+    floats = st.floats(-1e7, 1e7, allow_nan=False)
+
+    def profile():
+        times = sorted(data.draw(st.lists(st.floats(0.0, 1e5), min_size=1, max_size=5,
+                                          unique=True)))
+        return np.array(times), np.array(data.draw(st.lists(floats, min_size=len(times),
+                                                            max_size=len(times))))
+
+    profiles = {nd.id: profile() for nd in spec.nodes if nd.kind is not gn.NodeKind.JUNCTION}
+    for cs in spec.compressors:
+        cs.ratio, cs.pressure = data.draw(st.floats(1.0, 2.0)), data.draw(st.floats(1e5, 1e7))
+        key = data.draw(st.sampled_from([None, cs.id, f"{cs.id}.ratio", f"{cs.id}.pressure"]))
+        if key is not None:
+            profiles[key] = profile()
+    g = gn.assemble(spec)
+    scen = gn.Scenario(1e5, 100.0, profiles)
+    source = {nd.id: nd.id for nd in g.boundary}
+    source.update({s.id: scen.setpoint_source(s.id, s.variant.setpoint, s.default)
+                   for s in g.stations})
+    input_fn = gn.bind_inputs(g, scen)[0]
+    breaks = np.unique(np.concatenate([times for times, _ in profiles.values()]))
+    for t in np.concatenate([breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+                             [-1.0, breaks[-1] + 1.0]]).tolist():
+        want = {key: scen.value(src, t) if isinstance(src, str) else src
+                for key, src in source.items()}
+        assert input_fn(t) == want, t
+
+
 class TestTimeseriesCSV:
     def run_short(self):
         spec, scen = benchmark_with_model("fc-am")

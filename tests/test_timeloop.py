@@ -172,10 +172,17 @@ class TestBlockSolve:
                            match=re.escape(f"{names[segment[row]]} is singular")):
             self.dead_row_newton(g, row)
 
-    def test_singular_border_block_names_the_border(self, gas, factor_form):
+    @pytest.mark.parametrize("dead", [
+        pytest.param(lambda g: g.lam["d"], id="demand-node"),
+        # an inlet-port row, which a kept factor eliminates by its (here zero) pivot
+        pytest.param(lambda g: g.mu_p[0], id="inlet-port"),
+    ])
+    def test_singular_border_block_names_the_border(self, gas, factor_form, dead):
         g = single_pipe_system(gas, n_cells=40)
-        with pytest.raises(gn.FactorizationError, match="the border block .* is singular"):
-            self.dead_row_newton(g, g.lam["d"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(gn.FactorizationError, match="the border block .* is singular"):
+                self.dead_row_newton(g, dead(g))
 
     def test_segments_are_at_most_segment_cells_long(self, gas):
         # cut cells alternate with segments along each pipe, and a pipe no
@@ -233,6 +240,71 @@ def test_block_solve_matches_the_dense_reference(seed, demand, cells):
         dx_kept = blocks.BlockFactor(vals, colors.layout, -F, True).solve(-F)
         assert np.abs(dx - ref).max() <= 1e-10 * np.abs(ref).max()
         assert np.abs(dx - dx_kept).max() <= 1e-12 * np.abs(dx).max()
+
+
+class TestBorderElimination:
+    """A kept factor eliminates exactly the pipes' inlet-port rows mu_p - lambda(from) = 0."""
+
+    @staticmethod
+    def eliminated(g):
+        layout = g.jac_colors().layout
+        return layout.border[layout.elim]
+
+    @pytest.mark.parametrize("tag", ["none", "fc-av", "fc-am", "fp-av", "fp-am"])
+    @pytest.mark.parametrize("cells", [None, 256])
+    def test_day_line_eliminates_its_inlet_ports(self, tag, cells):
+        g = gn.assemble(_apply_model_override(benchmark_with_model(tag)[0], None, cells))
+        assert np.array_equal(self.eliminated(g), g.mu_p)
+
+    def test_generated_networks_eliminate_their_inlet_ports(self):
+        seen = set()
+        for seed in range(60):
+            spec, _ = generated_network(seed)
+            for cells in (None, SEGMENT_CELLS + 1):
+                g = gn.assemble(_apply_model_override(spec, None, cells))
+                assert np.array_equal(self.eliminated(g), g.mu_p), (seed, cells)
+            links = len(spec.pipes) + len(spec.compressors)
+            seen |= {"loop" if links >= len(spec.nodes) else "tree"}
+            seen |= {st.framework.value for st in spec.compressors}
+            supplies = {nd.id for nd in spec.nodes if nd.kind is gn.NodeKind.SUPPLY}
+            seen |= {"supply-end"} if any(pe.to_node in supplies for pe in spec.pipes) else set()
+        # every network has pipes fed by its supply n0; some also end at a second supply
+        assert seen == {"loop", "tree", "fc", "fp", "supply-end"}
+
+    def test_a_row_whose_partner_is_marked_too_stays(self):
+        # an all-border system: rows 0 and 1 read only their diagonal and each
+        # other, so neither is eliminated; row 2 reads only row 3's column
+        n = 4
+        pattern = [(0, 0), (0, 1), (1, 1), (1, 0), (2, 2), (2, 3), (3, 3), (3, 0), (3, 2)]
+        colors = blocks.color_columns(pattern, (np.full(n, -1), []))
+        layout = colors.layout
+        assert layout.elim.tolist() == [2] and layout.rest[layout.partner].tolist() == [3]
+        rng = np.random.default_rng(0)
+        J = np.zeros((n, n))
+        J[tuple(np.array(pattern).T)] = rng.uniform(1.0, 2.0, len(pattern))
+        rhs = rng.normal(size=n)
+        x = blocks.BlockFactor(J[colors.rows, colors.cols], layout, rhs, True).x
+        assert np.allclose(x, np.linalg.solve(J, rhs), rtol=1e-12, atol=0.0)
+
+    def test_kept_factor_inverts_the_border_without_inlet_ports(self):
+        # the ladder: 275 border unknowns, 96 of them inlet ports
+        g, scen = ladder_system()
+        fn, p_ref, m_ref = gn.bind_inputs(g, scen)
+        g.references = (p_ref, m_ref)
+        scale, inputs = g.row_scale(), fn(0.0)
+
+        def fun(v):
+            return g.steady_residual(v, inputs) / scale
+
+        x = g.initial_guess(inputs)
+        F, colors = fun(x), g.jac_colors()
+        nb, P = colors.layout.border.size, len(g.pipes)
+        assert np.array_equal(self.eliminated(g), g.mu_p) and (nb, P) == (275, 96)
+        vals = blocks.fd_jacobian(fun, x, F, colors)
+        kept = blocks.BlockFactor(vals, colors.layout, -F, True)
+        assert kept.Sinv.shape == (nb - P, nb - P)
+        dx = blocks.BlockFactor(vals, colors.layout, -F, False).x
+        assert np.abs(kept.x - dx).max() <= 1e-12 * np.abs(dx).max()
 
 
 def newton_peak_bytes(g):
