@@ -32,9 +32,11 @@ A zero pivot is a singular border block.
 
 The values are forward differences with the step ``FD_STEP`` (1 + |x_j|)
 (Curtis, Powell & Reid 1974): `color_columns` groups the columns that
-share no residual row, so one residual sweep per color fills all of its
-columns, and `fd_jacobian` reads every structural nonzero from the sweep of
-its column's color in one gather.
+share no residual row, greedily in one pass over per-row color masks, on a
+pattern deduplicated by a sort (``np.unique`` hashes, which is slower), so
+one residual sweep per color fills all of its columns, and `fd_jacobian`
+reads every structural nonzero from the sweep of its column's color in one
+gather.
 
 The chord slot is the coloring's ``factor``, a one-slot list: chord Newton
 (`timeloop.newton_solve`, above ``SolverConfig.sparse_threshold``) keeps its
@@ -270,35 +272,34 @@ class ColumnColoring(NamedTuple):
 def color_columns(pattern, segments) -> ColumnColoring:
     """Greedy structural coloring of a square pattern: same-color columns share no row.
 
-    Columns are taken by descending row count, each into the first color
-    whose rows it does not touch. A column's rows, and a color's, are held
-    as the bits of a Python int, so the overlap test is one ``&``; a
-    column's int is built when its turn comes, so only the colors' ints
-    stay alive. ``segments`` (module docstring) sizes the pattern and goes
-    to `block_layout`.
+    Columns are taken by descending row count, ties by index, each into the
+    first color that none of its rows holds. A row's colors are the bits of
+    a small Python int, so a column ORs its rows' masks, takes the lowest
+    clear bit and sets it in its rows. The pattern is deduplicated by a sort
+    and a neighbour mask, not by ``np.unique``, whose hash-table path (numpy
+    >= 2.3) is slower. ``segments`` (module docstring) sizes the pattern and
+    goes to `block_layout`.
     """
     n = segments[0].size
     ent = np.array(pattern, dtype=int).reshape(-1, 2)
-    cols, rows = np.divmod(np.unique(ent[:, 1] * n + ent[:, 0]), n)
-    rows_l = rows.tolist()
-    ptr = np.searchsorted(cols, np.arange(n + 1)).tolist()
-    occupied: list[int] = []     # per color, the rows its columns touch
-    color_of_col = np.empty(n, dtype=int)
-    for c in sorted(range(n), key=lambda c: ptr[c] - ptr[c + 1]):
-        bits = 0
-        for r in rows_l[ptr[c]:ptr[c + 1]]:
-            bits |= 1 << r
-        for ci, occ in enumerate(occupied):
-            if not occ & bits:
-                occupied[ci] = occ | bits
-                break
-        else:
-            ci = len(occupied)
-            occupied.append(bits)
-        color_of_col[c] = ci
-    return ColumnColoring([np.flatnonzero(color_of_col == ci) for ci in range(len(occupied))],
-                          rows, cols, color_of_col[cols], [None],
-                          block_layout(rows, cols, segments))
+    key = np.sort(ent[:, 1] * n + ent[:, 0])
+    cols, rows = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+    ptr = np.searchsorted(cols, np.arange(n + 1))
+    rows_l, ptr_l = rows.tolist(), ptr.tolist()
+    taken = [0] * n              # per row, the bits of the colors its columns took
+    color_of_col = [0] * n
+    for c in np.argsort(ptr[:-1] - ptr[1:], kind="stable").tolist():
+        col_rows = rows_l[ptr_l[c]:ptr_l[c + 1]]
+        used = 0
+        for r in col_rows:
+            used |= taken[r]
+        bit = ~used & (used + 1)     # the lowest clear bit: the first free color
+        for r in col_rows:
+            taken[r] |= bit
+        color_of_col[c] = bit.bit_length() - 1
+    color = np.array(color_of_col, dtype=int)
+    return ColumnColoring([np.flatnonzero(color == ci) for ci in range(color.max(initial=-1) + 1)],
+                          rows, cols, color[cols], [None], block_layout(rows, cols, segments))
 
 
 def fd_jacobian(fun, x, F0, coloring):

@@ -34,10 +34,16 @@ def require_positive(what: str, value) -> None:
 
 
 def require_column_id(what: str, ident: str) -> None:
-    """Raise ConfigurationError if ident, which names CSV columns, holds a ',' or a line break."""
+    """Raise ConfigurationError if ident, which names CSV columns, holds a ',' or a line
+    break, or is not UTF-8 text (a lone surrogate, which JSON can spell)."""
     if any(ch in ident for ch in ",\n\r"):
         raise ConfigurationError(f"{what} {ident!r}: an id names CSV columns and must not "
                                  "contain ',', '\\n' or '\\r'")
+    try:
+        ident.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigurationError(f"{what} {ident!r}: an id names CSV columns and must be "
+                                 "UTF-8 text") from None
 
 
 class NonconvergenceError(GasnetError):

@@ -303,9 +303,8 @@ def write_timeseries(ts: TimeSeries, destination) -> None:
 
     def render(handle):
         handle.write("time_s," + ",".join(ts.names) + "\n")
-        for i in range(ts.n_samples):
-            row = [f"{ts.t[i]:.12g}"] + [f"{v:.12g}" for v in ts.data[i]]
-            handle.write(",".join(row) + "\n")
+        row = ",".join(["%.12g"] * (1 + len(ts.names))) + "\n"
+        handle.writelines(row % tuple(v.tolist()) for v in np.column_stack([ts.t, ts.data]))
 
     if hasattr(destination, "write"):
         render(destination)

@@ -238,6 +238,31 @@ def one_block(n):
     return np.zeros(n, dtype=int), ["the system"]
 
 
+def reference_colors(pattern, n):
+    """The textbook greedy column coloring, as column groups: the oracle for `color_columns`.
+
+    Columns are taken by descending row count, ties by index, each into the
+    first color whose rows it does not touch. A column's rows, and a
+    color's, are the bits of one Python int, so the overlap test is one
+    ``&`` against every color in turn. ``pattern`` lists (row, column)
+    pairs, duplicates allowed.
+    """
+    bits = [0] * n
+    for r, c in np.asarray(pattern, dtype=int).reshape(-1, 2).tolist():
+        bits[c] |= 1 << r
+    occupied, groups = [], []    # per color, the rows its columns touch, and its columns
+    for c in sorted(range(n), key=lambda c: -bin(bits[c]).count("1")):
+        for ci, occ in enumerate(occupied):
+            if not occ & bits[c]:
+                occupied[ci] |= bits[c]
+                groups[ci].append(c)
+                break
+        else:
+            occupied.append(bits[c])
+            groups.append([c])
+    return [np.array(sorted(cols), dtype=int) for cols in groups]
+
+
 def dense_jacobian(fun, x, F0, coloring):
     """The colored FD Jacobian as a dense array: the gathered values scattered to (row, col)."""
     J = np.zeros((F0.size, x.size))

@@ -43,6 +43,24 @@ def test_validate_broken_file(files, tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", [("pipes", 0, "id"), ("compressors", 0, "id")])
+@pytest.mark.parametrize("command", ["validate", "steady", "run --dt 3600"])
+def test_id_that_is_not_utf8_text_exits_1_before_solving(files, tmp_path, capsys, path,
+                                                         command):
+    # a lone surrogate in an id is rejected when the file is read, not by
+    # the CSV writer after the whole solve
+    _, scn = files
+    bad = tmp_path / "bad.net.json"
+    bad.write_text(malformed_network(path, "we\ud800st"))
+    out = tmp_path / "o.csv"
+    verb, *flags = command.split()
+    argv = [verb, str(bad)] + ([] if verb == "validate" else [str(scn), "--out", str(out)])
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "UTF-8" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_unknown_flag_exits_64(files):
     net, scn = files
     assert main(["run", str(net), str(scn), "--frobnicate"]) == 64

@@ -124,6 +124,17 @@ def test_ids_that_would_split_a_csv_column_are_rejected(bad):
         gn.parse_network(malformed_network(("compressors", 0, "id"), bad))
 
 
+@pytest.mark.parametrize("bad", ["we\ud800st", "\udfff"])
+def test_ids_that_are_not_utf8_text_are_rejected(bad):
+    # JSON can spell a lone surrogate; such an id would solve the whole run
+    # and then fail to encode as a CSV column name
+    message = re.escape(f"{bad!r}: an id names CSV columns and must be UTF-8 text")
+    with pytest.raises(gn.FormatError, match=r"^pipes\[0\]: pipe " + message):
+        gn.parse_network(malformed_network(("pipes", 0, "id"), bad))
+    with pytest.raises(gn.FormatError, match=r"^compressors\[0\]: compressor " + message):
+        gn.parse_network(malformed_network(("compressors", 0, "id"), bad))
+
+
 # (path, new value, expected message): blocks and entries of the wrong JSON type
 STRUCTURE = [
     ((), 5, r"the top level must be an object, got a number"),
@@ -486,6 +497,32 @@ class TestTimeseriesCSV:
         gn.write_timeseries(ts, b)
         assert a.getvalue() == b.getvalue()
         assert "\r" not in a.getvalue()
+
+    @staticmethod
+    def per_value_csv(ts):
+        """The CSV rendered value by value, each with its own f-string."""
+        lines = ["time_s," + ",".join(ts.names)]
+        lines += [",".join([f"{ts.t[i]:.12g}"] + [f"{v:.12g}" for v in ts.data[i]])
+                  for i in range(ts.n_samples)]
+        return "\n".join(lines) + "\n"
+
+    def test_rows_equal_the_per_value_rendering_on_the_day_run(self, tmp_path):
+        spec, scen = benchmark_with_model("fc-am")
+        ts = gn.simulate(gn.assemble(spec), scen, gn.SolverConfig(dt=3600.0))
+        path = tmp_path / "day.csv"
+        gn.write_timeseries(ts, path)
+        assert path.read_bytes() == self.per_value_csv(ts).encode("utf-8")
+
+    def test_rows_equal_the_per_value_rendering_on_special_values(self):
+        values = [0.0, -0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0]
+        ts = gn.TimeSeries(np.array([0.0, 1.0 / 3.0, 1e300]), ["a", "b"],
+                           np.array(values[:6]).reshape(3, 2))
+        ts2 = gn.TimeSeries(np.array([-0.0]), [f"c{i}" for i in range(8)],
+                            np.array([values]))
+        for series in (ts, ts2):
+            buf = io.StringIO()
+            gn.write_timeseries(series, buf)
+            assert buf.getvalue() == self.per_value_csv(series)
 
     def test_round_trip_to_printed_precision(self, tmp_path):
         ts = self.run_short()

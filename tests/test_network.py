@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gasnetsim as gn
-from gasnetsim.cli import main
+from gasnetsim.cli import _apply_model_override, main
 from gasnetsim.compressor import Assumption, Framework
 from gasnetsim.blocks import FD_STEP, block_layout, color_columns, fd_jacobian
 
-from casekit import (GAS, PipeField, benchmark_with_model, consistent_state, csc_jacobian,
-                     dense_jacobian, direct_line, generated_network, incidence_matrices,
-                     ladder_system, oracle, pipe_rhs, power_terms_oracle, record_dict,
-                     single_pipe_system, station_ends)
+from casekit import (GAS, NET_JSON, PipeField, benchmark_with_model, consistent_state,
+                     csc_jacobian, dense_jacobian, direct_line, generated_network,
+                     incidence_matrices, ladder_system, one_block, oracle, pipe_rhs,
+                     power_terms_oracle, record_dict, reference_colors, single_pipe_system,
+                     station_ends)
 
 
 def pipe(i, n=8):
@@ -489,6 +490,53 @@ class TestJacobianColoring:
         J_dense = per_column_fd_jacobian(fun, zp, F0)
         J_color = dense_jacobian(fun, zp, F0, line.colors)
         assert np.abs(J_color - J_dense).max() <= 1e-6 * np.abs(J_dense).max()
+
+
+def assert_reference_coloring(pattern, segments):
+    """`color_columns` gives the reference greedy's groups, and no color's columns share a row."""
+    n = segments[0].size
+    coloring = color_columns(pattern, segments)
+    ref = reference_colors(pattern, n)
+    assert len(coloring.groups) == len(ref)
+    assert all(np.array_equal(a, b) for a, b in zip(coloring.groups, ref))
+    assert np.array_equal(np.sort(np.concatenate(coloring.groups + [np.zeros(0, int)])),
+                          np.arange(n))
+    for c in range(len(coloring.groups)):
+        rows = coloring.rows[coloring.color == c]
+        assert np.unique(rows).size == rows.size
+    return len(coloring.groups)
+
+
+class TestColorColumnsEqualsTheReferenceGreedy:
+    # the per-row color masks take the same colors as the textbook greedy
+    # (`casekit.reference_colors`), so the FD Jacobians stay bit for bit
+
+    @pytest.mark.parametrize("cells", [32, 256])
+    @pytest.mark.parametrize("tag", ["none", "fc-av", "fc-am", "fp-av", "fp-am"])
+    def test_day_line(self, tag, cells):
+        g = gn.assemble(_apply_model_override(gn.parse_network(NET_JSON), tag, cells))
+        assert assert_reference_coloring(g._pattern(), g._segments()) == 4
+
+    def test_ladder(self):
+        g, _ = ladder_system()
+        assert assert_reference_coloring(g._pattern(), g._segments()) == 5
+
+    def test_generated_networks(self):
+        counts = set()
+        for seed in range(200):
+            g = gn.assemble(generated_network(seed)[0])
+            counts.add(assert_reference_coloring(g._pattern(), g._segments()))
+        assert counts == {3, 4, 5, 6}
+
+    def test_empty_rows_and_columns_and_duplicates(self):
+        # rows 1, 3, 5 and columns 3, 5 hold nothing; (0, 1) is listed twice
+        pattern = [(0, 0), (0, 1), (2, 1), (2, 2), (4, 4), (0, 1)]
+        assert assert_reference_coloring(pattern, one_block(6)) == 2
+        assert [a.tolist() for a in color_columns(pattern, one_block(6)).groups] == \
+            [[1, 3, 4, 5], [0, 2]]
+
+    def test_no_unknowns(self):
+        assert assert_reference_coloring(np.zeros((0, 2), int), one_block(0)) == 0
 
 
 @pytest.mark.parametrize("tag", ["fc-av", "fc-am", "fp-av", "fp-am"])
