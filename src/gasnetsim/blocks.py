@@ -13,22 +13,16 @@ makes a system one block with an empty border.
 `block_layout` maps every structural nonzero into that form once per
 system: the segment blocks of one shape stack as [A | B] (B: each block's
 ports, the border columns its rows read), C stays as entries and D is a
-dense border block. `BlockFactor` solves A by blocks, one stacked LAPACK
-call per block shape, then the border's Schur complement S = D - C A^-1 B
-dense (block LU, Golub & Van Loan, Matrix Computations), so no n x n array
-is formed unless the system is one block, and nothing beyond numpy is
-imported. A one-use factor forms no inverse: one stacked
-``np.linalg.solve`` per shape gives A^-1 [B | rhs], then one dense solve
-with S. A kept factor holds the blocks' inverses and, for ``solve``, the
-inverse of S with the pipes' inlet-port rows eliminated first: a row
-``mu_p - lambda(from) = 0`` has no C entry and only two D entries, its
-diagonal and one other border column, its partner. `block_layout` marks
-every border row of that form whose partner is not marked itself (the
-``mu_p`` rows, P of them, in the network's structure), and the kept factor
-eliminates each by its diagonal pivot, so it inverts S' = S_RR - S_RE
-D^-1 S_ER over the other nb - P unknowns R only (179 of 275 on the
-benchmark's ladder) and back-substitutes x_E = (g_E - s x_R[partner]) / d.
-A zero pivot is a singular border block.
+dense border block. A port is a (segment, border column) pair, so a
+border column that several segments read (a node potential that is the
+inlet pressure of several pipes) is a port of each. `BlockFactor` solves A
+by blocks, one stacked LAPACK call per block shape, then the border's Schur
+complement S = D - C A^-1 B dense (block LU, Golub & Van Loan, Matrix
+Computations), so no n x n array is formed unless the system is one block,
+and nothing beyond numpy is imported. A one-use factor forms no inverse:
+one stacked ``np.linalg.solve`` per shape gives A^-1 [B | rhs], then one
+dense solve with S. A kept factor holds the blocks' inverses and, for
+``solve``, the inverse of S.
 
 The values are forward differences with the step ``FD_STEP`` (1 + |x_j|)
 (Curtis, Powell & Reid 1974): `color_columns` groups the columns that
@@ -185,22 +179,13 @@ class SegmentGroup(NamedTuple):
 
 
 class BlockLayout(NamedTuple):
-    """Where each structural Jacobian entry goes in the bordered block form (module docstring).
-
-    ``elim`` are the border rows a kept factor eliminates before it inverts
-    S (module docstring), ``rest`` the others, and ``partner[k]`` the place
-    in ``rest`` of the one border column that row ``elim[k]`` reads beside
-    its diagonal.
-    """
+    """Where each structural Jacobian entry goes in the bordered block form (module docstring)."""
 
     border: np.ndarray      # the border's unknowns, ascending
     groups: list[SegmentGroup]
     d_entry: np.ndarray     # D's entries ...
     d_at: np.ndarray        # ... and their flat places in the (nb, nb) border block
     names: list[str]        # per segment, for error messages
-    elim: np.ndarray        # border places, ascending
-    rest: np.ndarray        # border places, ascending
-    partner: np.ndarray     # per elim row, a place in rest
 
 
 def block_layout(rows, cols, segments) -> BlockLayout:
@@ -208,20 +193,24 @@ def block_layout(rows, cols, segments) -> BlockLayout:
 
     ``segments`` is (segment, names) (module docstring). Every entry
     between two segments must be zero, so segments couple only through the
-    border.
+    border. Each port, a (segment, border column) pair, is a column slot
+    n + i of its segment's stack.
     """
     segment, names = segments
-    border = np.flatnonzero(segment < 0)
+    n, border = segment.size, np.flatnonzero(segment < 0)
     place = _places(segment)     # in its segment, or on the border
     size = np.bincount(segment[segment >= 0], minlength=len(names))
     row_seg, col_seg = segment[rows], segment[cols]
     port = (row_seg >= 0) & (col_seg < 0)
-    p_seg, p_col = np.divmod(np.unique(row_seg[port] * segment.size + cols[port]), segment.size)
-    col_block, col_place = segment.copy(), place.copy()
-    col_block[p_col] = p_seg
-    col_place[p_col] = size[p_seg] + np.arange(p_seg.size) - np.searchsorted(p_seg, p_seg)
+    pairs, slot = np.unique(row_seg[port] * n + cols[port], return_inverse=True)
+    p_seg, p_col = np.divmod(pairs, n)
+    col_block = np.concatenate([segment, p_seg])
+    col_place = np.concatenate([place, size[p_seg] + np.arange(p_seg.size)
+                                - np.searchsorted(p_seg, p_seg)])
+    slots = cols.copy()
+    slots[port] = n + slot
     on_border = row_seg < 0
-    stacks = stack_by_shape(segment, place, col_block, col_place, rows, cols)
+    stacks = stack_by_shape(segment, place, col_block, col_place, rows, slots)
     group, rank = np.full(len(names) + 1, -1), np.full(len(names) + 1, -1)
     for i, g in enumerate(stacks):
         group[g.blocks], rank[g.blocks] = i, np.arange(g.blocks.size)
@@ -229,26 +218,14 @@ def block_layout(rows, cols, segments) -> BlockLayout:
     groups = []
     for i, g in enumerate(stacks):
         L = g.R.shape[1]
-        ports = place[g.C[:, L:]]
+        ports = place[p_col[g.C[:, L:] - n]]
         c = c_all[group[col_seg[c_all]] == i]
         k = rank[col_seg[c]]
         c_row = place[rows[c]]
         groups.append(SegmentGroup(g, ports, c, c_row, k * L + place[cols[c]],
                                    c_row[:, None] * border.size + ports[k]))
     d = np.flatnonzero(on_border & (col_seg < 0))
-    d_row, d_col = place[rows[d]], place[cols[d]]
-    # a row with no C entry whose two D entries are its diagonal and one
-    # unmarked column is eliminated by its diagonal pivot
-    nb, diag = border.size, d_row == d_col
-    pair = ((np.bincount(place[rows[c_all]], minlength=nb) == 0)
-            & (np.bincount(d_row, minlength=nb) == 2)
-            & (np.bincount(d_row[diag], minlength=nb) == 1))
-    other = np.zeros(nb, dtype=int)
-    other[d_row[~diag]] = d_col[~diag]
-    marked = pair & ~pair[other]
-    elim, rest = np.flatnonzero(marked), np.flatnonzero(~marked)
-    return BlockLayout(border, groups, d, d_row * nb + d_col, names,
-                       elim, rest, (np.cumsum(~marked) - 1)[other[elim]])
+    return BlockLayout(border, groups, d, place[rows[d]] * border.size + place[cols[d]], names)
 
 
 class ColumnColoring(NamedTuple):
@@ -351,10 +328,8 @@ class BlockFactor:
 
     The gathered values scatter straight into the stacks [A | B], C's
     entries and D. A one-use factor (``keep`` false) solves at once; a kept
-    one holds the inverses, and ``solve`` serves later right-hand sides.
-    A kept factor first eliminates the layout's ``elim`` rows E, each by its
-    diagonal pivot d, from S: the rest R keep S' = S_RR - S_RE D^-1 S_ER,
-    which changes only the partners' columns, and S' alone is inverted.
+    one holds the inverses of the blocks and of S, and ``solve`` serves
+    later right-hand sides.
     """
 
     def __init__(self, vals, layout, rhs, keep):
@@ -366,35 +341,20 @@ class BlockFactor:
             k, L, p = Y.shape
             np.subtract.at(S, sg.c_S, c[:, None] * Y.reshape(k * L, p)[sg.c_col])
         if keep:
-            S = S.reshape(nb, nb)
-            e, r, partner = layout.elim, layout.rest, layout.partner
-            d = S[e, e]
-            if not d.all():
-                raise FactorizationError(
-                    f"Jacobian factorization failed: {_border_name(nb)} is singular")
-            s, S = S[e, r[partner]], S.take(r, 0)     # S_ER's entries; S's R rows
-            V, S = S.take(e, 1) / d, S.take(r, 1)      # S_RE D^-1; S_RR
-            # S_RR[:, partner[k]] -= V[:, k] s[k], partners repeating
-            np.subtract.at(S.ravel(), (np.arange(0, S.size, r.size)[:, None] + partner).ravel(),
-                           (V * s).ravel())
-            self.Sinv, self.elimination = _lapack(S, None, [_border_name(nb)]), (V, s, d)
+            self.Sinv = _lapack(S.reshape(nb, nb), None, [_border_name(nb)])
             del S       # before the solve, so a kept factor peaks no higher than its inverses
         self.x = self.solve(rhs) if keep else self.solve(rhs, [y for y, _, _ in self.parts], S)
 
     def solve(self, rhs, ys=None, S=None):
         """J^-1 rhs on a kept factor; a one-use one passes each stack's A^-1 rhs and flat S."""
-        layout = self.layout
-        border, groups = layout.border, list(zip(layout.groups, self.parts))
+        border, groups = self.layout.border, list(zip(self.layout.groups, self.parts))
         if ys is None:
             ys = [(Ainv @ rhs[sg.stack.R][:, :, None])[:, :, 0] for sg, (Ainv, _, _) in groups]
         g = rhs[border]
         for (sg, (_, _, c)), y in zip(groups, ys):
             g = g - np.bincount(sg.c_row, c * y.ravel()[sg.c_col], minlength=border.size)
         if S is None:
-            (V, s, d), g_e = self.elimination, g[layout.elim]
-            xb = np.empty(g.size)
-            xb[layout.rest] = x_r = self.Sinv @ (g[layout.rest] - V @ g_e)
-            xb[layout.elim] = (g_e - s * x_r[layout.partner]) / d
+            xb = self.Sinv @ g
         else:
             xb = _lapack(S.reshape(g.size, g.size), g[:, None], [_border_name(g.size)])[:, 0]
         x = np.empty(rhs.size)

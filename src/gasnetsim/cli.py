@@ -1,8 +1,9 @@
 """Command-line interface: validate topologies, solve steady states, run transients.
 
-Exit codes: 0 success, 1 validation/configuration error, 2 solver
-failure (nonconvergence, a singular Jacobian or an inadmissible state),
-64 usage error. A solver failure prints one line, `solver aborted: <message>`.
+Exit codes: 0 success, 1 validation/configuration error or a system too
+large for memory, 2 solver failure (nonconvergence, a singular Jacobian or
+an inadmissible state), 64 usage error. A solver failure prints one line,
+`solver aborted: <message>`; exit 1 prints one line, `error: <message>`.
 """
 
 from __future__ import annotations
@@ -146,6 +147,9 @@ def main(argv=None) -> int:
         return EXIT_SOLVER_FAILED
     except GasnetError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INVALID
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'an allocation failed'}\n")
         return EXIT_INVALID
     return EXIT_USAGE
 

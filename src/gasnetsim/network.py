@@ -1,20 +1,22 @@
 """Network topology and the assembled global DAE.
 
-Unknown vector layout (length = sum(2 n_cells) + 2 * n_pipes + n_nodes):
+Unknown vector layout (length = sum(2 n_cells) + n_pipes + n_nodes):
 
-    x = [ z | mu | lambda ]
+    x = [ z | mu_m | lambda ]
 
     z       all pipe differential states, pipe by pipe (densities then momenta)
-    mu      one input pair per pipe: (inlet pressure, minus outlet momentum)
+    mu_m    one outlet input per pipe: minus its outlet momentum
     lambda  one pressure-valued potential per node, ordered boundary nodes
             first, then station end nodes (per station in declaration
             order, inlet before outlet), then the other junctions
 
-Residual rows mirror it: row i pairs with unknown i.
+A pipe's inlet-pressure input is the potential of the node it starts at,
+lambda(from-node), read in place (`GlobalSystem.p_in`); it has no unknown
+of its own. Residual rows mirror x: row i pairs with unknown i.
 
-    pipe rows:  W dz/dt - (J - R(z)) e(z) - B mu          (one per state)
-    port rows:  at mu_p:  mu_p - lambda(from-node)
-                at mu_m:  p_out(z) - lambda(to-node)
+    pipe rows:  W dz/dt - (J - R(z)) e(z) - B mu          (one per state,
+                mu = (lambda(from-node), mu_m))
+    port rows:  at mu_m:  p_out(z) - lambda(to-node)
     node rows:  supply:   lambda - p_set(t)
                 demand:   sum(outlet fluxes) - sum(inlet fluxes) - m_out(t)
                 junction: the same balance with zero extraction
@@ -35,8 +37,8 @@ lists two entries of K:
     continuity   dx rho_i' + (s x[down] - m_i)     down = m_(i+1) with s = 1,
                                                    or mu_m with s = -1 at the last cell
     momentum     w m_i' + (c^2 rho_i - a x[up]) + w f_i
-                 up = rho_(i-1) with a = c^2, or mu_p with a = 1 at the
-                 inlet, where w = dx/2 (dx elsewhere)
+                 up = rho_(i-1) with a = c^2, or lambda(from-node) with
+                 a = 1 at the inlet, where w = dx/2 (dx elsewhere)
 
 The pipe bank (`PipeBank`), index and weight arrays built once per
 system, gives W and f; the stored energy and `GlobalSystem.power_terms`
@@ -308,7 +310,7 @@ class PipeBank(NamedTuple):
 
 
 class _AlgebraicMap(NamedTuple):
-    """M (the coupling's (mu, lambda) columns), its pseudo-inverse P, and the rest.
+    """M (the coupling's (mu_m, lambda) columns), its pseudo-inverse P, and the rest.
 
     Rows, and M's columns, are shifted to the algebraic block.
     """
@@ -321,9 +323,10 @@ class _AlgebraicMap(NamedTuple):
 class GlobalSystem:
     """Assembled network DAE with residual, Jacobian pattern and diagnostics.
 
-    x = [z | mu | lambda] (module docstring): z holds every pipe's densities
-    then momenta, pipe by pipe; mu_p and mu_m (inlet pressure, minus outlet
-    momentum) follow it, pipe by pipe, then one potential per node.
+    x = [z | mu_m | lambda] (module docstring): z holds every pipe's
+    densities then momenta, pipe by pipe; mu_m (minus the outlet momentum)
+    follows it, one per pipe, then one potential per node. ``p_in[k]`` is
+    the column of pipe k's inlet pressure, its from-node's potential.
     """
 
     def __init__(self, spec: NetworkSpec):
@@ -341,8 +344,7 @@ class GlobalSystem:
             off += 2 * p.n_cells
         self.n_z = off
         P = len(self.pipes)
-        self.mu_p = off + 2 * np.arange(P)
-        self.mu_m = self.mu_p + 1
+        self.mu_m = off + np.arange(P)
         self.bank = self._build_bank()
         # the cell-measure weights W of H and of the pipe rows
         self.energy_weights = np.empty(self.n_z)
@@ -359,8 +361,9 @@ class GlobalSystem:
         self.node_order = (self.boundary + [by_id[nid] for nid in ends]
                            + [nd for nd in spec.nodes if nd.kind is NodeKind.JUNCTION
                               and nd.id not in self.station_ends])
-        self.lam = {nd.id: self.n_z + 2 * P + i for i, nd in enumerate(self.node_order)}
-        self.n_alg = 2 * P + len(self.node_order)
+        self.lam = {nd.id: self.n_z + P + i for i, nd in enumerate(self.node_order)}
+        self.p_in = np.array([self.lam[pe.from_node] for pe in spec.pipes], dtype=int)
+        self.n_alg = P + len(self.node_order)
         self.n = self.n_z + self.n_alg
 
         # per-node attachments: (pipe index, is_outlet)
@@ -387,7 +390,7 @@ class GlobalSystem:
         kind = np.empty(self.n, dtype="U1")
         kind[self.bank.rho] = "m"   # mass rows carry momentum-flux units
         # momentum, port and pressure-rule rows carry pressure units
-        kind[self.bank.mom] = kind[self.mu_p] = kind[self.mu_m] = "p"
+        kind[self.bank.mom] = kind[self.mu_m] = "p"
         for nd in self.node_order:
             kind[self.lam[nd.id]] = "p" if nd.id in self.pressure_rule else "m"
         self.row_kind = kind
@@ -426,12 +429,9 @@ class GlobalSystem:
         last, pipe, one = np.roll(first, -1), np.cumsum(first) - 1, np.ones(b.rho.size)
         # continuity: s x[down] - m_i; momentum: c^2 rho_i - a x[up]
         down = np.where(last, self.mu_m[pipe], b.mom + 1)
-        up = np.where(first, self.mu_p[pipe], b.rho[b.prev])
-        mu_p, mu_m, m_in = self.mu_p.tolist(), self.mu_m.tolist(), b.m_in.tolist()
-        ent = []
-        for k, pe in enumerate(self.spec.pipes):
-            ent += [(mu_p[k], mu_p[k], 1), (mu_p[k], lam[pe.from_node], -1),
-                    (mu_m[k], lam[pe.to_node], -1)]
+        up = np.where(first, self.p_in[pipe], b.rho[b.prev])
+        mu_m, m_in = self.mu_m.tolist(), b.m_in.tolist()
+        ent = [(mu_m[k], lam[pe.to_node], -1) for k, pe in enumerate(self.spec.pipes)]
         for i, nd in enumerate(self.node_order):
             r = lam[nd.id]
             if nd.kind in BOUNDARY_KINDS:   # the boundary leads node_order and u alike
@@ -571,7 +571,7 @@ class GlobalSystem:
         floor(j (n + 1) / s) to floor((j + 1) (n + 1) / s) - 1. A cell's
         density and momentum share its label. A segment's rows read only
         its own cells and two border columns (the density before it and
-        the momentum after it, or the pipe's mu_p and mu_m), so with the cut
+        the momentum after it, or the pipe's p_in and mu_m), so with the cut
         cells and the algebraic unknowns as the border, the Jacobian is
         block diagonal over the segments.
         """
@@ -602,11 +602,11 @@ class GlobalSystem:
     def _algebraic_map(self) -> _AlgebraicMap:
         """K's port and node rows split at the algebraic columns, with M's pseudo-inverse.
 
-        M, the port/node rows' matrix in (mu, lambda), is constant, so all
+        M, the port/node rows' matrix in (mu_m, lambda), is constant, so all
         of it is built once per system; only the rest's values depend on z
-        and the inputs. M falls apart into small blocks (a port pair, a node
-        with its links, a station), so the pseudo-inverse is taken block by
-        block (`blockwise_pinv`) and kept as triplets. The cutoff is
+        and the inputs. M falls apart into small blocks (a node with the pipe
+        outlets that end at it, a station), so the pseudo-inverse is taken
+        block by block (`blockwise_pinv`) and kept as triplets. The cutoff is
         lstsq's, max(shape) * eps, so a singular matrix (pipes merging at a
         junction) gets the minimum-norm correction.
         """
@@ -621,7 +621,7 @@ class GlobalSystem:
         return self._alg_map
 
     def algebraic_solve(self, z, inputs, anchor=None):
-        """Solve the port/node rows for (mu, lambda) at a frozen state z.
+        """Solve the port/node rows for (mu_m, lambda) at a frozen state z.
 
         The rows are linear in the algebraic unknowns with a constant matrix;
         its pseudo-inverse gives the coupling-consistent port values used for
@@ -635,7 +635,7 @@ class GlobalSystem:
         u = self._input_vector(inputs)
         a, na = self._algebraic_map(), self.n_alg
         anchored = np.zeros(na) if anchor is None else np.asarray(anchor, float)[-na:]
-        # the rows at zero (mu, lambda): M (mu, lambda) = -F0
+        # the rows at zero (mu_m, lambda): M (mu_m, lambda) = -F0
         F0 = a.rest.matvec(np.concatenate([z, anchored, u]), na)
         self._add_state_terms(F0, z, u, self.n_z)
         alg = anchored + a.P.matvec(-F0 - a.M.matvec(anchored, na), na)
@@ -659,7 +659,7 @@ class GlobalSystem:
         return self._records(x, self._input_vector(inputs)), x
 
     def _records(self, x, u):
-        """Port pressures/momenta, total energy and station powers at x = [z | mu ...]."""
+        """Port pressures/momenta, total energy and station powers at x = [z | mu_m | lambda]."""
         b = self.bank
         z = x[: self.n_z]
         p_out = self._outlet_pressures(z)
@@ -668,7 +668,7 @@ class GlobalSystem:
                                 z[b.m_in[s.pipe_down]])
                   for s in self.stations]
         return np.concatenate([
-            np.column_stack([x[self.mu_p], z[b.m_in], p_out, -x[self.mu_m]]).ravel(),
+            np.column_stack([x[self.p_in], z[b.m_in], p_out, -x[self.mu_m]]).ravel(),
             [self.hamiltonian_total(z)], powers])
 
     def effort_vector(self, z):
@@ -732,7 +732,7 @@ class GlobalSystem:
                          + [bucket[pe.to_node] for pe in pipes])
         # inlet: p_in m(0); outlet: the conjugate pressure times minus the flux -mu_m;
         # summed exactly, because inlet and outlet powers nearly cancel
-        power = np.concatenate([x[self.mu_p] * z[b.m_in], self.gas.c2 * z[b.tail] * x[self.mu_m]])
+        power = np.concatenate([x[self.p_in] * z[b.m_in], self.gas.c2 * z[b.tail] * x[self.mu_m]])
         parts = {name: math.fsum(power[ports == i].tolist())
                  for i, name in enumerate(("boundary", "compressor", "internal"))}
         mom = z[b.mom]
@@ -800,7 +800,7 @@ class GlobalSystem:
     def initial_guess(self, inputs0):
         """Kirchhoff flow start: supply density and potentials, linear-resistance flows.
 
-        Densities, inlet pressures and node potentials start at the first
+        Densities and node potentials (so inlet pressures) start at the first
         supply's pressure. Every pipe's momenta and its -mu_m start at its
         Kirchhoff flow (`_flow_map`), which meets every demand and junction
         balance with the stations taken as plain junctions. Where a pipe's
@@ -817,7 +817,6 @@ class GlobalSystem:
         x = np.empty(self.n)
         x[self.bank.rho] = p_ref / self.gas.c2
         x[self.bank.mom] = q[cell_pipe]
-        x[self.mu_p] = p_ref
         x[self.mu_m] = -q
         x[self.n - len(self.node_order):] = p_ref   # node potentials
         return x

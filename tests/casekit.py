@@ -88,7 +88,7 @@ PARALLEL_SCN_JSON = """{"t_end": 3600, "dt": 600, "units": {"pressure": "bar"},
                         "profiles": {"s": [[0, 50.0]], "d": [[0, 0.0]]}}
 """
 
-PARALLEL_SINGULAR = ("Jacobian factorization failed: the border block (12 unknowns) "
+PARALLEL_SINGULAR = ("Jacobian factorization failed: the border block (8 unknowns) "
                      "is singular")
 
 
@@ -148,13 +148,14 @@ def station_ends(spec):
 def incidence_matrices(g):
     """0/1 incidence of pipe ports onto boundary, compressor and internal nodes.
 
-    Read from the assembled coupling: the -1 entries of pipe k's mu_p and
-    mu_m rows name its from-node and to-node. Columns are the pipe ports,
-    inlet then outlet per pipe; rows are the nodes of each class in the
-    system's node order.
+    Read from the assembled coupling: the node-potential entry of pipe k's
+    first momentum row names its from-node, and the -1 entry of its mu_m
+    row its to-node. Columns are the pipe ports, inlet then outlet per pipe;
+    rows are the nodes of each class in the system's node order.
     """
     c = g.coupling
-    port = {r: i for i, r in enumerate(np.column_stack([g.mu_p, g.mu_m]).ravel().tolist())}
+    first_mom = [sl.start for sl in g.mom_sl]
+    port = {r: i for i, r in enumerate(np.column_stack([first_mom, g.mu_m]).ravel().tolist())}
     node = {g.lam[nd.id]: i for i, nd in enumerate(g.node_order)}
     A = np.zeros((len(node), len(port)), dtype=int)
     for r, col, v in zip(c.rows.tolist(), c.cols.tolist(), c.vals.tolist()):
@@ -450,7 +451,7 @@ def power_terms_oracle(g, x, inputs):
                 m_L = -x[g.mu_m[k]]
                 parts[bucket] += -p.conjugate_outlet_pressure(z[g.rho_sl[k]]) * m_L
             else:
-                parts[bucket] += x[g.mu_p[k]] * z[g.mom_sl[k]][0]
+                parts[bucket] += x[g.p_in[k]] * z[g.mom_sl[k]][0]
     parts["dissipation"] = sum(
         oracle(g, k).dissipation_rate(z[g.rho_sl[k]], z[g.mom_sl[k]])
         for k in range(len(g.pipes)))
@@ -685,7 +686,7 @@ def bench_workloads():
 
 
 def ladder_system(seed=301):
-    """The benchmark's looped 8-station ladder (n = 2963) with its scenario."""
+    """The benchmark's looped 8-station ladder (n = 2867) with its scenario."""
     case = bench_workloads().ladder_case(seed)
     spec = gn.parse_network(case.network)
     return gn.assemble(spec), gn.parse_scenario(case.scenario, spec)

@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -299,17 +300,8 @@ def test_malformed_structure_validate_exits_1(tmp_path, capsys, path, value, key
     assert err.startswith("error: ") and key in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("cells", [256, 600])
-def test_day_line_imports_no_scipy(tmp_path, cells):
-    # the day line at 256 cells (n = 1032) lies below the sparse threshold
-    # (full Newton), at 600 (n = 2408) above it (chord Newton); at both every
-    # Newton step runs on the block factor, so the run never imports
-    # scipy.sparse.linalg (about 30 MB), nor any other scipy module
-    n = gn.assemble(_apply_model_override(gn.parse_network(NET_JSON), None, cells)).n
-    assert (n > gn.SolverConfig.sparse_threshold) == (cells == 600)
-    net, scn, out = tmp_path / "yamal.net.json", tmp_path / "day.scn.json", tmp_path / "o.csv"
-    net.write_text(NET_JSON)
-    scn.write_text(SCN_JSON)
+def run_cli_process(args, preexec_fn=None):
+    """`main(args)` in a fresh interpreter on this tree; stdout's last line: scipy's modules."""
     code = ("import sys\n"
             "from gasnetsim.cli import main\n"
             "status = main(sys.argv[1:])\n"
@@ -318,9 +310,23 @@ def test_day_line_imports_no_scipy(tmp_path, cells):
     src = str(Path(gn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code, "run", str(net), str(scn),
-                           "--cells", str(cells), "--dt", "900", "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=300, preexec_fn=preexec_fn)
+
+
+@pytest.mark.parametrize("cells", [256, 600])
+def test_day_line_imports_no_scipy(tmp_path, cells):
+    # the day line at 256 cells (n = 1030) lies below the sparse threshold
+    # (full Newton), at 600 (n = 2406) above it (chord Newton); at both every
+    # Newton step runs on the block factor, so the run never imports
+    # scipy.sparse.linalg (about 30 MB), nor any other scipy module
+    n = gn.assemble(_apply_model_override(gn.parse_network(NET_JSON), None, cells)).n
+    assert (n > gn.SolverConfig.sparse_threshold) == (cells == 600)
+    net, scn, out = tmp_path / "yamal.net.json", tmp_path / "day.scn.json", tmp_path / "o.csv"
+    net.write_text(NET_JSON)
+    scn.write_text(SCN_JSON)
+    proc = run_cli_process(["run", str(net), str(scn), "--cells", str(cells), "--dt", "900",
+                            "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     assert gn.read_timeseries(out).t.size == 97      # 24 h at dt 900
     imported = ast.literal_eval(proc.stdout.splitlines()[-1])
@@ -365,6 +371,30 @@ def test_step_count_the_records_cannot_hold_exits_1(tmp_path, capsys, dt, steps)
     assert main(["run", str(net), str(scn), "--dt", dt, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (f"error: t_end=86400 s at dt={dt} s gives {steps} steps, "
                                        "more than the records can hold\n")
+    assert not out.exists()
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_cell_count_the_machine_cannot_hold_exits_1(tmp_path, where):
+    # 10**12 cells per pipe ask numpy for terabytes, in a process whose
+    # address space is capped at 2 GiB: the request fails at once, without
+    # touching memory, and the run exits 1 with one line and no CSV
+    doc = json.loads(NET_JSON)
+    if where == "file":
+        for pipe in doc["pipes"]:
+            pipe["cells"] = 10**12
+    net, scn, out = tmp_path / "yamal.net.json", tmp_path / "day.scn.json", tmp_path / "o.csv"
+    net.write_text(json.dumps(doc))
+    scn.write_text(SCN_JSON)
+    flag = ["--cells", str(10**12)] if where == "flag" else []
+    proc = run_cli_process(["run", str(net), str(scn), *flag, "--out", str(out)],
+                           preexec_fn=_cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert re.fullmatch(r"error: out of memory: Unable to allocate [\d.]+ TiB .*\n", proc.stderr)
     assert not out.exists()
 
 

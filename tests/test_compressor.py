@@ -107,7 +107,7 @@ class TestCouplingMatrix:
         spec, _, line, _ = direct_line("fc-am", cells=(6, 6))
         g = gn.assemble(spec)
         up = line.pipes[0]
-        ports = np.column_stack([g.mu_p, g.mu_m]).ravel()
+        ports = np.column_stack([g.p_in, g.mu_m]).ravel()
         for _ in range(5):
             z = np.concatenate([rng.uniform(30.0, 60.0, 6), rng.normal(0.0, 300.0, 6),
                                 rng.uniform(30.0, 60.0, 6), rng.normal(0.0, 300.0, 6)])

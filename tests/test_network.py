@@ -113,7 +113,7 @@ def reference_residual(g, x, zdot, inputs):
         p = oracle(g, k)
         rho = x[g.rho_sl[k]]
         mom = x[g.mom_sl[k]]
-        mu_p = x[g.mu_p[k]]
+        p_in = x[g.lam[g.spec.pipes[k].from_node]]   # the inlet reads its node's potential
         mu_m = x[g.mu_m[k]]
         pres = p.c2 * rho
         dx = p.dx
@@ -125,11 +125,10 @@ def reference_residual(g, x, zdot, inputs):
 
         rows = F[g.mom_sl[k]]
         fric = p.friction_force(rho, mom)
-        rows[0] = 0.5 * dx * zdot[g.mom_sl[k]][0] + (pres[0] - mu_p) \
+        rows[0] = 0.5 * dx * zdot[g.mom_sl[k]][0] + (pres[0] - p_in) \
             + 0.5 * dx * fric[0]
         rows[1:] = dx * zdot[g.mom_sl[k]][1:] + np.diff(pres) + dx * fric[1:]
 
-        F[g.mu_p[k]] = mu_p - x[g.lam[g.spec.pipes[k].from_node]]
         F[g.mu_m[k]] = (1.5 * pres[-1] - 0.5 * pres[-2]) \
             - x[g.lam[g.spec.pipes[k].to_node]]
 
@@ -189,11 +188,9 @@ def reference_pattern(g):
             ent.append((row, r0 + i))
             ent.append((row, m0 + i))
             ent.append((row, m0 + i + 1 if i + 1 < n else g.mu_m[k]))
-        ent += [(m0, m0), (m0, r0), (m0, g.mu_p[k])]
+        ent += [(m0, m0), (m0, r0), (m0, g.lam[g.spec.pipes[k].from_node])]
         for j in range(1, n):
             ent += [(m0 + j, m0 + j), (m0 + j, r0 + j - 1), (m0 + j, r0 + j)]
-        ent += [(g.mu_p[k], g.mu_p[k]),
-                (g.mu_p[k], g.lam[g.spec.pipes[k].from_node])]
         ent += [(g.mu_m[k], r0 + n - 1), (g.mu_m[k], r0 + n - 2),
                 (g.mu_m[k], g.lam[g.spec.pipes[k].to_node])]
     ends = station_ends(g.spec)
@@ -369,7 +366,7 @@ class TestIncidence:
 class TestAssemble:
     def test_unknown_count(self):
         g = gn.assemble(star_network_spec())
-        assert g.n == 4 * (2 * 8) + 2 * 4 + 6
+        assert g.n == 4 * (2 * 8) + 4 + 6
 
     def test_residual_linear_in_algebraic_unknowns(self):
         g = gn.assemble(star_network_spec())
@@ -753,7 +750,7 @@ class TestPipeBank:
         for k in range(len(g.pipes)):
             p = oracle(g, k)
             rates, _ = pipe_rhs(p, PipeField(x[g.rho_sl[k]], x[g.mom_sl[k]]),
-                                (x[g.mu_p[k]], x[g.mu_m[k]]))
+                                (x[g.lam[g.spec.pipes[k].from_node]], x[g.mu_m[k]]))
             rates = np.concatenate([rates.rho, rates.mom])
             rows = slice(g.rho_sl[k].start, g.mom_sl[k].stop)
             W = p.weights
