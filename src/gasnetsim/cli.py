@@ -1,8 +1,9 @@
 """Command-line interface: validate topologies, solve steady states, run transients.
 
 Exit codes: 0 success, 1 validation/configuration error or a system too
-large for memory, 2 solver failure (nonconvergence, a singular Jacobian or
-an inadmissible state), 64 usage error. A solver failure prints one line,
+large for memory, 2 solver failure (nonconvergence, a singular Jacobian, a
+steady demand that cannot be carried or an inadmissible state), 64 usage
+error. A solver failure prints one line,
 `solver aborted: <message>`; exit 1 prints one line, `error: <message>`.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import (ConfigurationError, FactorizationError, GasnetError,
-                     NonconvergenceError, StateError)
+                     InfeasibleFlowError, NonconvergenceError, StateError)
 from .formats import parse_network, parse_scenario, run_report, write_timeseries
 from .network import assemble, fuse_compressors, require_valid
 from .timeloop import SolverConfig, simulate
@@ -142,7 +143,7 @@ def main(argv=None) -> int:
             return _solve(args, transient=False)
         if args.command == "run":
             return _solve(args, transient=True)
-    except (NonconvergenceError, StateError, FactorizationError) as exc:
+    except (NonconvergenceError, StateError, FactorizationError, InfeasibleFlowError) as exc:
         sys.stderr.write(f"solver aborted: {exc}\n")
         return EXIT_SOLVER_FAILED
     except GasnetError as exc:

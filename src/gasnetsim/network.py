@@ -59,6 +59,16 @@ for the residual and the algebraic solve alike.
 
 The Jacobian's pattern (`_pattern`) and segment labels (`_segments`) go to
 `blocks`, which owns its coloring and block form (`jac_colors`).
+
+The steady solve's start (`initial_guess`) is the steady state itself when
+the network is a tree with one supply, each station's two ends counted as
+one vertex, and the walk out from the supply enters every station at its
+inlet (`_tree_walk`). A reverse pass gives every pipe the demands beyond
+it, scaled by a station's factor k upstream of it; a forward pass sets each
+pipe's densities in closed form from the potential at its near end
+(`_march`) and passes the potentials on, through the outlet pressure and
+the stations' outlet rules (`_tree_pass`). Every other network starts from
+its Kirchhoff flows (`_flow_map`).
 """
 
 from __future__ import annotations
@@ -75,7 +85,8 @@ import numpy as np
 
 from .blocks import Triplets, blockwise_pinv, color_columns, component_roots
 from .compressor import VARIANTS, Assumption, Framework, Variant, station_power
-from .errors import ConfigurationError, StateError, require_column_id, require_positive
+from .errors import (ConfigurationError, InfeasibleFlowError, StateError, require_column_id,
+                     require_positive)
 from .gas import GasProperties
 from .pipe import PipeSpec
 
@@ -309,6 +320,16 @@ class PipeBank(NamedTuple):
     m_in: np.ndarray        # pipe: inlet momentum column
 
 
+class _Step(NamedTuple):
+    """One pipe of the direct steady start's walk (`GlobalSystem._tree_walk`)."""
+
+    pipe: int
+    near: int       # potential column of the end the walk reaches first
+    far: int        # potential column of the end the pipe's march gives
+    forward: bool   # near is the pipe's from-node
+    station: int    # the station whose inlet is `far`, or -1
+
+
 class _AlgebraicMap(NamedTuple):
     """M (the coupling's (mu_m, lambda) columns), its pseudo-inverse P, and the rest.
 
@@ -400,6 +421,7 @@ class GlobalSystem:
         self._names = None
         self._alg_map = None
         self._flows = None
+        self._walk = None
 
     def _build_bank(self) -> PipeBank:
         n_cells = np.array([p.n_cells for p in self.pipes])
@@ -797,19 +819,183 @@ class GlobalSystem:
                            np.searchsorted(self.bank.tail, self.bank.rho))
         return self._flows
 
-    def initial_guess(self, inputs0):
-        """Kirchhoff flow start: supply density and potentials, linear-resistance flows.
+    def _tree_walk(self) -> list[_Step]:
+        """The direct steady start's walk: every pipe once, out from the supply.
 
-        Densities and node potentials (so inlet pressures) start at the first
-        supply's pressure. Every pipe's momenta and its -mu_m start at its
-        Kirchhoff flow (`_flow_map`), which meets every demand and junction
-        balance with the stations taken as plain junctions. Where a pipe's
-        flow is below 1 in magnitude (no demand, demands that cancel, or a
-        loop that carries none) it starts at 1 instead: at zero flow the
-        steady rows lose their friction slope, so the Jacobian is singular
-        on a loop or on a path between two supplies.
+        A pipe comes after the pipe that reaches its near end. The walk is
+        empty unless the network is a tree with one supply, each station's
+        two ends counted as one vertex, and the walk enters every station
+        at its inlet. Built once per system, on the first call.
+        """
+        if self._walk is None:
+            spec = self.spec
+            vertex = {nd.id: nd.id for nd in spec.nodes}
+            for st in spec.compressors:
+                vertex[st.outlet_node] = st.inlet_node
+            supplies = [nd.id for nd in self.boundary if nd.kind is NodeKind.SUPPLY]
+            self._walk = []
+            # connected (validate_topology), so one pipe fewer than vertices is a tree
+            if len(supplies) == 1 and len(spec.pipes) == len(set(vertex.values())) - 1:
+                links = {v: [] for v in vertex.values()}
+                for k, pe in enumerate(spec.pipes):
+                    links[vertex[pe.from_node]].append((k, pe.from_node, pe.to_node, True))
+                    links[vertex[pe.to_node]].append((k, pe.to_node, pe.from_node, False))
+                outlets = {st.outlet_node for st in spec.compressors}
+                station_up = {s.pipe_up: i for i, s in enumerate(self.stations)}
+                walk, todo, seen = [], [supplies[0]], {supplies[0]}
+                while todo:
+                    for k, near, far, forward in links[todo.pop()]:
+                        if vertex[far] in seen:
+                            continue
+                        if far in outlets:   # a station entered at its outlet: no walk
+                            return self._walk
+                        walk.append(_Step(k, self.lam[near], self.lam[far], forward,
+                                          station_up.get(k, -1)))
+                        seen.add(vertex[far])
+                        todo.append(vertex[far])
+                self._walk = walk
+        return self._walk
+
+    def _march(self, k, q, lam, forward):
+        """Pipe k's steady densities at flow q from the potential lam at its walk-near end.
+
+        Returns (d, s, far): the squared density of the cell i steps from
+        the near end is d + i s, and far is the far end's potential. The
+        steady momentum rows times rho_bar give, with f the friction
+        coefficient, dx the cell length and beta = 2 dx f q|q| / c^2,
+        rho_i^2 = rho_(i-1)^2 - beta. Forward, from lam at the inlet:
+            rho_1 = (lam + sqrt(lam^2 - 2 c^2 dx f q|q|)) / (2 c^2),
+        and far is the outlet pressure, computed as `_outlet_pressures`
+        does. Backward, from P = lam / c^2 at the outlet:
+            rho_n = (3 P + sqrt(P^2 + 2 beta)) / 4,
+            far = c^2 rho_1 + (dx/2) f q|q| / rho_1.
+        The squares are monotone along the pipe, so where the radicand or
+        the far end's square is not positive, no positive steady state
+        carries q: InfeasibleFlowError names the pipe and the first cell in
+        march order with no positive density.
+        """
+        p, c2 = self.pipes[k], self.gas.c2
+        n, dx = p.n_cells, p.length / p.n_cells
+        a = dx * (p.friction / (2.0 * p.diameter)) * (q * abs(q))   # dx f q|q|
+        beta = 2.0 * a / c2
+        if forward:
+            disc, s = lam * lam - 2.0 * c2 * a, -beta
+            first = 0.0 if disc <= 0 else (lam + math.sqrt(disc)) / (2.0 * c2)
+        else:
+            P = lam / c2
+            disc, s = P * P + 2.0 * beta, beta
+            first = 0.0 if disc <= 0 else (3.0 * P + math.sqrt(disc)) / 4.0
+        d = first * first
+        if first <= 0 or d + (n - 1) * s <= 0:
+            steps = 0 if first <= 0 else int(np.flatnonzero(d + np.arange(n) * s <= 0)[0])
+            raise InfeasibleFlowError(
+                f"pipe {p.id!r} cannot carry the steady flow m={q:.6g} from "
+                f"{'p_in' if forward else 'p_out'}={lam:.6g} Pa: no positive density "
+                f"at cell {steps if forward else n - 1 - steps}")
+        rho_far = math.sqrt(d + (n - 1) * s)
+        if forward:
+            return d, s, 1.5 * (c2 * rho_far) - 0.5 * (c2 * math.sqrt(d + (n - 2) * s))
+        return d, s, c2 * rho_far + 0.5 * a / rho_far
+
+    def _tree_pass(self, u, walk, factors):
+        """One pass of the direct start at the stations' factors k.
+
+        Reverse pass: every pipe carries the demands beyond it, scaled by k
+        upstream of a station. Forward pass: each pipe marches from its near
+        end (`_march`), and a station passes on its variant's outlet rule.
+        Returns (q per pipe, {potential column: potential}, (d, s, forward)
+        per pipe with d and s as `_march` gives them, each station's
+        p_upstream).
+        """
+        # per potential column, the flow out beyond the node; the boundary
+        # leads node_order and u alike
+        base = self.n - len(self.node_order)
+        carry = dict.fromkeys(range(base, self.n), 0.0)
+        carry.update((base + i, u[i]) for i, nd in enumerate(self.boundary)
+                     if nd.kind is NodeKind.DEMAND)
+        q = [0.0] * len(self.pipes)
+        for s in reversed(walk):
+            if s.station < 0:
+                flow = carry[s.far]
+            else:
+                flow = factors[s.station] * carry[self.stations[s.station].row_out]
+            carry[s.near] += flow
+            q[s.pipe] = flow if s.forward else -flow
+        pot = {walk[0].near: u[walk[0].near - base]}
+        profiles, p_up = [None] * len(self.pipes), [0.0] * len(self.stations)
+        for s in walk:
+            d, slope, pot[s.far] = self._march(s.pipe, q[s.pipe], pot[s.near], s.forward)
+            profiles[s.pipe] = (d, slope, s.forward)
+            if s.station >= 0:
+                st = self.stations[s.station]
+                p_up[s.station] = pot[s.far]
+                pot[st.row_out] = st.variant.outlet(u[st.input], pot[s.far])
+        return q, pot, profiles, p_up
+
+    def _tree_state(self, u, walk):
+        """The direct steady state (`_tree_pass`), or None: the start is then the Kirchhoff rule.
+
+        An fp-av station's factor k reads its inlet pressure, first taken at
+        the supply's: the passes repeat until the factors repeat a set seen
+        before (they may cycle in the last bit), at most `MAX_ITERATIONS`
+        times, and the last state goes to Newton. A demand the tree cannot
+        carry raises InfeasibleFlowError once every k has settled; a march
+        that fails while some k still moves, or a k that is not finite,
+        gives None.
+        """
+        from .timeloop import MAX_ITERATIONS   # timeloop imports this module
+
+        u, kappa, seen = u.tolist(), self.gas.isentropic_exponent, []   # scalar math on floats
+        moving = any(s.variant.reads_inlet[0] for s in self.stations)
+        supply = walk[0].near - self.n + len(self.node_order)   # its place in u
+        p_up = [u[supply]] * len(self.stations)
+        for _ in range(MAX_ITERATIONS):
+            factors = [s.variant.factor(u[s.input], p, kappa)
+                       for s, p in zip(self.stations, p_up)]
+            if factors in seen:   # settled, or cycling in the last bit
+                break
+            if not all(map(math.isfinite, factors)):
+                return None
+            seen.append(factors)
+            try:
+                q, pot, profiles, p_up = self._tree_pass(u, walk, factors)
+            except InfeasibleFlowError:
+                if moving:
+                    return None
+                raise
+        x = np.empty(self.n)
+        for k, (d, slope, forward) in enumerate(profiles):
+            rho = np.sqrt(d + np.arange(self.pipes[k].n_cells) * slope)
+            x[self.rho_sl[k]] = rho if forward else rho[::-1]
+            x[self.mom_sl[k]] = q[k]
+        x[self.mu_m] = np.negative(q)
+        x[list(pot)] = list(pot.values())
+        return x
+
+    def initial_guess(self, inputs0):
+        """The steady solve's start: the steady state itself on a tree, else the Kirchhoff start.
+
+        On a tree with one supply whose walk enters every station at its
+        inlet (`_tree_walk`), the start is the steady state in closed form
+        (`_tree_state`), so Newton only certifies it; a demand that tree
+        cannot carry raises InfeasibleFlowError.
+
+        Kirchhoff start (every other network, and a tree whose march fails
+        while an fp-av factor still moves): densities and node potentials (so inlet
+        pressures) start at the first supply's pressure. Every pipe's
+        momenta and its -mu_m start at its Kirchhoff flow (`_flow_map`),
+        which meets every demand and junction balance with the stations
+        taken as plain junctions. Where a pipe's flow is below 1 in
+        magnitude (no demand, demands that cancel, or a loop that carries
+        none) it starts at 1 instead: at zero flow the steady rows lose
+        their friction slope, so the Jacobian is singular on a loop or on a
+        path between two supplies.
         """
         u = self._input_vector(inputs0)
+        walk = self._tree_walk()
+        x = self._tree_state(u, walk) if walk else None
+        if x is not None:
+            return x
         p_ref, _ = self.reference_levels(inputs0)
         G, cell_pipe = self._flow_map()
         q = G @ u

@@ -39,7 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .blocks import BlockFactor, fd_jacobian
-from .errors import (ConfigurationError, FactorizationError,
+from .errors import (ConfigurationError, FactorizationError, InfeasibleFlowError,
                      NonconvergenceError, StateError)
 from .network import NodeKind
 
@@ -265,8 +265,16 @@ def _solve(sys, raw, x0, cfg, t, what):
 
 def steady_state(gsys, inputs0, cfg: SolverConfig | None = None,
                  set_references=True) -> np.ndarray:
-    """Solve the DAE with all time derivatives dropped, from the Kirchhoff flow start."""
-    x0 = gsys.initial_guess(inputs0)
+    """Solve the DAE with all time derivatives dropped, from `GlobalSystem.initial_guess`.
+
+    On a single-supply tree that start is the steady state in closed form,
+    so Newton returns at 0 iterations without building a Jacobian, and a
+    demand the tree cannot carry raises InfeasibleFlowError naming its pipe.
+    """
+    try:
+        x0 = gsys.initial_guess(inputs0)
+    except InfeasibleFlowError as exc:
+        raise InfeasibleFlowError(f"steady-state solve failed: {exc}") from exc
     if set_references:
         gsys.references = gsys.reference_levels(inputs0)
     gsys.jac_colors().factor[0] = None    # every steady solve starts from a fresh Jacobian

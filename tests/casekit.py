@@ -212,6 +212,85 @@ def generated_network(seed):
     return gn.NetworkSpec(GAS, nodes, pipes, comps), inputs
 
 
+def kirchhoff_start(g, inputs):
+    """The Kirchhoff flow start: `GlobalSystem.initial_guess` off the single-supply trees.
+
+    A copy of that rule, the oracle for the start off the trees and a start
+    that Newton still has to converge on them: densities and node
+    potentials at the first supply's pressure, every pipe's momenta and its
+    -mu_m at its Kirchhoff flow (`GlobalSystem._flow_map`), with |q| < 1
+    raised to 1.
+    """
+    p_ref, _ = g.reference_levels(inputs)
+    G, cell_pipe = g._flow_map()
+    q = G @ g._input_vector(inputs)
+    q[np.abs(q) < 1.0] = 1.0
+    x = np.empty(g.n)
+    x[g.bank.rho] = p_ref / g.gas.c2
+    x[g.bank.mom] = q[cell_pipe]
+    x[g.mu_m] = -q
+    x[g.n - len(g.node_order):] = p_ref
+    return x
+
+
+def single_supply_tree(spec):
+    """Whether the steady start is direct: one supply, a tree once each
+    station's two ends are one vertex, and every station entered at its inlet.
+
+    In such a tree, dropping a station's link cuts it in two, and the
+    supply must keep its inlet, not its outlet.
+    """
+    supplies = [nd.id for nd in spec.nodes if nd.kind is gn.NodeKind.SUPPLY]
+    if len(supplies) != 1 or len(spec.pipes) != len(spec.nodes) - len(spec.compressors) - 1:
+        return False
+    for st in spec.compressors:
+        links = [(pe.from_node, pe.to_node) for pe in spec.pipes] + [
+            (other.inlet_node, other.outlet_node) for other in spec.compressors if other is not st]
+        reached, todo = {supplies[0]}, [supplies[0]]
+        while todo:
+            v = todo.pop()
+            for a, b in links:
+                for near, far in ((a, b), (b, a)):
+                    if near == v and far not in reached:
+                        reached.add(far)
+                        todo.append(far)
+        if st.outlet_node in reached:
+            return False
+    return True
+
+
+def branched_tree():
+    """A single-supply tree with every direct-start feature: (spec, inputs).
+
+    Pipe `back` points at the supply S, `rev` at the junction K behind the
+    fc-av station c0, and one station of each variant sits on a branch;
+    the fp-av station c1 lies downstream of c0, so its factor feeds c0's.
+    Every station has both setpoints, so any model can override the
+    variants.
+    """
+    nodes = [gn.Node("S", gn.NodeKind.SUPPLY), gn.Node("J", gn.NodeKind.JUNCTION),
+             gn.Node("K", gn.NodeKind.JUNCTION)]
+    nodes += [gn.Node(d, gn.NodeKind.DEMAND) for d in ("B", "D0", "D1", "D2", "D3", "D4")]
+    ends = [("back", "B", "S"), ("feed", "S", "J"), ("u0", "J", "c0.in"), ("d0", "c0.out", "K"),
+            ("k0", "K", "D0"), ("rev", "D4", "K"), ("u1", "K", "c1.in"), ("d1", "c1.out", "D1"),
+            ("u2", "J", "c2.in"), ("d2", "c2.out", "D2"), ("u3", "J", "c3.in"),
+            ("d3", "c3.out", "D3")]
+    comps = []
+    for i, tag in enumerate(["fc-av", "fp-av", "fc-am", "fp-am"]):
+        fw, asm = tag.split("-")
+        nodes += [gn.Node(f"c{i}.in", gn.NodeKind.JUNCTION),
+                  gn.Node(f"c{i}.out", gn.NodeKind.JUNCTION)]
+        comps.append(gn.CompressorStation(f"c{i}", f"c{i}.in", f"c{i}.out", gn.Framework(fw),
+                                          gn.Assumption(asm), ratio=1.1 - 0.01 * i,
+                                          pressure=(66 + i) * 1e5))
+    pipes = [gn.PipeEdge(gn.PipeSpec(pid, 20e3 + 2e3 * k, 0.8, 0.004, 6 + k % 5), a, b)
+             for k, (pid, a, b) in enumerate(ends)]
+    inputs = {"S": 70e5, "B": 40.0, "D0": 30.0, "D1": 50.0, "D2": 60.0, "D3": 40.0,
+              "D4": 20.0}
+    inputs.update({st.id: st.default_setpoint() for st in comps})
+    return gn.NetworkSpec(GAS, nodes, pipes, comps), inputs
+
+
 def consistent_state(g, inputs, rng):
     """Random pipe states at which the port and node rows have an exact solution.
 

@@ -442,8 +442,9 @@ def test_singular_step_jacobian_exits_2(files, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-STEADY_2500 = ("solver aborted: steady-state solve failed: no convergence in 50 iterations "
-               "(residual 1.970e-01, tol 1.0e-08)\n")
+# the closed-form march finds west's density squared non-positive from cell 10 on
+STEADY_2500 = ("solver aborted: steady-state solve failed: pipe 'west' cannot carry the "
+               "steady flow m=2500 from p_in=8e+06 Pa: no positive density at cell 10\n")
 
 
 @pytest.mark.parametrize("command, sink, message", [
@@ -454,7 +455,7 @@ STEADY_2500 = ("solver aborted: steady-state solve failed: no convergence in 50 
 ], ids=["steady-demand-steady", "steady-demand-run", "surge-run"])
 def test_solver_failure_prints_one_line(tmp_path, capsys, command, sink, message):
     # every exit-2 cause prints one line and nothing else: a steady demand
-    # the line cannot carry (the steady Newton solve stalls) and a demand
+    # the line cannot carry (named by the direct steady start) and a demand
     # surge that drains the downstream pipe after accepted steps alike
     doc = json.loads(SCN_JSON)
     doc["profiles"]["sink"] = sink

@@ -11,9 +11,10 @@ from gasnetsim import blocks, timeloop
 from gasnetsim.cli import _apply_model_override
 from gasnetsim.network import SEGMENT_CELLS
 
-from casekit import (PARALLEL_NET_JSON, PARALLEL_SINGULAR, benchmark_with_model, closed_pipe,
-                     consistent_state, csc_jacobian, dense_newton_step, generated_network,
-                     ladder_system, one_block, record_dict, single_pipe_system)
+from casekit import (GAS, PARALLEL_NET_JSON, PARALLEL_SINGULAR, benchmark_with_model,
+                     branched_tree, closed_pipe, consistent_state, csc_jacobian,
+                     dense_newton_step, generated_network, kirchhoff_start, ladder_system,
+                     one_block, record_dict, single_pipe_system, single_supply_tree)
 
 
 class TestSolverConfig:
@@ -146,8 +147,9 @@ class TestBlockSolve:
         g.references = (80e5, 250.0)
         scale = g.row_scale()
         monkeypatch.setattr(np.linalg, "inv", inv)
+        # from the Kirchhoff start: the line's own start is already converged
         res = gn.newton_solve(lambda v: g.steady_residual(v, inputs) / scale,
-                              g.initial_guess(inputs), gn.SolverConfig(), colors=g.jac_colors())
+                              kirchhoff_start(g, inputs), gn.SolverConfig(), colors=g.jac_colors())
         assert res.jacobians == res.iterations >= 1
 
     def dead_row_newton(self, g, row):
@@ -319,14 +321,18 @@ class TestBorderStructure:
 
 
 def newton_peak_bytes(g):
-    """tracemalloc's peak over one steady Newton solve of g from its initial guess."""
+    """tracemalloc's peak over one steady Newton solve of g from the Kirchhoff start.
+
+    g is a line, whose own start (`GlobalSystem.initial_guess`) is already
+    converged.
+    """
     import tracemalloc
 
     inputs = {"s": 80e5, "d": 250.0}
     g.references = (80e5, 250.0)
     scale = g.row_scale()
     colors = g.jac_colors()
-    x0 = g.initial_guess(inputs)
+    x0 = kirchhoff_start(g, inputs)
     tracemalloc.start()
     try:
         res = gn.newton_solve(lambda v: g.steady_residual(v, inputs) / scale,
@@ -470,11 +476,20 @@ class TestChordNewton:
         monkeypatch.setattr(gn.SolverConfig, "sparse_threshold", 0)
 
     def steady(self, tag):
+        """The day line's steady state by chord Newton from the Kirchhoff start.
+
+        `steady_state` starts the line at its steady state and keeps no
+        factor, so the Newton solve runs here, and keeps its factor.
+        """
         spec, scen = day_transient(tag)
         g = gn.assemble(spec)
         fn, p_ref, m_ref = gn.bind_inputs(g, scen)
         g.references = (p_ref, m_ref)
-        return g, fn, gn.steady_state(g, fn(0.0), self.CFG, set_references=False)
+        scale, inputs = g.row_scale(), fn(0.0)
+        res = gn.newton_solve(lambda v: g.steady_residual(v, inputs) / scale,
+                              kirchhoff_start(g, inputs), self.CFG, colors=g.jac_colors())
+        assert res.iterations >= 1
+        return g, fn, res.x
 
     def test_records_within_three_times_the_full_newton_error(self, monkeypatch):
         # ladder (n = 2867, above the default threshold), all four station
@@ -733,9 +748,143 @@ class TestSteadyState:
         scale = g.row_scale()
         inputs0 = fn(0.0)
         res = gn.newton_solve(lambda v: g.steady_residual(v, inputs0) / scale,
-                              g.initial_guess(inputs0), gn.SolverConfig(),
+                              kirchhoff_start(g, inputs0), gn.SolverConfig(),
                               colors=g.jac_colors())
-        assert res.iterations <= 25
+        assert 1 <= res.iterations <= 25
+
+
+def outlet_entered_line():
+    """The day line with the supply behind the station: the walk from the
+    supply enters the station at its outlet. (spec, inputs)"""
+    nodes = [gn.Node("d", gn.NodeKind.DEMAND), gn.Node("ci", gn.NodeKind.JUNCTION),
+             gn.Node("co", gn.NodeKind.JUNCTION), gn.Node("s", gn.NodeKind.SUPPLY)]
+    pipes = [gn.PipeEdge(gn.PipeSpec("up", 60e3, 1.0, 0.002, 8), "d", "ci"),
+             gn.PipeEdge(gn.PipeSpec("down", 60e3, 1.0, 0.002, 8), "co", "s")]
+    comps = [gn.CompressorStation("c", "ci", "co", gn.Framework("fc"), gn.Assumption("am"),
+                                  ratio=1.2)]
+    return gn.NetworkSpec(GAS, nodes, pipes, comps), {"d": 50.0, "s": 70e5, "c": 1.2}
+
+
+class TestDirectSteadyStart:
+    """On a tree with one supply whose walk enters every station at its
+    inlet, `initial_guess` is the steady state in closed form, and the
+    steady solve's Newton only certifies it."""
+
+    REFERENCE = gn.SolverConfig(newton_abs_tol=1e-11)
+
+    def certify(self, g, inputs, monkeypatch):
+        # the start's residual; steady_state's counts; its distance, per
+        # unknown scaled by the residual's references, to Newton from the
+        # Kirchhoff start
+        g.references = g.reference_levels(inputs)
+        scale = g.row_scale()
+
+        def fun(v):
+            return g.steady_residual(v, inputs) / scale
+
+        x0 = g.initial_guess(inputs)
+        assert np.abs(fun(x0)).max() <= 1e-12
+        results, newton = [], timeloop.newton_solve
+
+        def recorded(*args, **kwargs):
+            results.append(newton(*args, **kwargs))
+            return results[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(timeloop, "newton_solve", recorded)
+            x = gn.steady_state(g, inputs)
+        (res,) = results
+        assert res.iterations == 0 and res.jacobians == 0 and np.array_equal(x, x0)
+        ref = gn.newton_solve(fun, kirchhoff_start(g, inputs), self.REFERENCE,
+                              colors=g.jac_colors())
+        assert ref.iterations >= 1
+        p_ref, m_ref = g.references
+        unit = np.full(g.n, p_ref)
+        unit[g.bank.rho] = p_ref / g.gas.c2
+        unit[g.bank.mom] = unit[g.mu_m] = m_ref
+        assert (np.abs(x - ref.x) / unit).max() <= 1e-8
+
+    @pytest.mark.parametrize("tag", ["none", "fc-av", "fc-am", "fp-av", "fp-am"])
+    def test_day_line_at_every_demand_level(self, tag, monkeypatch):
+        spec, scen = benchmark_with_model(tag)
+        g = gn.assemble(spec)
+        fn = gn.bind_inputs(g, scen)[0]
+        for inputs in [fn(t) for t in np.arange(0.0, 86400.0, 3600.0)] + [
+                {**fn(0.0), "sink": 0.0}, {**fn(0.0), "sink": -0.5}]:
+            self.certify(g, inputs, monkeypatch)
+
+    def test_branched_tree_with_every_station_variant(self, monkeypatch):
+        # pipes marched backward (toward the supply, and toward a junction
+        # behind a station), an fp-av factor behind an fc-av one
+        spec, inputs = branched_tree()
+        assert single_supply_tree(spec)
+        self.certify(gn.assemble(spec), inputs, monkeypatch)
+
+    def test_generated_single_supply_trees(self, monkeypatch):
+        seeds = [seed for seed in range(200) if single_supply_tree(generated_network(seed)[0])]
+        assert len(seeds) == 14
+        for seed in seeds:
+            spec, inputs = generated_network(seed)
+            self.certify(gn.assemble(spec), inputs, monkeypatch)
+
+    def test_other_networks_keep_the_kirchhoff_start(self):
+        # loops, two supplies, a station entered at its outlet: the start is
+        # the Kirchhoff rule bit for bit
+        cases = [generated_network(seed) for seed in range(200)]
+        cases = [case for case in cases if not single_supply_tree(case[0])]
+        cases.append(outlet_entered_line())
+        supplies = [sum(nd.kind is gn.NodeKind.SUPPLY for nd in spec.nodes) for spec, _ in cases]
+        loops = [len(spec.pipes) + len(spec.compressors) >= len(spec.nodes) for spec, _ in cases]
+        assert max(supplies) == 2 and any(n == 1 and loop for n, loop in zip(supplies, loops))
+        for spec, inputs in cases:
+            g = gn.assemble(spec)
+            assert not g._tree_walk()
+            assert np.array_equal(g.initial_guess(inputs), kirchhoff_start(g, inputs))
+
+    def test_unsettled_fp_av_factor_leaves_the_kirchhoff_start(self):
+        # at 2500 the first pass, with the fp-av factor at the supply
+        # pressure, cannot carry west's flow; the factor has not settled,
+        # so no pipe is named and Newton gets the Kirchhoff start
+        spec, scen = benchmark_with_model("fp-av")
+        g = gn.assemble(spec)
+        inputs = {**gn.bind_inputs(g, scen)[0](0.0), "sink": 2500.0}
+        assert np.array_equal(g.initial_guess(inputs), kirchhoff_start(g, inputs))
+
+    @pytest.mark.parametrize("demand, message", [
+        (("sink", 2500.0), "pipe 'west' cannot carry the steady flow m=2500 from "
+                           "p_in=8e+06 Pa: no positive density at cell 10"),
+        (("B", 3000.0), "pipe 'back' cannot carry the steady flow m=-3000 from "
+                        "p_out=7e+06 Pa: no positive density at cell 3"),
+    ], ids=["day-line-forward", "tree-backward"])
+    def test_infeasible_demand_names_the_pipe_and_cell(self, demand, message):
+        # the march finds the first cell, in march order, with no positive density
+        if demand[0] == "sink":
+            spec, scen = benchmark_with_model("fc-am")
+            g = gn.assemble(spec)
+            inputs = gn.bind_inputs(g, scen)[0](0.0)
+        else:   # without the fp-av station, every factor is settled from the start
+            spec, inputs = branched_tree()
+            spec = _apply_model_override(spec, "fc-am", None)
+            inputs.update({st.id: st.default_setpoint() for st in spec.compressors})
+            g = gn.assemble(spec)
+        inputs = {**inputs, demand[0]: demand[1]}
+        with pytest.raises(gn.InfeasibleFlowError, match=f"^{re.escape(message)}$"):
+            g.initial_guess(inputs)
+        with pytest.raises(gn.InfeasibleFlowError,
+                           match=f"^steady-state solve failed: {re.escape(message)}$"):
+            gn.steady_state(g, inputs)
+
+    def test_second_order_in_space_against_the_oracle(self, gas):
+        # one day pipe at 300 kg/(m^2 s) from 80 bar, 8 to 512 cells
+        inputs = {"s": 80e5, "d": 300.0}
+        errors = []
+        for n in (8, 16, 32, 64, 128, 256, 512):
+            g = single_pipe_system(gas, n_cells=n, length=181.5e3)
+            x = gn.steady_state(g, inputs)
+            exact = gn.steady_pipe_oracle(g.pipes[0], gas, 80e5, 300.0)
+            errors.append(abs(record_dict(g, x[: g.n_z], inputs, x)["line.out.p_Pa"] - exact))
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert orders.min() >= 1.95
 
 
 class TestSolveFailures:
