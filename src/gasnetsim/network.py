@@ -642,26 +642,24 @@ class GlobalSystem:
                 Triplets(rows[~alg] - base, cols[~alg], vals[~alg]))
         return self._alg_map
 
-    def algebraic_solve(self, z, inputs, anchor=None):
-        """Solve the port/node rows for (mu_m, lambda) at a frozen state z.
+    def algebraic_solve(self, x, inputs):
+        """Re-solve the port/node rows for (mu_m, lambda) at x's frozen state.
 
         The rows are linear in the algebraic unknowns with a constant matrix;
         its pseudo-inverse gives the coupling-consistent port values used for
         records and for consistent-state construction. Topologies where the
         frozen-state rows alone do not pin every unknown (a junction feeding
         from several pipe outlets splits the flux through the dynamics, not
-        the state) are resolved toward `anchor`: the returned values are the
-        consistent point closest to the anchored algebraic variables.
+        the state) are resolved toward x's own algebraic part: the returned
+        unknowns are the consistent point closest to x with x's state.
         """
-        z = np.asarray(z, float)
+        x = np.asarray(x, float)
         u = self._input_vector(inputs)
-        a, na = self._algebraic_map(), self.n_alg
-        anchored = np.zeros(na) if anchor is None else np.asarray(anchor, float)[-na:]
+        a, na, z, alg = self._algebraic_map(), self.n_alg, x[: self.n_z], x[self.n_z:]
         # the rows at zero (mu_m, lambda): M (mu_m, lambda) = -F0
-        F0 = a.rest.matvec(np.concatenate([z, anchored, u]), na)
+        F0 = a.rest.matvec(np.concatenate([x, u]), na)
         self._add_state_terms(F0, z, u, self.n_z)
-        alg = anchored + a.P.matvec(-F0 - a.M.matvec(anchored, na), na)
-        return np.concatenate([z, alg])
+        return np.concatenate([z, alg + a.P.matvec(-F0 - a.M.matvec(alg, na), na)])
 
     def record_names(self):
         """Record column names, built and interned once: every record shares them."""
@@ -675,10 +673,9 @@ class GlobalSystem:
             self._names = [sys.intern(n) for n in names]
         return list(self._names)
 
-    def snapshot(self, z, inputs, anchor=None):
-        """(record row in `record_names` order, consistent unknowns) at state z."""
-        x = self.algebraic_solve(z, inputs, anchor)
-        return self._records(x, self._input_vector(inputs)), x
+    def snapshot(self, x, inputs):
+        """The record row, in `record_names` order, at x re-solved by `algebraic_solve`."""
+        return self._records(self.algebraic_solve(x, inputs), self._input_vector(inputs))
 
     def _records(self, x, u):
         """Port pressures/momenta, total energy and station powers at x = [z | mu_m | lambda]."""
@@ -762,16 +759,18 @@ class GlobalSystem:
         parts["rate"] = self.energy_rate(z, self.zdot_consistent(x, inputs))
         return parts
 
-    def net_mass_influx(self, z_mid, x_new):
-        """Net mass inflow rate into all pipes: sum of m(0) + mu_m per pipe.
+    def net_mass_influx(self, x_prev, x_new):
+        """A step's net mass inflow rate into all pipes: sum of m(0) + mu_m per pipe.
 
-        This is exactly what the continuity rows telescope to, so evaluated
-        at the midpoint state and algebraic values the cumulative ledger
-        closes to solver precision. Junction and constant-momentum station
+        This is exactly what the continuity rows telescope to, so with each
+        inlet momentum m(0) averaged over the states of the step's unknowns
+        x_prev and x_new, and mu_m read from x_new (the step's midpoint
+        value), the cumulative ledger closes to solver precision. Junction and constant-momentum station
         exchanges cancel inside the sum; only boundary feeds/extractions and
         constant-velocity station injections remain.
         """
-        return float(np.sum(z_mid[self.bank.m_in] + x_new[self.mu_m]))
+        m = self.bank.m_in
+        return float(np.sum(0.5 * (x_prev[m] + x_new[m]) + x_new[self.mu_m]))
 
     # ------------------------------------------------------------------
 
@@ -939,9 +938,12 @@ class GlobalSystem:
         the supply's: the passes repeat until the factors repeat a set seen
         before (they may cycle in the last bit), at most `MAX_ITERATIONS`
         times, and the last state goes to Newton. A demand the tree cannot
-        carry raises InfeasibleFlowError once every k has settled; a march
-        that fails while some k still moves, or a k that is not finite,
-        gives None.
+        carry raises InfeasibleFlowError once every k has settled. A march
+        that fails while some k still moves is repeated with every such k
+        at 0, which raises every pressure (less flow upstream of each
+        station, and an fc outlet follows its inlet): if that march fails
+        too, no k passes and its error is raised, else None. A k that is
+        not finite gives None.
         """
         from .timeloop import MAX_ITERATIONS   # timeloop imports this module
 
@@ -960,9 +962,11 @@ class GlobalSystem:
             try:
                 q, pot, profiles, p_up = self._tree_pass(u, walk, factors)
             except InfeasibleFlowError:
-                if moving:
-                    return None
-                raise
+                if not moving:
+                    raise
+                self._tree_pass(u, walk, [0.0 if s.variant.reads_inlet[0] else k
+                                          for s, k in zip(self.stations, factors)])
+                return None
         x = np.empty(self.n)
         for k, (d, slope, forward) in enumerate(profiles):
             rho = np.sqrt(d + np.arange(self.pipes[k].n_cells) * slope)

@@ -124,11 +124,9 @@ def _newton_step(fun, x, F, colors, slot):
 
 
 def _chord_step(fun, x, F, lu):
-    """One full step with a reused factor; (x, F, max|F|), F None if not finite."""
+    """One full step with a reused factor: (x, F, max|F|), the norm not finite if F is not."""
     x_try = x + lu.solve(-F)
     F_try = np.asarray(fun(x_try), float)
-    if not np.all(np.isfinite(F_try)):
-        return x_try, None, np.inf
     return x_try, F_try, float(np.max(np.abs(F_try)))
 
 
@@ -139,16 +137,18 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, *, colors) -> NewtonR
     ``colors`` is a ``blocks.ColumnColoring`` of fun's Jacobian pattern.
     Above ``cfg.sparse_threshold`` the iteration is chord Newton on the
     factor held in ``colors.factor`` (module docstring).
-    Raises NonconvergenceError (carrying the best iterate and the norm
-    history) on stagnation or iteration exhaustion.
+    A trial is judged only by its norm (max|F|, or F·F in the line search),
+    which a NaN or inf in F makes fail every test; at the start such a norm
+    raises StateError. Raises NonconvergenceError (carrying the best iterate
+    and the norm history) on stagnation or iteration exhaustion.
     """
     if cfg is None:
         cfg = SolverConfig()
     x = np.array(x0, dtype=float)
     F = np.asarray(fun(x), float)
-    if not np.all(np.isfinite(F)):
-        raise StateError("residual not finite at the initial guess")
     norm = float(np.max(np.abs(F)))
+    if not math.isfinite(norm):
+        raise StateError("residual not finite at the initial guess")
     history = [norm]
     best_x, best_norm = x.copy(), norm
     slot = colors.factor if x.size > cfg.sparse_threshold else None
@@ -172,11 +172,9 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, *, colors) -> NewtonR
             for _ in range(MAX_BACKTRACKS + 1):
                 x_try = x + alpha * dx
                 F_try = np.asarray(fun(x_try), float)
-                if np.all(np.isfinite(F_try)):
-                    f2_try = float(np.dot(F_try, F_try))
-                    if f2_try < (1.0 - 1e-4 * alpha) * f2:
-                        accepted = True
-                        break
+                if float(np.dot(F_try, F_try)) < (1.0 - 1e-4 * alpha) * f2:
+                    accepted = True
+                    break
                 alpha *= BACKTRACK_FACTOR
             if not accepted:
                 raise NonconvergenceError(
@@ -353,7 +351,6 @@ def simulate(gsys, scenario, cfg: SolverConfig | None = None) -> TimeSeries:
     gsys.references = (p_ref, m_ref)
 
     x = steady_state(gsys, input_fn(0.0), cfg, set_references=False)
-    n_z = gsys.n_z
     flagged: dict[str, str] = {}    # the first warning per key, in the order seen
 
     rho_floor = 0.05 * p_ref / gsys.gas.c2
@@ -362,29 +359,27 @@ def simulate(gsys, scenario, cfg: SolverConfig | None = None) -> TimeSeries:
         if key not in flagged:
             flagged[key] = f"{what} at t={t:g} s"
 
-    def record(i, z, t, anchor):
+    def record(i, x, t):
         inputs = input_fn(t)
-        data[i], _ = gsys.snapshot(z, inputs, anchor)
-        mass[i] = gsys.total_mass(z)
+        data[i] = gsys.snapshot(x, inputs)
+        mass[i] = gsys.total_mass(x)
         for b in gsys.stations:
             sp = inputs[b.id]
             if b.variant.setpoint == "ratio" and sp < 1.0:
                 flag(f"expander:{b.id}",
                      f"FC compressor {b.id!r} with ratio {sp} < 1 acts as an expander", t)
-            if z[gsys.bank.m_in[b.pipe_down]] < 0.0:
+            if x[gsys.bank.m_in[b.pipe_down]] < 0.0:
                 flag(f"reverse-flow:{b.id}", f"reverse flow through compressor {b.id!r}", t)
-        if gsys.min_density(z) < rho_floor:
+        if gsys.min_density(x) < rho_floor:
             flag("low-density", "density below 5% of the supply level", t)
 
-    record(0, x[:n_z], 0.0, x)
+    record(0, x, 0.0)
     for i in range(n_steps):
-        t_n = tgrid[i]
-        x_new, res = step_midpoint(gsys, x, t_n, dt, input_fn, cfg)
-        z_mid = 0.5 * (x[:n_z] + x_new[:n_z])
-        influx[i] = gsys.net_mass_influx(z_mid, x_new)
+        x_new, res = step_midpoint(gsys, x, tgrid[i], dt, input_fn, cfg)
+        influx[i] = gsys.net_mass_influx(x, x_new)
         iters[i], jacobians[i] = res.iterations, res.jacobians
         x = x_new
-        record(i + 1, x[:n_z], tgrid[i + 1], x)
+        record(i + 1, x, tgrid[i + 1])
 
     return TimeSeries(tgrid, names, data, iters, mass, influx, list(flagged.values()),
                       jacobians)

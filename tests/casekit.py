@@ -123,10 +123,9 @@ def benchmark_with_model(tag):
     return solved, gn.parse_scenario(SCN_JSON, spec if tag == "none" else solved)
 
 
-def record_dict(g, z, inputs, anchor=None):
-    """A system's snapshot row at state z as a {record name: value} dict."""
-    row, _ = g.snapshot(z, inputs, anchor)
-    return dict(zip(g.record_names(), row))
+def record_dict(g, x, inputs):
+    """A system's snapshot row at unknowns x as a {record name: value} dict."""
+    return dict(zip(g.record_names(), g.snapshot(x, inputs)))
 
 
 def rel_column_diff(ts_a, ts_b, names):
@@ -292,8 +291,9 @@ def branched_tree():
 
 
 def consistent_state(g, inputs, rng):
-    """Random pipe states at which the port and node rows have an exact solution.
+    """Random unknowns whose pipe states give the port and node rows an exact solution.
 
+    The algebraic part is zero, for `GlobalSystem.algebraic_solve` to fill.
     Each pipe outlet at a node other than a station inlet is set to that
     node's pressure (its supply pressure, or a random one), so a potential
     pinned by several rows (a node fed by several pipe outlets, a supply fed
@@ -302,15 +302,15 @@ def consistent_state(g, inputs, rng):
     c2, b = g.gas.c2, g.bank
     p_node = {nd.id: inputs[nd.id] if nd.kind is gn.NodeKind.SUPPLY
               else rng.uniform(55e5, 70e5) for nd in g.node_order}
-    z = np.empty(g.n_z)
-    z[b.rho] = rng.uniform(55e5, 70e5, b.rho.size) / c2
-    z[b.mom] = rng.uniform(-100.0, 200.0, b.mom.size)
+    x = np.zeros(g.n)
+    x[b.rho] = rng.uniform(55e5, 70e5, b.rho.size) / c2
+    x[b.mom] = rng.uniform(-100.0, 200.0, b.mom.size)
     inlets = {st.inlet_node for st in g.spec.compressors}
     for k, pe in enumerate(g.spec.pipes):
         if pe.to_node not in inlets:
             last = b.tail[k]
-            z[last] = (p_node[pe.to_node] / c2 + 0.5 * z[last - 1]) / 1.5
-    return z
+            x[last] = (p_node[pe.to_node] / c2 + 0.5 * x[last - 1]) / 1.5
+    return x
 
 
 def one_block(n):

@@ -445,24 +445,31 @@ def test_singular_step_jacobian_exits_2(files, tmp_path, capsys, monkeypatch):
 # the closed-form march finds west's density squared non-positive from cell 10 on
 STEADY_2500 = ("solver aborted: steady-state solve failed: pipe 'west' cannot carry the "
                "steady flow m=2500 from p_in=8e+06 Pa: no positive density at cell 10\n")
+# fp-av: east, fed at the 84 bar setpoint, carries 2500 at any station factor
+STEADY_2500_FP_AV = ("solver aborted: steady-state solve failed: pipe 'east' cannot carry the "
+                     "steady flow m=2500 from p_in=8.4e+06 Pa: no positive density at cell 11\n")
 
 
-@pytest.mark.parametrize("command, sink, message", [
-    ("steady", [[0, 2500]], STEADY_2500),
-    ("run", [[0, 2500]], STEADY_2500),
-    ("run", [[0, 200], [3600, 3000]],
+@pytest.mark.parametrize("command, sink, model, message", [
+    ("steady", [[0, 2500]], [], STEADY_2500),
+    ("run", [[0, 2500]], [], STEADY_2500),
+    ("steady", [[0, 2500]], ["--model", "fp-av"], STEADY_2500_FP_AV),
+    ("run", [[0, 2500]], ["--model", "fp-av"], STEADY_2500_FP_AV),
+    ("run", [[0, 200], [3600, 3000]], [],
      "solver aborted: non-positive outlet pressure in pipe 'east' at t=4700.0\n"),
-], ids=["steady-demand-steady", "steady-demand-run", "surge-run"])
-def test_solver_failure_prints_one_line(tmp_path, capsys, command, sink, message):
+], ids=["steady-demand-steady", "steady-demand-run", "steady-demand-steady-fp-av",
+        "steady-demand-run-fp-av", "surge-run"])
+def test_solver_failure_prints_one_line(tmp_path, capsys, command, sink, model, message):
     # every exit-2 cause prints one line and nothing else: a steady demand
-    # the line cannot carry (named by the direct steady start) and a demand
-    # surge that drains the downstream pipe after accepted steps alike
+    # the line cannot carry (named by the direct steady start, with or
+    # without a station factor still moving) and a demand surge that drains
+    # the downstream pipe after accepted steps alike
     doc = json.loads(SCN_JSON)
     doc["profiles"]["sink"] = sink
     net, scn, out = tmp_path / "yamal.net.json", tmp_path / "s.scn.json", tmp_path / "o.csv"
     net.write_text(NET_JSON)
     scn.write_text(json.dumps(doc))
-    assert main([command, str(net), str(scn), "--out", str(out)]) == 2
+    assert main([command, str(net), str(scn), *model, "--out", str(out)]) == 2
     assert capsys.readouterr().err == message
     assert not out.exists()
 

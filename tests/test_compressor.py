@@ -114,7 +114,8 @@ class TestCouplingMatrix:
             u = (rng.uniform(6e6, 9e6), rng.normal(0.0, 300.0), 1.2)
             p0, mL, ct = u
             p1L = up.outlet_pressure(z[:6])
-            x = g.algebraic_solve(z, dict(zip(g.input_ids, u)))
+            x = g.algebraic_solve(np.concatenate([z, np.zeros(g.n_alg)]),
+                                  dict(zip(g.input_ids, u)))
             assert np.allclose(x[ports], [p0, -z[18], ct * p1L, -mL], rtol=1e-14, atol=1e-12)
             assert np.allclose(x[ports], line.ports(z, u), rtol=1e-14, atol=1e-12)
 

@@ -382,7 +382,7 @@ class TestAssemble:
     def test_junction_kirchhoff_semantics(self):
         g = gn.assemble(star_network_spec())
         x = gn.steady_state(g, STAR_INPUTS, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap = record_dict(g, x[: g.n_z], STAR_INPUTS)
+        snap = record_dict(g, x, STAR_INPUTS)
         ports_p = [snap["P2.out.p_Pa"], snap["P3.in.p_Pa"], snap["P4.in.p_Pa"]]
         assert max(ports_p) - min(ports_p) <= 1e-6 * max(ports_p)
         balance = snap["P2.out.m"] - snap["P3.in.m"] - snap["P4.in.m"]
@@ -395,8 +395,8 @@ class TestAssemble:
         xa = gn.steady_state(gn.assemble(spec_a), STAR_INPUTS)
         xb = gn.steady_state(gn.assemble(spec_b), STAR_INPUTS)
         ga, gb = gn.assemble(spec_a), gn.assemble(spec_b)
-        sa = record_dict(ga, xa[: ga.n_z], STAR_INPUTS)
-        sb = record_dict(gb, xb[: gb.n_z], STAR_INPUTS)
+        sa = record_dict(ga, xa, STAR_INPUTS)
+        sb = record_dict(gb, xb, STAR_INPUTS)
         for name in sa:
             assert sa[name] == pytest.approx(sb[name], rel=1e-9, abs=1e-9)
 
@@ -563,11 +563,11 @@ def test_power_terms_identity_with_internal_nodes(gas):
     x0 = gn.steady_state(g, STAR_INPUTS, gn.SolverConfig(newton_abs_tol=1e-11))
     rng = np.random.default_rng(6)
     for _ in range(20):
-        z = x0[: g.n_z].copy()
+        x = x0.copy()
         for k, p in enumerate(g.pipes):
-            z[g.rho_sl[k]] *= 1.0 + 0.05 * rng.standard_normal(p.n_cells)
-            z[g.mom_sl[k]] += 20.0 * rng.standard_normal(p.n_cells)
-        x = g.algebraic_solve(z, STAR_INPUTS)
+            x[g.rho_sl[k]] *= 1.0 + 0.05 * rng.standard_normal(p.n_cells)
+            x[g.mom_sl[k]] += 20.0 * rng.standard_normal(p.n_cells)
+        x = g.algebraic_solve(x, STAR_INPUTS)
         terms = g.power_terms(x, STAR_INPUTS)
         lhs = terms["rate"]
         rhs = (terms["boundary"] + terms["compressor"] + terms["internal"]
@@ -594,8 +594,9 @@ def test_power_terms_equal_per_pipe_oracle(name):
     x0 = gn.steady_state(g, inputs)
     rng = np.random.default_rng(12)
     for _ in range(3):
-        z = x0[: g.n_z] * (1.0 + 1e-2 * rng.standard_normal(g.n_z))
-        x = g.algebraic_solve(z, inputs, anchor=x0)
+        x = x0.copy()
+        x[: g.n_z] *= 1.0 + 1e-2 * rng.standard_normal(g.n_z)
+        x = g.algebraic_solve(x, inputs)
         got, ref = g.power_terms(x, inputs), power_terms_oracle(g, x, inputs)
         for key, val in ref.items():
             assert got[key] == pytest.approx(val, rel=1e-12)
@@ -604,7 +605,7 @@ def test_power_terms_equal_per_pipe_oracle(name):
 def test_single_pipe_assembly_matches_oracle(gas):
     g = single_pipe_system(gas)
     x = gn.steady_state(g, {"s": 80e5, "d": 300.0})
-    snap = record_dict(g, x[: g.n_z], {"s": 80e5, "d": 300.0})
+    snap = record_dict(g, x, {"s": 80e5, "d": 300.0})
     oracle = gn.steady_pipe_oracle(g.pipes[0], gas, 80e5, 300.0)
     assert snap["line.out.p_Pa"] == pytest.approx(oracle, rel=5e-3)
 
@@ -618,14 +619,14 @@ class TestGeneralTopologies:
         g = gn.assemble(spec)
         inputs = DIAMOND_INPUTS
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap = record_dict(g, x[: g.n_z], inputs, anchor=x)
+        snap = record_dict(g, x, inputs)
         # junction pressure continuity across all three attached ports
         pj = [snap["A.out.p_Pa"], snap["B.out.p_Pa"], snap["C.in.p_Pa"]]
         assert max(pj) - min(pj) <= 1e-6 * max(pj)
         # flux split sums to the downstream feed, low-friction leg carries more
         assert snap["A.out.m"] + snap["B.out.m"] == pytest.approx(snap["C.in.m"], rel=1e-8)
         assert snap["A.out.m"] > snap["B.out.m"] > 0.0
-        # anchored record matches the solver's own algebraic variables
+        # the record at x matches the solver's own algebraic variables
         assert snap["A.out.m"] == pytest.approx(-x[g.mu_m[0]], rel=1e-9)
 
         scen = gn.Scenario(t_end=1200.0, dt=100.0, profiles={
@@ -637,8 +638,9 @@ class TestGeneralTopologies:
 
     def test_algebraic_solve_matches_lstsq_reference(self):
         # reference: the port/node rows read off the residual (linear in the
-        # algebraic unknowns) and solved by lstsq toward the anchor; the
-        # merging junction makes that matrix singular
+        # algebraic unknowns) and solved by lstsq toward the algebraic part
+        # of the vector solved at; the merging junction makes that matrix
+        # singular
         cases = [(gn.assemble(diamond_spec()), DIAMOND_INPUTS),
                  (gn.assemble(star_network_spec()), STAR_INPUTS)]
         for g, inputs in cases:
@@ -651,9 +653,11 @@ class TestGeneralTopologies:
                 xe = x0.copy()
                 xe[g.n_z + j] = 1.0
                 M[:, j] = g.steady_residual(xe, inputs)[g.n_z:] - F0
-            anchor = x[g.n_z:] * 1.01
-            ref = anchor + np.linalg.lstsq(M, -F0 - M @ anchor, rcond=None)[0]
-            got = g.algebraic_solve(x[: g.n_z], inputs, anchor=anchor)[g.n_z:]
+            start = x.copy()
+            start[g.n_z:] *= 1.01
+            alg = start[g.n_z:]
+            ref = alg + np.linalg.lstsq(M, -F0 - M @ alg, rcond=None)[0]
+            got = g.algebraic_solve(start, inputs)[g.n_z:]
             assert np.allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
     @pytest.mark.parametrize("name", ["star", "diamond", "series", "ladder"])
@@ -689,7 +693,7 @@ class TestGeneralTopologies:
         g = gn.assemble(gn.NetworkSpec(gas, nodes, pipes, []))
         inputs = {"s1": 72e5, "s2": 70e5, "d": 200.0}
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap = record_dict(g, x[: g.n_z], inputs, anchor=x)
+        snap = record_dict(g, x, inputs)
         assert snap["A.in.p_Pa"] == pytest.approx(72e5, rel=1e-12)
         assert snap["B.in.p_Pa"] == pytest.approx(70e5, rel=1e-12)
         # the higher-pressure supply pushes harder
@@ -699,7 +703,7 @@ class TestGeneralTopologies:
         g = gn.assemble(series_stations_spec())
         inputs = SERIES_INPUTS
         x = gn.steady_state(g, inputs, gn.SolverConfig(newton_abs_tol=1e-11))
-        snap = record_dict(g, x[: g.n_z], inputs, anchor=x)
+        snap = record_dict(g, x, inputs)
         assert snap["P2.in.p_Pa"] / snap["P1.out.p_Pa"] == pytest.approx(1.1, rel=1e-10)
         assert snap["P3.in.p_Pa"] == pytest.approx(80e5, rel=1e-10)
         ratio2 = 80e5 / snap["P2.out.p_Pa"]
@@ -716,7 +720,7 @@ def test_fuse_compressors_removes_station():
     assert gn.validate_topology(fused).ok
     g = gn.assemble(fused)
     x = gn.steady_state(g, {"v1": 60e5, "v2": 120.0, "v3": 80.0})
-    snap = record_dict(g, x[: g.n_z], {"v1": 60e5, "v2": 120.0, "v3": 80.0})
+    snap = record_dict(g, x, {"v1": 60e5, "v2": 120.0, "v3": 80.0})
     assert snap["P2.in.p_Pa"] == pytest.approx(snap["P1.out.p_Pa"], rel=1e-9)
 
 
@@ -779,7 +783,7 @@ class TestPipeBank:
         assert g.hamiltonian_total(z) == pytest.approx(
             sum(p.stored_energy(rho, mom) for p, rho, mom in per_pipe), rel=1e-14)
         assert g.min_density(z) == min(rho.min() for _, rho, _ in per_pipe)
-        assert g.net_mass_influx(z, x) == pytest.approx(
+        assert g.net_mass_influx(x, x) == pytest.approx(
             sum(mom[0] + x[g.mu_m[k]] for k, (_, _, mom) in enumerate(per_pipe)),
             rel=1e-14)
         assert np.array_equal(g.effort_vector(z), np.concatenate(
@@ -796,8 +800,8 @@ def test_generated_networks_match_the_oracles(seed):
     spec, inputs = generated_network(seed)
     g = gn.assemble(spec)
     rng = np.random.default_rng(seed)
-    z = consistent_state(g, inputs, rng)
-    x = g.algebraic_solve(z, inputs)
+    x = g.algebraic_solve(consistent_state(g, inputs, rng), inputs)
+    z = x[: g.n_z]
     F = g.steady_residual(x, inputs)
     assert np.array_equal(F, reference_residual(g, x, np.zeros(g.n_z), inputs))
     z_prev = z * (1.0 + rng.normal(0.0, 1e-3, g.n_z))
@@ -918,7 +922,7 @@ def test_missing_input_raises_configuration_error():
 
 
 @pytest.mark.parametrize("call", [
-    lambda g, x, fn: g.snapshot(x[: g.n_z], fn),
+    lambda g, x, fn: g.snapshot(x, fn),
     lambda g, x, fn: gn.steady_state(g, fn),
     lambda g, x, fn: g.power_terms(x, fn),
 ], ids=["snapshot", "steady_state", "power_terms"])

@@ -100,6 +100,54 @@ class TestNewton:
                             gn.SolverConfig(newton_abs_tol=1e-12), colors=dense_coloring(2))
 
 
+def holed_square(lo, hi, fill, trials):
+    """x^2 - 4, but `fill` (NaN or an infinity) on lo < x < hi; every evaluation
+    goes to `trials` as (x, F)."""
+    def fun(x):
+        F = np.where((x > lo) & (x < hi), fill, x * x - 4.0)
+        trials.append((float(x[0]), float(F[0])))
+        return F
+    return fun
+
+
+class TestNonFiniteTrials:
+    """A NaN or an infinity in a trial's residual makes its norm fail every test."""
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+    def test_at_the_start_raises(self, fill):
+        with pytest.raises(gn.StateError, match="^residual not finite at the initial guess$"):
+            gn.newton_solve(holed_square(0.0, 1.0, fill, []), np.array([0.5]),
+                            colors=dense_coloring(1))
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    def test_line_search_backtracks_past_them(self, fill):
+        # from 0.5 the full step lands at 4.25, past 3: halved, it is kept
+        trials = []
+        res = gn.newton_solve(holed_square(3.0, np.inf, fill, trials), np.array([0.5]),
+                              colors=dense_coloring(1))
+        assert res.x[0] == pytest.approx(2.0, abs=1e-9)
+        bad = [x for x, F in trials if not np.isfinite(F)]
+        assert len(bad) == 1 and bad[0] == pytest.approx(4.25, rel=1e-6)
+        assert all(np.isfinite(res.history))
+
+    def test_chord_trial_drops_the_factor_and_refactors(self, monkeypatch):
+        # chord Newton from 3: the second step on the first factor lands at
+        # 2.051, inside the hole, so the factor is dropped and a second
+        # Jacobian is built there; without the hole one factor serves
+        monkeypatch.setattr(gn.SolverConfig, "sparse_threshold", 0)
+        runs, bad = {}, {}
+        for hole in ((2.03, 2.1), (9.0, 9.0)):
+            trials = []
+            runs[hole] = gn.newton_solve(holed_square(*hole, np.nan, trials), np.array([3.0]),
+                                         colors=dense_coloring(1))
+            assert runs[hole].x[0] == pytest.approx(2.0, abs=1e-9)
+            bad[hole] = [x for x, F in trials if not np.isfinite(F)]
+        assert bad[(9.0, 9.0)] == [] and runs[(9.0, 9.0)].jacobians == 1
+        assert len(bad[(2.03, 2.1)]) == 1 and bad[(2.03, 2.1)][0] == pytest.approx(2.051, abs=1e-3)
+        assert runs[(2.03, 2.1)].jacobians == 2
+        assert all(np.isfinite(runs[(2.03, 2.1)].history))
+
+
 def superlu_newton_step(fun, x, F, colors, slot):
     """``timeloop._newton_step`` on SuperLU, an independent factor of the same
     colored FD Jacobian; chord Newton keeps it in ``slot`` as it keeps the
@@ -218,11 +266,11 @@ def test_block_solve_matches_the_dense_reference(seed, demand, cells):
             inputs[nd.id] = 0.0 if demand == "zero" else -inputs[nd.id]
     g.references = g.reference_levels(inputs)
     rng = np.random.default_rng(seed)
-    z = consistent_state(g, inputs, rng)
-    z[g.bank.mom] = 0.0 if demand == "zero" else -np.abs(z[g.bank.mom])
-    x = g.algebraic_solve(z, inputs)
+    x = consistent_state(g, inputs, rng)
+    x[g.bank.mom] = 0.0 if demand == "zero" else -np.abs(x[g.bank.mom])
+    x = g.algebraic_solve(x, inputs)
     scale = g.row_scale()
-    step = g.make_step_residual(z * (1.0 + rng.normal(0.0, 1e-3, g.n_z)), 600.0, inputs)
+    step = g.make_step_residual(x[: g.n_z] * (1.0 + rng.normal(0.0, 1e-3, g.n_z)), 600.0, inputs)
     funs = [lambda v: step(v) / scale]
     supplies = sum(nd.kind is gn.NodeKind.SUPPLY for nd in spec.nodes)
     tree = len(spec.pipes) + len(spec.compressors) == len(spec.nodes) - 1
@@ -647,7 +695,7 @@ class TestSteadyState:
     def test_no_demand_means_uniform_pressure(self, gas):
         g = single_pipe_system(gas)
         x = gn.steady_state(g, {"s": 80e5, "d": 0.0})
-        snap = record_dict(g, x[: g.n_z], {"s": 80e5, "d": 0.0})
+        snap = record_dict(g, x, {"s": 80e5, "d": 0.0})
         assert snap["line.out.p_Pa"] == pytest.approx(80e5, rel=1e-9)
         assert abs(snap["line.in.m"]) <= 1e-5
 
@@ -727,7 +775,7 @@ class TestSteadyState:
     def test_constant_demand_matches_oracle(self, gas):
         g = single_pipe_system(gas, n_cells=32)
         x = gn.steady_state(g, {"s": 80e5, "d": 300.0})
-        snap = record_dict(g, x[: g.n_z], {"s": 80e5, "d": 300.0})
+        snap = record_dict(g, x, {"s": 80e5, "d": 300.0})
         oracle = gn.steady_pipe_oracle(g.pipes[0], gas, 80e5, 300.0)
         assert abs(snap["line.out.p_Pa"] - oracle) / oracle <= 0.005
 
@@ -737,7 +785,7 @@ class TestSteadyState:
         fn, p_ref, m_ref = gn.bind_inputs(g, scen)
         g.references = (p_ref, m_ref)
         x = gn.steady_state(g, fn(0.0), set_references=False)
-        snap = record_dict(g, x[: g.n_z], fn(0.0))
+        snap = record_dict(g, x, fn(0.0))
         assert snap["east.in.p_Pa"] / snap["west.out.p_Pa"] == pytest.approx(1.2, rel=1e-12)
 
     def test_converges_within_25_iterations_from_flat_start(self):
@@ -842,29 +890,37 @@ class TestDirectSteadyStart:
             assert np.array_equal(g.initial_guess(inputs), kirchhoff_start(g, inputs))
 
     def test_unsettled_fp_av_factor_leaves_the_kirchhoff_start(self):
-        # at 2500 the first pass, with the fp-av factor at the supply
-        # pressure, cannot carry west's flow; the factor has not settled,
-        # so no pipe is named and Newton gets the Kirchhoff start
+        # at 1450 the first pass, with the fp-av factor at the supply
+        # pressure, cannot carry west's flow; the factor has not settled and
+        # the march at factor 0 holds, so no pipe is named and Newton gets
+        # the Kirchhoff start
         spec, scen = benchmark_with_model("fp-av")
         g = gn.assemble(spec)
-        inputs = {**gn.bind_inputs(g, scen)[0](0.0), "sink": 2500.0}
+        inputs = {**gn.bind_inputs(g, scen)[0](0.0), "sink": 1450.0}
         assert np.array_equal(g.initial_guess(inputs), kirchhoff_start(g, inputs))
 
-    @pytest.mark.parametrize("demand, message", [
-        (("sink", 2500.0), "pipe 'west' cannot carry the steady flow m=2500 from "
-                           "p_in=8e+06 Pa: no positive density at cell 10"),
-        (("B", 3000.0), "pipe 'back' cannot carry the steady flow m=-3000 from "
-                        "p_out=7e+06 Pa: no positive density at cell 3"),
-    ], ids=["day-line-forward", "tree-backward"])
-    def test_infeasible_demand_names_the_pipe_and_cell(self, demand, message):
-        # the march finds the first cell, in march order, with no positive density
+    @pytest.mark.parametrize("model, demand, message", [
+        ("fc-am", ("sink", 2500.0), "pipe 'west' cannot carry the steady flow m=2500 from "
+                                    "p_in=8e+06 Pa: no positive density at cell 10"),
+        ("fc-am", ("B", 3000.0), "pipe 'back' cannot carry the steady flow m=-3000 from "
+                                 "p_out=7e+06 Pa: no positive density at cell 3"),
+        ("fp-av", ("sink", 2500.0), "pipe 'east' cannot carry the steady flow m=2500 from "
+                                    "p_in=8.4e+06 Pa: no positive density at cell 11"),
+        (None, ("D1", 3000.0), "pipe 'd1' cannot carry the steady flow m=3000 from "
+                               "p_in=6.7e+06 Pa: no positive density at cell 2"),
+    ], ids=["day-line-forward", "tree-backward", "fp-av-day-line", "fp-av-tree"])
+    def test_infeasible_demand_names_the_pipe_and_cell(self, model, demand, message):
+        # the march finds the first cell, in march order, with no positive
+        # density; while an fp-av factor moves (the last two cases: east is
+        # fed at the fp-av setpoint, d1 at fp-av c1's), the march at factor 0
+        # names the pipe that no factor relieves
         if demand[0] == "sink":
-            spec, scen = benchmark_with_model("fc-am")
+            spec, scen = benchmark_with_model(model)
             g = gn.assemble(spec)
             inputs = gn.bind_inputs(g, scen)[0](0.0)
-        else:   # without the fp-av station, every factor is settled from the start
+        else:   # the tree's own stations, or all fc-am: every factor settled from the start
             spec, inputs = branched_tree()
-            spec = _apply_model_override(spec, "fc-am", None)
+            spec = _apply_model_override(spec, model, None)
             inputs.update({st.id: st.default_setpoint() for st in spec.compressors})
             g = gn.assemble(spec)
         inputs = {**inputs, demand[0]: demand[1]}
@@ -882,7 +938,7 @@ class TestDirectSteadyStart:
             g = single_pipe_system(gas, n_cells=n, length=181.5e3)
             x = gn.steady_state(g, inputs)
             exact = gn.steady_pipe_oracle(g.pipes[0], gas, 80e5, 300.0)
-            errors.append(abs(record_dict(g, x[: g.n_z], inputs, x)["line.out.p_Pa"] - exact))
+            errors.append(abs(record_dict(g, x, inputs)["line.out.p_Pa"] - exact))
         orders = np.log2(np.array(errors[:-1]) / errors[1:])
         assert orders.min() >= 1.95
 
@@ -923,8 +979,8 @@ class TestMidpointStep:
         x = gn.steady_state(g, inputs)
         x1, _ = gn.step_midpoint(g, x, 0.0, 100.0, lambda t: inputs)
         assert np.abs(g.steady_residual(x1, inputs) / g.row_scale()).max() <= 1e-7
-        snap0 = record_dict(g, x[: g.n_z], inputs)
-        snap1 = record_dict(g, x1[: g.n_z], inputs)
+        snap0 = record_dict(g, x, inputs)
+        snap1 = record_dict(g, x1, inputs)
         for name in snap0:
             assert snap1[name] == pytest.approx(snap0[name], rel=1e-6, abs=1e-8)
 
@@ -967,9 +1023,8 @@ class TestMidpointStep:
         dt = 100.0
         for i in range(6):
             x_new, _ = gn.step_midpoint(g, x, i * dt, dt, fn, gn.SolverConfig(newton_abs_tol=1e-11))
-            z_mid = 0.5 * (x[: g.n_z] + x_new[: g.n_z])
             dmass = g.total_mass(x_new[: g.n_z]) - g.total_mass(x[: g.n_z])
-            influx = g.net_mass_influx(z_mid, x_new)
+            influx = g.net_mass_influx(x, x_new)
             assert dmass == pytest.approx(dt * influx, rel=1e-9, abs=1e-6)
             x = x_new
 
@@ -1004,6 +1059,31 @@ class TestSimulate:
         assert ts.n_samples == 37
         assert ts.newton_iters.size == 36
         assert np.all(np.diff(ts.t) > 0)
+
+    def test_the_record_at_a_state_is_simulates(self):
+        # snapshot(x, inputs) re-solves the port and node rows toward x's own
+        # algebraic part: on the tree, back's inlet pressure (the supply's
+        # potential) and outlet momentum (B's demand) read as solved, and
+        # the row is simulate's, bit for bit, at the steady state and after
+        # each step
+        spec, inputs = branched_tree()
+        g = gn.assemble(spec)
+        rec = record_dict(g, gn.steady_state(g, inputs), inputs)
+        assert rec["back.in.p_Pa"] == pytest.approx(6998326.511468051, rel=1e-12)
+        assert rec["back.out.m"] == pytest.approx(-40.0, rel=1e-12)
+
+        boundary = {nd.id for nd in g.boundary}
+        scen = gn.Scenario(t_end=1800.0, dt=600.0, profiles={
+            key: (np.array([0.0, 600.0]), np.array([value, 1.1 * value]))
+            for key, value in inputs.items() if key in boundary})
+        ts = gn.simulate(g, scen)
+        fn, p_ref, m_ref = gn.bind_inputs(g, scen)
+        g.references = (p_ref, m_ref)
+        x = gn.steady_state(g, fn(0.0), set_references=False)
+        for i, t in enumerate(ts.t):
+            if i:
+                x, _ = gn.step_midpoint(g, x, ts.t[i - 1], 600.0, fn)
+            assert g.snapshot(x, fn(t)).tobytes() == ts.data[i].tobytes()
 
     @pytest.mark.parametrize("dt", [1e-300, 1e-12, 1e-310])
     def test_a_grid_the_records_cannot_hold_fails_before_the_steady_solve(
