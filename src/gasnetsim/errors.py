@@ -24,7 +24,15 @@ class InfeasibleFlowError(GasnetError):
 
 
 class FactorizationError(GasnetError):
-    """Linear solve inside Newton failed (singular Jacobian)."""
+    """Linear solve inside Newton failed (singular Jacobian).
+
+    Raised by Newton, it carries the best iterate seen, as
+    NonconvergenceError does.
+    """
+
+    def __init__(self, message, x_best=None):
+        super().__init__(message)
+        self.x_best = x_best
 
 
 def require_positive(what: str, value) -> None:

@@ -60,15 +60,25 @@ for the residual and the algebraic solve alike.
 The Jacobian's pattern (`_pattern`) and segment labels (`_segments`) go to
 `blocks`, which owns its coloring and block form (`jac_colors`).
 
-The steady solve's start (`initial_guess`) is the steady state itself when
-the network is a tree with one supply, each station's two ends counted as
-one vertex, and the walk out from the supply enters every station at its
-inlet (`_tree_walk`). A reverse pass gives every pipe the demands beyond
-it, scaled by a station's factor k upstream of it; a forward pass sets each
+The steady state is built in closed form (`direct_state`) when the network
+is a tree with one supply, each station's two ends counted as one vertex,
+and the walk out from the supply enters every station at its inlet
+(`_tree_walk`). A reverse pass gives every pipe the demands beyond it,
+scaled by a station's factor k upstream of it; a forward pass sets each
 pipe's densities in closed form from the potential at its near end
 (`_march`) and passes the potentials on, through the outlet pressure and
-the stations' outlet rules (`_tree_pass`). Every other network starts from
-its Kirchhoff flows (`_flow_map`).
+the stations' outlet rules (`_tree_pass`).
+
+Every other network is solved on its port variables y = (q per pipe,
+lambda per node). `port_state` marches every pipe forward from
+lambda(from-node) at flow q (`_port_march`, `_march`'s forward branch for
+all pipes at once), so the pipe rows hold and R(y) (`make_port_residual`)
+is the steady residual's port and node rows: K's rows through one column
+map onto y (`_port_map`), plus the state terms, which read only each
+pipe's last two densities. Its start (`port_start`) is the Kirchhoff flows
+(`_flow_map`) with every potential at the first supply's pressure, and its
+coloring (`port_colors`) maps `_pattern`'s port and node rows through the
+same column map.
 """
 
 from __future__ import annotations
@@ -83,7 +93,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import Triplets, blockwise_pinv, color_columns, component_roots
+from .blocks import ColumnColoring, Triplets, blockwise_pinv, color_columns, component_roots
 from .compressor import VARIANTS, Assumption, Framework, Variant, station_power
 from .errors import (ConfigurationError, InfeasibleFlowError, StateError, require_column_id,
                      require_positive)
@@ -330,6 +340,15 @@ class _Step(NamedTuple):
     station: int    # the station whose inlet is `far`, or -1
 
 
+class _PortMap(NamedTuple):
+    """The steady rows on the port variables y = (q, lambda) (`GlobalSystem._port_map`)."""
+
+    K: Triplets             # K's mu_m and node rows over [y | u], rows shifted to y's
+    coef: np.ndarray        # pipe: dx f, its march's friction coefficient
+    n_cells: np.ndarray     # pipe: its cell count
+    colors: ColumnColoring  # of R's pattern
+
+
 class _AlgebraicMap(NamedTuple):
     """M (the coupling's (mu_m, lambda) columns), its pseudo-inverse P, and the rest.
 
@@ -366,11 +385,6 @@ class GlobalSystem:
         self.n_z = off
         P = len(self.pipes)
         self.mu_m = off + np.arange(P)
-        self.bank = self._build_bank()
-        # the cell-measure weights W of H and of the pipe rows
-        self.energy_weights = np.empty(self.n_z)
-        self.energy_weights[self.bank.rho] = self.bank.dx
-        self.energy_weights[self.bank.mom] = self.bank.w
         # station ends (inlet then outlet, per station) and the pressure-rule rows
         ends = [nid for st in spec.compressors for nid in (st.inlet_node, st.outlet_node)]
         self.station_ends = frozenset(ends)
@@ -386,6 +400,17 @@ class GlobalSystem:
         self.p_in = np.array([self.lam[pe.from_node] for pe in spec.pipes], dtype=int)
         self.n_alg = P + len(self.node_order)
         self.n = self.n_z + self.n_alg
+        try:
+            self.bank = self._build_bank()
+        except MemoryError as exc:
+            # six 8-byte arrays per cell, two per pipe
+            raise ConfigurationError(
+                f"{self.n} unknowns: the pipe bank needs {24 * self.n_z + 16 * P} bytes, "
+                "more than can be allocated") from exc
+        # the cell-measure weights W of H and of the pipe rows
+        self.energy_weights = np.empty(self.n_z)
+        self.energy_weights[self.bank.rho] = self.bank.dx
+        self.energy_weights[self.bank.mom] = self.bank.w
 
         # per-node attachments: (pipe index, is_outlet)
         self.attached: dict[str, list[tuple[int, bool]]] = {nd.id: [] for nd in spec.nodes}
@@ -422,6 +447,7 @@ class GlobalSystem:
         self._alg_map = None
         self._flows = None
         self._walk = None
+        self._ports = None
 
     def _build_bank(self) -> PipeBank:
         n_cells = np.array([p.n_cells for p in self.pipes])
@@ -517,7 +543,7 @@ class GlobalSystem:
         F = self.coupling.matvec(np.concatenate([x, u]), self.n)
         F[: self.n_z] += self.energy_weights * zdot
         F[b.mom] += b.w * self._friction(x[b.rho], x[b.mom])
-        self._add_state_terms(F, x, u, 0)
+        self._add_state_terms(F, self._outlet_pressures(x), x[b.m_in], u, 0)
         return F
 
     def _friction(self, rho, mom):
@@ -531,23 +557,28 @@ class GlobalSystem:
 
     def _outlet_pressures(self, x):
         """Outlet pressure of every pipe, extrapolated from its last two cells."""
-        c2, tail = self.gas.c2, self.bank.tail
-        return 1.5 * (c2 * x[tail]) - 0.5 * (c2 * x[tail - 1])
+        tail = self.bank.tail
+        return self._extrapolate(x[tail], x[tail - 1])
 
-    def _add_state_terms(self, F, z, u, base):
+    def _extrapolate(self, last, prev):
+        """The outlet pressure from the last cell's density and the one before it."""
+        c2 = self.gas.c2
+        return 1.5 * (c2 * last) - 0.5 * (c2 * prev)
+
+    def _add_state_terms(self, F, p_out, m_in, u, base):
         """Add +p_out to the port-out rows, -k m_down and -p_st to the station rows.
 
-        Row 0 of F is the system's row `base`. Each station applies its
+        Row 0 of F is the system's row `base`; p_out and m_in hold every
+        pipe's outlet pressure and inlet momentum. Each station applies its
         variant's rules (`compressor.VARIANTS`) to its upstream pipe's outlet
         pressure and its setpoint in u; a plain loop beats array code for the
         few stations a network has.
         """
-        p_out = self._outlet_pressures(z)
         F[self.mu_m - base] += p_out
-        m_in, kappa = self.bank.m_in, self.gas.isentropic_exponent
+        kappa = self.gas.isentropic_exponent
         for s in self.stations:
             sp, p = u[s.input], p_out[s.pipe_up]
-            F[s.row_in - base] -= s.variant.factor(sp, p, kappa) * z[m_in[s.pipe_down]]
+            F[s.row_in - base] -= s.variant.factor(sp, p, kappa) * m_in[s.pipe_down]
             F[s.row_out - base] -= s.variant.outlet(sp, p)
 
     def reference_levels(self, levels):
@@ -658,7 +689,7 @@ class GlobalSystem:
         a, na, z, alg = self._algebraic_map(), self.n_alg, x[: self.n_z], x[self.n_z:]
         # the rows at zero (mu_m, lambda): M (mu_m, lambda) = -F0
         F0 = a.rest.matvec(np.concatenate([x, u]), na)
-        self._add_state_terms(F0, z, u, self.n_z)
+        self._add_state_terms(F0, self._outlet_pressures(z), z[self.bank.m_in], u, self.n_z)
         return np.concatenate([z, alg + a.P.matvec(-F0 - a.M.matvec(alg, na), na)])
 
     def record_names(self):
@@ -775,7 +806,7 @@ class GlobalSystem:
     # ------------------------------------------------------------------
 
     def _flow_map(self):
-        """(G, pipe of each cell): the Kirchhoff flows q = G u at the input vector u.
+        """G: the Kirchhoff flows q = G u at the input vector u.
 
         Each station's two ends merge into one vertex and every supply into
         one root. With A the pipes' incidence (+1 at the inlet end, -1 at
@@ -814,8 +845,7 @@ class GlobalSystem:
             laplacian[idle, idle] = 1.0
             rhs = np.zeros((N, len(self.input_ids)))
             rhs[demand, demand] = -1.0
-            self._flows = (At @ np.linalg.solve(laplacian, rhs),
-                           np.searchsorted(self.bank.tail, self.bank.rho))
+            self._flows = At @ np.linalg.solve(laplacian, rhs)
         return self._flows
 
     def _tree_walk(self) -> list[_Step]:
@@ -976,39 +1006,140 @@ class GlobalSystem:
         x[list(pot)] = list(pot.values())
         return x
 
-    def initial_guess(self, inputs0):
-        """The steady solve's start: the steady state itself on a tree, else the Kirchhoff start.
+    def direct_state(self, inputs0):
+        """A single-supply tree's steady state in closed form (`_tree_state`), else None.
 
-        On a tree with one supply whose walk enters every station at its
-        inlet (`_tree_walk`), the start is the steady state in closed form
-        (`_tree_state`), so Newton only certifies it; a demand that tree
-        cannot carry raises InfeasibleFlowError.
-
-        Kirchhoff start (every other network, and a tree whose march fails
-        while an fp-av factor still moves): densities and node potentials (so inlet
-        pressures) start at the first supply's pressure. Every pipe's
-        momenta and its -mu_m start at its Kirchhoff flow (`_flow_map`),
-        which meets every demand and junction balance with the stations
-        taken as plain junctions. Where a pipe's flow is below 1 in
-        magnitude (no demand, demands that cancel, or a loop that carries
-        none) it starts at 1 instead: at zero flow the steady rows lose
-        their friction slope, so the Jacobian is singular on a loop or on a
-        path between two supplies.
+        The tree is one whose walk from its supply enters every station at
+        its inlet (`_tree_walk`); a demand it cannot carry raises
+        InfeasibleFlowError. None also for such a tree whose march fails
+        while an fp-av factor still moves.
         """
-        u = self._input_vector(inputs0)
-        walk = self._tree_walk()
-        x = self._tree_state(u, walk) if walk else None
+        u, walk = self._input_vector(inputs0), self._tree_walk()
+        return self._tree_state(u, walk) if walk else None
+
+    def initial_guess(self, inputs0):
+        """The direct steady state (`direct_state`), else the Kirchhoff start.
+
+        Kirchhoff start: densities and node potentials (so inlet pressures)
+        at the first supply's pressure, every pipe's momenta and its -mu_m
+        at its flow in `port_start`. That start is the fallback of the
+        steady solve's reduced Newton (`timeloop.steady_state`).
+        """
+        x = self.direct_state(inputs0)
         if x is not None:
             return x
+        y = self.port_start(inputs0)
+        return self._state_at(y, y[len(self.pipes)] / self.gas.c2)
+
+    # ------------------------------------------------------------------
+    # the steady state on the port variables
+    # ------------------------------------------------------------------
+
+    def port_start(self, inputs0):
+        """The start y0 = (q, lambda) of the reduced steady solve.
+
+        Every pipe's q is its Kirchhoff flow (`_flow_map`), which meets
+        every demand and junction balance with the stations taken as plain
+        junctions, and every node potential the first supply's pressure.
+        Where a pipe's flow is below 1 in magnitude (no demand, demands
+        that cancel, or a loop that carries none) it starts at 1 instead:
+        at zero flow the steady rows lose their friction slope, so the
+        Jacobian is singular on a loop or on a path between two supplies.
+        """
         p_ref, _ = self.reference_levels(inputs0)
-        G, cell_pipe = self._flow_map()
-        q = G @ u
+        q = self._flow_map() @ self._input_vector(inputs0)
         q[np.abs(q) < 1.0] = 1.0
+        return np.concatenate([q, np.full(len(self.node_order), p_ref)])
+
+    def _port_map(self) -> _PortMap:
+        """R's constant rows and coloring on y = (q, lambda), and the march's constants.
+
+        Built once per system, at the first call. One column map takes x's
+        columns to y's: a cell's density and momentum, and mu_m, to its
+        pipe's q (mu_m = -q, so those entries of K change sign), a
+        potential and an input to themselves. K's mu_m and node rows go
+        through it, and so does `_pattern`'s, a density entry reading
+        lambda(from) too, where its pipe's march starts.
+        """
+        if self._ports is None:
+            b, n_z, P, c = self.bank, self.n_z, len(self.pipes), self.coupling
+            cell_pipe = np.searchsorted(b.tail, b.rho)
+            to_y = np.arange(self.n + len(self.input_ids)) - n_z   # past z: mu_m, lambda, u
+            to_y[b.rho] = to_y[b.mom] = cell_pipe
+            start = np.full(self.n, -1)
+            start[b.rho] = self.p_in[cell_pipe] - n_z
+            alg = c.rows >= n_z
+            cols = c.cols[alg]
+            K = Triplets(c.rows[alg] - n_z, to_y[cols],
+                         np.where((cols >= n_z) & (cols < n_z + P), -c.vals[alg], c.vals[alg]))
+            ent = self._pattern()
+            rows, cols = ent[ent[:, 0] >= n_z].T
+            rows -= n_z
+            read = start[cols] >= 0
+            pattern = np.concatenate([np.column_stack([rows, to_y[cols]]),
+                                      np.column_stack([rows[read], start[cols[read]]])])
+            segment = np.concatenate([np.arange(P), np.full(len(self.node_order), -1)])
+            n_cells = np.array([p.n_cells for p in self.pipes])
+            self._ports = _PortMap(
+                K, (b.dx * b.fric)[np.cumsum(n_cells) - n_cells], n_cells,
+                color_columns(pattern, (segment, [f"pipe {p.id!r}" for p in self.pipes])))
+        return self._ports
+
+    def port_colors(self):
+        """The `blocks.ColumnColoring` of R(y): each q a 1 x 1 segment, the potentials the border."""
+        return self._port_map().colors
+
+    def _port_march(self, y):
+        """Every pipe's steady density squares at y = (q, lambda): (d, s), cell i at d + i s.
+
+        `_march` forward from lambda(from) at flow q, for every pipe at
+        once; d is NaN where no positive density carries q, so R(y) is not
+        finite there.
+        """
+        pm, c2 = self._port_map(), self.gas.c2
+        q, lam = y[: pm.n_cells.size], y[self.p_in - self.n_z]
+        a = pm.coef * (q * np.abs(q))   # dx f q|q|
+        disc = lam * lam - 2.0 * c2 * a
+        first = (lam + np.sqrt(np.where(disc > 0, disc, np.nan))) / (2.0 * c2)
+        d, s = first * first, -(2.0 * a / c2)
+        return np.where((first > 0) & (d + (pm.n_cells - 1) * s > 0), d, np.nan), s
+
+    def make_port_residual(self, inputs0):
+        """R(y), the steady residual's mu_m and node rows at x(y) (`port_state`), unscaled.
+
+        Each pipe's rows hold at x(y) to rounding, so R is the rest of the
+        steady residual, bit for bit: K's rows over [y | u] plus the state
+        terms, which read only each pipe's last two densities. One
+        evaluation costs O(P + N), whatever the cell count.
+        """
+        pm, u, P = self._port_map(), self._input_vector(inputs0), len(self.pipes)
+        n_y = P + len(self.node_order)
+
+        def fun(y):
+            d, s = self._port_march(y)
+            p_out = self._extrapolate(np.sqrt(d + (pm.n_cells - 1) * s),
+                                      np.sqrt(d + (pm.n_cells - 2) * s))
+            F = pm.K.matvec(np.concatenate([y, u]), n_y)
+            self._add_state_terms(F, p_out, y[:P], u, self.n_z)
+            return F
+
+        return fun
+
+    def port_state(self, y):
+        """x(y): every pipe's densities by `_port_march`, its momenta at q and mu_m at -q."""
+        n_cells = self._port_map().n_cells
+        d, s = self._port_march(y)
+        cell = np.arange(self.bank.rho.size) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
+        return self._state_at(y, np.sqrt(np.repeat(d, n_cells) + cell * np.repeat(s, n_cells)))
+
+    def _state_at(self, y, rho):
+        """x with densities rho, every pipe's momenta at its q and mu_m at -q, y's potentials."""
+        P = len(self.pipes)
         x = np.empty(self.n)
-        x[self.bank.rho] = p_ref / self.gas.c2
-        x[self.bank.mom] = q[cell_pipe]
-        x[self.mu_m] = -q
-        x[self.n - len(self.node_order):] = p_ref   # node potentials
+        x[self.bank.rho] = rho
+        x[self.bank.mom] = np.repeat(y[:P], self._port_map().n_cells)
+        x[self.mu_m] = -y[:P]
+        x[self.n_z + P:] = y[P:]
         return x
 
 

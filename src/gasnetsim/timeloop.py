@@ -140,7 +140,8 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, *, colors) -> NewtonR
     A trial is judged only by its norm (max|F|, or F·F in the line search),
     which a NaN or inf in F makes fail every test; at the start such a norm
     raises StateError. Raises NonconvergenceError (carrying the best iterate
-    and the norm history) on stagnation or iteration exhaustion.
+    and the norm history) on stagnation or iteration exhaustion, and
+    FactorizationError (carrying the best iterate) on a singular Jacobian.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -164,7 +165,10 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, *, colors) -> NewtonR
             if not chord:
                 slot[0] = None
         if not chord:
-            dx = _newton_step(fun, x, F, colors, slot)
+            try:
+                dx = _newton_step(fun, x, F, colors, slot)
+            except FactorizationError as exc:
+                raise FactorizationError(str(exc), x_best=best_x) from exc
             jacobians += 1
             f2 = float(np.dot(F, F))
             alpha = 1.0
@@ -263,21 +267,52 @@ def _solve(sys, raw, x0, cfg, t, what):
 
 def steady_state(gsys, inputs0, cfg: SolverConfig | None = None,
                  set_references=True) -> np.ndarray:
-    """Solve the DAE with all time derivatives dropped, from `GlobalSystem.initial_guess`.
+    """Solve the DAE with all time derivatives dropped; Newton on all n unknowns certifies it.
 
-    On a single-supply tree that start is the steady state in closed form,
-    so Newton returns at 0 iterations without building a Jacobian, and a
-    demand the tree cannot carry raises InfeasibleFlowError naming its pipe.
+    On a single-supply tree the start is the steady state in closed form
+    (`GlobalSystem.direct_state`), so Newton returns at 0 iterations
+    without building a Jacobian, and a demand the tree cannot carry raises
+    InfeasibleFlowError naming its pipe. Every other network first solves
+    its steady state on the port variables only (`_port_solve`), and
+    where that converges Newton certifies it at 0 iterations too.
     """
     try:
-        x0 = gsys.initial_guess(inputs0)
+        x0 = gsys.direct_state(inputs0)
     except InfeasibleFlowError as exc:
         raise InfeasibleFlowError(f"steady-state solve failed: {exc}") from exc
     if set_references:
         gsys.references = gsys.reference_levels(inputs0)
     gsys.jac_colors().factor[0] = None    # every steady solve starts from a fresh Jacobian
+    if x0 is None:
+        x0 = _port_solve(gsys, inputs0, cfg)
     return _solve(gsys, lambda x: gsys.steady_residual(x, inputs0), x0, cfg,
                   0.0, "steady-state solve").x
+
+
+def _port_solve(gsys, inputs0, cfg):
+    """The steady solve's start off the single-supply trees: x at the roots of R(y).
+
+    y = (q per pipe, lambda per node), P + N unknowns at any cell count.
+    Each pipe is eliminated by its closed-form march from lambda(from) at
+    flow q (`GlobalSystem.port_state`), so R is the steady residual's mu_m
+    and node rows at x(y), row-scaled as `_solve` scales them (nonlinear
+    elimination: Lanzkron, Rose & Wilkes, SIAM J. Sci. Comput. 1996).
+    Newton on R starts from `GlobalSystem.port_start`. A stall or a
+    singular reduced Jacobian hands on x at its best y; a residual that is
+    not finite at the start hands on the Kirchhoff start
+    (`GlobalSystem.initial_guess`). Either way the Newton on all n
+    unknowns that follows decides the outcome.
+    """
+    raw, scale = gsys.make_port_residual(inputs0), gsys.row_scale()[gsys.n_z:]
+    y0, colors = gsys.port_start(inputs0), gsys.port_colors()
+    colors.factor[0] = None
+    try:
+        y = newton_solve(lambda y: raw(y) / scale, y0, cfg, colors=colors).x
+    except (NonconvergenceError, FactorizationError) as exc:
+        y = exc.x_best
+    except StateError:
+        return gsys.initial_guess(inputs0)
+    return gsys.port_state(y)
 
 
 def step_midpoint(sys, x_prev, t_n, dt, input_fn, cfg: SolverConfig | None = None):

@@ -211,6 +211,33 @@ def generated_network(seed):
     return gn.NetworkSpec(GAS, nodes, pipes, comps), inputs
 
 
+def generated_steady_case(seed, demand):
+    """`generated_network(seed)` at one demand mode: (spec, inputs).
+
+    "generated" keeps the generated levels, "zero" sets them to 0 and
+    "cancelling" shifts them to sum to zero (up to rounding).
+    """
+    spec, inputs = generated_network(seed)
+    demands = [nd.id for nd in spec.nodes if nd.kind is gn.NodeKind.DEMAND]
+    levels = np.array([inputs[d] for d in demands])
+    if demand == "zero":
+        levels[:] = 0.0
+    elif demand == "cancelling" and demands:
+        levels -= levels.mean()
+    inputs.update(zip(demands, levels.tolist()))
+    return spec, inputs
+
+
+def column_units(g):
+    """Per unknown, the scale of the residual's references: p_ref for potentials,
+    p_ref / c^2 for densities, m_ref for momenta and mu_m."""
+    p_ref, m_ref = g.references
+    unit = np.full(g.n, p_ref)
+    unit[g.bank.rho] = p_ref / g.gas.c2
+    unit[g.bank.mom] = unit[g.mu_m] = m_ref
+    return unit
+
+
 def kirchhoff_start(g, inputs):
     """The Kirchhoff flow start: `GlobalSystem.initial_guess` off the single-supply trees.
 
@@ -221,12 +248,11 @@ def kirchhoff_start(g, inputs):
     raised to 1.
     """
     p_ref, _ = g.reference_levels(inputs)
-    G, cell_pipe = g._flow_map()
-    q = G @ g._input_vector(inputs)
+    q = g._flow_map() @ g._input_vector(inputs)
     q[np.abs(q) < 1.0] = 1.0
     x = np.empty(g.n)
     x[g.bank.rho] = p_ref / g.gas.c2
-    x[g.bank.mom] = q[cell_pipe]
+    x[g.bank.mom] = q[np.searchsorted(g.bank.tail, g.bank.rho)]
     x[g.mu_m] = -q
     x[g.n - len(g.node_order):] = p_ref
     return x
@@ -764,8 +790,18 @@ def bench_workloads():
     return sys.modules[name]
 
 
-def ladder_system(seed=301):
-    """The benchmark's looped 8-station ladder (n = 2867) with its scenario."""
+def ladder_system(seed=301, cells=None):
+    """The benchmark's looped 8-station ladder with its scenario.
+
+    The bench case's network text is used as it is (14 cells per pipe,
+    n = 2867), or with every pipe's `cells` rewritten to ``cells``.
+    """
     case = bench_workloads().ladder_case(seed)
-    spec = gn.parse_network(case.network)
+    text = case.network
+    if cells is not None:
+        doc = json.loads(text)
+        for pipe in doc["pipes"]:
+            pipe["cells"] = cells
+        text = json.dumps(doc)
+    spec = gn.parse_network(text)
     return gn.assemble(spec), gn.parse_scenario(case.scenario, spec)

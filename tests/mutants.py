@@ -43,6 +43,8 @@ CHECK = "tests/test_network.py::test_check_state_names_"
 NONFINITE = TL + "TestNonFiniteTrials::"
 DIRECT = TL + "TestDirectSteadyStart::"
 INFEASIBLE = DIRECT + "test_infeasible_demand_names_the_pipe_and_cell"
+REDUCED = TL + "TestReducedSteady::"
+LADDER = REDUCED + "test_ladder_at_any_cell_count"
 
 MUTANTS = [
     Mutant("start-accepts-nan", "timeloop.py",
@@ -94,6 +96,39 @@ MUTANTS = [
            "return d, s, c2 * rho_far + 0.5 * a / rho_far",
            "return d, s, c2 * rho_far",
            (DIRECT + "test_branched_tree_with_every_station_variant",)),
+    Mutant("port-march-prev-cell", "network.py",
+           "np.sqrt(d + (pm.n_cells - 2) * s))",
+           "np.sqrt(d + (pm.n_cells - 3) * s))",
+           (LADDER,)),
+    Mutant("port-mu-m-sign", "network.py",
+           "np.where((cols >= n_z) & (cols < n_z + P), -c.vals[alg], c.vals[alg])",
+           "c.vals[alg]",
+           (LADDER,)),
+    Mutant("port-march-at-to-node", "network.py",
+           "q, lam = y[: pm.n_cells.size], y[self.p_in - self.n_z]",
+           "q, lam = y[: pm.n_cells.size], y[np.array([self.lam[pe.to_node] "
+           "for pe in self.spec.pipes]) - self.n_z]",
+           (LADDER,)),
+    Mutant("port-pattern-drops-inlet", "network.py",
+           "np.column_stack([rows[read], start[cols[read]]])",
+           "np.column_stack([rows[read], to_y[cols[read]]])",
+           (REDUCED + "test_pattern_covers_the_dense_fd_jacobian",)),
+    Mutant("port-state-mu-m-sign", "network.py",
+           "        x[self.mu_m] = -y[:P]\n        x[self.n_z + P:] = y[P:]\n        return x",
+           "        x[self.mu_m] = y[:P]\n        x[self.n_z + P:] = y[P:]\n        return x",
+           (LADDER,)),
+    Mutant("port-stall-drops-best-point", "timeloop.py",
+           "        y = exc.x_best\n",
+           "        return gsys.initial_guess(inputs0)\n",
+           (REDUCED + "test_a_stalled_reduced_solve_hands_on_its_best_point",)),
+    Mutant("port-singular-drops-best-point", "timeloop.py",
+           "    except (NonconvergenceError, FactorizationError) as exc:\n"
+           "        y = exc.x_best\n"
+           "    except StateError:\n",
+           "    except NonconvergenceError as exc:\n"
+           "        y = exc.x_best\n"
+           "    except (FactorizationError, StateError):\n",
+           (REDUCED + "test_a_singular_reduced_jacobian_hands_on_its_best_point",)),
     Mutant("fc-av-outlet", "compressor.py",
            '(_FC, _AV): Variant("ratio", lambda sp, p: sp * p,',
            '(_FC, _AV): Variant("ratio", lambda sp, p: p,',

@@ -381,8 +381,9 @@ def _cap_address_space():
 @pytest.mark.parametrize("where", ["flag", "file"])
 def test_cell_count_the_machine_cannot_hold_exits_1(tmp_path, where):
     # 10**12 cells per pipe ask numpy for terabytes, in a process whose
-    # address space is capped at 2 GiB: the request fails at once, without
-    # touching memory, and the run exits 1 with one line and no CSV
+    # address space is capped at 2 GiB: the pipe bank's request fails at
+    # once, without touching memory, and the run exits 1 with one line that
+    # names the unknown count and the bank's bytes, and no CSV
     doc = json.loads(NET_JSON)
     if where == "file":
         for pipe in doc["pipes"]:
@@ -394,7 +395,8 @@ def test_cell_count_the_machine_cannot_hold_exits_1(tmp_path, where):
     proc = run_cli_process(["run", str(net), str(scn), *flag, "--out", str(out)],
                            preexec_fn=_cap_address_space)
     assert proc.returncode == 1, proc.stderr
-    assert re.fullmatch(r"error: out of memory: Unable to allocate [\d.]+ TiB .*\n", proc.stderr)
+    assert proc.stderr == ("error: 4000000000006 unknowns: the pipe bank needs 96000000000032 "
+                           "bytes, more than can be allocated\n")
     assert not out.exists()
 
 

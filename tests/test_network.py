@@ -851,7 +851,7 @@ class TestKirchhoffStart:
         # pipe by pipe
         spec, inputs = generated_network(seed)
         g = gn.assemble(spec)
-        q = g._flow_map()[0] @ g._input_vector(inputs)
+        q = g._flow_map() @ g._input_vector(inputs)
         vertex = {nd.id: nd.id for nd in spec.nodes}
         kind = {nd.id: nd.kind for nd in spec.nodes}
         for st_ in spec.compressors:
@@ -919,6 +919,9 @@ def test_missing_input_raises_configuration_error():
         g.steady_residual(x, partial)
     with pytest.raises(gn.ConfigurationError, match="missing input value for 'C'"):
         g.make_step_residual(x[: g.n_z], 50.0, partial)(x)
+    # a loop's steady solve reads its inputs before the reference levels do
+    with pytest.raises(gn.ConfigurationError, match="missing input value for 'd'"):
+        gn.steady_state(gn.assemble(diamond_spec()), {"s": 60e5})
 
 
 @pytest.mark.parametrize("call", [

@@ -12,9 +12,10 @@ from gasnetsim.cli import _apply_model_override
 from gasnetsim.network import SEGMENT_CELLS
 
 from casekit import (GAS, PARALLEL_NET_JSON, PARALLEL_SINGULAR, benchmark_with_model,
-                     branched_tree, closed_pipe, consistent_state, csc_jacobian,
-                     dense_newton_step, generated_network, kirchhoff_start, ladder_system,
-                     one_block, record_dict, single_pipe_system, single_supply_tree)
+                     branched_tree, closed_pipe, column_units, consistent_state, csc_jacobian,
+                     dense_newton_step, generated_network, generated_steady_case,
+                     kirchhoff_start, ladder_system, one_block, record_dict,
+                     single_pipe_system, single_supply_tree)
 
 
 class TestSolverConfig:
@@ -711,14 +712,7 @@ class TestSteadyState:
         # to sum to zero (up to rounding)
         stalled = []
         for seed in range(60):
-            spec, inputs = generated_network(seed)
-            demands = [nd.id for nd in spec.nodes if nd.kind is gn.NodeKind.DEMAND]
-            levels = np.array([inputs[d] for d in demands])
-            if demand == "zero":
-                levels[:] = 0.0
-            elif demands:
-                levels -= levels.mean()
-            inputs.update(zip(demands, levels.tolist()))
+            spec, inputs = generated_steady_case(seed, demand)
             g = gn.assemble(spec)
             if seed in self.NO_STEADY_STATE:
                 with pytest.raises(gn.NonconvergenceError):
@@ -735,7 +729,9 @@ class TestSteadyState:
         # 100: from a unit flow on every pipe the line search stalled at
         # iteration 14, and trial states with a negative outlet pressure
         # upstream of c0 warned in its inlet factor. The Kirchhoff start
-        # converges in 4 iterations, without a warning
+        # converges in 4 iterations, without a warning; so does the steady
+        # solve, whose reduced Newton starts from the same flows. Its state
+        # certifies, and lies within 1e-7 (column-scaled) of a 1e-11 reference
         spec, inputs = generated_network(197)
         demands = [nd.id for nd in spec.nodes if nd.kind is gn.NodeKind.DEMAND]
         inputs.update(zip(demands, np.linspace(-100.0, 100.0, len(demands)).tolist()))
@@ -744,14 +740,21 @@ class TestSteadyState:
         g = gn.assemble(spec)
         g.references = g.reference_levels(inputs)
         scale = g.row_scale()
+
+        def fun(v):
+            return g.steady_residual(v, inputs) / scale
+
+        tol = gn.SolverConfig().newton_abs_tol
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = gn.newton_solve(lambda v: g.steady_residual(v, inputs) / scale,
-                                  g.initial_guess(inputs), gn.SolverConfig(),
+            res = gn.newton_solve(fun, g.initial_guess(inputs), gn.SolverConfig(),
                                   colors=g.jac_colors())
             x = gn.steady_state(g, inputs)
-        assert res.iterations <= 4 and res.history[-1] <= gn.SolverConfig().newton_abs_tol
-        assert np.array_equal(x, res.x)
+        assert res.iterations <= 4 and res.history[-1] <= tol
+        assert np.abs(fun(x)).max() <= tol
+        ref = gn.newton_solve(fun, g.initial_guess(inputs), gn.SolverConfig(newton_abs_tol=1e-11),
+                              colors=g.jac_colors())
+        assert (np.abs(x - ref.x) / column_units(g)).max() <= 1e-7
 
     def test_generated_network_39_cannot_carry_its_station_flow(self):
         # c0 (fp-am) holds its outlet at 71.5 bar, and its downstream pipe p6
@@ -846,11 +849,7 @@ class TestDirectSteadyStart:
         ref = gn.newton_solve(fun, kirchhoff_start(g, inputs), self.REFERENCE,
                               colors=g.jac_colors())
         assert ref.iterations >= 1
-        p_ref, m_ref = g.references
-        unit = np.full(g.n, p_ref)
-        unit[g.bank.rho] = p_ref / g.gas.c2
-        unit[g.bank.mom] = unit[g.mu_m] = m_ref
-        assert (np.abs(x - ref.x) / unit).max() <= 1e-8
+        assert (np.abs(x - ref.x) / column_units(g)).max() <= 1e-8
 
     @pytest.mark.parametrize("tag", ["none", "fc-av", "fc-am", "fp-av", "fp-am"])
     def test_day_line_at_every_demand_level(self, tag, monkeypatch):
@@ -941,6 +940,153 @@ class TestDirectSteadyStart:
             errors.append(abs(record_dict(g, x, inputs)["line.out.p_Pa"] - exact))
         orders = np.log2(np.array(errors[:-1]) / errors[1:])
         assert orders.min() >= 1.95
+
+
+class TestReducedSteady:
+    """Off the single-supply trees, the steady solve first runs Newton on
+    the port variables y = (q per pipe, lambda per node), every pipe
+    eliminated by its closed-form march, and hands x(y) to the Newton on
+    all n unknowns, which certifies it where the reduced Newton converged."""
+
+    MODES = ("generated", "zero", "cancelling")
+
+    @staticmethod
+    def solves(g, inputs, monkeypatch):
+        """steady_state's Newton solves, in order: per solve its start and its
+        NewtonResult or the exception it raised (re-raised here)."""
+        solves, newton = [], timeloop.newton_solve
+
+        def recorded(fun, x0, *args, **kwargs):
+            try:
+                solves.append((np.array(x0), newton(fun, x0, *args, **kwargs)))
+            except (gn.NonconvergenceError, gn.FactorizationError, gn.StateError) as exc:
+                solves.append((np.array(x0), exc))
+                raise
+            return solves[-1][1]
+
+        with monkeypatch.context() as m:
+            m.setattr(timeloop, "newton_solve", recorded)
+            try:
+                gn.steady_state(g, inputs)
+            finally:
+                m.undo()
+        return solves
+
+    def test_generated_networks(self, monkeypatch):
+        # the parent's 597 of 600 cases reach a steady state (seed 39 has
+        # none, `test_generated_network_39_cannot_carry_its_station_flow`),
+        # and wherever the reduced Newton converges (351 of the 555 such
+        # cases off the single-supply trees), the Newton on all n unknowns
+        # takes no iteration and builds no Jacobian. Elsewhere it starts
+        # from x at the reduced Newton's best point: a pipe whose flow a
+        # Newton step puts at exactly 0 (a dead end at zero demand) has a
+        # zero 1 x 1 block, and most "zero" cases end there
+        failed, converged, reduced = [], 0, 0
+        for seed in range(200):
+            for demand in self.MODES:
+                spec, inputs = generated_steady_case(seed, demand)
+                g = gn.assemble(spec)
+                try:
+                    solves = self.solves(g, inputs, monkeypatch)
+                except gn.NonconvergenceError:
+                    failed.append((seed, demand))
+                    continue
+                assert len(solves) == (1 if single_supply_tree(spec) else 2)
+                if len(solves) == 2:
+                    reduced += 1
+                    (y0, first), (x0, full) = solves
+                    assert y0.size == len(g.pipes) + len(g.node_order)
+                    if isinstance(first, gn.NewtonResult):
+                        converged += 1
+                        assert full.iterations == 0 and full.jacobians == 0, (seed, demand)
+                    else:
+                        assert np.array_equal(x0, g.port_state(first.x_best)), (seed, demand)
+        assert failed == [(39, demand) for demand in self.MODES]
+        assert reduced == 555 and converged >= 300
+
+    def test_a_stalled_reduced_solve_hands_on_its_best_point(self, monkeypatch):
+        # generated network 108 at zero demand: the reduced Newton stalls,
+        # and the Newton on all n unknowns takes 3 iterations from x at its
+        # best y, against 35 from the Kirchhoff start
+        spec, inputs = generated_steady_case(108, "zero")
+        g = gn.assemble(spec)
+        (_, reduced), (x0, full) = self.solves(g, inputs, monkeypatch)
+        assert isinstance(reduced, gn.NonconvergenceError)
+        assert np.array_equal(x0, g.port_state(reduced.x_best))
+        assert full.iterations == 3
+        scale = g.row_scale()
+        kirchhoff = gn.newton_solve(lambda v: g.steady_residual(v, inputs) / scale,
+                                    g.initial_guess(inputs), colors=g.jac_colors())
+        assert kirchhoff.iterations == 35
+
+    def test_a_singular_reduced_jacobian_hands_on_its_best_point(self, monkeypatch):
+        # generated network 0 at zero demand: the first step puts the
+        # dead-end pipes' flows at exactly 0, where their 1 x 1 blocks
+        # vanish; the Newton on all n unknowns then takes 3 iterations from
+        # x at the best y, against 7 from the Kirchhoff start
+        spec, inputs = generated_steady_case(0, "zero")
+        g = gn.assemble(spec)
+        (_, reduced), (x0, full) = self.solves(g, inputs, monkeypatch)
+        assert isinstance(reduced, gn.FactorizationError)
+        assert re.fullmatch(r"Jacobian factorization failed: pipe 'p\d' is singular", str(reduced))
+        assert np.array_equal(x0, g.port_state(reduced.x_best))
+        assert full.iterations == 3
+        scale = g.row_scale()
+        kirchhoff = gn.newton_solve(lambda v: g.steady_residual(v, inputs) / scale,
+                                    g.initial_guess(inputs), colors=g.jac_colors())
+        assert kirchhoff.iterations == 7
+
+    def test_a_start_without_a_positive_density_hands_on_the_kirchhoff_start(self, monkeypatch):
+        # the fp-av day line at 1450 leaves the closed form
+        # (`test_unsettled_fp_av_factor_leaves_the_kirchhoff_start`), and
+        # 'west' cannot carry its Kirchhoff flow from the supply pressure,
+        # so the reduced residual is not finite at its start
+        spec, scen = benchmark_with_model("fp-av")
+        g = gn.assemble(spec)
+        inputs = {**gn.bind_inputs(g, scen)[0](0.0), "sink": 1450.0}
+        (_, reduced), (x0, full) = self.solves(g, inputs, monkeypatch)
+        assert isinstance(reduced, gn.StateError)
+        assert np.array_equal(x0, kirchhoff_start(g, inputs))
+        assert full.history[-1] <= gn.SolverConfig().newton_abs_tol
+
+    def test_pattern_covers_the_dense_fd_jacobian(self):
+        # every column of R's dense forward-difference Jacobian at the
+        # reduced start changes only rows that the coloring's pattern lists
+        # in that column
+        checked = 0
+        for seed in range(200):
+            for demand in self.MODES:
+                spec, inputs = generated_steady_case(seed, demand)
+                g = gn.assemble(spec)
+                fun, y = g.make_port_residual(inputs), g.port_start(inputs)
+                F = fun(y)
+                if not np.all(np.isfinite(F)):
+                    continue
+                colors = g.port_colors()
+                listed = np.zeros((y.size, y.size), dtype=bool)
+                listed[colors.rows, colors.cols] = True
+                for j in range(y.size):
+                    yp = y.copy()
+                    yp[j] += blocks.FD_STEP * (1.0 + abs(y[j]))
+                    changed = fun(yp) != F
+                    assert not np.any(changed & ~listed[:, j]), (seed, demand, j)
+                checked += 1
+        assert checked >= 590
+
+    def test_ladder_at_any_cell_count(self, monkeypatch):
+        # the reduced Newton on the ladder's 179 port variables takes the
+        # same iterations at 14, 200 and 1000 cells per pipe, and the Newton
+        # on all n unknowns certifies its state at once
+        iterations = []
+        for cells, n in ((14, 2867), (200, 38579), (1000, 192179)):
+            g, scen = ladder_system(cells=cells)
+            assert g.n == n
+            (_, reduced), (_, full) = self.solves(g, gn.bind_inputs(g, scen)[0](0.0), monkeypatch)
+            assert reduced.x.size == 179
+            assert full.iterations == 0 and full.jacobians == 0
+            iterations.append(reduced.iterations)
+        assert iterations == [iterations[0]] * 3
+        assert ladder_system()[0].n == 2867
 
 
 class TestSolveFailures:
