@@ -24,21 +24,26 @@ one stacked ``np.linalg.solve`` per shape gives A^-1 [B | rhs], then one
 dense solve with S. A kept factor holds the blocks' inverses and, for
 ``solve``, the inverse of S.
 
-The values are forward differences with the step ``FD_STEP`` (1 + |x_j|)
-(Curtis, Powell & Reid 1974): `color_columns` groups the columns that
-share no residual row, greedily in one pass over per-row color masks, on a
-pattern deduplicated by a sort (``np.unique`` hashes, which is slower), so
-one residual sweep per color fills all of its columns, and `fd_jacobian`
-reads every structural nonzero from the sweep of its column's color in one
-gather.
+A `JacobianStructure` holds the structural nonzeros, their block layout
+and where their values come from. The full system's values are forward
+differences with the step ``FD_STEP`` (1 + |x_j|) (Curtis, Powell & Reid
+1974): `color_columns` groups the columns that share no residual row,
+greedily in one pass over per-row color masks, on a pattern deduplicated by
+a sort (``np.unique`` hashes, which is slower), so one residual sweep per
+color fills all of its columns, and `fd_jacobian` reads every structural
+nonzero from the sweep of its column's color in one gather. A closed-form
+Jacobian (the reduced steady system's, from `make_port_residual` in
+`network`) has no color groups; its maker sums terms that share an entry,
+because `block_layout`'s scatter assigns.
 
-The chord slot is the coloring's ``factor``, a one-slot list: chord Newton
+The chord slot is the structure's ``factor``, a one-slot list: chord Newton
 (`timeloop.newton_solve`, above ``SolverConfig.sparse_threshold``) keeps its
 last factor there, the only factor that holds inverses, and reuses it
-across iterations and time steps. It lives as long as the coloring's system.
+across iterations and time steps. It lives as long as the structure.
 """
 
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -228,34 +233,37 @@ def block_layout(rows, cols, segments) -> BlockLayout:
     return BlockLayout(border, groups, d, place[rows[d]] * border.size + place[cols[d]], names)
 
 
-class ColumnColoring(NamedTuple):
-    """Column groups for one-sweep finite-difference Jacobians (module docstring).
+class JacobianStructure(NamedTuple):
+    """A Jacobian's structural nonzeros, where their values come from, and their block form.
 
-    ``groups[c]`` lists the columns of color c (no two share a residual
-    row). ``rows``, ``cols`` and ``color`` flatten the structural nonzeros
-    column by column (CSC order): entry i sits at (rows[i], cols[i]) and is
-    read from the sweep of color ``color[i]``, and ``layout`` maps the same
-    values into the bordered block form. ``factor`` is the chord slot.
+    ``rows`` and ``cols`` list the structural nonzeros, each once;
+    ``values(fun, x, F0)`` gives their values at x, entry i at (rows[i],
+    cols[i]): colored forward differences (`color_columns`) or a closed
+    form. ``groups[c]`` lists the columns of FD color c, no two sharing a
+    residual row, and is empty for a closed form, so ``len(groups)`` is the
+    residual sweeps per Jacobian. ``layout`` maps the values into the
+    bordered block form. ``factor`` is the chord slot.
     """
 
     groups: list[np.ndarray]
     rows: np.ndarray
     cols: np.ndarray
-    color: np.ndarray
+    values: Callable
     factor: list
     layout: BlockLayout
 
 
-def color_columns(pattern, segments) -> ColumnColoring:
-    """Greedy structural coloring of a square pattern: same-color columns share no row.
+def color_columns(pattern, segments) -> JacobianStructure:
+    """The FD structure of a square pattern: greedy coloring, same-color columns share no row.
 
     Columns are taken by descending row count, ties by index, each into the
     first color that none of its rows holds. A row's colors are the bits of
     a small Python int, so a column ORs its rows' masks, takes the lowest
     clear bit and sets it in its rows. The pattern is deduplicated by a sort
     and a neighbour mask, not by ``np.unique``, whose hash-table path (numpy
-    >= 2.3) is slower. ``segments`` (module docstring) sizes the pattern and
-    goes to `block_layout`.
+    >= 2.3) is slower, and its entries come column by column (CSC order).
+    ``segments`` (module docstring) sizes the pattern and goes to
+    `block_layout`.
     """
     n = segments[0].size
     ent = np.array(pattern, dtype=int).reshape(-1, 2)
@@ -275,24 +283,26 @@ def color_columns(pattern, segments) -> ColumnColoring:
             taken[r] |= bit
         color_of_col[c] = bit.bit_length() - 1
     color = np.array(color_of_col, dtype=int)
-    return ColumnColoring([np.flatnonzero(color == ci) for ci in range(color.max(initial=-1) + 1)],
-                          rows, cols, color[cols], [None], block_layout(rows, cols, segments))
+    groups = [np.flatnonzero(color == ci) for ci in range(color.max(initial=-1) + 1)]
+    return JacobianStructure(groups, rows, cols,
+                             partial(fd_jacobian, groups, color[cols], rows, cols),
+                             [None], block_layout(rows, cols, segments))
 
 
-def fd_jacobian(fun, x, F0, coloring):
+def fd_jacobian(groups, sweep, rows, cols, fun, x, F0):
     """Forward-difference Jacobian values, one residual sweep per column color.
 
-    The sweep of color c fills row c of ``dF``; every structural nonzero is
-    then read from the sweep of its column's color in one gather, in the
-    coloring's CSC order (entry i at (rows[i], cols[i])).
+    The sweep of color c (the columns ``groups[c]``) fills row c of ``dF``;
+    structural nonzero i, at (rows[i], cols[i]), is then read from the sweep
+    ``sweep[i]`` of its column's color, all in one gather.
     """
     h = FD_STEP * (1.0 + np.abs(x))
-    dF = np.empty((len(coloring.groups), F0.size))
-    for c, group in enumerate(coloring.groups):
+    dF = np.empty((len(groups), F0.size))
+    for c, group in enumerate(groups):
         xp = x.copy()
         xp[group] += h[group]
         dF[c] = fun(xp) - F0
-    return dF[coloring.color, coloring.rows] / h[coloring.cols]
+    return dF[sweep, rows] / h[cols]
 
 
 def _lapack(stack, rhs, names):

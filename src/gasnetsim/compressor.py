@@ -16,8 +16,10 @@ combination. A row gives, for setpoint sp and inlet pressure p:
     trial state there reads as non-finite and the line search rejects it);
   - the name of the station's default setpoint field, which is also its
     scenario profile suffix;
-  - which station rows read p (the momentum row, the pressure row), for the
-    Jacobian sparsity pattern.
+  - the p-derivatives of the outlet rule and of the factor, for exact
+    Jacobians; None where the rule does not read p (fp's outlet, the am
+    factors, fc-av's factor), so which station rows read p (`reads_inlet`:
+    the momentum row, the pressure row) follows from them.
 The station power, energy out minus energy in, follows from the first two
 (`station_power`): outlet * m - p * k * m, with m the momentum fed
 downstream. The network binds each station to its row
@@ -55,7 +57,13 @@ class Variant(NamedTuple):
     setpoint: str                    # default-setpoint field and profile suffix
     outlet: Callable                 # (sp, p) -> outlet pressure
     factor: Callable                 # (sp, p, kappa) -> inlet factor k
-    reads_inlet: tuple[bool, bool]   # (momentum row, pressure row) read p
+    outlet_dp: Callable | None       # (sp, p) -> d outlet / dp; None: the rule reads no p
+    factor_dp: Callable | None       # (sp, p, kappa) -> dk / dp; None: k reads no p
+
+    @property
+    def reads_inlet(self) -> tuple[bool, bool]:
+        """Whether the (momentum row, pressure row) read p: where a p-derivative is given."""
+        return self.factor_dp is not None, self.outlet_dp is not None
 
 
 _FC, _FP = Framework("fc"), Framework("fp")       # the tags of --model and the file
@@ -64,16 +72,20 @@ _AV, _AM = Assumption("av"), Assumption("am")
 VARIANTS = {
     (_FC, _AV): Variant("ratio", lambda sp, p: sp * p,
                         lambda sp, p, k: sp ** (-1.0 / k),
-                        (False, True)),
+                        lambda sp, p: sp,
+                        None),
     (_FC, _AM): Variant("ratio", lambda sp, p: sp * p,
                         lambda sp, p, k: 1.0,
-                        (False, True)),
+                        lambda sp, p: sp,
+                        None),
     (_FP, _AV): Variant("pressure", lambda sp, p: sp,
                         lambda sp, p, k: (sp / p) ** (-1.0 / k) if p > 0 else math.nan,
-                        (True, False)),
+                        None,
+                        lambda sp, p, k: (sp / p) ** (-1.0 / k) / (k * p) if p > 0 else math.nan),
     (_FP, _AM): Variant("pressure", lambda sp, p: sp,
                         lambda sp, p, k: 1.0,
-                        (False, False)),
+                        None,
+                        None),
 }
 
 

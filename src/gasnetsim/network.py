@@ -58,7 +58,7 @@ rows' state terms (`GlobalSystem._add_state_terms`) apply the rules of
 for the residual and the algebraic solve alike.
 
 The Jacobian's pattern (`_pattern`) and segment labels (`_segments`) go to
-`blocks`, which owns its coloring and block form (`jac_colors`).
+`blocks`, which owns its FD coloring and block form (`jac_colors`).
 
 The steady state is built in closed form (`direct_state`) when the network
 is a tree with one supply, each station's two ends counted as one vertex,
@@ -75,10 +75,13 @@ lambda(from-node) at flow q (`_port_march`, `_march`'s forward branch for
 all pipes at once), so the pipe rows hold and R(y) (`make_port_residual`)
 is the steady residual's port and node rows: K's rows through one column
 map onto y (`_port_map`), plus the state terms, which read only each
-pipe's last two densities. Its start (`port_start`) is the Kirchhoff flows
-(`_flow_map`) with every potential at the first supply's pressure, and its
-coloring (`port_colors`) maps `_pattern`'s port and node rows through the
-same column map.
+pipe's last two densities. Its Jacobian J_R is exact and needs no FD
+sweep: K's constant entries in y, each pipe's outlet-pressure slopes in q
+and lambda(from) by the chain rule through the march (`_port_slopes`), and
+the station rows through the p-derivatives of `compressor.VARIANTS`; its
+pattern and block layout come from the same terms. Its start
+(`port_start`) is the Kirchhoff flows (`_kirchhoff_flows`, one Laplacian
+solve) with every potential at the first supply's pressure.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import ColumnColoring, Triplets, blockwise_pinv, color_columns, component_roots
+from .blocks import (BlockLayout, JacobianStructure, Triplets, block_layout, blockwise_pinv,
+                     color_columns, component_roots)
 from .compressor import VARIANTS, Assumption, Framework, Variant, station_power
 from .errors import (ConfigurationError, InfeasibleFlowError, StateError, require_column_id,
                      require_positive)
@@ -346,7 +350,11 @@ class _PortMap(NamedTuple):
     K: Triplets             # K's mu_m and node rows over [y | u], rows shifted to y's
     coef: np.ndarray        # pipe: dx f, its march's friction coefficient
     n_cells: np.ndarray     # pipe: its cell count
-    colors: ColumnColoring  # of R's pattern
+    k_vals: np.ndarray      # K's entries in y's columns, J_R's constant terms
+    place: np.ndarray       # per term of J_R, its entry among (rows, cols)
+    rows: np.ndarray        # J_R's structural nonzeros, each once ...
+    cols: np.ndarray
+    layout: BlockLayout     # ... in the bordered block form
 
 
 class _AlgebraicMap(NamedTuple):
@@ -432,14 +440,12 @@ class GlobalSystem:
         self.input_ids = [nd.id for nd in self.boundary] + [s.id for s in self.stations]
         self.coupling = self._build_coupling()
 
-        # --- row kinds for residual scaling --------------------------
-        kind = np.empty(self.n, dtype="U1")
-        kind[self.bank.rho] = "m"   # mass rows carry momentum-flux units
-        # momentum, port and pressure-rule rows carry pressure units
-        kind[self.bank.mom] = kind[self.mu_m] = "p"
-        for nd in self.node_order:
-            kind[self.lam[nd.id]] = "p" if nd.id in self.pressure_rule else "m"
-        self.row_kind = kind
+        # --- row units for residual scaling --------------------------
+        # momentum, port and pressure-rule rows carry pressure units, mass
+        # rows and the other node rows momentum-flux units
+        self.pressure_row = np.zeros(self.n, dtype=bool)
+        self.pressure_row[self.bank.mom] = self.pressure_row[self.mu_m] = True
+        self.pressure_row[[self.lam[nid] for nid in self.pressure_rule]] = True
 
         self.references = (1.0, 1.0)   # (p_ref, m_ref), set before solving
         self._coloring = None
@@ -590,7 +596,7 @@ class GlobalSystem:
     def row_scale(self):
         """Diagonal residual scaling: pressure rows / p_ref, momentum rows / m_ref."""
         p_ref, m_ref = self.references
-        return np.where(self.row_kind == "p", p_ref, m_ref)
+        return np.where(self.pressure_row, p_ref, m_ref)
 
     # ------------------------------------------------------------------
     # Jacobian sparsity and coloring
@@ -643,7 +649,7 @@ class GlobalSystem:
         return segment, names
 
     def jac_colors(self):
-        """The `blocks.ColumnColoring` of the pattern and the segments, built once."""
+        """The colored FD `blocks.JacobianStructure` of the pattern and segments, built once."""
         if self._coloring is None:
             self._coloring = color_columns(self._pattern(), self._segments())
         return self._coloring
@@ -805,8 +811,8 @@ class GlobalSystem:
 
     # ------------------------------------------------------------------
 
-    def _flow_map(self):
-        """G: the Kirchhoff flows q = G u at the input vector u.
+    def _kirchhoff_flows(self, u):
+        """The Kirchhoff flows q at the input vector u.
 
         Each station's two ends merge into one vertex and every supply into
         one root. With A the pipes' incidence (+1 at the inlet end, -1 at
@@ -815,38 +821,40 @@ class GlobalSystem:
         than the root (phi = 0 there), and q = W A' phi. So every demand
         and junction balance holds, and loops split their flow by
         conductance. A pipe without friction counts with 1e-9 of the largest
-        resistance (with 1 if no pipe has friction). Built once per system:
-        only u changes between calls.
+        resistance (with 1 if no pipe has friction). The Laplacian A W A' is
+        scattered from the pipes' ends once per system; a call solves it
+        for its one right-hand side.
         """
         if self._flows is None:
-            N, lam = len(self.node_order), self.lam
+            N = len(self.node_order)
             base = self.n - N
             # each node's vertex (the boundary leads node_order and u alike): the
             # supplies share row N, which is then cut off (phi = 0 there), and a
             # station's outlet is its inlet
-            vertex = [N if nd.kind is NodeKind.SUPPLY else i
-                      for i, nd in enumerate(self.node_order)]
-            demand = [i for i, nd in enumerate(self.boundary) if nd.kind is NodeKind.DEMAND]
-            for st in self.spec.compressors:
-                vertex[lam[st.outlet_node] - base] = lam[st.inlet_node] - base
-            ends = [(vertex[lam[pe.from_node] - base], vertex[lam[pe.to_node] - base])
-                    for pe in self.spec.pipes]
-            start, end = zip(*ends)
-            pipes = np.arange(len(ends))
-            incidence = np.zeros((N + 1, pipes.size))
-            incidence[start, pipes] = 1.0
-            incidence[end, pipes] -= 1.0
-            r = [p.length * p.friction / (2.0 * p.diameter) for p in self.pipes]
-            floor = 1e-9 * max(r) or 1.0
-            At = incidence[:N].T / np.array([[max(rk, floor)] for rk in r])
-            laplacian = incidence[:N] @ At
+            vertex = np.array([N if nd.kind is NodeKind.SUPPLY else i
+                               for i, nd in enumerate(self.node_order)] + [N])
+            vertex[[s.row_out - base for s in self.stations]] = [s.row_in - base
+                                                                  for s in self.stations]
+            start = vertex[self.p_in - base]
+            end = vertex[[self.lam[pe.to_node] - base for pe in self.spec.pipes]]
+            r = np.array([p.length * p.friction / (2.0 * p.diameter) for p in self.pipes])
+            r = np.maximum(r, 1e-9 * r.max() or 1.0)
+            laplacian = np.zeros((N + 1, N + 1))
+            np.add.at(laplacian, (np.concatenate([start, end, start, end]),
+                                  np.concatenate([start, end, end, start])),
+                      np.concatenate([1.0 / r, 1.0 / r, -1.0 / r, -1.0 / r]))
             # no pipe end reaches a supply's or a station outlet's own row: phi = 0 there
-            idle = sorted(set(range(N)) - set(start) - set(end))
+            idle = np.ones(N + 1, dtype=bool)
+            idle[start] = idle[end] = False
             laplacian[idle, idle] = 1.0
-            rhs = np.zeros((N, len(self.input_ids)))
-            rhs[demand, demand] = -1.0
-            self._flows = At @ np.linalg.solve(laplacian, rhs)
-        return self._flows
+            demand = np.array([i for i, nd in enumerate(self.boundary)
+                               if nd.kind is NodeKind.DEMAND], dtype=int)
+            self._flows = laplacian[:N, :N], start, end, r, demand
+        laplacian, start, end, r, demand = self._flows
+        rhs = np.zeros(laplacian.shape[0])
+        rhs[demand] = -u[demand]
+        phi = np.append(np.linalg.solve(laplacian, rhs), 0.0)
+        return (phi[start] - phi[end]) / r
 
     def _tree_walk(self) -> list[_Step]:
         """The direct steady start's walk: every pipe once, out from the supply.
@@ -1038,7 +1046,7 @@ class GlobalSystem:
     def port_start(self, inputs0):
         """The start y0 = (q, lambda) of the reduced steady solve.
 
-        Every pipe's q is its Kirchhoff flow (`_flow_map`), which meets
+        Every pipe's q is its Kirchhoff flow (`_kirchhoff_flows`), which meets
         every demand and junction balance with the stations taken as plain
         junctions, and every node potential the first supply's pressure.
         Where a pipe's flow is below 1 in magnitude (no demand, demands
@@ -1047,88 +1055,138 @@ class GlobalSystem:
         Jacobian is singular on a loop or on a path between two supplies.
         """
         p_ref, _ = self.reference_levels(inputs0)
-        q = self._flow_map() @ self._input_vector(inputs0)
+        q = self._kirchhoff_flows(self._input_vector(inputs0))
         q[np.abs(q) < 1.0] = 1.0
         return np.concatenate([q, np.full(len(self.node_order), p_ref)])
 
     def _port_map(self) -> _PortMap:
-        """R's constant rows and coloring on y = (q, lambda), and the march's constants.
+        """R's constant rows and J_R's structure on y = (q, lambda), and the march's constants.
 
         Built once per system, at the first call. One column map takes x's
         columns to y's: a cell's density and momentum, and mu_m, to its
         pipe's q (mu_m = -q, so those entries of K change sign), a
         potential and an input to themselves. K's mu_m and node rows go
-        through it, and so does `_pattern`'s, a density entry reading
-        lambda(from) too, where its pipe's march starts.
+        through it. J_R's terms are K's entries in y's columns, then each
+        pipe's outlet pressure in its port row at (q, lambda(from)), then
+        per station its factor at q_down and the rules that read p at the
+        upstream pipe's (q, lambda(from)); terms at one entry add. Each q is
+        a 1 x 1 segment and the potentials are the border.
         """
         if self._ports is None:
             b, n_z, P, c = self.bank, self.n_z, len(self.pipes), self.coupling
-            cell_pipe = np.searchsorted(b.tail, b.rho)
+            n_y = P + len(self.node_order)
             to_y = np.arange(self.n + len(self.input_ids)) - n_z   # past z: mu_m, lambda, u
-            to_y[b.rho] = to_y[b.mom] = cell_pipe
-            start = np.full(self.n, -1)
-            start[b.rho] = self.p_in[cell_pipe] - n_z
+            to_y[b.rho] = to_y[b.mom] = np.searchsorted(b.tail, b.rho)
             alg = c.rows >= n_z
             cols = c.cols[alg]
             K = Triplets(c.rows[alg] - n_z, to_y[cols],
                          np.where((cols >= n_z) & (cols < n_z + P), -c.vals[alg], c.vals[alg]))
-            ent = self._pattern()
-            rows, cols = ent[ent[:, 0] >= n_z].T
-            rows -= n_z
-            read = start[cols] >= 0
-            pattern = np.concatenate([np.column_stack([rows, to_y[cols]]),
-                                      np.column_stack([rows[read], start[cols[read]]])])
-            segment = np.concatenate([np.arange(P), np.full(len(self.node_order), -1)])
+            on_y = K.cols < n_y
+            pipes, lam_from = np.arange(P), self.p_in - n_z
+            terms = [(K.rows[on_y], K.cols[on_y]), (pipes, pipes), (pipes, lam_from)]
+            for s in self.stations:
+                up = [s.pipe_up, lam_from[s.pipe_up]]
+                terms.append(([s.row_in - n_z], [s.pipe_down]))
+                for row, reads in zip((s.row_in, s.row_out), s.variant.reads_inlet):
+                    if reads:
+                        terms.append(([row - n_z] * 2, up))
+            rows, cols = (np.concatenate(t).astype(int) for t in zip(*terms))
+            # one entry per pair: block_layout's scatter assigns, so repeats add here
+            pairs, place = np.unique(rows * n_y + cols, return_inverse=True)
+            rows, cols = np.divmod(pairs, n_y)
             n_cells = np.array([p.n_cells for p in self.pipes])
-            self._ports = _PortMap(
-                K, (b.dx * b.fric)[np.cumsum(n_cells) - n_cells], n_cells,
-                color_columns(pattern, (segment, [f"pipe {p.id!r}" for p in self.pipes])))
+            segments = (np.concatenate([pipes, np.full(n_y - P, -1)]),
+                        [f"pipe {p.id!r}" for p in self.pipes])
+            self._ports = _PortMap(K, (b.dx * b.fric)[np.cumsum(n_cells) - n_cells], n_cells,
+                                   K.vals[on_y], place, rows, cols,
+                                   block_layout(rows, cols, segments))
         return self._ports
 
-    def port_colors(self):
-        """The `blocks.ColumnColoring` of R(y): each q a 1 x 1 segment, the potentials the border."""
-        return self._port_map().colors
-
     def _port_march(self, y):
-        """Every pipe's steady density squares at y = (q, lambda): (d, s), cell i at d + i s.
+        """Every pipe's steady density squares at y = (q, lambda): (d, s, r), cell i at d + i s.
 
         `_march` forward from lambda(from) at flow q, for every pipe at
-        once; d is NaN where no positive density carries q, so R(y) is not
-        finite there.
+        once; r = sqrt(lambda^2 - 2 c^2 dx f q|q|) is the first cell's root.
+        d is NaN where no positive density carries q, so R(y) is not finite
+        there.
         """
         pm, c2 = self._port_map(), self.gas.c2
         q, lam = y[: pm.n_cells.size], y[self.p_in - self.n_z]
         a = pm.coef * (q * np.abs(q))   # dx f q|q|
         disc = lam * lam - 2.0 * c2 * a
-        first = (lam + np.sqrt(np.where(disc > 0, disc, np.nan))) / (2.0 * c2)
+        r = np.sqrt(np.where(disc > 0, disc, np.nan))
+        first = (lam + r) / (2.0 * c2)
         d, s = first * first, -(2.0 * a / c2)
-        return np.where((first > 0) & (d + (pm.n_cells - 1) * s > 0), d, np.nan), s
+        return np.where((first > 0) & (d + (pm.n_cells - 1) * s > 0), d, np.nan), s, r
+
+    def _port_slopes(self, y):
+        """Every pipe's outlet pressure at y, and its slopes in q and in lambda(from).
+
+        The chain rule through `_port_march`: with a = dx f q|q| and r its
+        root, d' = 2 d / r in lambda and -sqrt(d) a' / r in q, s' = -2 a' / c^2
+        in q, and each cell's density rho = sqrt(d + i s) moves by
+        (d' + i s') / (2 rho), so the outlet pressure c^2 (1.5 rho_(n-1) -
+        0.5 rho_(n-2)) moves by c^2 (d' w_d + s' w_s). At q = 0 the slope in
+        q is 0, as a' is.
+        """
+        pm, c2 = self._port_map(), self.gas.c2
+        i_last, i_prev = pm.n_cells - 1, pm.n_cells - 2
+        d, s, r = self._port_march(y)
+        last, prev = np.sqrt(d + i_last * s), np.sqrt(d + i_prev * s)
+        w_d = 0.75 / last - 0.25 / prev
+        w_s = 0.75 * i_last / last - 0.25 * i_prev / prev
+        a_q = 2.0 * pm.coef * np.abs(y[: i_last.size])
+        dp_dq = -a_q * (c2 * np.sqrt(d) / r * w_d + 2.0 * w_s)
+        dp_dlam = c2 * (2.0 * d / r) * w_d
+        return self._extrapolate(last, prev), dp_dq, dp_dlam
 
     def make_port_residual(self, inputs0):
-        """R(y), the steady residual's mu_m and node rows at x(y) (`port_state`), unscaled.
+        """(R, J_R): the steady residual's mu_m and node rows at x(y) (`port_state`), row-scaled.
 
         Each pipe's rows hold at x(y) to rounding, so R is the rest of the
         steady residual, bit for bit: K's rows over [y | u] plus the state
-        terms, which read only each pipe's last two densities. One
-        evaluation costs O(P + N), whatever the cell count.
+        terms, which read only each pipe's last two densities, divided by
+        `row_scale` at the references set now. One evaluation costs O(P + N),
+        whatever the cell count. J_R is the `blocks.JacobianStructure` of
+        R's exact Jacobian: no FD group, its values in closed form from K,
+        the march's slopes (`_port_slopes`) and the stations' p-derivatives
+        (`compressor.VARIANTS`), in one pass.
         """
         pm, u, P = self._port_map(), self._input_vector(inputs0), len(self.pipes)
-        n_y = P + len(self.node_order)
+        n_y, kappa = P + len(self.node_order), self.gas.isentropic_exponent
+        scale = self.row_scale()[self.n_z:]
+        entry_scale, u_list = scale[pm.rows], u.tolist()
 
         def fun(y):
-            d, s = self._port_march(y)
+            d, s, _ = self._port_march(y)
             p_out = self._extrapolate(np.sqrt(d + (pm.n_cells - 1) * s),
                                       np.sqrt(d + (pm.n_cells - 2) * s))
             F = pm.K.matvec(np.concatenate([y, u]), n_y)
             self._add_state_terms(F, p_out, y[:P], u, self.n_z)
-            return F
+            return F / scale
 
-        return fun
+        def values(_fun, y, _F):
+            p_out, dp_dq, dp_dlam = self._port_slopes(y)
+            p, slope_q, slope_lam, q = (a.tolist() for a in (p_out, dp_dq, dp_dlam, y))
+            st = []   # scalar math on floats, the stations' terms in _port_map's order
+            for s in self.stations:
+                v, sp, up = s.variant, u_list[s.input], s.pipe_up
+                st.append(-v.factor(sp, p[up], kappa))
+                if v.factor_dp is not None:
+                    g = -v.factor_dp(sp, p[up], kappa) * q[s.pipe_down]
+                    st += [g * slope_q[up], g * slope_lam[up]]
+                if v.outlet_dp is not None:
+                    g = -v.outlet_dp(sp, p[up])
+                    st += [g * slope_q[up], g * slope_lam[up]]
+            terms = np.concatenate([pm.k_vals, dp_dq, dp_dlam, st])
+            return np.bincount(pm.place, terms, pm.rows.size) / entry_scale
+
+        return fun, JacobianStructure([], pm.rows, pm.cols, values, [None], pm.layout)
 
     def port_state(self, y):
         """x(y): every pipe's densities by `_port_march`, its momenta at q and mu_m at -q."""
         n_cells = self._port_map().n_cells
-        d, s = self._port_march(y)
+        d, s, _ = self._port_march(y)
         cell = np.arange(self.bank.rho.size) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
         return self._state_at(y, np.sqrt(np.repeat(d, n_cells) + cell * np.repeat(s, n_cells)))
 

@@ -1,8 +1,10 @@
 """Steady-state initialization and implicit-midpoint transient integration.
 
 The inner solver is a damped Newton iteration on the scaled residual. Each
-step solves with the block factor of the colored finite-difference Jacobian
-that the system's coloring lays out (``gasnetsim.blocks``). The iteration
+step solves with the block factor of the Jacobian whose structure
+(``blocks.JacobianStructure``) lays it out and gives its values: colored
+finite differences for the full system, the closed form for the reduced
+steady system (`_port_solve`). The iteration
 limit, the line search's shrink factor and its backtrack limit are module
 constants (``MAX_ITERATIONS``, ``BACKTRACK_FACTOR``, ``MAX_BACKTRACKS``),
 not settings.
@@ -10,12 +12,12 @@ not settings.
 ``SolverConfig.sparse_threshold`` (a class constant, 2000 unknowns, not a
 setting) selects only the Newton policy. Above it the iteration is chord
 Newton (Hairer & Wanner, Solving ODEs II, IV.8): the last block factor is
-kept in the coloring's chord slot and reused across iterations and time
+kept in the structure's chord slot and reused across iterations and time
 steps, because over one step the Jacobian barely moves. A
 reused-factor step is taken in full, without a line search, when it cuts
 max|F| by at least ``CHORD_CONTRACTION``; otherwise the factor is dropped,
-the finite-difference Jacobian is rebuilt and factored at the current
-iterate, and the damped Newton step runs as usual. A chord iterate tends to
+the Jacobian is rebuilt and factored at the current iterate, and the
+damped Newton step runs as usual. A chord iterate tends to
 stop just under the tolerance where a full Newton step overshoots it, so
 when a reused-factor step first meets the tolerance, one more reused step
 is tried and kept only if it lowers max|F|. Below the threshold the
@@ -38,7 +40,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .blocks import BlockFactor, fd_jacobian
+from .blocks import BlockFactor
 from .errors import (ConfigurationError, FactorizationError, InfeasibleFlowError,
                      NonconvergenceError, StateError)
 from .network import NodeKind
@@ -112,12 +114,12 @@ class NewtonResult:
 
 
 def _newton_step(fun, x, F, colors, slot):
-    """Solve J dx = -F with the block factor of the finite-difference Jacobian at x.
+    """Solve J dx = -F with the block factor of the Jacobian at x, valued by ``colors``.
 
     With a ``slot`` (chord Newton, above the sparse threshold) the factor
     is kept there for later chord steps; without one it forms no inverse.
     """
-    lu = BlockFactor(fd_jacobian(fun, x, F, colors), colors.layout, -F, keep=slot is not None)
+    lu = BlockFactor(colors.values(fun, x, F), colors.layout, -F, keep=slot is not None)
     if slot is not None:
         slot[0] = lu
     return lu.x
@@ -134,7 +136,9 @@ def newton_solve(fun, x0, cfg: SolverConfig | None = None, *, colors) -> NewtonR
     """Damped Newton with backtracking line search on the residual norm.
 
     Converges when the max norm of fun(x) drops below cfg.newton_abs_tol.
-    ``colors`` is a ``blocks.ColumnColoring`` of fun's Jacobian pattern.
+    ``colors`` is the ``blocks.JacobianStructure`` of fun's Jacobian: its
+    pattern and block layout, and ``colors.values`` gives the values at
+    each iterate (colored FD sweeps of fun, or a closed form).
     Above ``cfg.sparse_threshold`` the iteration is chord Newton on the
     factor held in ``colors.factor`` (module docstring).
     A trial is judged only by its norm (max|F|, or F·F in the line search),
@@ -273,8 +277,9 @@ def steady_state(gsys, inputs0, cfg: SolverConfig | None = None,
     (`GlobalSystem.direct_state`), so Newton returns at 0 iterations
     without building a Jacobian, and a demand the tree cannot carry raises
     InfeasibleFlowError naming its pipe. Every other network first solves
-    its steady state on the port variables only (`_port_solve`), and
-    where that converges Newton certifies it at 0 iterations too.
+    its steady state on the port variables only (`_port_solve`), on an
+    exact Jacobian without FD sweeps, and where that converges Newton
+    certifies it at 0 iterations too.
     """
     try:
         x0 = gsys.direct_state(inputs0)
@@ -297,17 +302,18 @@ def _port_solve(gsys, inputs0, cfg):
     flow q (`GlobalSystem.port_state`), so R is the steady residual's mu_m
     and node rows at x(y), row-scaled as `_solve` scales them (nonlinear
     elimination: Lanzkron, Rose & Wilkes, SIAM J. Sci. Comput. 1996).
-    Newton on R starts from `GlobalSystem.port_start`. A stall or a
-    singular reduced Jacobian hands on x at its best y; a residual that is
+    `GlobalSystem.make_port_residual` gives R and the structure of its
+    exact Jacobian, whose values `newton_solve` takes in closed form: no FD
+    sweep and no coloring. Newton on R starts from
+    `GlobalSystem.port_start`. A stall or a singular reduced Jacobian
+    (a pipe at exactly zero flow) hands on x at its best y; a residual that is
     not finite at the start hands on the Kirchhoff start
     (`GlobalSystem.initial_guess`). Either way the Newton on all n
     unknowns that follows decides the outcome.
     """
-    raw, scale = gsys.make_port_residual(inputs0), gsys.row_scale()[gsys.n_z:]
-    y0, colors = gsys.port_start(inputs0), gsys.port_colors()
-    colors.factor[0] = None
+    fun, jac = gsys.make_port_residual(inputs0)
     try:
-        y = newton_solve(lambda y: raw(y) / scale, y0, cfg, colors=colors).x
+        y = newton_solve(fun, gsys.port_start(inputs0), cfg, colors=jac).x
     except (NonconvergenceError, FactorizationError) as exc:
         y = exc.x_best
     except StateError:

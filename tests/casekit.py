@@ -24,7 +24,7 @@ import numpy as np
 import gasnetsim as gn
 from gasnetsim.cli import _apply_model_override
 from gasnetsim.compressor import VARIANTS
-from gasnetsim.blocks import color_columns, fd_jacobian
+from gasnetsim.blocks import FD_STEP, color_columns
 
 GAS = gn.GasProperties(530.0, 276.25, 1.0, 1.4)
 
@@ -244,11 +244,11 @@ def kirchhoff_start(g, inputs):
     A copy of that rule, the oracle for the start off the trees and a start
     that Newton still has to converge on them: densities and node
     potentials at the first supply's pressure, every pipe's momenta and its
-    -mu_m at its Kirchhoff flow (`GlobalSystem._flow_map`), with |q| < 1
+    -mu_m at its Kirchhoff flow (`GlobalSystem._kirchhoff_flows`), with |q| < 1
     raised to 1.
     """
     p_ref, _ = g.reference_levels(inputs)
-    q = g._flow_map() @ g._input_vector(inputs)
+    q = g._kirchhoff_flows(g._input_vector(inputs))
     q[np.abs(q) < 1.0] = 1.0
     x = np.empty(g.n)
     x[g.bank.rho] = p_ref / g.gas.c2
@@ -369,19 +369,30 @@ def reference_colors(pattern, n):
     return [np.array(sorted(cols), dtype=int) for cols in groups]
 
 
-def dense_jacobian(fun, x, F0, coloring):
-    """The colored FD Jacobian as a dense array: the gathered values scattered to (row, col)."""
+def per_column_fd_jacobian(fun, x, F0):
+    """Uncolored forward-difference Jacobian, one residual call per column: the
+    oracle for the colored FD Jacobian and for the closed-form reduced one."""
     J = np.zeros((F0.size, x.size))
-    J[coloring.rows, coloring.cols] = fd_jacobian(fun, x, F0, coloring)
+    for j in range(x.size):
+        h = FD_STEP * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += h
+        J[:, j] = (fun(xp) - F0) / h
     return J
 
 
-def csc_jacobian(vals, coloring):
-    """The gathered values as a scipy CSC matrix, for SuperLU as a reference factor."""
+def dense_jacobian(fun, x, F0, coloring):
+    """The colored FD Jacobian as a dense array: the gathered values scattered to (row, col)."""
+    J = np.zeros((F0.size, x.size))
+    J[coloring.rows, coloring.cols] = coloring.values(fun, x, F0)
+    return J
+
+
+def csc_jacobian(vals, structure, n):
+    """The n x n Jacobian's values as a scipy CSC matrix, for SuperLU as a reference factor."""
     from scipy.sparse import csc_matrix
 
-    n = sum(group.size for group in coloring.groups)    # every column has one color
-    return csc_matrix((vals, (coloring.rows, coloring.cols)), shape=(n, n))
+    return csc_matrix((vals, (structure.rows, structure.cols)), shape=(n, n))
 
 
 def dense_newton_step(fun, x, F, coloring):

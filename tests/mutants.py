@@ -45,6 +45,8 @@ DIRECT = TL + "TestDirectSteadyStart::"
 INFEASIBLE = DIRECT + "test_infeasible_demand_names_the_pipe_and_cell"
 REDUCED = TL + "TestReducedSteady::"
 LADDER = REDUCED + "test_ladder_at_any_cell_count"
+PORT_JACOBIAN = REDUCED + "test_jacobian_is_the_dense_fd_jacobian"
+SLOPES = "tests/test_compressor.py::TestPressureDerivatives::test_match_central_differences"
 
 MUTANTS = [
     Mutant("start-accepts-nan", "timeloop.py",
@@ -110,9 +112,21 @@ MUTANTS = [
            "for pe in self.spec.pipes]) - self.n_z]",
            (LADDER,)),
     Mutant("port-pattern-drops-inlet", "network.py",
-           "np.column_stack([rows[read], start[cols[read]]])",
-           "np.column_stack([rows[read], to_y[cols[read]]])",
-           (REDUCED + "test_pattern_covers_the_dense_fd_jacobian",)),
+           "(pipes, pipes), (pipes, lam_from)]",
+           "(pipes, pipes), (pipes, pipes)]",
+           (PORT_JACOBIAN,)),
+    Mutant("port-slope-lambda", "network.py",
+           "dp_dlam = c2 * (2.0 * d / r) * w_d",
+           "dp_dlam = c2 * (d / r) * w_d",
+           (PORT_JACOBIAN,)),
+    Mutant("port-slope-q", "network.py",
+           "dp_dq = -a_q * (c2 * np.sqrt(d) / r * w_d + 2.0 * w_s)",
+           "dp_dq = -a_q * (c2 * np.sqrt(d) / r * w_d + w_s)",
+           (PORT_JACOBIAN,)),
+    Mutant("port-slope-prev-cell", "network.py",
+           "w_s = 0.75 * i_last / last - 0.25 * i_prev / prev",
+           "w_s = 0.75 * i_last / last - 0.25 * i_last / prev",
+           (PORT_JACOBIAN,)),
     Mutant("port-state-mu-m-sign", "network.py",
            "        x[self.mu_m] = -y[:P]\n        x[self.n_z + P:] = y[P:]\n        return x",
            "        x[self.mu_m] = y[:P]\n        x[self.n_z + P:] = y[P:]\n        return x",
@@ -142,8 +156,8 @@ MUTANTS = [
            '(_FC, _AM): Variant("ratio", lambda sp, p: p,',
            (LAYOUT + "test_fixed_ratio_layout",)),
     Mutant("fc-am-factor", "compressor.py",
-           "lambda sp, p, k: 1.0,\n                        (False, True)),",
-           "lambda sp, p, k: sp ** (-1.0 / k),\n                        (False, True)),",
+           "lambda sp, p, k: 1.0,\n                        lambda sp, p: sp,",
+           "lambda sp, p, k: sp ** (-1.0 / k),\n                        lambda sp, p: sp,",
            (JUMP + "test_constant_momentum_is_identity",)),
     Mutant("fp-av-outlet", "compressor.py",
            '(_FP, _AV): Variant("pressure", lambda sp, p: sp,',
@@ -158,9 +172,45 @@ MUTANTS = [
            '(_FP, _AM): Variant("pressure", lambda sp, p: p,',
            (LAYOUT + "test_fixed_pressure_layouts",)),
     Mutant("fp-am-factor", "compressor.py",
-           "lambda sp, p, k: 1.0,\n                        (False, False)),",
-           "lambda sp, p, k: (sp / p) ** (-1.0 / k),\n                        (False, False)),",
+           "lambda sp, p, k: 1.0,\n                        None,\n                        None),",
+           "lambda sp, p, k: (sp / p) ** (-1.0 / k),\n                        None,\n"
+           "                        None),",
            (JUMP + "test_constant_momentum_is_identity",)),
+    Mutant("fc-av-outlet-slope", "compressor.py",
+           "lambda sp, p, k: sp ** (-1.0 / k),\n                        lambda sp, p: sp,",
+           "lambda sp, p, k: sp ** (-1.0 / k),\n                        lambda sp, p: 1.0,",
+           (SLOPES + "[fc-av]", PORT_JACOBIAN)),
+    Mutant("fc-av-factor-slope", "compressor.py",
+           "lambda sp, p: sp,\n                        None),\n    (_FC, _AM)",
+           "lambda sp, p: sp,\n                        lambda sp, p, k: sp ** (-1.0 / k) / p),\n"
+           "    (_FC, _AM)",
+           (SLOPES + "[fc-av]", PORT_JACOBIAN)),
+    Mutant("fc-am-outlet-slope", "compressor.py",
+           "lambda sp, p, k: 1.0,\n                        lambda sp, p: sp,",
+           "lambda sp, p, k: 1.0,\n                        lambda sp, p: 1.0,",
+           (SLOPES + "[fc-am]", PORT_JACOBIAN)),
+    Mutant("fc-am-factor-slope", "compressor.py",
+           "lambda sp, p: sp,\n                        None),\n    (_FP, _AV)",
+           "lambda sp, p: sp,\n                        lambda sp, p, k: 1.0 / p),\n    (_FP, _AV)",
+           (SLOPES + "[fc-am]", PORT_JACOBIAN)),
+    Mutant("fp-av-outlet-slope", "compressor.py",
+           "if p > 0 else math.nan,\n                        None,",
+           "if p > 0 else math.nan,\n                        lambda sp, p: 1.0,",
+           (SLOPES + "[fp-av]", PORT_JACOBIAN)),
+    Mutant("fp-av-factor-slope", "compressor.py",
+           "(sp / p) ** (-1.0 / k) / (k * p) if p > 0",
+           "(sp / p) ** (-1.0 / k) / p if p > 0",
+           (SLOPES + "[fp-av]", PORT_JACOBIAN)),
+    Mutant("fp-am-outlet-slope", "compressor.py",
+           "lambda sp, p, k: 1.0,\n                        None,\n                        None),",
+           "lambda sp, p, k: 1.0,\n                        lambda sp, p: 1.0,\n"
+           "                        None),",
+           (SLOPES + "[fp-am]", PORT_JACOBIAN)),
+    Mutant("fp-am-factor-slope", "compressor.py",
+           "lambda sp, p, k: 1.0,\n                        None,\n                        None),",
+           "lambda sp, p, k: 1.0,\n                        None,\n"
+           "                        lambda sp, p, k: 1.0 / p),",
+           (SLOPES + "[fp-am]", PORT_JACOBIAN)),
     Mutant("check-state-zero-density", "network.py",
            "~(z[b.rho] > 0.0)",
            "(z[b.rho] < 0.0)",

@@ -72,6 +72,37 @@ class TestMomentumJump:
             assert np.isnan(factor("fp-av", 8.4e6, np.float64(p_in)))
 
 
+class TestPressureDerivatives:
+    """Each row's p-derivatives of its outlet rule and its factor, for exact Jacobians."""
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_match_central_differences(self, tag):
+        # None where the rule reads no p: there the central difference is 0
+        v = row(tag)
+        rules = ((lambda sp, p: v.outlet(sp, p), v.outlet_dp),
+                 (lambda sp, p: v.factor(sp, p, KAPPA), v.factor_dp and
+                  (lambda sp, p: v.factor_dp(sp, p, KAPPA))))
+        for sp in ((0.8, 1.2, 1.7) if tag.startswith("fc") else (6e6, 8.4e6)):
+            for p in (3e6, 6e6, 7e6, 9e6):
+                h = 1e-4 * p
+                for rule, slope in rules:
+                    central = (rule(sp, p + h) - rule(sp, p - h)) / (2.0 * h)
+                    exact = 0.0 if slope is None else slope(sp, p)
+                    assert exact == pytest.approx(central, rel=1e-7, abs=1e-15)
+
+    def test_reads_inlet_follows_from_the_derivatives(self):
+        assert {tag: row(tag).reads_inlet for tag in TAGS} == {
+            "fc-av": (False, True), "fc-am": (False, True),
+            "fp-av": (True, False), "fp-am": (False, False)}
+
+    @pytest.mark.parametrize("p_in", [0.0, -1.0, -3e6, float("nan")])
+    def test_fp_av_slope_is_nan_without_a_warning_at_nonpositive_pressure(self, p_in):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(row("fp-av").factor_dp(8.4e6, p_in, KAPPA))
+            assert np.isnan(row("fp-av").factor_dp(8.4e6, np.float64(p_in), KAPPA))
+
+
 class TestCouplingMatrix:
     """The station coupling of the two-pipe form, read off the variant table."""
 

@@ -14,8 +14,8 @@ from gasnetsim.network import SEGMENT_CELLS
 from casekit import (GAS, PARALLEL_NET_JSON, PARALLEL_SINGULAR, benchmark_with_model,
                      branched_tree, closed_pipe, column_units, consistent_state, csc_jacobian,
                      dense_newton_step, generated_network, generated_steady_case,
-                     kirchhoff_start, ladder_system, one_block, record_dict,
-                     single_pipe_system, single_supply_tree)
+                     kirchhoff_start, ladder_system, one_block, per_column_fd_jacobian,
+                     record_dict, single_pipe_system, single_supply_tree)
 
 
 class TestSolverConfig:
@@ -151,19 +151,19 @@ class TestNonFiniteTrials:
 
 def superlu_newton_step(fun, x, F, colors, slot):
     """``timeloop._newton_step`` on SuperLU, an independent factor of the same
-    colored FD Jacobian; chord Newton keeps it in ``slot`` as it keeps the
-    block factor."""
+    Jacobian values; chord Newton keeps it in ``slot`` as it keeps the block
+    factor."""
     from scipy.sparse.linalg import splu
 
-    lu = splu(csc_jacobian(blocks.fd_jacobian(fun, x, F, colors), colors))
+    lu = splu(csc_jacobian(colors.values(fun, x, F), colors, x.size))
     if slot is not None:
         slot[0] = lu
     return lu.solve(-F)
 
 
 def full_newton(fun, x0, cfg=None, *, colors):
-    """Reference for the chord path: full Newton steps, a fresh colored FD
-    Jacobian and SuperLU factor at every iterate, no line search."""
+    """Reference for the chord path: full Newton steps, a fresh Jacobian and
+    SuperLU factor at every iterate, no line search."""
     x = np.array(x0, dtype=float)
     F = fun(x)
     history = [np.abs(F).max()]
@@ -281,7 +281,7 @@ def test_block_solve_matches_the_dense_reference(seed, demand, cells):
     for fun in funs:
         F = fun(x)
         ref = dense_newton_step(fun, x, F, colors)
-        vals = blocks.fd_jacobian(fun, x, F, colors)
+        vals = colors.values(fun, x, F)
         # both factor forms: one-use (one pass, no inverse) and kept (chord)
         dx = blocks.BlockFactor(vals, colors.layout, -F, False).x
         dx_kept = blocks.BlockFactor(vals, colors.layout, -F, True).solve(-F)
@@ -362,7 +362,7 @@ class TestBorderStructure:
         F, colors = fun(x), g.jac_colors()
         nb = self.check_border(g).border.size
         assert nb == 179 and self.max_port_uses(colors.layout) >= 2
-        vals = blocks.fd_jacobian(fun, x, F, colors)
+        vals = colors.values(fun, x, F)
         kept = blocks.BlockFactor(vals, colors.layout, -F, True)
         assert kept.Sinv.shape == (nb, nb)
         dx = blocks.BlockFactor(vals, colors.layout, -F, False).x
@@ -975,12 +975,13 @@ class TestReducedSteady:
     def test_generated_networks(self, monkeypatch):
         # the parent's 597 of 600 cases reach a steady state (seed 39 has
         # none, `test_generated_network_39_cannot_carry_its_station_flow`),
-        # and wherever the reduced Newton converges (351 of the 555 such
-        # cases off the single-supply trees), the Newton on all n unknowns
-        # takes no iteration and builds no Jacobian. Elsewhere it starts
-        # from x at the reduced Newton's best point: a pipe whose flow a
-        # Newton step puts at exactly 0 (a dead end at zero demand) has a
-        # zero 1 x 1 block, and most "zero" cases end there
+        # and wherever the reduced Newton converges (438 of the 555 such
+        # cases off the single-supply trees on its exact Jacobian, 351 on
+        # the colored FD one before), the Newton on all n unknowns takes no
+        # iteration and builds no Jacobian. Elsewhere it starts from x at
+        # the reduced Newton's best point: a pipe whose flow a Newton step
+        # puts at exactly 0 (a dead end at zero demand) has a zero 1 x 1
+        # block, and most of the other cases end there
         failed, converged, reduced = [], 0, 0
         for seed in range(200):
             for demand in self.MODES:
@@ -1002,7 +1003,7 @@ class TestReducedSteady:
                     else:
                         assert np.array_equal(x0, g.port_state(first.x_best)), (seed, demand)
         assert failed == [(39, demand) for demand in self.MODES]
-        assert reduced == 555 and converged >= 300
+        assert reduced == 555 and converged >= 400
 
     def test_a_stalled_reduced_solve_hands_on_its_best_point(self, monkeypatch):
         # generated network 108 at zero demand: the reduced Newton stalls,
@@ -1049,27 +1050,33 @@ class TestReducedSteady:
         assert np.array_equal(x0, kirchhoff_start(g, inputs))
         assert full.history[-1] <= gn.SolverConfig().newton_abs_tol
 
-    def test_pattern_covers_the_dense_fd_jacobian(self):
-        # every column of R's dense forward-difference Jacobian at the
-        # reduced start changes only rows that the coloring's pattern lists
-        # in that column
+    def test_jacobian_is_the_dense_fd_jacobian(self):
+        # J_R, in closed form, against R's dense per-column forward
+        # differences at the reduced start, row-scaled as the solve scales
+        # it: every column of the FD changes only rows that J_R lists in
+        # that column, and per row the entries agree within 1e-7 of the
+        # row's largest, each column weighted by 1 + |y_j| (measured: at
+        # most 1.4e-8 over the 600 cases)
         checked = 0
         for seed in range(200):
             for demand in self.MODES:
                 spec, inputs = generated_steady_case(seed, demand)
                 g = gn.assemble(spec)
-                fun, y = g.make_port_residual(inputs), g.port_start(inputs)
+                g.references = g.reference_levels(inputs)
+                (fun, jac), y = g.make_port_residual(inputs), g.port_start(inputs)
                 F = fun(y)
                 if not np.all(np.isfinite(F)):
                     continue
-                colors = g.port_colors()
-                listed = np.zeros((y.size, y.size), dtype=bool)
-                listed[colors.rows, colors.cols] = True
-                for j in range(y.size):
-                    yp = y.copy()
-                    yp[j] += blocks.FD_STEP * (1.0 + abs(y[j]))
-                    changed = fun(yp) != F
-                    assert not np.any(changed & ~listed[:, j]), (seed, demand, j)
+                assert jac.groups == []
+                J_fd = per_column_fd_jacobian(fun, y, F)
+                J = np.zeros_like(J_fd)
+                J[jac.rows, jac.cols] = jac.values(fun, y, F)
+                listed = np.zeros(J.shape, dtype=bool)
+                listed[jac.rows, jac.cols] = True
+                assert not np.any((J_fd != 0.0) & ~listed), (seed, demand)
+                weight = 1.0 + np.abs(y)
+                rows = np.abs(J * weight).max(axis=1, keepdims=True)
+                assert np.all(np.abs(J - J_fd) * weight <= 1e-7 * rows), (seed, demand)
                 checked += 1
         assert checked >= 590
 
